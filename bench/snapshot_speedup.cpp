@@ -10,7 +10,12 @@
 // sample, aggregated over the guest programs. Outcome statistics must be
 // bit-identical between the two modes and across thread counts {1, 2, 8} —
 // this bench fails (exit 1) on any divergence, making it a differential
-// test as much as a benchmark.
+// test as much as a benchmark. It also fails when Auto did not fork: every
+// forked campaign must report resume points and no straight fallback.
+//
+// The wall-clock ratio is printed next to the cycle ratio. The gate stays on
+// the cycle counter (wall time is noisy on shared hosts), but the bench
+// warns whenever the two ratios point in different directions.
 //
 // Results append to BENCH_snapshot_speedup.json. `--smoke` shrinks budgets
 // for CI.
@@ -51,6 +56,16 @@ bool fsOutcomesEqual(const fi::FsCampaignStats& a, const fi::FsCampaignStats& b)
          a.detectedByEndToEnd == b.detectedByEndToEnd && a.undetected == b.undetected;
 }
 
+/// Auto engaged the fork engine: forks served, no experiment ran straight.
+bool forked(const fi::SnapCounters& snap) {
+  return snap.resumePoints > 0 && snap.straightFallbacks == 0;
+}
+
+/// One ratio says the snapshot engine is faster, the other says slower.
+bool directionsDisagree(double workRatio, double wallRatio) {
+  return (workRatio > 1.0) != (wallRatio > 1.0);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -65,6 +80,9 @@ int main(int argc, char** argv) {
 
   const std::size_t experiments = smoke ? 2000 : 20000;
   bool equivalent = true;
+  bool engaged = true;
+  double straightTemSeconds = 0.0;
+  double snapshotTemSeconds = 0.0;
   std::uint64_t straightTemCycles = 0;
   std::uint64_t snapshotTemCycles = 0;
   std::uint64_t straightFsCycles = 0;
@@ -77,8 +95,8 @@ int main(int argc, char** argv) {
   std::printf("TEM + FS campaigns, %zu experiments per guest program, same "
               "seed and chunking in both modes\n\n",
               experiments);
-  std::printf("%-16s %14s %14s %8s %8s %10s %10s %9s\n", "program", "TEM straight", "TEM snapshot",
-              "TEM", "FS", "straight s", "snapshot s", "resume %");
+  std::printf("%-16s %14s %14s %8s %8s %10s %10s %8s %9s\n", "program", "TEM straight",
+              "TEM snapshot", "TEM", "FS", "straight s", "snapshot s", "TEM wall", "resume %");
 
   obs::JsonValue programs = obs::JsonValue::object();
   for (const bbw::GuestProgram& program : bbw::guestPrograms()) {
@@ -98,7 +116,7 @@ int main(int argc, char** argv) {
     const fi::TemCampaignStats straight = fi::runTemCampaign(image, config);
     const double straightSeconds = straightClock.elapsedSeconds();
 
-    config.mode = fi::ExecutionMode::Snapshot;
+    config.mode = fi::ExecutionMode::Auto;
     const util::MonotonicStopwatch snapClock;
     const fi::TemCampaignStats snapshot = fi::runTemCampaign(image, config);
     const double snapshotSeconds = snapClock.elapsedSeconds();
@@ -117,11 +135,14 @@ int main(int argc, char** argv) {
     fi::CampaignConfig fsConfig = config;
     fsConfig.mode = fi::ExecutionMode::Straight;
     const fi::FsCampaignStats fsStraight = fi::runFsCampaign(image, fsConfig);
-    fsConfig.mode = fi::ExecutionMode::Snapshot;
+    fsConfig.mode = fi::ExecutionMode::Auto;
     const fi::FsCampaignStats fsSnapshot = fi::runFsCampaign(image, fsConfig);
     identical = identical && fsOutcomesEqual(fsStraight, fsSnapshot);
 
     equivalent = equivalent && identical;
+    engaged = engaged && forked(snapshot.snap) && forked(fsSnapshot.snap);
+    straightTemSeconds += straightSeconds;
+    snapshotTemSeconds += snapshotSeconds;
     straightTemCycles += straight.snap.simulatedCycles;
     snapshotTemCycles += snapshot.snap.simulatedCycles;
     straightFsCycles += fsStraight.snap.simulatedCycles;
@@ -139,6 +160,7 @@ int main(int argc, char** argv) {
                                ? static_cast<double>(fsStraight.snap.simulatedCycles) /
                                      static_cast<double>(fsSnapshot.snap.simulatedCycles)
                                : 0.0;
+    const double wallRatio = snapshotSeconds > 0.0 ? straightSeconds / snapshotSeconds : 0.0;
     const std::uint64_t copies =
         snapshot.snap.replayedCopies + fsSnapshot.snap.replayedCopies +
         snapshot.snap.executedCopies + fsSnapshot.snap.executedCopies;
@@ -147,12 +169,17 @@ int main(int argc, char** argv) {
                                         fsSnapshot.snap.replayedCopies) /
                          static_cast<double>(copies)
                    : 0.0;
-    std::printf("%-16s %14llu %14llu %7.2fx %7.2fx %10.3f %10.3f %8.1f%%%s\n",
+    std::printf("%-16s %14llu %14llu %7.2fx %7.2fx %10.3f %10.3f %7.2fx %8.1f%%%s\n",
                 program.name.c_str(),
                 static_cast<unsigned long long>(straight.snap.simulatedCycles),
                 static_cast<unsigned long long>(snapshot.snap.simulatedCycles), temRatio, fsRatio,
-                straightSeconds, snapshotSeconds, 100.0 * resumeFraction,
+                straightSeconds, snapshotSeconds, wallRatio, 100.0 * resumeFraction,
                 identical ? "" : "  OUTCOMES DIVERGED");
+    if (directionsDisagree(temRatio, wallRatio)) {
+      std::printf("WARNING: %s: TEM cycle ratio %.2fx and wall ratio %.2fx point in different "
+                  "directions\n",
+                  program.name.c_str(), temRatio, wallRatio);
+    }
 
     obs::JsonValue entry = obs::JsonValue::object();
     entry.set("experiments", obs::JsonValue::integer(static_cast<std::int64_t>(experiments)));
@@ -164,6 +191,7 @@ int main(int argc, char** argv) {
     entry.set("fs_cycles_ratio", obs::JsonValue::number(fsRatio));
     entry.set("straight_seconds", obs::JsonValue::number(straightSeconds));
     entry.set("snapshot_seconds", obs::JsonValue::number(snapshotSeconds));
+    entry.set("wall_seconds_ratio", obs::JsonValue::number(wallRatio));
     entry.set("resume_fraction", obs::JsonValue::number(resumeFraction));
     entry.set("replayed_copies", obs::JsonValue::integer(static_cast<std::int64_t>(
                                      snapshot.snap.replayedCopies + fsSnapshot.snap.replayedCopies)));
@@ -195,15 +223,26 @@ int main(int argc, char** argv) {
   const double snapshotPerSample =
       temSamples > 0 ? static_cast<double>(snapshotTemCycles) / static_cast<double>(temSamples)
                      : 0.0;
+  const double wallRatio =
+      snapshotTemSeconds > 0.0 ? straightTemSeconds / snapshotTemSeconds : 0.0;
 
   std::printf("\nTEM cycles per sample      straight %.1f vs snapshot %.1f  => %.2fx reduction "
               "(floor 3x)\n",
               straightPerSample, snapshotPerSample, temRatio);
+  std::printf("TEM wall time              straight %.3fs vs snapshot %.3fs  => %.2fx (not gated)\n",
+              straightTemSeconds, snapshotTemSeconds, wallRatio);
+  if (directionsDisagree(temRatio, wallRatio)) {
+    std::printf("WARNING: TEM cycle ratio %.2fx and wall ratio %.2fx point in different "
+                "directions\n",
+                temRatio, wallRatio);
+  }
   std::printf("FS cycles reduction        %.2fx (single-copy campaigns; not gated)\n", fsRatio);
   std::printf("resume fraction            %.1f%% of copies answered by replay, %llu forks\n",
               100.0 * resumeFraction, static_cast<unsigned long long>(resumePoints));
   std::printf("mode & thread equivalence  %s\n",
               equivalent ? "bit-identical" : "BROKEN (outcomes diverged)");
+  std::printf("fork engagement            %s\n",
+              engaged ? "every Auto campaign forked" : "BROKEN (Auto fell back to straight)");
 
   report.set("programs", std::move(programs));
   report.set("tem_straight_cycles",
@@ -213,6 +252,9 @@ int main(int argc, char** argv) {
   report.set("tem_straight_cycles_per_sample", obs::JsonValue::number(straightPerSample));
   report.set("tem_snapshot_cycles_per_sample", obs::JsonValue::number(snapshotPerSample));
   report.set("tem_cycles_ratio", obs::JsonValue::number(temRatio));
+  report.set("straight_seconds", obs::JsonValue::number(straightTemSeconds));
+  report.set("snapshot_seconds", obs::JsonValue::number(snapshotTemSeconds));
+  report.set("wall_seconds_ratio", obs::JsonValue::number(wallRatio));
   report.set("fs_cycles_ratio", obs::JsonValue::number(fsRatio));
   report.set("resume_fraction", obs::JsonValue::number(resumeFraction));
   report.set("resume_points", obs::JsonValue::integer(static_cast<std::int64_t>(resumePoints)));
@@ -222,6 +264,10 @@ int main(int argc, char** argv) {
 
   if (!equivalent) {
     std::printf("FAIL: straight and snapshot outcome statistics diverged\n");
+    return 1;
+  }
+  if (!engaged) {
+    std::printf("FAIL: an Auto campaign served no fork or ran experiments straight\n");
     return 1;
   }
   if (temRatio < 3.0) {

@@ -12,7 +12,12 @@
 // be bit-identical between the two modes and across thread counts {1, 2, 8},
 // and metrics-instrumented runs must produce identical golden fingerprints —
 // this bench fails (exit 1) on any divergence, making it a differential test
-// as much as a benchmark.
+// as much as a benchmark. It also fails when Auto did not fork: the forked
+// campaign must report restores and no straight fallback.
+//
+// The wall-clock ratio is printed next to the event ratio. The gate stays on
+// the event counter (wall time is noisy on shared hosts), but the bench warns
+// whenever the two ratios point in different directions.
 //
 // Results append to BENCH_system_snapshot_speedup.json. `--smoke` shrinks
 // budgets for CI.
@@ -58,6 +63,11 @@ bool snapEqual(const fi::SnapCounters& a, const fi::SnapCounters& b) {
          a.executedCopies == b.executedCopies && a.straightFallbacks == b.straightFallbacks;
 }
 
+/// One ratio says the snapshot engine is faster, the other says slower.
+bool directionsDisagree(double workRatio, double wallRatio) {
+  return (workRatio > 1.0) != (wallRatio > 1.0);
+}
+
 /// The bench scenario mix leans toward machine transients injected in the
 /// first second of the stop — the regime the paper's campaigns probe (most
 /// faults are masked or heal quickly, so their runs rejoin the golden
@@ -99,15 +109,17 @@ int main(int argc, char** argv) {
 
   const util::MonotonicStopwatch snapClock;
   const fi::SystemCampaignStats snapshot =
-      fi::runSystemCampaign(benchConfig(experiments, fi::ExecutionMode::Snapshot));
+      fi::runSystemCampaign(benchConfig(experiments, fi::ExecutionMode::Auto));
   const double snapshotSeconds = snapClock.elapsedSeconds();
 
   bool equivalent = statsEqual(straight, snapshot);
+  // Auto engaged the fork engine: restores served, no experiment ran straight.
+  const bool engaged = snapshot.snap.resumePoints > 0 && snapshot.snap.straightFallbacks == 0;
 
   // Thread-count invariance of the snapshot engine, INCLUDING its own
   // counters (chunk-private caches merged in chunk order).
   for (const unsigned threads : {2u, 8u}) {
-    fi::SystemCampaignConfig rerun = benchConfig(experiments, fi::ExecutionMode::Snapshot);
+    fi::SystemCampaignConfig rerun = benchConfig(experiments, fi::ExecutionMode::Auto);
     rerun.parallelism.threads = threads;
     const fi::SystemCampaignStats again = fi::runSystemCampaign(rerun);
     equivalent = equivalent && statsEqual(snapshot, again) && snapEqual(snapshot.snap, again.snap);
@@ -123,7 +135,7 @@ int main(int argc, char** argv) {
     fi::SystemCampaignConfig config = benchConfig(experiments, fi::ExecutionMode::Straight);
     config.metrics = &straightMetrics;
     (void)fi::runSystemCampaign(config);
-    config = benchConfig(experiments, fi::ExecutionMode::Snapshot);
+    config = benchConfig(experiments, fi::ExecutionMode::Auto);
     config.metrics = &snapshotMetrics;
     (void)fi::runSystemCampaign(config);
   }
@@ -134,6 +146,7 @@ int main(int argc, char** argv) {
                            ? static_cast<double>(straight.snap.simulatedCycles) /
                                  static_cast<double>(snapshot.snap.simulatedCycles)
                            : 0.0;
+  const double wallRatio = snapshotSeconds > 0.0 ? straightSeconds / snapshotSeconds : 0.0;
   const std::uint64_t copies = snapshot.snap.replayedCopies + snapshot.snap.executedCopies;
   const double replayedFraction =
       copies > 0 ? static_cast<double>(snapshot.snap.replayedCopies) /
@@ -144,8 +157,12 @@ int main(int argc, char** argv) {
               "(floor 2x)\n",
               static_cast<unsigned long long>(straight.snap.simulatedCycles),
               static_cast<unsigned long long>(snapshot.snap.simulatedCycles), ratio);
-  std::printf("wall time                  straight %.3fs vs snapshot %.3fs\n", straightSeconds,
-              snapshotSeconds);
+  std::printf("wall time                  straight %.3fs vs snapshot %.3fs  => %.2fx (not gated)\n",
+              straightSeconds, snapshotSeconds, wallRatio);
+  if (directionsDisagree(ratio, wallRatio)) {
+    std::printf("WARNING: event ratio %.2fx and wall ratio %.2fx point in different directions\n",
+                ratio, wallRatio);
+  }
   std::printf("rejoin splices             %.1f%% of simulated experiments (%llu restores, "
               "%llu masked skips)\n",
               100.0 * replayedFraction,
@@ -155,6 +172,9 @@ int main(int argc, char** argv) {
               equivalent ? "bit-identical" : "BROKEN (statistics diverged)");
   std::printf("metrics fingerprints       %s\n",
               metricsIdentical ? "identical" : "BROKEN (fingerprints diverged)");
+  std::printf("fork engagement            %s\n",
+              engaged ? "Auto forked every simulated experiment"
+                      : "BROKEN (Auto fell back to straight)");
 
   obs::JsonValue report = obs::JsonValue::object();
   report.set("report", obs::JsonValue::string("system_snapshot_speedup"));
@@ -167,6 +187,7 @@ int main(int argc, char** argv) {
   report.set("events_ratio", obs::JsonValue::number(ratio));
   report.set("straight_seconds", obs::JsonValue::number(straightSeconds));
   report.set("snapshot_seconds", obs::JsonValue::number(snapshotSeconds));
+  report.set("wall_seconds_ratio", obs::JsonValue::number(wallRatio));
   report.set("replayed_fraction", obs::JsonValue::number(replayedFraction));
   report.set("replayed_copies",
              obs::JsonValue::integer(static_cast<std::int64_t>(snapshot.snap.replayedCopies)));
@@ -178,6 +199,8 @@ int main(int argc, char** argv) {
              obs::JsonValue::integer(static_cast<std::int64_t>(snapshot.snap.snapshotHits)));
   report.set("snapshot_misses",
              obs::JsonValue::integer(static_cast<std::int64_t>(snapshot.snap.snapshotMisses)));
+  report.set("straight_fallbacks",
+             obs::JsonValue::integer(static_cast<std::int64_t>(snapshot.snap.straightFallbacks)));
   report.set("skipped_masked",
              obs::JsonValue::integer(static_cast<std::int64_t>(snapshot.skippedMasked)));
   report.set("outcomes_bit_identical", obs::JsonValue::boolean(equivalent));
@@ -191,6 +214,10 @@ int main(int argc, char** argv) {
   }
   if (!metricsIdentical) {
     std::printf("FAIL: metrics golden fingerprints diverged across execution modes\n");
+    return 1;
+  }
+  if (!engaged) {
+    std::printf("FAIL: the Auto campaign served no restore or ran experiments straight\n");
     return 1;
   }
   if (ratio < 2.0) {

@@ -2,15 +2,12 @@
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
-#include <string>
 
 #include "core/result.hpp"
 #include "exec/chunked_campaign.hpp"
 #include "faults/snapshot_exec.hpp"
-#include "obs/metrics.hpp"
-#include "snap/cache.hpp"
-#include "util/time.hpp"
 
 namespace nlft::fi {
 
@@ -198,16 +195,14 @@ class StraightSource {
 /// golden run byte for byte, with the post-reset behavior digest reaching a
 /// fixed point. Only then may the engine (a) replay clean copies without
 /// executing them and (b) fork faulted copy >= 2 from the fixed-point start
-/// state. Images that fail any check run straight (snap.straightFallbacks).
+/// state. Images that fail any check run the whole campaign straight.
 struct TemSnapshotPlan {
   bool supported = false;
   CopyRun cleanRun;               ///< byte-equal to the golden run (verified)
   std::uint64_t cleanDigest = 0;  ///< behaviorDigest of the post-reset fixed point
   hw::Machine startMachine1;      ///< fresh machine, context reset (copy-1 band)
   hw::Machine startMachine2;      ///< after one clean copy + reset (copy->=2 band)
-  std::vector<std::uint8_t> startBlob1;  ///< serialized startMachine1 (round-trip checked)
-  std::vector<std::uint8_t> startBlob2;  ///< serialized startMachine2 (round-trip checked)
-  std::uint64_t planInstructions = 0;    ///< verification cycles (charged to snap mode)
+  std::uint64_t planInstructions = 0;  ///< verification cycles (charged when supported)
 };
 
 TemSnapshotPlan buildTemSnapshotPlan(const TaskImage& image, const CopyRun& golden) {
@@ -215,13 +210,12 @@ TemSnapshotPlan buildTemSnapshotPlan(const TaskImage& image, const CopyRun& gold
   hw::Machine machine = makeMachine(image);
   resetContext(machine, image);
   plan.startMachine1 = machine;
-  plan.startBlob1 = machine.saveState();
   const CopyRun first = runCopyWithInjection(machine, image, 0, {});
   plan.planInstructions += first.instructions;
   if (!copyRunsEqual(first, golden)) return plan;
   resetContext(machine, image);
   plan.startMachine2 = machine;
-  plan.startBlob2 = machine.saveState();
+  const std::vector<std::uint8_t> startBlob2 = machine.saveState();
   plan.cleanDigest = behaviorDigest(machine);
   const CopyRun second = runCopyWithInjection(machine, image, 0, {});
   plan.planInstructions += second.instructions;
@@ -232,12 +226,23 @@ TemSnapshotPlan buildTemSnapshotPlan(const TaskImage& image, const CopyRun& gold
   // this pins the snapshot format against the campaign engine on every
   // campaign, not only in the dedicated round-trip tests.
   hw::Machine roundTrip;
-  roundTrip.restoreState(plan.startBlob2);
+  roundTrip.restoreState(startBlob2);
   if (behaviorDigest(roundTrip) != plan.cleanDigest) return plan;
   plan.cleanRun = first;
   plan.supported = true;
   return plan;
 }
+
+/// Chunk-private fork state of a supported plan: one baseline per copy band
+/// plus the scratch machine every fork lands on.
+struct ChunkForks {
+  ChunkForks(const TemSnapshotPlan& plan, std::uint32_t memBytes)
+      : band1(plan.startMachine1), band2(plan.startMachine2), scratch(memBytes) {}
+
+  MachineBaseline band1;
+  MachineBaseline band2;
+  hw::Machine scratch;
+};
 
 /// Copy-on-inject source: the faulted copy forks from the band baseline at
 /// the injection instant; clean copies before the fault replay the verified
@@ -248,20 +253,18 @@ TemSnapshotPlan buildTemSnapshotPlan(const TaskImage& image, const CopyRun& gold
 class SnapshotSource {
  public:
   SnapshotSource(const TaskImage& image, const TemSnapshotPlan& plan,
-                 const ExperimentFault& fault, MachineBaseline& band1, MachineBaseline& band2,
-                 hw::Machine& scratch, SnapCounters& snap)
+                 const ExperimentFault& fault, ChunkForks& forks, SnapCounters& snap)
       : image_(image),
         plan_(plan),
         fault_(fault),
-        band1_(band1),
-        band2_(band2),
-        scratch_(scratch),
+        forks_(forks),
+        scratch_(forks.scratch),
         snap_(snap) {}
 
   CopyRun runCopy(int copy) {
     const std::uint64_t budget = image_.maxInstructionsPerCopy;
     if (copy == fault_.targetCopy) {
-      MachineBaseline& band = copy == 1 ? band1_ : band2_;
+      MachineBaseline& band = copy == 1 ? forks_.band1 : forks_.band2;
       band.forkAt(fault_.afterInstructions, scratch_);
       for (const FaultLocation& location : fault_.locations) inject(scratch_, location);
       const hw::RunResult phase2 = scratch_.run(budget - fault_.afterInstructions);
@@ -303,8 +306,7 @@ class SnapshotSource {
   const TaskImage& image_;
   const TemSnapshotPlan& plan_;
   const ExperimentFault& fault_;
-  MachineBaseline& band1_;
-  MachineBaseline& band2_;
+  ChunkForks& forks_;
   hw::Machine& scratch_;
   SnapCounters& snap_;
   bool faulted_ = false;
@@ -369,14 +371,6 @@ TemOutcome classifyTemWith(const TaskImage& image, const CopyRun& golden,
   return TemOutcome::OmissionNoBudget;
 }
 
-TemOutcome classifyTem(const TaskImage& image, const CopyRun& golden,
-                       const ExperimentFault& fault, double jobBudgetFactor,
-                       DetectionMechanismCounts* mechanisms = nullptr,
-                       SnapCounters* snap = nullptr) {
-  StraightSource source{image, fault, snap};
-  return classifyTemWith(image, golden, jobBudgetFactor, mechanisms, source);
-}
-
 /// The fail-silent-node check (single copy, EDM + end-to-end checksum),
 /// parametrized like classifyTemWith.
 template <typename Source>
@@ -391,12 +385,6 @@ FsOutcome classifyFsWith(const TaskImage& image, const CopyRun& golden, Source& 
   }
   if (source.eccCorrected()) return FsOutcome::MaskedByEcc;
   return FsOutcome::NotActivated;
-}
-
-FsOutcome classifyFs(const TaskImage& image, const CopyRun& golden,
-                     const ExperimentFault& fault, SnapCounters* snap = nullptr) {
-  StraightSource source{image, fault, snap};
-  return classifyFsWith(image, golden, source);
 }
 
 void tallyTem(TemCampaignStats& stats, TemOutcome outcome) {
@@ -421,8 +409,8 @@ void tallyFs(FsCampaignStats& stats, FsOutcome outcome) {
   }
 }
 
-/// True when the experiment must run straight even inside a snapshot
-/// campaign: the fault targets a copy the protocol never reaches via a
+/// True when the experiment must run straight even though the plan is
+/// supported: the fault targets a copy the protocol never reaches via a
 /// band baseline, or strikes at/after the clean completion instant (the
 /// baseline sweep only covers the clean prefix [0, golden.instructions)).
 [[nodiscard]] bool needsStraightFallback(const ExperimentFault& fault, const CopyRun& golden) {
@@ -430,25 +418,11 @@ void tallyFs(FsCampaignStats& stats, FsOutcome outcome) {
          fault.afterInstructions >= golden.instructions;
 }
 
-/// Folds the engine counters into an attached metrics registry.
-void exportSnapMetrics(obs::Registry* metrics, const SnapCounters& snap, double wallSeconds) {
-  if (metrics == nullptr) return;
-  metrics->add("snap.cycles", snap.simulatedCycles);
-  metrics->add("snap.hits", snap.snapshotHits);
-  metrics->add("snap.misses", snap.snapshotMisses);
-  metrics->add("snap.bytes", snap.snapshotBytes);
-  metrics->add("snap.resume_points", snap.resumePoints);
-  metrics->add("snap.copies.replayed", snap.replayedCopies);
-  metrics->add("snap.copies.executed", snap.executedCopies);
-  metrics->add("snap.fallbacks.straight", snap.straightFallbacks);
-  metrics->gaugeMax("wall.snap.campaign_seconds", wallSeconds);
-}
-
 /// Sorted execution order of a chunk's deferred experiments: by copy band,
 /// then injection time, so each band's baseline sweeps the clean prefix
 /// monotonically. std::iota + stable_sort keep the order a pure function of
 /// the chunk contents (deterministic at every thread count).
-[[nodiscard]] std::vector<std::size_t> snapshotExecutionOrder(
+[[nodiscard]] std::vector<std::size_t> executionOrder(
     const std::vector<ExperimentFault>& pending) {
   std::vector<std::size_t> order(pending.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
@@ -459,6 +433,61 @@ void exportSnapMetrics(obs::Registry* metrics, const SnapCounters& snap, double 
     return pending[a].afterInstructions < pending[b].afterInstructions;
   });
   return order;
+}
+
+/// The chunk driver behind both campaign kinds. runOne only SAMPLES, so the
+/// per-chunk RNG stream is the same in every mode; the chunk teardown
+/// executes the batch in executionOrder. Experiments inside a supported
+/// plan's fork domain fork from chunk-private band baselines, everything
+/// else runs on a fresh machine. `classify(golden, source, chunk)` runs the
+/// protocol against either source and tallies the outcome; tallies are
+/// commutative sums, so the merged statistics are bit-identical across
+/// modes and thread counts. `singleCopy` pins every fault to copy 1 (the
+/// fail-silent node runs one copy).
+template <typename Stats, typename Classify>
+Stats runCampaign(const TaskImage& image, const CampaignConfig& config, const char* what,
+                  bool singleCopy, Classify classify) {
+  const CopyRun golden = goldenRun(image);
+  TemSnapshotPlan plan;
+  if (config.mode != ExecutionMode::Straight) plan = buildTemSnapshotPlan(image, golden);
+
+  struct ChunkContext {
+    std::vector<ExperimentFault> pending;
+  };
+  exec::ChunkHooks<Stats, ChunkContext> hooks;
+  hooks.teardown = [&](ChunkContext& ctx, Stats& chunk) {
+    std::optional<ChunkForks> forks;
+    if (plan.supported) forks.emplace(plan, image.memBytes);
+    for (const std::size_t index : executionOrder(ctx.pending)) {
+      const ExperimentFault& fault = ctx.pending[index];
+      if (forks && !needsStraightFallback(fault, golden)) {
+        SnapshotSource source{image, plan, fault, *forks, chunk.snap};
+        classify(golden, source, chunk);
+        continue;
+      }
+      if (forks) ++chunk.snap.straightFallbacks;
+      StraightSource source{image, fault, &chunk.snap};
+      classify(golden, source, chunk);
+    }
+    if (forks) {
+      chunk.snap.resumePoints += forks->band1.resumePoints() + forks->band2.resumePoints();
+      chunk.snap.simulatedCycles +=
+          forks->band1.sweepInstructions() + forks->band2.sweepInstructions();
+    }
+  };
+  Stats stats = exec::runStoppableChunkedCampaignWithHooks<Stats, ChunkContext>(
+                    config.experiments, config.seed, config.parallelism, what,
+                    [&](util::Rng& rng, Stats&, ChunkContext& ctx) {
+                      const FaultSpec fault =
+                          sampleFault(image, golden.instructions, config.mix, rng);
+                      ExperimentFault experiment = normalize(fault, rng);
+                      if (singleCopy) experiment.targetCopy = 1;
+                      ctx.pending.push_back(std::move(experiment));
+                    },
+                    hooks, {}, config.cancel, config.onProgress)
+                    .stats;
+  if (plan.supported) stats.snap.simulatedCycles += plan.planInstructions;
+  return stats;
 }
 
 }  // namespace
@@ -506,7 +535,9 @@ TemOutcome runTemExperiment(const TaskImage& image, const FaultSpec& fault,
                             double jobBudgetFactor) {
   const CopyRun golden = goldenRun(image);
   util::Rng rng{0xFau};  // only used when the double-flip marker is set
-  return classifyTem(image, golden, normalize(fault, rng), jobBudgetFactor);
+  const ExperimentFault experiment = normalize(fault, rng);
+  StraightSource source{image, experiment, nullptr};
+  return classifyTemWith(image, golden, jobBudgetFactor, nullptr, source);
 }
 
 FsOutcome runFsExperiment(const TaskImage& image, const FaultSpec& fault) {
@@ -514,7 +545,8 @@ FsOutcome runFsExperiment(const TaskImage& image, const FaultSpec& fault) {
   util::Rng rng{0xFau};
   ExperimentFault experiment = normalize(fault, rng);
   experiment.targetCopy = 1;
-  return classifyFs(image, golden, experiment);
+  StraightSource source{image, experiment, nullptr};
+  return classifyFsWith(image, golden, source);
 }
 
 FaultSpec sampleFault(const TaskImage& image, std::uint64_t goldenInstructions,
@@ -551,139 +583,20 @@ FaultSpec sampleFault(const TaskImage& image, std::uint64_t goldenInstructions,
 }
 
 TemCampaignStats runTemCampaign(const TaskImage& image, const CampaignConfig& config) {
-  const util::MonotonicStopwatch clock;
-  const CopyRun golden = goldenRun(image);
-  TemSnapshotPlan plan;
-  if (config.mode != ExecutionMode::Straight) plan = buildTemSnapshotPlan(image, golden);
-  if (config.mode == ExecutionMode::Snapshot && !plan.supported) {
-    throw std::runtime_error(
-        "runTemCampaign: image fails the snapshot support check (no clean fixed point)");
-  }
-
-  TemCampaignStats stats;
-  if (!plan.supported) {
-    stats = exec::runChunkedCampaign<TemCampaignStats>(
-        config.experiments, config.seed, config.parallelism, "runTemCampaign",
-        [&](util::Rng& rng, TemCampaignStats& chunk) {
-          const FaultSpec fault = sampleFault(image, golden.instructions, config.mix, rng);
-          const ExperimentFault experiment = normalize(fault, rng);
-          tallyTem(chunk, classifyTem(image, golden, experiment, config.jobBudgetFactor,
-                                      &chunk.mechanisms, &chunk.snap));
-        },
-        config.cancel, config.onProgress);
-  } else {
-    // Copy-on-inject: runOne only SAMPLES (so the per-chunk RNG stream is
-    // byte-identical to straight mode); the chunk teardown executes the
-    // batch sorted by (band, injection time) against chunk-private
-    // baselines and a chunk-private snapshot cache. Outcome tallies are
-    // commutative sums, so the merged statistics match straight execution
-    // bit for bit at every thread count.
-    struct ChunkContext {
-      std::vector<ExperimentFault> pending;
-    };
-    exec::ChunkHooks<TemCampaignStats, ChunkContext> hooks;
-    hooks.teardown = [&](ChunkContext& ctx, TemCampaignStats& chunk) {
-      snap::SnapshotCache cache{config.snapshotCacheBytes};
-      const std::uint64_t stride = std::max<std::uint64_t>(golden.instructions / 8, 1);
-      MachineBaseline band1{plan.startMachine1, 1, stride, cache};
-      MachineBaseline band2{plan.startMachine2, 2, stride, cache};
-      hw::Machine scratch{image.memBytes};
-      for (const std::size_t index : snapshotExecutionOrder(ctx.pending)) {
-        const ExperimentFault& fault = ctx.pending[index];
-        if (needsStraightFallback(fault, golden)) {
-          ++chunk.snap.straightFallbacks;
-          tallyTem(chunk, classifyTem(image, golden, fault, config.jobBudgetFactor,
-                                      &chunk.mechanisms, &chunk.snap));
-          continue;
-        }
-        SnapshotSource source{image, plan, fault, band1, band2, scratch, chunk.snap};
+  return runCampaign<TemCampaignStats>(
+      image, config, "runTemCampaign", false,
+      [&](const CopyRun& golden, auto& source, TemCampaignStats& chunk) {
         tallyTem(chunk, classifyTemWith(image, golden, config.jobBudgetFactor,
                                         &chunk.mechanisms, source));
-      }
-      chunk.snap.snapshotHits += cache.hits();
-      chunk.snap.snapshotMisses += cache.misses();
-      chunk.snap.snapshotBytes += cache.insertedBytes();
-      chunk.snap.resumePoints += band1.resumePoints() + band2.resumePoints();
-      chunk.snap.simulatedCycles += band1.sweepInstructions() + band2.sweepInstructions();
-    };
-    stats = exec::runStoppableChunkedCampaignWithHooks<TemCampaignStats, ChunkContext>(
-                config.experiments, config.seed, config.parallelism, "runTemCampaign",
-                [&](util::Rng& rng, TemCampaignStats&, ChunkContext& ctx) {
-                  const FaultSpec fault =
-                      sampleFault(image, golden.instructions, config.mix, rng);
-                  ctx.pending.push_back(normalize(fault, rng));
-                },
-                hooks, {}, config.cancel, config.onProgress)
-                .stats;
-    stats.snap.simulatedCycles += plan.planInstructions;
-  }
-  exportSnapMetrics(config.metrics, stats.snap, clock.elapsedSeconds());
-  return stats;
+      });
 }
 
 FsCampaignStats runFsCampaign(const TaskImage& image, const CampaignConfig& config) {
-  const util::MonotonicStopwatch clock;
-  const CopyRun golden = goldenRun(image);
-  TemSnapshotPlan plan;
-  if (config.mode != ExecutionMode::Straight) plan = buildTemSnapshotPlan(image, golden);
-  if (config.mode == ExecutionMode::Snapshot && !plan.supported) {
-    throw std::runtime_error(
-        "runFsCampaign: image fails the snapshot support check (no clean fixed point)");
-  }
-
-  FsCampaignStats stats;
-  if (!plan.supported) {
-    stats = exec::runChunkedCampaign<FsCampaignStats>(
-        config.experiments, config.seed, config.parallelism, "runFsCampaign",
-        [&](util::Rng& rng, FsCampaignStats& chunk) {
-          const FaultSpec fault = sampleFault(image, golden.instructions, config.mix, rng);
-          ExperimentFault experiment = normalize(fault, rng);
-          experiment.targetCopy = 1;  // single-copy node: the fault strikes that copy
-          tallyFs(chunk, classifyFs(image, golden, experiment, &chunk.snap));
-        },
-        config.cancel, config.onProgress);
-  } else {
-    struct ChunkContext {
-      std::vector<ExperimentFault> pending;
-    };
-    exec::ChunkHooks<FsCampaignStats, ChunkContext> hooks;
-    hooks.teardown = [&](ChunkContext& ctx, FsCampaignStats& chunk) {
-      snap::SnapshotCache cache{config.snapshotCacheBytes};
-      const std::uint64_t stride = std::max<std::uint64_t>(golden.instructions / 8, 1);
-      MachineBaseline band1{plan.startMachine1, 1, stride, cache};
-      MachineBaseline band2{plan.startMachine2, 2, stride, cache};
-      hw::Machine scratch{image.memBytes};
-      for (const std::size_t index : snapshotExecutionOrder(ctx.pending)) {
-        const ExperimentFault& fault = ctx.pending[index];
-        if (needsStraightFallback(fault, golden)) {
-          ++chunk.snap.straightFallbacks;
-          tallyFs(chunk, classifyFs(image, golden, fault, &chunk.snap));
-          continue;
-        }
-        SnapshotSource source{image, plan, fault, band1, band2, scratch, chunk.snap};
+  return runCampaign<FsCampaignStats>(
+      image, config, "runFsCampaign", true,
+      [&](const CopyRun& golden, auto& source, FsCampaignStats& chunk) {
         tallyFs(chunk, classifyFsWith(image, golden, source));
-      }
-      chunk.snap.snapshotHits += cache.hits();
-      chunk.snap.snapshotMisses += cache.misses();
-      chunk.snap.snapshotBytes += cache.insertedBytes();
-      chunk.snap.resumePoints += band1.resumePoints() + band2.resumePoints();
-      chunk.snap.simulatedCycles += band1.sweepInstructions() + band2.sweepInstructions();
-    };
-    stats = exec::runStoppableChunkedCampaignWithHooks<FsCampaignStats, ChunkContext>(
-                config.experiments, config.seed, config.parallelism, "runFsCampaign",
-                [&](util::Rng& rng, FsCampaignStats&, ChunkContext& ctx) {
-                  const FaultSpec fault =
-                      sampleFault(image, golden.instructions, config.mix, rng);
-                  ExperimentFault experiment = normalize(fault, rng);
-                  experiment.targetCopy = 1;
-                  ctx.pending.push_back(std::move(experiment));
-                },
-                hooks, {}, config.cancel, config.onProgress)
-                .stats;
-    stats.snap.simulatedCycles += plan.planInstructions;
-  }
-  exportSnapMetrics(config.metrics, stats.snap, clock.elapsedSeconds());
-  return stats;
+      });
 }
 
 void SnapCounters::merge(const SnapCounters& other) {

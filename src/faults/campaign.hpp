@@ -20,10 +20,6 @@
 #include "util/rng.hpp"
 #include "util/statistics.hpp"
 
-namespace nlft::obs {
-class Registry;
-}
-
 namespace nlft::fi {
 
 /// A task program plus everything needed to run one copy of it.
@@ -100,25 +96,26 @@ enum class ExecutionMode : std::uint8_t {
   Auto,
   /// One fresh machine per experiment, every copy executed in full.
   Straight,
-  /// Force snapshot-fork; throws std::runtime_error if the image fails the
-  /// fixed-point support check (used by tests and the speedup bench).
-  Snapshot,
 };
 
 /// Deterministic counters of the snapshot/copy-on-inject engine, embedded
 /// in the campaign statistics (pure sums: merging is exact and commutative,
 /// so they are bit-identical at every thread count). `simulatedCycles` is
 /// counted in BOTH modes — the speedup bench reports the straight/snapshot
-/// cycle ratio from it.
+/// cycle ratio from it. Only system campaigns use a snapshot cache; machine
+/// campaigns leave the three cache counters at zero.
 struct SnapCounters {
-  std::uint64_t simulatedCycles = 0;   ///< machine instructions actually executed
+  std::uint64_t simulatedCycles = 0;   ///< machine instructions (system: events) executed
   std::uint64_t snapshotHits = 0;      ///< snapshot-cache hits
   std::uint64_t snapshotMisses = 0;    ///< snapshot-cache misses
   std::uint64_t snapshotBytes = 0;     ///< bytes of snapshot blobs saved
   std::uint64_t resumePoints = 0;      ///< forks served from a snapshot
   std::uint64_t replayedCopies = 0;    ///< clean copies answered by replay
   std::uint64_t executedCopies = 0;    ///< copies actually executed
-  std::uint64_t straightFallbacks = 0; ///< experiments run straight inside snapshot mode
+  /// Experiments Auto ran straight: machine level, faults outside a
+  /// supported plan's fork domain; system level, simulations after a
+  /// failed support probe.
+  std::uint64_t straightFallbacks = 0;
 
   void merge(const SnapCounters& other);
 };
@@ -220,11 +217,6 @@ struct CampaignConfig {
   /// Execution engine (see ExecutionMode). Outcome statistics are
   /// bit-identical across modes; only the snap.* counters differ.
   ExecutionMode mode = ExecutionMode::Auto;
-  /// Byte budget of each chunk-private snapshot cache (snapshot mode).
-  std::size_t snapshotCacheBytes = 8u << 20;
-  /// Optional metrics sink: receives the deterministic "snap.*" counters
-  /// and the non-golden "wall.snap.*" timings after the campaign.
-  obs::Registry* metrics = nullptr;
 };
 
 /// Runs one copy of the task (optionally with a fault striking mid-run).

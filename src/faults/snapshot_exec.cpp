@@ -4,39 +4,17 @@
 #include <stdexcept>
 #include <utility>
 
+#include "util/state_hash.hpp"
+
 namespace nlft::fi {
 
-namespace {
-
-/// FNV-1a over 64-bit lanes with a splitmix finalizer. One multiply per
-/// word keeps the digest cheap enough to evaluate per experiment (a
-/// byte-granular hash over 64 KiB of codewords would cost more than simply
-/// re-executing a short guest program). A single differing lane can never
-/// cancel (the difference term is multiplied by an odd constant), and
-/// multi-lane cancellation is vanishingly unlikely; the differential test
-/// suite cross-checks the classifications end to end regardless.
-struct LaneHash {
-  std::uint64_t hash = 1469598103934665603ull;
-
-  void u64(std::uint64_t value) {
-    hash ^= value;
-    hash *= 1099511628211ull;
-  }
-  [[nodiscard]] std::uint64_t finish() const {
-    std::uint64_t x = hash;
-    x ^= x >> 30;
-    x *= 0xBF58476D1CE4E5B9ull;
-    x ^= x >> 27;
-    x *= 0x94D049BB133111EBull;
-    x ^= x >> 31;
-    return x;
-  }
-};
-
-}  // namespace
-
 std::uint64_t behaviorDigest(const hw::Machine& machine) {
-  LaneHash digest;
+  // One multiply per 64-bit lane keeps the digest cheap enough to evaluate
+  // per experiment (a byte-granular hash over 64 KiB of codewords would cost
+  // more than re-executing a short guest program). A single differing lane
+  // can never cancel, and multi-lane cancellation is vanishingly unlikely;
+  // the differential suite cross-checks the classifications end to end.
+  util::StateHash digest;
   const hw::CpuState& cpu = machine.cpu();
   for (const std::uint32_t reg : cpu.regs) digest.u64(reg);
   digest.u64(cpu.pc);
@@ -54,40 +32,14 @@ std::uint64_t behaviorDigest(const hw::Machine& machine) {
   return digest.finish();
 }
 
-MachineBaseline::MachineBaseline(const hw::Machine& start, std::uint64_t tag,
-                                 std::uint64_t snapshotStride, snap::SnapshotCache& cache)
-    : start_(start),
-      tag_(tag),
-      stride_(std::max<std::uint64_t>(snapshotStride, 1)),
-      cache_(cache) {}
-
 void MachineBaseline::forkAt(std::uint64_t instructions, hw::Machine& scratch) {
   if (!sweep_ || position_ > instructions) {
-    if (sweep_) rewound_ = true;  // out-of-order fork: start caching resume points
-    // Cold start or rewind: resume from the nearest cached snapshot at or
-    // below the target instant, falling back to the band's start state.
-    const std::uint64_t quantized = instructions - instructions % stride_;
-    const std::vector<std::uint8_t>* blob =
-        rewound_ && quantized > 0 ? cache_.find({quantized, tag_}) : nullptr;
-    if (blob) {
-      sweep_->restoreState(*blob);
-      position_ = quantized;
-    } else {
-      sweep_ = start_;
-      position_ = 0;
-    }
+    sweep_ = start_;  // cold start, or a backward fork
+    position_ = 0;
   }
-  while (position_ < instructions) {
-    // Advance to the next resume point (or the target). Snapshot blobs are
-    // only worth their serialization cost once forks arrive out of order;
-    // until then the monotone sweep never serializes anything.
-    const std::uint64_t next =
-        std::min(instructions, position_ - position_ % stride_ + stride_);
-    const hw::RunResult run = sweep_->run(next - position_);
-    sweepInstructions_ += run.executedInstructions;
-    position_ = next;
-    if (rewound_ && position_ % stride_ == 0)
-      cache_.insert({position_, tag_}, sweep_->saveState());
+  if (position_ < instructions) {
+    sweepInstructions_ += sweep_->run(instructions - position_).executedInstructions;
+    position_ = instructions;
   }
   scratch = *sweep_;  // direct state copy: the hot fork path never serializes
   ++resumePoints_;

@@ -4,10 +4,6 @@
 // and advances a shared baseline machine monotonically through the clean
 // prefix ONCE; every experiment then forks a scratch machine from the
 // baseline at its injection instant instead of re-executing the prefix.
-// While sweeping, the baseline drops a snapshot blob into a bounded LRU
-// cache at every quantized resume point, so out-of-order forks (rewinds)
-// resume from the nearest cached snapshot at or below the target instant
-// rather than replaying from instruction zero.
 //
 // Because a forked machine is bit-identical to the straight-through machine
 // at the same instruction index, the fork path produces byte-identical
@@ -41,26 +37,19 @@ namespace nlft::fi {
 /// A fast-forwardable baseline: a start-state machine plus a sweep machine
 /// advanced monotonically through the clean prefix. `forkAt(t, scratch)`
 /// copies the baseline state after exactly `t` instructions into `scratch`.
-/// Callers that fork in nondecreasing `t` order never rewind the sweep, so
-/// the whole chunk executes the clean prefix at most once per band and the
-/// fork path is a pure in-memory state copy — profiling showed that
+/// Campaign chunks fork in nondecreasing `t` order, so the sweep never goes
+/// back, the whole chunk executes the clean prefix at most once per band,
+/// and every fork is a pure in-memory state copy — profiling showed that
 /// serializing a blob per fork costs ~20x more than interpreting the short
-/// guest programs it would skip. Serialization is reserved for the
-/// out-of-order case: after the first rewind the sweep caches a CRC-checked
-/// snapshot blob at every quantized resume point it crosses, so later
-/// rewinds restore from the nearest cached snapshot at or below the target
-/// instead of replaying from instruction zero.
+/// guest programs it would skip.
 class MachineBaseline {
  public:
   /// `start` must outlive the baseline (it lives in the campaign plan).
-  /// `snapshotStride` is the resume-point quantum: after a rewind, the
-  /// sweep caches a snapshot each time it crosses a multiple of it
-  /// (0 = stride 1).
-  MachineBaseline(const hw::Machine& start, std::uint64_t tag, std::uint64_t snapshotStride,
-                  snap::SnapshotCache& cache);
+  explicit MachineBaseline(const hw::Machine& start) : start_(start) {}
 
   /// Makes `scratch` bit-identical to the baseline state advanced by
-  /// `instructions`.
+  /// `instructions`. A backward fork restarts the sweep from the start
+  /// state.
   void forkAt(std::uint64_t instructions, hw::Machine& scratch);
 
   /// Clean-prefix instructions executed by the sweep machine (simulated
@@ -71,12 +60,8 @@ class MachineBaseline {
 
  private:
   const hw::Machine& start_;
-  std::uint64_t tag_;
-  std::uint64_t stride_;
-  snap::SnapshotCache& cache_;
   std::optional<hw::Machine> sweep_;
   std::uint64_t position_ = 0;  ///< instructions the sweep has executed
-  bool rewound_ = false;        ///< a fork ever targeted the sweep's past
   std::uint64_t sweepInstructions_ = 0;
   std::uint64_t resumePoints_ = 0;
 };
@@ -184,8 +169,7 @@ class SystemBaseline {
 /// the twin shares the closure object, exactly as campaign sims share the
 /// campaign config — so this guards against FUTURE sim state the blob
 /// format does not cover yet, not against closures. ExecutionMode::Auto
-/// campaigns fall back to straight execution when the probe fails;
-/// ExecutionMode::Snapshot throws instead.
+/// campaigns fall back to straight execution when the probe fails.
 [[nodiscard]] bool systemSnapshotSupported(const bbw::BbwSimConfig& config);
 
 }  // namespace nlft::fi

@@ -234,13 +234,13 @@ void armScenario(BbwSystemSim& sim, const SystemScenario& scenario, Injection in
   }
 }
 
-/// Per-campaign execution engine: the resolved execution mode plus the
-/// shared golden timeline. Immutable after construction; shared read-only
-/// across worker threads (and across strata in the stratified campaign).
+/// Per-campaign execution engine: the shared golden timeline when experiments
+/// fork, plus the golden result. Immutable after construction; shared
+/// read-only across worker threads (and across strata in the stratified
+/// campaign).
 struct SystemEngine {
-  ExecutionMode mode = ExecutionMode::Straight;  ///< resolved: never Auto
+  std::unique_ptr<const SystemBaseline> baseline;  ///< null: straight execution
   bool fellBack = false;  ///< Auto requested snapshots, the probe said no
-  std::shared_ptr<const SystemBaseline> baseline;  ///< snapshot mode only
   BbwSimResult golden;
   std::uint64_t goldenEvents = 0;  ///< events of the one golden run
 };
@@ -248,17 +248,11 @@ struct SystemEngine {
 SystemEngine makeSystemEngine(const SystemCampaignConfig& config) {
   SystemEngine engine;
   const BbwSimConfig sim = makeSimConfig(config);
-  if (config.mode != ExecutionMode::Straight && systemSnapshotSupported(sim)) {
-    engine.mode = ExecutionMode::Snapshot;
-    engine.baseline = std::make_shared<const SystemBaseline>(sim, config.checkpointStride);
+  if (config.mode == ExecutionMode::Auto && systemSnapshotSupported(sim)) {
+    engine.baseline = std::make_unique<const SystemBaseline>(sim, config.checkpointStride);
     engine.golden = engine.baseline->goldenResult();
     engine.goldenEvents = engine.baseline->sweepEvents();
     return engine;
-  }
-  if (config.mode == ExecutionMode::Snapshot) {
-    throw std::runtime_error(
-        "system campaign: configuration does not support replay checkpoints "
-        "(ExecutionMode::Snapshot requested)");
   }
   engine.fellBack = config.mode == ExecutionMode::Auto;
   BbwSystemSim goldenSim{sim};
@@ -301,16 +295,15 @@ SystemExperiment runSystemExperimentImpl(const SystemCampaignConfig& config,
   // across execution modes.
   if (simMetrics != nullptr) sim.setMetricsRegistry(simMetrics);
 
-  const bool snapshotMode =
-      engine != nullptr && engine->mode == ExecutionMode::Snapshot && cache != nullptr;
+  const bool forking = engine != nullptr && engine->baseline != nullptr && cache != nullptr;
   std::optional<std::size_t> restoredAt;
-  if (snapshotMode) {
+  if (forking) {
     restoredAt = engine->baseline->restoreBefore(sim, scenario.at.us(), *cache);
     if (restoredAt && snap != nullptr) ++snap->resumePoints;
   }
   armScenario(sim, scenario, injection);
 
-  if (snapshotMode && simMetrics == nullptr) {
+  if (forking && simMetrics == nullptr) {
     // Splice path: stop simulating once the faulted run provably rejoins
     // the golden timeline. (With a metrics sink attached the run always
     // completes — rates and histograms cannot be spliced — so metrics
@@ -493,15 +486,16 @@ void addCampaignCounters(obs::Registry& m, const SystemCampaignStats& stats) {
   m.add("wall.snap.sys.straight_fallbacks", stats.snap.straightFallbacks);
 }
 
-/// Chunk accumulator pairing the campaign statistics with a chunk-local
-/// metrics registry; both merge in chunk order, so the merged registry is
-/// bit-identical at every thread count.
-struct ObsChunkStats {
+/// Chunk accumulator: the campaign statistics plus a chunk-local registry
+/// for the per-simulation metrics (attached only when config.metrics is
+/// set). Both merge in chunk order, so the merged registry is bit-identical
+/// at every thread count.
+struct SystemChunkStats {
   std::size_t experiments = 0;
   SystemCampaignStats stats;
   obs::Registry sims;
 
-  void merge(const ObsChunkStats& other) {
+  void merge(const SystemChunkStats& other) {
     experiments += other.experiments;
     stats.merge(other.stats);
     sims.merge(other.sims);
@@ -527,40 +521,54 @@ void runOneScenario(const SystemCampaignConfig& config, const GuestContext& ctx,
 }
 
 /// Per-chunk snapshot state: a PRIVATE byte-bounded cache primed from the
-/// shared baseline (empty optional in straight mode). Chunk-private caches
-/// make hit/miss/eviction counters pure functions of the chunk contents,
-/// which the chunk-order merge then keeps bit-identical at every thread
-/// count.
+/// shared baseline (empty optional in straight execution). Chunk-private
+/// caches make hit/miss/eviction counters pure functions of the chunk
+/// contents, which the chunk-order merge then keeps bit-identical at every
+/// thread count.
 struct SnapChunkContext {
   std::optional<snap::SnapshotCache> cache;
 };
 
-/// Builds the per-chunk setup/teardown hooks for `engine`. `snapOf` maps
-/// the chunk's Stats type to its SnapCounters (SystemCampaignStats::snap
-/// directly, or through ObsChunkStats::stats).
-template <typename Stats, typename SnapOf>
-exec::ChunkHooks<Stats, SnapChunkContext> makeSnapHooks(const SystemCampaignConfig& config,
-                                                        const SystemEngine& engine,
-                                                        SnapOf snapOf) {
-  exec::ChunkHooks<Stats, SnapChunkContext> hooks;
-  if (engine.mode != ExecutionMode::Snapshot) return hooks;
-  const std::size_t cacheBytes = config.snapshotCacheBytes;
-  const SystemBaseline* baseline = engine.baseline.get();
-  hooks.setup = [cacheBytes, baseline](std::size_t) {
-    SnapChunkContext ctx;
-    ctx.cache.emplace(cacheBytes);
-    baseline->primeCache(*ctx.cache);
-    return ctx;
-  };
-  // Teardown runs in-worker BEFORE the chunk-order merge, so the folded
-  // counters ride the same determinism guarantee as the statistics.
-  hooks.teardown = [snapOf](SnapChunkContext& ctx, Stats& stats) {
-    SnapCounters& snap = snapOf(stats);
-    snap.snapshotHits += ctx.cache->hits();
-    snap.snapshotMisses += ctx.cache->misses();
-    snap.snapshotBytes += ctx.cache->insertedBytes();
-  };
-  return hooks;
+/// The one chunk driver of every system campaign: `experiments` scenarios
+/// from `seed`, sampled crudely (`stratum == nullptr`) or inside the
+/// stratum. Folds the per-simulation metrics into config.metrics and
+/// returns the merged statistics.
+SystemCampaignStats runSystemChunks(const SystemCampaignConfig& config, const GuestContext& ctx,
+                                    const SystemEngine& engine, const StratumSpec* stratum,
+                                    std::size_t experiments, std::uint64_t seed,
+                                    const char* what, const exec::ProgressFn& onProgress) {
+  exec::ChunkHooks<SystemChunkStats, SnapChunkContext> hooks;
+  if (engine.baseline != nullptr) {
+    const SystemBaseline& baseline = *engine.baseline;
+    hooks.setup = [&config, &baseline](std::size_t) {
+      SnapChunkContext snapCtx;
+      snapCtx.cache.emplace(config.snapshotCacheBytes);
+      baseline.primeCache(*snapCtx.cache);
+      return snapCtx;
+    };
+    // Teardown runs in-worker BEFORE the chunk-order merge, so the folded
+    // counters ride the same determinism guarantee as the statistics.
+    hooks.teardown = [](SnapChunkContext& snapCtx, SystemChunkStats& chunk) {
+      SnapCounters& snap = chunk.stats.snap;
+      snap.snapshotHits += snapCtx.cache->hits();
+      snap.snapshotMisses += snapCtx.cache->misses();
+      snap.snapshotBytes += snapCtx.cache->insertedBytes();
+    };
+  }
+  const SystemChunkStats total =
+      exec::runStoppableChunkedCampaignWithHooks<SystemChunkStats, SnapChunkContext>(
+          experiments, seed, config.parallelism, what,
+          [&](util::Rng& rng, SystemChunkStats& chunk, SnapChunkContext& snapCtx) {
+            runOneScenario(config, ctx, engine, stratum, rng, chunk.stats,
+                           config.metrics != nullptr ? &chunk.sims : nullptr,
+                           snapCtx.cache ? &*snapCtx.cache : nullptr);
+          },
+          hooks, {}, config.cancel, onProgress, config.metrics)
+          .stats;
+  if (config.metrics != nullptr) config.metrics->merge(total.sims);
+  SystemCampaignStats stats = total.stats;
+  stats.experiments = total.experiments;
+  return stats;
 }
 
 }  // namespace
@@ -568,35 +576,8 @@ exec::ChunkHooks<Stats, SnapChunkContext> makeSnapHooks(const SystemCampaignConf
 SystemCampaignStats runSystemCampaign(const SystemCampaignConfig& config) {
   const GuestContext ctx = makeGuestContext();
   const SystemEngine engine = makeSystemEngine(config);
-
-  SystemCampaignStats stats;
-  if (config.metrics == nullptr) {
-    stats = exec::runStoppableChunkedCampaignWithHooks<SystemCampaignStats, SnapChunkContext>(
-                config.experiments, config.seed, config.parallelism, "runSystemCampaign",
-                [&](util::Rng& rng, SystemCampaignStats& chunk, SnapChunkContext& snapCtx) {
-                  runOneScenario(config, ctx, engine, nullptr, rng, chunk, nullptr,
-                                 snapCtx.cache ? &*snapCtx.cache : nullptr);
-                },
-                makeSnapHooks<SystemCampaignStats>(
-                    config, engine, [](SystemCampaignStats& s) -> SnapCounters& { return s.snap; }),
-                {}, config.cancel, config.onProgress)
-                .stats;
-  } else {
-    ObsChunkStats total =
-        exec::runStoppableChunkedCampaignWithHooks<ObsChunkStats, SnapChunkContext>(
-            config.experiments, config.seed, config.parallelism, "runSystemCampaign",
-            [&](util::Rng& rng, ObsChunkStats& chunk, SnapChunkContext& snapCtx) {
-              runOneScenario(config, ctx, engine, nullptr, rng, chunk.stats, &chunk.sims,
-                             snapCtx.cache ? &*snapCtx.cache : nullptr);
-            },
-            makeSnapHooks<ObsChunkStats>(
-                config, engine, [](ObsChunkStats& s) -> SnapCounters& { return s.stats.snap; }),
-            {}, config.cancel, config.onProgress, config.metrics)
-            .stats;
-    total.stats.experiments = total.experiments;
-    config.metrics->merge(total.sims);
-    stats = total.stats;
-  }
+  SystemCampaignStats stats = runSystemChunks(config, ctx, engine, nullptr, config.experiments,
+                                              config.seed, "runSystemCampaign", config.onProgress);
   // The one golden run (snapshot sweep or straight reference) charges its
   // events once per campaign, in every mode — the speedup bench's ratio
   // compares total simulated work honestly.
@@ -694,7 +675,6 @@ StratifiedCampaignResult runStratifiedSystemCampaign(const SystemCampaignConfig&
   // which is identical across strata.
   const SystemEngine engine = makeSystemEngine(config);
   StratifiedCampaignResult result;
-  obs::Registry sims;
 
   const std::vector<StratumSpec> strata = stratifySystemCampaign(config, windowBins);
   for (std::size_t h = 0; h < strata.size(); ++h) {
@@ -706,38 +686,9 @@ StratifiedCampaignResult runStratifiedSystemCampaign(const SystemCampaignConfig&
       // grid. Each sub-campaign keeps the usual chunk-order determinism.
       const std::uint64_t stratumSeed =
           config.seed ^ (0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(h) + 1));
-      if (config.metrics == nullptr) {
-        stratumResult.stats =
-            exec::runStoppableChunkedCampaignWithHooks<SystemCampaignStats, SnapChunkContext>(
-                strata[h].experiments, stratumSeed, config.parallelism,
-                "runStratifiedSystemCampaign",
-                [&](util::Rng& rng, SystemCampaignStats& stats, SnapChunkContext& snapCtx) {
-                  runOneScenario(config, ctx, engine, &strata[h], rng, stats, nullptr,
-                                 snapCtx.cache ? &*snapCtx.cache : nullptr);
-                },
-                makeSnapHooks<SystemCampaignStats>(
-                    config, engine,
-                    [](SystemCampaignStats& s) -> SnapCounters& { return s.snap; }),
-                {}, config.cancel)
-                .stats;
-      } else {
-        ObsChunkStats chunk =
-            exec::runStoppableChunkedCampaignWithHooks<ObsChunkStats, SnapChunkContext>(
-                strata[h].experiments, stratumSeed, config.parallelism,
-                "runStratifiedSystemCampaign",
-                [&](util::Rng& rng, ObsChunkStats& obsChunk, SnapChunkContext& snapCtx) {
-                  runOneScenario(config, ctx, engine, &strata[h], rng, obsChunk.stats,
-                                 &obsChunk.sims, snapCtx.cache ? &*snapCtx.cache : nullptr);
-                },
-                makeSnapHooks<ObsChunkStats>(
-                    config, engine,
-                    [](ObsChunkStats& s) -> SnapCounters& { return s.stats.snap; }),
-                {}, config.cancel, {}, config.metrics)
-                .stats;
-        chunk.stats.experiments = chunk.experiments;
-        stratumResult.stats = chunk.stats;
-        sims.merge(chunk.sims);
-      }
+      stratumResult.stats = runSystemChunks(config, ctx, engine, &strata[h],
+                                            strata[h].experiments, stratumSeed,
+                                            "runStratifiedSystemCampaign", {});
     }
     result.total.merge(stratumResult.stats);
     result.strata.push_back(std::move(stratumResult));
@@ -748,7 +699,6 @@ StratifiedCampaignResult runStratifiedSystemCampaign(const SystemCampaignConfig&
   result.total.snap.simulatedCycles += engine.goldenEvents;
 
   if (config.metrics != nullptr) {
-    config.metrics->merge(sims);
     addCampaignCounters(*config.metrics, result.total);
     std::size_t occupied = 0;
     std::size_t minAlloc = result.strata.empty() ? 0 : result.strata.front().spec.experiments;

@@ -19,8 +19,8 @@
 // the analytic models (bbw::markov_models, sys::estimateReliability) for
 // paper-assumed vs measured comparisons.
 //
-// Campaigns run through exec::runChunkedCampaign: bit-identical statistics
-// at every thread count for a fixed (seed, chunkSize).
+// Campaigns run through exec's chunked campaign driver: bit-identical
+// statistics at every thread count for a fixed (seed, chunkSize).
 #pragma once
 
 #include <array>
@@ -133,11 +133,10 @@ struct SystemCampaignConfig {
   /// How experiments execute (docs/SNAPSHOT.md "system campaigns"). Auto
   /// probes replay-checkpoint support once per campaign and falls back to
   /// straight execution when checkpoints do not round-trip for this
-  /// configuration; Snapshot throws in that case; Straight always runs
-  /// every simulation from t=0. Statistics and metrics fingerprints are
-  /// bit-identical across all three.
+  /// configuration; Straight always runs every simulation from t=0.
+  /// Statistics and metrics fingerprints are bit-identical across both.
   ExecutionMode mode = ExecutionMode::Auto;
-  /// Byte budget of each chunk's PRIVATE snapshot cache (snapshot modes
+  /// Byte budget of each chunk's PRIVATE snapshot cache (forking campaigns
   /// only). Chunk-private caches keep hit/miss counters thread-invariant.
   std::size_t snapshotCacheBytes = 4u << 20;
   /// Golden checkpoint stride (0 = one control period).

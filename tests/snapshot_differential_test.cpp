@@ -11,9 +11,10 @@
 //   - every checked-in fuzz-corpus case, comparing metrics fingerprints and
 //     state fingerprints the same way;
 //   - the machine-level TEM and fail-silent campaigns, straight vs
-//     snapshot execution across threads {1, 2, 8};
+//     forked (Auto) execution across threads {1, 2, 8}, and the straight
+//     fallback of an image without a clean fixed point;
 //   - the MachineBaseline fork path, including out-of-order forks that
-//     exercise the rewind + snapshot-cache resume;
+//     restart the sweep;
 //   - the fuzzer's det.replay oracle, which must report a deliberately
 //     corrupted checkpoint restore as a violation instead of caching it.
 #include <gtest/gtest.h>
@@ -29,8 +30,8 @@
 #include "faults/snapshot_exec.hpp"
 #include "fuzz/corpus.hpp"
 #include "fuzz/oracles.hpp"
+#include "hw/assembler.hpp"
 #include "obs/metrics.hpp"
-#include "snap/cache.hpp"
 #include "util/rng.hpp"
 
 namespace nlft {
@@ -176,9 +177,15 @@ TEST(SnapshotDifferential, CampaignStatisticsMatchAcrossModesAndThreads) {
     const fi::TemCampaignStats temStraight = fi::runTemCampaign(image, config);
     const fi::FsCampaignStats fsStraight = fi::runFsCampaign(image, config);
 
-    config.mode = fi::ExecutionMode::Snapshot;
+    config.mode = fi::ExecutionMode::Auto;
     const fi::TemCampaignStats temSnapshot = fi::runTemCampaign(image, config);
     const fi::FsCampaignStats fsSnapshot = fi::runFsCampaign(image, config);
+
+    // Auto engaged the fork engine on every experiment: no silent fallback.
+    EXPECT_GT(temSnapshot.snap.resumePoints, 0u);
+    EXPECT_EQ(temSnapshot.snap.straightFallbacks, 0u);
+    EXPECT_GT(fsSnapshot.snap.resumePoints, 0u);
+    EXPECT_EQ(fsSnapshot.snap.straightFallbacks, 0u);
 
     // Straight vs snapshot: identical outcome statistics, fewer simulated
     // cycles.
@@ -208,12 +215,11 @@ TEST(SnapshotDifferential, MachineBaselineForkMatchesStraightExecutionEvenOutOfO
 
   hw::Machine start{image.memBytes};
   start.restoreState(baseline);
-  snap::SnapshotCache cache{1u << 20};
-  fi::MachineBaseline forked{start, 1, 4, cache};
+  fi::MachineBaseline forked{start};
   hw::Machine scratch{image.memBytes};
 
-  // Deliberately out-of-order fork targets: the rewinds exercise the
-  // snapshot-cache resume path that sorted campaigns never need.
+  // Deliberately out-of-order fork targets: the backward forks restart the
+  // sweep from the start state, which sorted campaigns never need.
   for (const std::uint64_t target : {std::uint64_t{12}, std::uint64_t{3}, std::uint64_t{17},
                                      std::uint64_t{8}, std::uint64_t{0}, std::uint64_t{15}}) {
     SCOPED_TRACE(target);
@@ -223,6 +229,63 @@ TEST(SnapshotDifferential, MachineBaselineForkMatchesStraightExecutionEvenOutOfO
     straight.restoreState(baseline);
     (void)straight.run(target);
     EXPECT_EQ(straight.saveState(), scratch.saveState());
+  }
+}
+
+// A task whose clean copy also bumps a scratch counter outside its output:
+// every copy leaves memory one increment further along, so the post-reset
+// behaviorDigest never reaches a fixed point and the image fails the
+// snapshot support check.
+constexpr const char* kCountingTaskSource = R"(
+      ldi r1, 0x800        ; input base
+      ld  r2, [r1+0]
+      ld  r3, [r1+4]
+      add r4, r2, r3
+      mul r5, r2, r3
+      ldi r6, 0x900        ; scratch counter, outside input and output
+      ld  r7, [r6+0]
+      addi r7, r7, 1
+      st  r7, [r6+0]
+      ldi r8, 0xC00        ; output base
+      st  r4, [r8+0]
+      st  r5, [r8+4]
+      halt
+)";
+
+TEST(SnapshotDifferential, ImageWithoutCleanFixedPointRunsStraight) {
+  fi::TaskImage image;
+  image.program = hw::assemble(kCountingTaskSource);
+  image.stackTop = 0x4000;
+  image.inputBase = 0x800;
+  image.input = {7, 11};
+  image.outputBase = 0xC00;
+  image.outputWords = 2;
+  image.maxInstructionsPerCopy = 40;
+
+  fi::CampaignConfig config;
+  config.experiments = 400;
+  config.seed = 31;
+  config.parallelism.chunkSize = 50;
+  config.mode = fi::ExecutionMode::Straight;
+  const fi::TemCampaignStats temStraight = fi::runTemCampaign(image, config);
+  const fi::FsCampaignStats fsStraight = fi::runFsCampaign(image, config);
+  ASSERT_GT(temStraight.activated(), 0u);
+  ASSERT_GT(fsStraight.activated(), 0u);
+
+  // Auto falls back to straight execution for the whole campaign: no fork,
+  // and every statistic — snap counters included — equals Straight.
+  config.mode = fi::ExecutionMode::Auto;
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE(threads);
+    config.parallelism.threads = threads;
+    const fi::TemCampaignStats tem = fi::runTemCampaign(image, config);
+    const fi::FsCampaignStats fs = fi::runFsCampaign(image, config);
+    EXPECT_EQ(tem.snap.resumePoints, 0u);
+    EXPECT_EQ(fs.snap.resumePoints, 0u);
+    EXPECT_TRUE(sameTemOutcomes(temStraight, tem));
+    EXPECT_TRUE(sameSnapCounters(temStraight.snap, tem.snap));
+    EXPECT_TRUE(sameFsOutcomes(fsStraight, fs));
+    EXPECT_TRUE(sameSnapCounters(fsStraight.snap, fs.snap));
   }
 }
 

@@ -1,5 +1,5 @@
 // Differential equivalence suite for the SYSTEM-level snapshot campaign
-// engine (docs/SNAPSHOT.md "system campaigns"): snapshot-forked execution —
+// engine (docs/SNAPSHOT.md "system campaigns"): forked (Auto) execution —
 // restore at the nearest checkpoint before the injection, splice the golden
 // tail after rejoin — must be indistinguishable from straight execution in
 // every observable: campaign statistics, metrics fingerprints, golden event
@@ -61,6 +61,12 @@ void expectSameResults(const SystemCampaignStats& a, const SystemCampaignStats& 
   EXPECT_EQ(std::memcmp(&varA, &varB, sizeof(double)), 0);
 }
 
+/// Auto really forked: restores served, and no experiment ran straight.
+void expectForked(const SnapCounters& snap) {
+  EXPECT_GT(snap.resumePoints, 0u);
+  EXPECT_EQ(snap.straightFallbacks, 0u);
+}
+
 void expectSameSnapCounters(const SnapCounters& a, const SnapCounters& b) {
   EXPECT_EQ(a.simulatedCycles, b.simulatedCycles);
   EXPECT_EQ(a.snapshotHits, b.snapshotHits);
@@ -73,17 +79,17 @@ void expectSameSnapCounters(const SnapCounters& a, const SnapCounters& b) {
 }
 
 TEST(SystemSnapshotDifferential, SnapshotStatsBitIdenticalToStraight) {
+  ASSERT_TRUE(systemSnapshotSupported(smallConfig(ExecutionMode::Auto).sim));
   const SystemCampaignStats straight = runSystemCampaign(smallConfig(ExecutionMode::Straight));
-  const SystemCampaignStats snapshot = runSystemCampaign(smallConfig(ExecutionMode::Snapshot));
+  const SystemCampaignStats snapshot = runSystemCampaign(smallConfig(ExecutionMode::Auto));
   expectSameResults(straight, snapshot);
 
   // The engine actually engaged: restores served, at least one experiment
   // answered by a golden-tail splice, and strictly fewer simulated events.
-  EXPECT_GT(snapshot.snap.resumePoints, 0u);
+  expectForked(snapshot.snap);
   EXPECT_GT(snapshot.snap.replayedCopies, 0u);
   EXPECT_GT(snapshot.snap.snapshotHits, 0u);
   EXPECT_LT(snapshot.snap.simulatedCycles, straight.snap.simulatedCycles);
-  EXPECT_EQ(snapshot.snap.straightFallbacks, 0u);
   EXPECT_EQ(straight.snap.resumePoints, 0u);
   EXPECT_EQ(straight.snap.replayedCopies, 0u);
   // Straight mode still accounts its simulated work.
@@ -92,19 +98,11 @@ TEST(SystemSnapshotDifferential, SnapshotStatsBitIdenticalToStraight) {
             static_cast<std::uint64_t>(straight.experiments));
 }
 
-TEST(SystemSnapshotDifferential, AutoResolvesToSnapshotForSupportedConfigs) {
-  const SystemCampaignConfig config = smallConfig(ExecutionMode::Auto);
-  ASSERT_TRUE(systemSnapshotSupported(config.sim));
-  const SystemCampaignStats autoStats = runSystemCampaign(config);
-  const SystemCampaignStats snapshot = runSystemCampaign(smallConfig(ExecutionMode::Snapshot));
-  expectSameResults(autoStats, snapshot);
-  expectSameSnapCounters(autoStats.snap, snapshot.snap);
-}
-
 TEST(SystemSnapshotDifferential, ThreadCountInvariantIncludingSnapCounters) {
-  SystemCampaignConfig config = smallConfig(ExecutionMode::Snapshot);
+  SystemCampaignConfig config = smallConfig(ExecutionMode::Auto);
   config.parallelism.threads = 1;
   const SystemCampaignStats serial = runSystemCampaign(config);
+  expectForked(serial.snap);
   for (const unsigned threads : {2u, 8u}) {
     config.parallelism.threads = threads;
     const SystemCampaignStats parallel = runSystemCampaign(config);
@@ -124,7 +122,7 @@ TEST(SystemSnapshotDifferential, MetricsFingerprintIdenticalAcrossModesAndThread
 
   for (const unsigned threads : {1u, 2u, 8u}) {
     obs::Registry snapshotMetrics;
-    SystemCampaignConfig snapConfig = smallConfig(ExecutionMode::Snapshot);
+    SystemCampaignConfig snapConfig = smallConfig(ExecutionMode::Auto);
     snapConfig.parallelism.threads = threads;
     snapConfig.metrics = &snapshotMetrics;
     const SystemCampaignStats snapshot = runSystemCampaign(snapConfig);
@@ -137,7 +135,7 @@ TEST(SystemSnapshotDifferential, MetricsFingerprintIdenticalAcrossModesAndThread
     // Metrics-instrumented experiments never splice (rates cannot be
     // patched post hoc), so every simulated experiment ran to completion.
     EXPECT_EQ(snapshot.snap.replayedCopies, 0u);
-    EXPECT_GT(snapshot.snap.resumePoints, 0u);
+    expectForked(snapshot.snap);
   }
 }
 
@@ -147,16 +145,18 @@ TEST(SystemSnapshotDifferential, TinyCacheEvictsButNeverChangesResults) {
   // A cache budget far below one blob still keeps exactly one entry (the
   // LRU never evicts its last snapshot), so restores stay available while
   // out-of-order scenario times churn the cache hard.
-  SystemCampaignConfig tiny = smallConfig(ExecutionMode::Snapshot);
+  SystemCampaignConfig tiny = smallConfig(ExecutionMode::Auto);
   tiny.snapshotCacheBytes = 300;
   const SystemCampaignStats small = runSystemCampaign(tiny);
   expectSameResults(straight, small);
+  EXPECT_EQ(small.snap.straightFallbacks, 0u);
   EXPECT_GT(small.snap.snapshotMisses, 0u);
 
-  SystemCampaignConfig roomy = smallConfig(ExecutionMode::Snapshot);
+  SystemCampaignConfig roomy = smallConfig(ExecutionMode::Auto);
   roomy.snapshotCacheBytes = 64u << 20;
   const SystemCampaignStats large = runSystemCampaign(roomy);
   expectSameResults(straight, large);
+  expectForked(large.snap);
   EXPECT_GT(large.snap.snapshotHits, small.snap.snapshotHits);
 }
 
@@ -165,9 +165,10 @@ TEST(SystemSnapshotDifferential, StratifiedCampaignMatchesAcrossModes) {
   straightConfig.experiments = 72;
   const StratifiedCampaignResult straight = runStratifiedSystemCampaign(straightConfig, 2);
 
-  SystemCampaignConfig snapConfig = smallConfig(ExecutionMode::Snapshot);
+  SystemCampaignConfig snapConfig = smallConfig(ExecutionMode::Auto);
   snapConfig.experiments = 72;
   const StratifiedCampaignResult snapshot = runStratifiedSystemCampaign(snapConfig, 2);
+  expectForked(snapshot.total.snap);
 
   ASSERT_EQ(straight.strata.size(), snapshot.strata.size());
   for (std::size_t h = 0; h < straight.strata.size(); ++h) {
@@ -231,9 +232,10 @@ TEST(SystemSnapshotDifferential, PedalProfileClosureForksBitIdentically) {
   const SystemCampaignStats straight = runSystemCampaign(straightConfig);
 
   SystemCampaignConfig snapConfig = straightConfig;
-  snapConfig.mode = ExecutionMode::Snapshot;
+  snapConfig.mode = ExecutionMode::Auto;
   const SystemCampaignStats snapshot = runSystemCampaign(snapConfig);
   expectSameResults(straight, snapshot);
+  expectForked(snapshot.snap);
 
   // But restoring that blob into a sim whose config LACKS the closure must
   // abort on the config-digest mismatch, not silently replay a different
