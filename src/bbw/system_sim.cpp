@@ -956,7 +956,8 @@ void BbwSystemSim::restoreState(std::span<const std::uint8_t> blob) {
   const std::uint64_t configDigest = reader.u64();
   reader.closeSection();
   reader.openSection("inject");
-  const std::uint32_t injections = reader.u32();
+  // Smallest injection: kind, node, time and an empty flip-bit list.
+  const std::uint32_t injections = reader.elementCount(2 + 4 + 8 + 4);
   std::vector<Impl::LoggedInjection> schedule;
   schedule.reserve(injections);
   for (std::uint32_t i = 0; i < injections; ++i) {

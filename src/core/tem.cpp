@@ -1,19 +1,8 @@
 #include "core/tem.hpp"
 
-#include <memory>
 #include <stdexcept>
 
 namespace nlft::tem {
-
-/// Mutable state of one job's TEM execution, shared by the copy callbacks.
-struct JobRun {
-  int copiesStarted = 0;
-  std::vector<TaskResult> results;
-  bool sawMismatch = false;
-  bool sawDetectedError = false;
-
-  [[nodiscard]] bool hadError() const { return sawMismatch || sawDetectedError; }
-};
 
 TemExecutor::TemExecutor(rt::RtKernel& kernel, TemConfig config)
     : kernel_{kernel}, config_{config} {
@@ -45,30 +34,38 @@ const TemStats& TemExecutor::stats(rt::TaskId task) const {
 
 void TemExecutor::runJob(TaskState& state, rt::Job& job) {
   state.stats.jobs++;
-  auto run = std::make_shared<JobRun>();
+  JobRun& run = state.run;
+  run.job = &job;
+  run.copiesStarted = 0;
+  run.results.clear();
+  run.sawMismatch = false;
+  run.sawDetectedError = false;
 
-  job.setAbortHandler([this, &state, run] {
-    state.stats.omissionsAborted++;
-    if (onJobError_) onJobError_(state.id, true);
+  // The handlers capture only `this` and the task state, so they fit the
+  // std::function inline buffer and need no allocation per job.
+  job.setAbortHandler([this, s = &state] {
+    s->stats.omissionsAborted++;
+    if (onJobError_) onJobError_(s->id, true);
   });
 
   // Errors reported while a copy runs (hardware EDM, ECC, MMU, integrity
   // checks): terminate the copy at once — scenario (iii)/(iv). Remaining
   // copy time is reclaimed because the CPU work item is cancelled.
-  job.setErrorHandler([this, &state, run, &job](const rt::ErrorEvent&) {
-    run->sawDetectedError = true;
-    state.stats.edmDetectedErrors++;
-    if (config_.restoreContextOnEdmError) state.stats.contextRestores++;
-    if (job.copyActive()) {
-      job.killRunningCopy();  // its onStop(Killed) continues the recovery
+  job.setErrorHandler([this, s = &state](const rt::ErrorEvent&) {
+    s->run.sawDetectedError = true;
+    s->stats.edmDetectedErrors++;
+    if (config_.restoreContextOnEdmError) s->stats.contextRestores++;
+    if (s->run.job->copyActive()) {
+      s->run.job->killRunningCopy();  // its onStop(Killed) continues the recovery
     }
   });
 
-  startCopy(state, job, run);
+  startCopy(state);
 }
 
-void TemExecutor::startCopy(TaskState& state, rt::Job& job, std::shared_ptr<JobRun> run) {
-  const CopyContext context{job.index(), ++run->copiesStarted};
+void TemExecutor::startCopy(TaskState& state) {
+  JobRun& run = state.run;
+  const CopyContext context{run.job->index(), ++run.copiesStarted};
   if (context.copyIndex == 1) {
     state.stats.firstCopies++;
   } else if (context.copyIndex == 2) {
@@ -76,93 +73,99 @@ void TemExecutor::startCopy(TaskState& state, rt::Job& job, std::shared_ptr<JobR
   } else {
     state.stats.thirdCopies++;
   }
-  const CopyPlan plan = state.behavior(context);
+  run.plan = state.behavior(context);
 
   // Comparison (after the second and later copies) is charged as CPU time
   // together with the copy itself.
-  Duration work = plan.executionTime;
+  Duration work = run.plan.executionTime;
   if (context.copyIndex >= 2) work += config_.checkOverhead;
 
-  job.runCopy(work, [this, &state, &job, run, plan](rt::CopyStop stop) {
-    auto deliver = [&](TaskResult result) {
-      if (!run->hadError()) {
-        state.stats.deliveredCleanly++;
-      } else if (run->sawMismatch && run->results.size() >= 3) {
-        state.stats.maskedByVote++;
-      } else {
-        state.stats.maskedByReplacement++;
-      }
-      const bool hadError = run->hadError();
-      job.complete(std::move(result));  // deletes the job: last action
-      if (onJobError_) onJobError_(state.id, hadError);
-    };
-    auto omitNoTime = [&] {
-      state.stats.omissionsNoTime++;
-      job.omit();
-      if (onJobError_) onJobError_(state.id, true);
-    };
-    auto omitVoteFailed = [&] {
-      state.stats.omissionsVoteFailed++;
-      job.omit();
-      if (onJobError_) onJobError_(state.id, true);
-    };
-    // Can another copy be started and still meet the deadline? The kernel
-    // checks the deadline after every error (Section 2.5); the estimate is
-    // one copy worst case plus the comparison/vote.
-    auto anotherCopyFeasible = [&] {
-      if (run->copiesStarted >= config_.maxCopies) return false;
-      const Duration estimate = job.config().wcet + config_.checkOverhead;
-      return job.timeToDeadline() >= estimate;
-    };
+  run.job->runCopy(work, [this, s = &state](rt::CopyStop stop) { onCopyStop(*s, stop); });
+}
 
-    switch (stop) {
-      case rt::CopyStop::Aborted:
-        // The kernel's deadline monitor already omitted the job and invoked
-        // the abort handler; nothing more to do.
-        return;
-      case rt::CopyStop::Killed:
-        // Terminated by the error handler; fall through to recovery.
-        break;
-      case rt::CopyStop::BudgetOverrun:
-        // The execution-time monitor is itself an EDM (Table 1).
-        run->sawDetectedError = true;
+void TemExecutor::onCopyStop(TaskState& state, rt::CopyStop stop) {
+  JobRun& run = state.run;
+  rt::Job& job = *run.job;
+  // complete() and omit() finish the job, so they are the last use of `run`:
+  // a release they trigger may already reset it for the next job.
+  auto deliver = [&](TaskResult result) {
+    if (!run.hadError()) {
+      state.stats.deliveredCleanly++;
+    } else if (run.sawMismatch && run.results.size() >= 3) {
+      state.stats.maskedByVote++;
+    } else {
+      state.stats.maskedByReplacement++;
+    }
+    const bool hadError = run.hadError();
+    job.complete(std::move(result));  // deletes the job: last action
+    if (onJobError_) onJobError_(state.id, hadError);
+  };
+  auto omitNoTime = [&] {
+    state.stats.omissionsNoTime++;
+    job.omit();
+    if (onJobError_) onJobError_(state.id, true);
+  };
+  auto omitVoteFailed = [&] {
+    state.stats.omissionsVoteFailed++;
+    job.omit();
+    if (onJobError_) onJobError_(state.id, true);
+  };
+  // Can another copy be started and still meet the deadline? The kernel
+  // checks the deadline after every error (Section 2.5); the estimate is
+  // one copy worst case plus the comparison/vote.
+  auto anotherCopyFeasible = [&] {
+    if (run.copiesStarted >= config_.maxCopies) return false;
+    const Duration estimate = job.config().wcet + config_.checkOverhead;
+    return job.timeToDeadline() >= estimate;
+  };
+
+  switch (stop) {
+    case rt::CopyStop::Aborted:
+      // The kernel's deadline monitor already omitted the job and invoked
+      // the abort handler; nothing more to do.
+      return;
+    case rt::CopyStop::Killed:
+      // Terminated by the error handler; fall through to recovery.
+      break;
+    case rt::CopyStop::BudgetOverrun:
+      // The execution-time monitor is itself an EDM (Table 1).
+      run.sawDetectedError = true;
+      state.stats.edmDetectedErrors++;
+      if (config_.restoreContextOnEdmError) state.stats.contextRestores++;
+      break;
+    case rt::CopyStop::Completed:
+      if (run.plan.end == CopyPlan::End::DetectedError) {
+        // The EDM fired after the copy consumed plan.executionTime.
+        run.sawDetectedError = true;
         state.stats.edmDetectedErrors++;
         if (config_.restoreContextOnEdmError) state.stats.contextRestores++;
-        break;
-      case rt::CopyStop::Completed:
-        if (plan.end == CopyPlan::End::DetectedError) {
-          // The EDM fired after the copy consumed plan.executionTime.
-          run->sawDetectedError = true;
-          state.stats.edmDetectedErrors++;
-          if (config_.restoreContextOnEdmError) state.stats.contextRestores++;
-          break;  // discard: the copy produced no trustworthy result
+        break;  // discard: the copy produced no trustworthy result
+      }
+      run.results.push_back(std::move(run.plan.result));
+      if (run.results.size() >= 2) {
+        if (run.results.size() == 2 && !resultsMatch(run.results[0], run.results[1])) {
+          run.sawMismatch = true;
+          state.stats.comparisonMismatches++;
         }
-        run->results.push_back(plan.result);
-        if (run->results.size() >= 2) {
-          if (run->results.size() == 2 && !resultsMatch(run->results[0], run->results[1])) {
-            run->sawMismatch = true;
-            state.stats.comparisonMismatches++;
-          }
-          if (auto voted = majorityVote(run->results)) {
-            deliver(std::move(*voted));
-            return;
-          }
-          // All results differ pairwise.
-          if (run->copiesStarted >= config_.maxCopies) {
-            omitVoteFailed();
-            return;
-          }
+        if (auto voted = majorityVote(run.results)) {
+          deliver(std::move(*voted));
+          return;
         }
-        break;
-    }
+        // All results differ pairwise.
+        if (run.copiesStarted >= config_.maxCopies) {
+          omitVoteFailed();
+          return;
+        }
+      }
+      break;
+  }
 
-    // Need another copy (first result pending, mismatch, or detected error).
-    if (anotherCopyFeasible()) {
-      startCopy(state, job, run);
-    } else {
-      omitNoTime();
-    }
-  });
+  // Need another copy (first result pending, mismatch, or detected error).
+  if (anotherCopyFeasible()) {
+    startCopy(state);
+  } else {
+    omitNoTime();
+  }
 }
 
 }  // namespace nlft::tem

@@ -98,14 +98,28 @@ class TemExecutor {
   void setJobErrorCallback(JobErrorCallback callback) { onJobError_ = std::move(callback); }
 
  private:
+  /// Mutable state of one job's TEM execution. The kernel runs at most one
+  /// job per task, so each task keeps one instance that runJob() resets.
+  struct JobRun {
+    rt::Job* job = nullptr;
+    int copiesStarted = 0;
+    std::vector<TaskResult> results;
+    bool sawMismatch = false;
+    bool sawDetectedError = false;
+    CopyPlan plan;  ///< the running copy's plan
+
+    [[nodiscard]] bool hadError() const { return sawMismatch || sawDetectedError; }
+  };
   struct TaskState {
     rt::TaskId id;
     CopyBehavior behavior;
     TemStats stats;
+    JobRun run;
   };
 
   void runJob(TaskState& state, rt::Job& job);
-  void startCopy(TaskState& state, rt::Job& job, std::shared_ptr<struct JobRun> run);
+  void startCopy(TaskState& state);
+  void onCopyStop(TaskState& state, rt::CopyStop stop);
 
   rt::RtKernel& kernel_;
   TemConfig config_;

@@ -340,7 +340,8 @@ void Machine::restoreState(std::span<const std::uint8_t> blob) {
   const bool mmuEnabled = r.boolean();
   const MmuTaskId activeTask = r.u32();
   const std::uint64_t violations = r.u64();
-  const std::uint32_t regionCount = r.u32();
+  // Smallest region: base, size, owner, permissions and an empty name.
+  const std::uint32_t regionCount = r.elementCount(3 * 4 + 1 + 4);
   std::vector<MmuRegion> regions;
   regions.reserve(regionCount);
   for (std::uint32_t i = 0; i < regionCount; ++i) {
@@ -358,7 +359,7 @@ void Machine::restoreState(std::span<const std::uint8_t> blob) {
   const bool halted = r.boolean();
   const std::uint64_t executed = r.u64();
   const std::int64_t fetchBit = r.i64();
-  const std::uint32_t stuckCount = r.u32();
+  const std::uint32_t stuckCount = r.elementCount(2 * 4 + 1);  // reg, bit, polarity
   std::vector<StuckAtFault> stuck;
   stuck.reserve(stuckCount);
   for (std::uint32_t i = 0; i < stuckCount; ++i) {

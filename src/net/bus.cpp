@@ -9,15 +9,7 @@
 namespace nlft::net {
 
 std::uint16_t frameCrc(const std::vector<std::uint32_t>& payload) {
-  std::vector<std::uint8_t> bytes;
-  bytes.reserve(payload.size() * 4);
-  for (const std::uint32_t word : payload) {
-    bytes.push_back(static_cast<std::uint8_t>(word));
-    bytes.push_back(static_cast<std::uint8_t>(word >> 8));
-    bytes.push_back(static_cast<std::uint8_t>(word >> 16));
-    bytes.push_back(static_cast<std::uint8_t>(word >> 24));
-  }
-  return util::crc16Ccitt(bytes);
+  return util::crc16CcittWords(payload);
 }
 
 void flipFrameBit(Frame& frame, std::uint32_t bitIndex) {

@@ -8,13 +8,18 @@
 // The real-time kernel, the TDMA bus and the fault injector all share one
 // Simulator, so cross-component ordering (e.g. "fault strikes during the
 // second task copy") is exact.
+//
+// Storage is a slab: each pending callback sits in a reusable slot with a
+// generation counter, and the queue is a binary heap of plain entries that
+// name their slot and generation. Cancelling frees the slot at once; the
+// heap entry it leaves behind no longer matches the slot's generation and is
+// skipped when it reaches the top. No event is hashed, and once the slab and
+// heap have grown to the simulation's queue depth no event allocates inside
+// the simulator.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "util/time.hpp"
@@ -25,6 +30,9 @@ using util::Duration;
 using util::SimTime;
 
 /// Handle for a scheduled event; valid until the event fires or is cancelled.
+/// Encodes the event's slot (low 32 bits) and that slot's generation at
+/// scheduling time (high 32 bits), so a stale handle never matches a reused
+/// slot.
 struct EventId {
   std::uint64_t value = 0;
   [[nodiscard]] bool valid() const { return value != 0; }
@@ -70,33 +78,51 @@ class Simulator {
   /// Runs all events (use only for workloads that are known to terminate).
   void runAll();
 
-  [[nodiscard]] std::size_t pendingEvents() const { return queue_.size() - cancelled_.size(); }
+  [[nodiscard]] std::size_t pendingEvents() const { return live_; }
   [[nodiscard]] std::uint64_t processedEvents() const { return processed_; }
 
  private:
+  /// A slot's generation is odd while it holds a pending event and even
+  /// while it is free; it advances on every allocation and every release.
+  struct Slot {
+    Callback callback;
+    std::uint32_t generation = 0;
+  };
   struct Entry {
     SimTime at;
-    int priority;
-    std::uint64_t seq;
-    std::uint64_t id;
+    /// priority << 56 | seq. EventPriority values are below 2^8 and seq stays
+    /// below 2^56, so comparing `order` compares (priority, seq); one word
+    /// keeps the entry at 24 bytes, which makes the heap measurably faster.
+    std::uint64_t order;
+    std::uint32_t slot;
+    std::uint32_t generation;
   };
+  /// Heap order: the entry that must run LATER compares greater, so the
+  /// heap's front is the earliest (at, priority, seq).
   struct EntryLater {
     bool operator()(const Entry& a, const Entry& b) const {
       if (a.at != b.at) return a.at > b.at;
-      if (a.priority != b.priority) return a.priority > b.priority;
-      return a.seq > b.seq;
+      return a.order > b.order;
     }
   };
 
-  void purgeCancelledTop();
+  [[nodiscard]] bool stale(const Entry& entry) const {
+    return slots_[entry.slot].generation != entry.generation;
+  }
+  void releaseSlot(std::uint32_t slot);
+  void popTop();
+  /// Pops cancelled entries until the front is live or the heap is empty.
+  void dropStaleTop();
+  /// Runs the live event at the heap's front.
+  void fireTop();
 
   SimTime now_;
-  std::uint64_t nextId_ = 1;
   std::uint64_t nextSeq_ = 0;
   std::uint64_t processed_ = 0;
-  std::priority_queue<Entry, std::vector<Entry>, EntryLater> queue_;
-  std::unordered_set<std::uint64_t> cancelled_;
-  std::unordered_map<std::uint64_t, Callback> callbacks_;
+  std::size_t live_ = 0;
+  std::vector<Entry> heap_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> freeSlots_;
 };
 
 }  // namespace nlft::sim

@@ -112,9 +112,12 @@ void BlobReader::fail(const std::string& what) const {
   throw BlobError(where + ": " + what);
 }
 
+std::size_t BlobReader::remaining() const {
+  return (sectionEnd_ != 0 ? sectionEnd_ : bytes_.size()) - cursor_;
+}
+
 std::span<const std::uint8_t> BlobReader::take(std::size_t count) {
-  const std::size_t limit = sectionEnd_ != 0 ? sectionEnd_ : bytes_.size();
-  if (cursor_ + count > limit) {
+  if (count > remaining()) {
     fail(sectionEnd_ != 0 ? "field overruns section (corrupted blob)" : "truncated blob");
   }
   const std::span<const std::uint8_t> view = bytes_.subspan(cursor_, count);
@@ -173,8 +176,17 @@ std::string BlobReader::str() {
   return {reinterpret_cast<const char*>(view.data()), view.size()};
 }
 
+std::uint32_t BlobReader::elementCount(std::size_t minElementBytes) {
+  const std::uint32_t count = u32();
+  if (std::uint64_t{count} * minElementBytes > remaining()) {
+    fail("element count " + std::to_string(count) + " overruns the " +
+         std::to_string(remaining()) + " bytes left (corrupted blob)");
+  }
+  return count;
+}
+
 std::vector<std::uint32_t> BlobReader::u32Vec() {
-  const std::size_t size = u32();
+  const std::size_t size = elementCount(4);
   std::vector<std::uint32_t> values;
   values.reserve(size);
   for (std::size_t i = 0; i < size; ++i) values.push_back(u32());
@@ -182,7 +194,7 @@ std::vector<std::uint32_t> BlobReader::u32Vec() {
 }
 
 std::vector<std::uint64_t> BlobReader::u64Vec() {
-  const std::size_t size = u32();
+  const std::size_t size = elementCount(8);
   std::vector<std::uint64_t> values;
   values.reserve(size);
   for (std::size_t i = 0; i < size; ++i) values.push_back(u64());

@@ -97,11 +97,17 @@ class BlobReader {
   [[nodiscard]] std::string str();
   [[nodiscard]] std::vector<std::uint32_t> u32Vec();
   [[nodiscard]] std::vector<std::uint64_t> u64Vec();
+  /// Reads a u32 element count and rejects it unless that many elements of
+  /// at least `minElementBytes` each fit in the rest of the open section, so
+  /// a corrupted count fails here instead of in a huge allocation.
+  [[nodiscard]] std::uint32_t elementCount(std::size_t minElementBytes);
 
   /// Asserts the whole blob was consumed (no trailing garbage).
   void finish() const;
 
  private:
+  /// Bytes left in the open section (or in the blob between sections).
+  [[nodiscard]] std::size_t remaining() const;
   [[nodiscard]] std::span<const std::uint8_t> take(std::size_t count);
   [[noreturn]] void fail(const std::string& what) const;
 

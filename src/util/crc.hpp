@@ -17,10 +17,15 @@ namespace nlft::util {
 /// Incremental CRC-32: feed chunks, pass the previous return value back in.
 [[nodiscard]] std::uint32_t crc32Update(std::uint32_t crc, std::span<const std::uint8_t> data);
 
-/// CRC-16-CCITT (polynomial 0x1021, init 0xFFFF) as used by many field buses.
+/// CRC-16-CCITT (MSB-first, polynomial 0x1021, init 0xFFFF) as used by many
+/// field buses.
 [[nodiscard]] std::uint16_t crc16Ccitt(std::span<const std::uint8_t> data);
 
 /// Convenience: CRC-32 over an array of 32-bit words (little-endian bytes).
 [[nodiscard]] std::uint32_t crc32Words(std::span<const std::uint32_t> words);
+
+/// CRC-16-CCITT over an array of 32-bit words (little-endian bytes), without
+/// building the byte string.
+[[nodiscard]] std::uint16_t crc16CcittWords(std::span<const std::uint32_t> words);
 
 }  // namespace nlft::util

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <string>
 
+#include "util/crc.hpp"
 #include "util/rng.hpp"
 
 namespace nlft::net {
@@ -262,6 +263,23 @@ TEST_F(BusFixture, RandomizedCorruptionNeverDeliversBadCrc) {
   EXPECT_EQ(framesHeard, kRounds - corrupted);
   // Conservation: every sent frame is either delivered or dropped.
   EXPECT_EQ(bus.framesDelivered() + bus.framesDropped(), static_cast<std::uint64_t>(kRounds));
+}
+
+// The frame check sequence is CRC-16-CCITT over the payload words'
+// little-endian bytes, computed in place.
+TEST(FrameCrc, EqualsCrc16OverLittleEndianPayloadBytes) {
+  util::Rng rng{4};
+  for (int trial = 0; trial < 500; ++trial) {
+    std::vector<std::uint32_t> payload(rng.uniformInt(17));
+    for (auto& word : payload) word = static_cast<std::uint32_t>(rng.next());
+    std::vector<std::uint8_t> bytes;
+    for (const std::uint32_t word : payload) {
+      for (int shift = 0; shift < 32; shift += 8) {
+        bytes.push_back(static_cast<std::uint8_t>(word >> shift));
+      }
+    }
+    ASSERT_EQ(frameCrc(payload), util::crc16Ccitt(bytes)) << payload.size() << " words";
+  }
 }
 
 TEST_F(BusFixture, FlipFrameBitTargetsPayloadThenCrc) {

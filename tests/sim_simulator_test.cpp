@@ -2,7 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstddef>
+#include <cstdint>
+#include <iterator>
+#include <map>
+#include <tuple>
+#include <utility>
 #include <vector>
+
+#include "util/rng.hpp"
 
 namespace nlft::sim {
 namespace {
@@ -147,6 +157,120 @@ TEST(Simulator, SameTimeCancellationHonoursPriority) {
   simulator.scheduleAt(t, [&] { simulator.cancel(app); }, EventPriority::FaultInjection);
   simulator.runAll();
   EXPECT_FALSE(appRan);
+}
+
+TEST(Simulator, StaleIdDoesNotCancelTheEventThatReusedItsSlot) {
+  Simulator simulator;
+  bool laterRan = false;
+  const EventId cancelled = simulator.scheduleAt(SimTime::fromUs(100), [] {});
+  ASSERT_TRUE(simulator.cancel(cancelled));
+  const EventId reused = simulator.scheduleAt(SimTime::fromUs(200), [&] { laterRan = true; });
+  EXPECT_NE(reused, cancelled);
+  EXPECT_FALSE(simulator.cancel(cancelled));
+
+  // Same for the handle of an event that already fired.
+  bool lastRan = false;
+  simulator.step();
+  EXPECT_TRUE(laterRan);
+  const EventId last = simulator.scheduleAt(SimTime::fromUs(300), [&] { lastRan = true; });
+  EXPECT_FALSE(simulator.cancel(reused));
+  EXPECT_EQ(simulator.pendingEvents(), 1u);
+  simulator.runAll();
+  EXPECT_TRUE(lastRan);
+  EXPECT_FALSE(simulator.cancel(last));
+}
+
+TEST(Simulator, EventCancellingItselfGetsFalse) {
+  Simulator simulator;
+  EventId self{};
+  bool cancelResult = true;
+  std::size_t pendingInside = 0;
+  self = simulator.scheduleAt(SimTime::fromUs(100), [&] {
+    cancelResult = simulator.cancel(self);
+    pendingInside = simulator.pendingEvents();
+  });
+  simulator.scheduleAt(SimTime::fromUs(200), [] {});
+  simulator.step();
+  EXPECT_FALSE(cancelResult);
+  EXPECT_EQ(pendingInside, 1u);
+  EXPECT_EQ(simulator.pendingEvents(), 1u);
+  EXPECT_EQ(simulator.processedEvents(), 1u);
+  simulator.runAll();
+  EXPECT_EQ(simulator.pendingEvents(), 0u);
+  EXPECT_EQ(simulator.processedEvents(), 2u);
+}
+
+// Differential test against a reference model: an ordered map keyed by
+// (at, priority, seq), which is the documented event order. Random
+// schedule / cancel / step / runUntil operations; half of the cancels hit a
+// pending event, the rest any handle ever issued (fired, cancelled, or stale
+// after its slot was reused).
+TEST(Simulator, RandomizedOperationsMatchOrderedMapModel) {
+  using Key = std::tuple<std::int64_t, int, std::uint64_t>;
+  constexpr std::array<EventPriority, 6> kPriorities{
+      EventPriority::FaultInjection, EventPriority::Hardware, EventPriority::Kernel,
+      EventPriority::Network,        EventPriority::Application, EventPriority::Observer};
+
+  Simulator simulator;
+  util::Rng rng{20260417};
+  std::vector<int> fired;  // tags in the order the simulator ran them
+
+  std::map<Key, std::size_t> model;  // pending events -> index into `issued`
+  std::vector<std::pair<EventId, Key>> issued;  // the tag of an event is its index
+  std::vector<int> modelFired;
+  std::int64_t modelNow = 0;
+  std::uint64_t modelSeq = 0;
+  std::size_t cancelledLive = 0;
+
+  const auto modelFireFront = [&] {
+    modelNow = std::get<0>(model.begin()->first);
+    modelFired.push_back(static_cast<int>(model.begin()->second));
+    model.erase(model.begin());
+  };
+
+  for (int op = 0; op < 20000; ++op) {
+    SCOPED_TRACE(op);
+    const std::uint64_t kind = rng.uniformInt(100);
+    if (kind < 45) {
+      // Small time spread so that same-instant ties are common.
+      const std::int64_t at = modelNow + static_cast<std::int64_t>(rng.uniformInt(40));
+      const EventPriority priority = kPriorities[rng.uniformInt(kPriorities.size())];
+      const int tag = static_cast<int>(issued.size());
+      const EventId id = simulator.scheduleAt(SimTime::fromUs(at),
+                                              [&fired, tag] { fired.push_back(tag); }, priority);
+      const Key key{at, static_cast<int>(priority), modelSeq++};
+      model.emplace(key, issued.size());
+      issued.emplace_back(id, key);
+    } else if (kind < 70) {
+      if (issued.empty()) continue;
+      const bool pickLive = !model.empty() && rng.uniformInt(2) == 0;
+      const std::size_t index =
+          pickLive ? std::next(model.begin(), static_cast<std::ptrdiff_t>(
+                                                  rng.uniformInt(model.size())))->second
+                   : rng.uniformInt(issued.size());
+      const auto& [id, key] = issued[index];
+      const bool expected = model.erase(key) == 1;
+      cancelledLive += expected;
+      ASSERT_EQ(simulator.cancel(id), expected);
+    } else if (kind < 90) {
+      const bool expected = !model.empty();
+      if (expected) modelFireFront();
+      ASSERT_EQ(simulator.step(), expected);
+    } else {
+      // Occasionally a limit before now: the clock must not move back.
+      const std::int64_t limit = modelNow - 5 + static_cast<std::int64_t>(rng.uniformInt(65));
+      while (!model.empty() && std::get<0>(model.begin()->first) <= limit) modelFireFront();
+      modelNow = std::max(modelNow, limit);
+      simulator.runUntil(SimTime::fromUs(limit));
+    }
+    ASSERT_EQ(fired, modelFired);
+    ASSERT_EQ(simulator.now(), SimTime::fromUs(modelNow));
+    ASSERT_EQ(simulator.pendingEvents(), model.size());
+    ASSERT_EQ(simulator.processedEvents(), modelFired.size());
+  }
+  // The mix must have exercised every path.
+  EXPECT_GT(modelFired.size(), 1000u);
+  EXPECT_GT(cancelledLive, 1000u);
 }
 
 }  // namespace

@@ -9,14 +9,18 @@
 //   - a blob with a bumped format version fails loudly instead of being
 //     misparsed;
 //   - a blob of the wrong KIND (machine vs system) is refused;
+//   - an element count larger than its section can hold is refused with a
+//     BlobError before anything is allocated for it;
 //   - fi::runTracedCopy verifies the reconstructed machine against the
 //     campaign baseline snapshot and throws on drift (regression for the
 //     silent-drift hazard).
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bbw/guest_programs.hpp"
@@ -183,6 +187,83 @@ TEST(SnapshotRoundtrip, WrongKindIsRefused) {
   const std::vector<std::uint8_t> systemBlob = producer.saveState();
   hw::Machine machine{image.memBytes};
   EXPECT_THROW(machine.restoreState(systemBlob), snap::BlobError);
+}
+
+/// The element counts a snapshot blob declares before a list.
+enum class CountSite { CpuRegisters, MemCodewords, MmuRegions, StuckAtFaults };
+
+/// A machine blob with valid section CRCs whose count at `site` claims
+/// 0xFFFFFFFF elements; every other list is empty and the section ends right
+/// after the hostile count.
+std::vector<std::uint8_t> hostileMachineBlob(CountSite site) {
+  constexpr std::uint32_t kHostile = 0xFFFFFFFFu;
+  snap::BlobWriter w{snap::kMachineSnapshot, hw::kMachineStateVersion};
+  w.beginSection("cpu");
+  if (site == CountSite::CpuRegisters) {
+    w.u32(kHostile);
+  } else {
+    w.u32Vec(hw::CpuState{}.regs);
+    w.u32(0);
+    w.boolean(false);
+    w.boolean(false);
+  }
+  w.endSection();
+  w.beginSection("mem");
+  w.u32(site == CountSite::MemCodewords ? kHostile : 0);
+  if (site != CountSite::MemCodewords) {
+    w.u64(0);
+    w.u64(0);
+  }
+  w.endSection();
+  w.beginSection("mmu");
+  w.boolean(false);
+  w.u32(0);
+  w.u64(0);
+  w.u32(site == CountSite::MmuRegions ? kHostile : 0);
+  w.endSection();
+  w.beginSection("exec");
+  w.boolean(false);
+  w.u64(0);
+  w.i64(-1);
+  w.u32(site == CountSite::StuckAtFaults ? kHostile : 0);
+  w.endSection();
+  return w.finish();
+}
+
+void expectBlobErrorNaming(const std::function<void()>& restore, const std::string& section) {
+  try {
+    restore();
+    FAIL() << "hostile element count was accepted";
+  } catch (const snap::BlobError& error) {
+    EXPECT_NE(std::string{error.what()}.find("'" + section + "'"), std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(SnapshotRoundtrip, HostileElementCountsAreRefused) {
+  const std::pair<CountSite, std::string> machineSites[] = {
+      {CountSite::CpuRegisters, "cpu"},  // BlobReader::u32Vec
+      {CountSite::MemCodewords, "mem"},  // BlobReader::u64Vec
+      {CountSite::MmuRegions, "mmu"},
+      {CountSite::StuckAtFaults, "exec"},
+  };
+  for (const auto& [site, section] : machineSites) {
+    SCOPED_TRACE(section);
+    const std::vector<std::uint8_t> blob = hostileMachineBlob(site);
+    hw::Machine machine{1024};
+    expectBlobErrorNaming([&] { machine.restoreState(blob); }, section);
+  }
+
+  snap::BlobWriter w{snap::kSystemSnapshot, bbw::kSystemStateVersion};
+  w.beginSection("config");
+  w.u64(0);
+  w.endSection();
+  w.beginSection("inject");
+  w.u32(0xFFFFFFFFu);
+  w.endSection();
+  const std::vector<std::uint8_t> systemBlob = w.finish();
+  BbwSystemSim fresh{BbwSimConfig{}};
+  expectBlobErrorNaming([&] { fresh.restoreState(systemBlob); }, "inject");
 }
 
 TEST(SnapshotRoundtrip, RestoreIntoUsedSystemSimIsRefused) {

@@ -191,6 +191,63 @@ TEST_F(TemFixture, DeadlineMonitorAbortCountsAsOmission) {
   EXPECT_EQ(kernel.stats(task).deadlineMisses, 1u);
 }
 
+// Each task's job state is reused from job to job. A job that follows an
+// aborted one must start clean: a result left over from the aborted job
+// would be compared with the new job's first copy and show as a mismatch.
+TEST_F(TemFixture, JobAfterAbortedJobStartsClean) {
+  constexpr std::uint32_t kA = 0xA;
+  constexpr std::uint32_t kB = 0xB;
+  const Duration wcet = Duration::milliseconds(2);
+  // Job 0: the first copy delivers A, the second runs away (20 ms) with a
+  // loose budget. Every later job: copies deliver B.
+  const auto behavior = [](const CopyContext& context) {
+    if (context.jobIndex > 0) return goodCopy(Duration::milliseconds(1), kB);
+    return context.copyIndex == 1 ? goodCopy(Duration::milliseconds(1), kA)
+                                  : goodCopy(Duration::milliseconds(20), kA);
+  };
+  struct Case {
+    const char* name;
+    Duration deadline;  ///< Duration{} = the period
+    std::int64_t untilUs;
+    std::int64_t deliveredAtUs;
+  };
+  // Case 1: the deadline monitor aborts job 0's second copy at 12 ms; job 1
+  // is released at 40 ms. Case 2: deadline = period = 20 ms, so job 0 is
+  // still running when job 1 is released, and RtKernel::release omits it.
+  for (const Case& c : {Case{"deadline monitor", Duration::milliseconds(12), 59'000, 42'000},
+                        Case{"next release", Duration{}, 39'000, 22'000}}) {
+    SCOPED_TRACE(c.name);
+    sim::Simulator sim;
+    rt::Cpu cpuModel{sim};
+    rt::RtKernel rtKernel{sim, cpuModel};
+    TemExecutor tem{rtKernel};
+    const Duration period = c.deadline == Duration{} ? Duration::milliseconds(20)
+                                                     : Duration::milliseconds(40);
+    TaskConfig cfg = config(wcet, period, c.deadline);
+    cfg.budget = Duration::milliseconds(30);
+    const TaskId task = tem.addCriticalTask(cfg, behavior);
+    std::vector<rt::JobResult> results;
+    rtKernel.setResultSink([&](const rt::JobResult& result) { results.push_back(result); });
+    rtKernel.start();
+    sim.runUntil(SimTime::fromUs(c.untilUs));
+
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_EQ(results[0].jobIndex, 1u);
+    EXPECT_EQ(results[0].data, (std::vector<std::uint32_t>{kB}));
+    EXPECT_EQ(results[0].deliveredAt.us(), c.deliveredAtUs);  // exactly two 1 ms copies
+    const TemStats& stats = tem.stats(task);
+    EXPECT_EQ(stats.jobs, 2u);
+    EXPECT_EQ(stats.omissionsAborted, 1u);
+    EXPECT_EQ(stats.deliveredCleanly, 1u);
+    EXPECT_EQ(stats.comparisonMismatches, 0u);
+    EXPECT_EQ(stats.maskedByVote + stats.maskedByReplacement, 0u);
+    EXPECT_EQ(stats.firstCopies, 2u);
+    EXPECT_EQ(stats.secondCopies, 2u);
+    EXPECT_EQ(stats.thirdCopies, 0u);
+    EXPECT_EQ(rtKernel.stats(task).deadlineMisses, 1u);
+  }
+}
+
 TEST_F(TemFixture, ExternalErrorMidCopyKillsAndReplaces) {
   TemExecutor tem{kernel};
   const Duration wcet = Duration::milliseconds(10);

@@ -34,6 +34,52 @@ TEST(Crc16Ccitt, KnownVector) {
   EXPECT_EQ(crc16Ccitt(bytes("123456789")), 0x29B1u);
 }
 
+/// Bit-serial CRC-16-CCITT (MSB-first, polynomial 0x1021, init 0xFFFF): the
+/// definition the table-driven implementation must reproduce.
+std::uint16_t crc16BitSerial(std::span<const std::uint8_t> data) {
+  std::uint16_t crc = 0xFFFF;
+  for (std::uint8_t byte : data) {
+    crc ^= static_cast<std::uint16_t>(byte << 8);
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 0x8000U) ? static_cast<std::uint16_t>((crc << 1) ^ 0x1021U)
+                            : static_cast<std::uint16_t>(crc << 1);
+    }
+  }
+  return crc;
+}
+
+std::vector<std::uint8_t> littleEndianBytes(std::span<const std::uint32_t> words) {
+  std::vector<std::uint8_t> bytes;
+  for (std::uint32_t w : words) {
+    for (int shift = 0; shift < 32; shift += 8) {
+      bytes.push_back(static_cast<std::uint8_t>(w >> shift));
+    }
+  }
+  return bytes;
+}
+
+TEST(Crc16Ccitt, TableMatchesBitSerialReference) {
+  Rng rng{1021};
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::vector<std::uint8_t> data(rng.uniformInt(65));
+    for (auto& b : data) b = static_cast<std::uint8_t>(rng.uniformInt(256));
+    ASSERT_EQ(crc16Ccitt(data), crc16BitSerial(data)) << "length " << data.size();
+  }
+}
+
+TEST(Crc16CcittWords, MatchesLittleEndianByteSerialization) {
+  Rng rng{16};
+  for (int trial = 0; trial < 500; ++trial) {
+    std::vector<std::uint32_t> words(rng.uniformInt(17));
+    for (auto& w : words) w = static_cast<std::uint32_t>(rng.uniformInt(std::uint64_t{1} << 32));
+    ASSERT_EQ(crc16CcittWords(words), crc16Ccitt(littleEndianBytes(words)))
+        << words.size() << " words";
+  }
+  const std::uint32_t words[] = {0x11223344u, 0xA5A5A5A5u};
+  const std::uint8_t raw[] = {0x44, 0x33, 0x22, 0x11, 0xA5, 0xA5, 0xA5, 0xA5};
+  EXPECT_EQ(crc16CcittWords(words), crc16BitSerial(raw));
+}
+
 TEST(Crc32Words, MatchesByteSerialization) {
   const std::uint32_t words[] = {0x11223344u, 0xA5A5A5A5u};
   const std::uint8_t raw[] = {0x44, 0x33, 0x22, 0x11, 0xA5, 0xA5, 0xA5, 0xA5};
