@@ -49,8 +49,8 @@ struct EarlyStopRule {
   std::size_t minItems = 0;
 };
 
-/// Result of a stoppable campaign: the merged statistics plus how much of
-/// the experiment budget they actually contain.
+/// Result of a campaign: the merged statistics plus how much of the
+/// experiment budget they actually contain.
 template <typename Stats>
 struct ChunkedCampaignResult {
   Stats stats;
@@ -59,32 +59,24 @@ struct ChunkedCampaignResult {
   bool stoppedEarly = false;
 };
 
-/// Placeholder context for campaigns that need no per-chunk state.
-struct NoChunkContext {};
-
-/// Optional per-chunk lifecycle hooks. `setup(chunkIndex)` builds a
-/// chunk-private context before the chunk's first experiment (e.g. the
-/// snapshot cache and fast-forwarded baseline of a copy-on-inject
-/// campaign); `teardown(ctx, stats)` runs after the chunk's last experiment,
-/// INSIDE the worker and BEFORE the chunk is merged, so deferred work it
-/// performs (and any counters it folds into `stats`) still lands in the
-/// deterministic chunk-order merge. Empty hooks default-construct the
-/// context and skip teardown.
-template <typename Stats, typename Ctx>
-struct ChunkHooks {
-  std::function<Ctx(std::size_t chunkIndex)> setup;
-  std::function<void(Ctx& ctx, Stats& stats)> teardown;
-};
-
 /// Runs `experiments` seeded experiments chunk by chunk, merging chunk-local
 /// statistics in chunk order, with optional sequential early stopping.
 ///
 /// Stats must be default-constructible, copyable, expose a `std::size_t
-/// experiments` member (set per chunk before the first experiment) and
-/// `merge(const Stats&)`. `runOne(rng, stats)` samples and classifies one
-/// experiment. A cancelled campaign throws std::runtime_error("<what>:
-/// cancelled") rather than returning truncated statistics (an early-stopped
-/// campaign is NOT truncated: its prefix is a complete deterministic result).
+/// experiments` member (set to the chunk's experiment count before the chunk
+/// runs) and `merge(const Stats&)`. `runChunk(rng, count, stats)` runs one
+/// chunk's `count` experiments in order from the chunk's forked RNG; state a
+/// chunk needs (a snapshot cache, a batch sorted before execution) lives in
+/// its body, and counters it folds into `stats` land in the deterministic
+/// chunk-order merge.
+///
+/// A cancelled campaign throws std::runtime_error("<what>: cancelled")
+/// rather than returning truncated statistics (an early-stopped campaign is
+/// NOT truncated: its prefix is a complete deterministic result). An
+/// exception from `runChunk` reaches the caller at every thread count (see
+/// forEachChunk), except that it is dropped when the stop rule fired: a
+/// failed chunk never joins the merged prefix, so the rule fired at or
+/// before it, and a serial run never reaches it.
 ///
 /// `profile` (optional) receives execution profiling: deterministic
 /// structure counters ("exec.items", "exec.chunks", "exec.early_stopped" —
@@ -92,18 +84,12 @@ struct ChunkHooks {
 /// every thread count even when workers speculate past the stop boundary)
 /// plus non-golden "wall." metrics (per-chunk wall-time histogram,
 /// throughput, worker utilization — these do include speculative work).
-/// The hooked core: like runStoppableChunkedCampaign (below), but each chunk
-/// owns a `Ctx` built by `hooks.setup` and finalized by `hooks.teardown`,
-/// and `runOne(rng, stats, ctx)` receives it. A campaign that samples into
-/// the context during runOne and executes the (sorted) batch in teardown
-/// keeps the RNG stream AND the merged statistics bit-identical to the
-/// unhooked per-experiment execution at every thread count.
-template <typename Stats, typename Ctx, typename RunOne>
-ChunkedCampaignResult<Stats> runStoppableChunkedCampaignWithHooks(
+template <typename Stats, typename RunChunk>
+ChunkedCampaignResult<Stats> runChunkedCampaign(
     std::size_t experiments, std::uint64_t seed, const Parallelism& parallelism,
-    const char* what, RunOne runOne, const ChunkHooks<Stats, Ctx>& hooks,
-    const EarlyStopRule<Stats>& stop = {}, CancellationToken* cancel = nullptr,
-    const ProgressFn& onProgress = {}, obs::Registry* profile = nullptr) {
+    const char* what, RunChunk runChunk, const EarlyStopRule<Stats>& stop = {},
+    CancellationToken* cancel = nullptr, const ProgressFn& onProgress = {},
+    obs::Registry* profile = nullptr) {
   const std::size_t chunkSize = parallelism.resolvedChunkSize(experiments);
   const std::size_t chunks = chunkCount(experiments, chunkSize);
   util::Rng root{seed};
@@ -133,50 +119,50 @@ ChunkedCampaignResult<Stats> runStoppableChunkedCampaignWithHooks(
 
   const util::MonotonicStopwatch campaignClock;
   std::atomic<double> busySeconds{0.0};
+  std::atomic<std::size_t> ranItems{0};
 
-  const std::size_t processed = forEachChunk(
-      experiments, parallelism,
-      [&](const ChunkRange& range, unsigned) {
-        if (stoppable && cancel != nullptr && cancel->cancelled()) {
+  const auto chunkBody = [&](const ChunkRange& range, unsigned) {
+    if (stoppable && cancel != nullptr && cancel->cancelled()) {
+      stopToken.requestCancel();
+      return;
+    }
+    const util::MonotonicStopwatch chunkClock;
+    const std::size_t count = range.end - range.begin;
+    util::Rng rng = chunkRngs[range.index];
+    Stats& stats = accumulators[range.index];
+    stats.experiments = count;
+    runChunk(rng, count, stats);
+    if (profile != nullptr) {
+      const double seconds = chunkClock.elapsedSeconds();
+      busySeconds.fetch_add(seconds, std::memory_order_relaxed);
+      ranItems.fetch_add(count, std::memory_order_relaxed);
+      profile->observe("wall.exec.chunk_seconds", kChunkSecondsSpec, seconds);
+    }
+    if (stoppable) {
+      std::lock_guard<std::mutex> lock{prefixMutex};
+      if (ruleFired) return;
+      chunkDone[range.index] = 1;
+      while (prefixChunks < chunks && chunkDone[prefixChunks] != 0) {
+        prefixStats.merge(accumulators[prefixChunks]);
+        prefixItems += itemsInChunk(prefixChunks);
+        ++prefixChunks;
+        if (prefixItems >= stop.minItems && stop.shouldStop(prefixStats, prefixItems)) {
+          ruleFired = true;
+          stopChunk = prefixChunks;
           stopToken.requestCancel();
-          return;
+          break;
         }
-        const util::MonotonicStopwatch chunkClock;
-        util::Rng rng = chunkRngs[range.index];
-        Stats& stats = accumulators[range.index];
-        stats.experiments = range.end - range.begin;
-        Ctx ctx = hooks.setup ? hooks.setup(range.index) : Ctx{};
-        for (std::size_t i = range.begin; i < range.end; ++i) runOne(rng, stats, ctx);
-        if (hooks.teardown) hooks.teardown(ctx, stats);
-        if (profile != nullptr) {
-          const double seconds = chunkClock.elapsedSeconds();
-          busySeconds.fetch_add(seconds, std::memory_order_relaxed);
-          profile->observe("wall.exec.chunk_seconds", kChunkSecondsSpec, seconds);
-        }
-        if (stoppable) {
-          std::lock_guard<std::mutex> lock{prefixMutex};
-          if (ruleFired) return;
-          chunkDone[range.index] = 1;
-          while (prefixChunks < chunks && chunkDone[prefixChunks] != 0) {
-            prefixStats.merge(accumulators[prefixChunks]);
-            prefixItems += itemsInChunk(prefixChunks);
-            ++prefixChunks;
-            if (prefixItems >= stop.minItems && stop.shouldStop(prefixStats, prefixItems)) {
-              ruleFired = true;
-              stopChunk = prefixChunks;
-              stopToken.requestCancel();
-              break;
-            }
-          }
-        }
-      },
-      runCancel, {onProgress, 0.25});
-
-  const bool callerCancelled = cancel != nullptr && cancel->cancelled();
-  if (callerCancelled && !ruleFired) {
-    throw std::runtime_error(std::string{what} + ": cancelled");
+      }
+    }
+  };
+  try {
+    forEachChunk(experiments, parallelism, chunkBody, runCancel, onProgress);
+  } catch (...) {
+    // Every worker has returned, so ruleFired is final.
+    if (!ruleFired) throw;
   }
-  if (!stoppable && processed < experiments) {
+
+  if (cancel != nullptr && cancel->cancelled() && !ruleFired) {
     throw std::runtime_error(std::string{what} + ": cancelled");
   }
 
@@ -207,40 +193,12 @@ ChunkedCampaignResult<Stats> runStoppableChunkedCampaignWithHooks(
     profile->gaugeMax("wall.exec.campaign_seconds", elapsed);
     if (elapsed > 0.0) {
       profile->gaugeMax("wall.exec.items_per_second",
-                        static_cast<double>(processed) / elapsed);
+                        static_cast<double>(ranItems.load()) / elapsed);
       profile->gaugeMax("wall.exec.worker_utilization",
                         busySeconds.load() / (elapsed * static_cast<double>(workers)));
     }
   }
   return result;
-}
-
-/// Hook-free wrapper: `runOne(rng, stats)` with no per-chunk context. This
-/// is the entry point documented at the top of the file; the contract notes
-/// on Stats, cancellation and profiling live here.
-template <typename Stats, typename RunOne>
-ChunkedCampaignResult<Stats> runStoppableChunkedCampaign(
-    std::size_t experiments, std::uint64_t seed, const Parallelism& parallelism,
-    const char* what, RunOne runOne, const EarlyStopRule<Stats>& stop = {},
-    CancellationToken* cancel = nullptr, const ProgressFn& onProgress = {},
-    obs::Registry* profile = nullptr) {
-  return runStoppableChunkedCampaignWithHooks<Stats, NoChunkContext>(
-      experiments, seed, parallelism, what,
-      [&runOne](util::Rng& rng, Stats& stats, NoChunkContext&) { runOne(rng, stats); },
-      ChunkHooks<Stats, NoChunkContext>{}, stop, cancel, onProgress, profile);
-}
-
-/// Runs `experiments` seeded experiments chunk by chunk and merges the
-/// chunk-local statistics in chunk order (no early stopping; see
-/// runStoppableChunkedCampaign for the full contract).
-template <typename Stats, typename RunOne>
-Stats runChunkedCampaign(std::size_t experiments, std::uint64_t seed,
-                         const Parallelism& parallelism, const char* what, RunOne runOne,
-                         CancellationToken* cancel = nullptr, const ProgressFn& onProgress = {},
-                         obs::Registry* profile = nullptr) {
-  return runStoppableChunkedCampaign<Stats>(experiments, seed, parallelism, what, runOne,
-                                            EarlyStopRule<Stats>{}, cancel, onProgress, profile)
-      .stats;
 }
 
 }  // namespace nlft::exec

@@ -1,7 +1,9 @@
 #include "exec/parallel_for.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <mutex>
+#include <thread>
 
 #include "util/time.hpp"
 
@@ -9,25 +11,29 @@ namespace nlft::exec {
 
 namespace {
 
+/// Minimum spacing between two progress callbacks; the final 100% report is
+/// always delivered.
+constexpr double kProgressIntervalSeconds = 0.25;
+
 /// Shared progress state; workers report completed chunks, the callback is
 /// rate-limited and serialized under a mutex.
 class ProgressMeter {
  public:
-  ProgressMeter(std::size_t totalItems, unsigned workers, const ProgressOptions& options)
-      : options_{options} {
+  ProgressMeter(std::size_t totalItems, unsigned workers, const ProgressFn& callback)
+      : callback_{callback} {
     snapshot_.totalItems = totalItems;
     snapshot_.perWorkerItems.assign(workers, 0);
   }
 
   void chunkDone(std::size_t items, unsigned worker) {
-    if (!options_.callback) return;
+    if (!callback_) return;
     std::lock_guard<std::mutex> lock{mutex_};
     snapshot_.completedItems += items;
     snapshot_.perWorkerItems[worker] += items;
     // The very last chunk to finish always reports, so observers see 100%.
     const bool finalReport = snapshot_.completedItems == snapshot_.totalItems;
     const double elapsed = stopwatch_.elapsedSeconds();
-    if (!finalReport && elapsed - lastReportAt_ < options_.minIntervalSeconds) return;
+    if (!finalReport && elapsed - lastReportAt_ < kProgressIntervalSeconds) return;
     lastReportAt_ = elapsed;
     snapshot_.elapsedSeconds = elapsed;
     snapshot_.itemsPerSecond =
@@ -36,13 +42,11 @@ class ProgressMeter {
     snapshot_.etaSeconds = snapshot_.itemsPerSecond > 0.0
                                ? static_cast<double>(remaining) / snapshot_.itemsPerSecond
                                : 0.0;
-    options_.callback(snapshot_);
+    callback_(snapshot_);
   }
 
-  [[nodiscard]] bool enabled() const { return static_cast<bool>(options_.callback); }
-
  private:
-  ProgressOptions options_;
+  const ProgressFn& callback_;
   util::MonotonicStopwatch stopwatch_;
   std::mutex mutex_;
   ProgressSnapshot snapshot_;
@@ -50,6 +54,12 @@ class ProgressMeter {
 };
 
 }  // namespace
+
+unsigned Parallelism::resolvedThreads() const {
+  if (threads != 0) return threads;
+  const unsigned hardware = std::thread::hardware_concurrency();
+  return hardware == 0 ? 1 : hardware;
+}
 
 std::size_t Parallelism::resolvedChunkSize(std::size_t items) const {
   if (chunkSize != 0) return chunkSize;
@@ -66,19 +76,26 @@ std::size_t chunkCount(std::size_t items, std::size_t chunkSize) {
 
 std::size_t forEachChunk(std::size_t items, const Parallelism& parallelism,
                          const std::function<void(const ChunkRange&, unsigned worker)>& body,
-                         CancellationToken* cancel, const ProgressOptions& progress) {
+                         CancellationToken* cancel, const ProgressFn& onProgress) {
   if (items == 0) return 0;
   const std::size_t chunkSize = parallelism.resolvedChunkSize(items);
   const std::size_t chunks = chunkCount(items, chunkSize);
   const unsigned threads =
       std::min<unsigned>(parallelism.resolvedThreads(), static_cast<unsigned>(chunks));
 
-  ProgressMeter meter{items, std::max(threads, 1u), progress};
+  ProgressMeter meter{items, std::max(threads, 1u), onProgress};
   std::atomic<std::size_t> nextChunk{0};
   std::atomic<std::size_t> processed{0};
+  // The lowest-index chunk that threw, and its exception. Every chunk below
+  // it was claimed earlier and runs to completion, so it is the exception a
+  // serial run reaches first.
+  std::atomic<bool> failed{false};
+  std::mutex failureMutex;
+  std::size_t failedChunk = chunks;
+  std::exception_ptr failure;
 
   const auto drainChunks = [&](unsigned worker) {
-    for (;;) {
+    while (!failed.load(std::memory_order_relaxed)) {
       if (cancel != nullptr && cancel->cancelled()) return;
       const std::size_t c = nextChunk.fetch_add(1, std::memory_order_relaxed);
       if (c >= chunks) return;
@@ -86,20 +103,29 @@ std::size_t forEachChunk(std::size_t items, const Parallelism& parallelism,
       range.begin = c * chunkSize;
       range.end = std::min(items, range.begin + chunkSize);
       range.index = c;
-      body(range, worker);
-      const std::size_t chunkItems = range.end - range.begin;
-      processed.fetch_add(chunkItems, std::memory_order_relaxed);
-      meter.chunkDone(chunkItems, worker);
+      try {
+        body(range, worker);
+        const std::size_t chunkItems = range.end - range.begin;
+        processed.fetch_add(chunkItems, std::memory_order_relaxed);
+        meter.chunkDone(chunkItems, worker);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock{failureMutex};
+        if (c < failedChunk) {
+          failedChunk = c;
+          failure = std::current_exception();
+        }
+        failed.store(true, std::memory_order_relaxed);
+      }
     }
   };
 
-  if (threads <= 1) {
+  {
+    std::vector<std::jthread> helpers;
+    helpers.reserve(threads - 1);
+    for (unsigned w = 1; w < threads; ++w) helpers.emplace_back(drainChunks, w);
     drainChunks(0);
-  } else {
-    ThreadPool pool{threads};
-    for (unsigned w = 0; w < threads; ++w) pool.submit(drainChunks);
-    pool.wait();
-  }
+  }  // the helpers join here
+  if (failure) std::rethrow_exception(failure);
   return processed.load();
 }
 

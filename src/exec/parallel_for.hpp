@@ -12,16 +12,14 @@
 //     order — completion order is irrelevant.
 //
 // Threads only decide WHO runs a chunk, never WHAT the chunk computes or how
-// results combine. `threads = 1` runs inline on the calling thread (no pool),
-// so default configs pay nothing for the machinery.
+// results combine. The calling thread is always a worker, so `threads = 1`
+// runs inline and default configs pay nothing for the machinery.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <functional>
 #include <vector>
-
-#include "exec/pool.hpp"
 
 namespace nlft::exec {
 
@@ -33,7 +31,9 @@ struct Parallelism {
   /// the item-to-RNG-substream mapping) but NOT on `threads`.
   std::size_t chunkSize = 0;
 
-  [[nodiscard]] unsigned resolvedThreads() const { return resolveThreadCount(threads); }
+  /// Worker threads to use: `threads`, or all hardware threads for 0;
+  /// always at least 1.
+  [[nodiscard]] unsigned resolvedThreads() const;
   [[nodiscard]] std::size_t resolvedChunkSize(std::size_t items) const;
 };
 
@@ -59,12 +59,9 @@ struct ProgressSnapshot {
   std::vector<std::size_t> perWorkerItems;
 };
 
+/// Progress callback; calls are serialized, at most one per 0.25 s plus the
+/// final 100% report.
 using ProgressFn = std::function<void(const ProgressSnapshot&)>;
-
-struct ProgressOptions {
-  ProgressFn callback;               ///< empty = no reporting
-  double minIntervalSeconds = 0.25;  ///< rate limit between callbacks
-};
 
 /// A contiguous slice of the item range: [begin, end), with its chunk index.
 struct ChunkRange {
@@ -76,14 +73,17 @@ struct ChunkRange {
 /// Number of chunks [0, items) splits into for the given chunk size.
 [[nodiscard]] std::size_t chunkCount(std::size_t items, std::size_t chunkSize);
 
-/// Runs body(range, worker) over every chunk of [0, items). `body` may run
-/// concurrently on different chunks and must not throw; on a completed
-/// (uncancelled) run the progress callback, if configured, always fires one
-/// last time at 100%. Returns the number of items actually processed
-/// (< items only when cancelled).
+/// Runs body(range, worker) over every chunk of [0, items). The calling
+/// thread is worker 0 and up to `threads - 1` more threads run beside it;
+/// workers claim chunks in index order, so `body` may run concurrently on
+/// different chunks. A throwing body stops further claims: once every
+/// running chunk has returned, the exception of the lowest-index chunk that
+/// threw is rethrown — the one a `threads = 1` run throws. On a completed
+/// (uncancelled) run `onProgress`, if set, always fires one last time at
+/// 100%. Returns the number of items actually processed (< items only when
+/// cancelled).
 std::size_t forEachChunk(std::size_t items, const Parallelism& parallelism,
                          const std::function<void(const ChunkRange&, unsigned worker)>& body,
-                         CancellationToken* cancel = nullptr,
-                         const ProgressOptions& progress = {});
+                         CancellationToken* cancel = nullptr, const ProgressFn& onProgress = {});
 
 }  // namespace nlft::exec

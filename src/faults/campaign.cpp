@@ -435,8 +435,8 @@ void tallyFs(FsCampaignStats& stats, FsOutcome outcome) {
   return order;
 }
 
-/// The chunk driver behind both campaign kinds. runOne only SAMPLES, so the
-/// per-chunk RNG stream is the same in every mode; the chunk teardown
+/// The chunk driver behind both campaign kinds. A chunk first SAMPLES all
+/// its faults, so the per-chunk RNG stream is the same in every mode, then
 /// executes the batch in executionOrder. Experiments inside a supported
 /// plan's fork domain fork from chunk-private band baselines, everything
 /// else runs on a fresh machine. `classify(golden, source, chunk)` runs the
@@ -451,15 +451,19 @@ Stats runCampaign(const TaskImage& image, const CampaignConfig& config, const ch
   TemSnapshotPlan plan;
   if (config.mode != ExecutionMode::Straight) plan = buildTemSnapshotPlan(image, golden);
 
-  struct ChunkContext {
+  const auto runChunk = [&](util::Rng& rng, std::size_t count, Stats& chunk) {
     std::vector<ExperimentFault> pending;
-  };
-  exec::ChunkHooks<Stats, ChunkContext> hooks;
-  hooks.teardown = [&](ChunkContext& ctx, Stats& chunk) {
+    pending.reserve(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      const FaultSpec fault = sampleFault(image, golden.instructions, config.mix, rng);
+      ExperimentFault experiment = normalize(fault, rng);
+      if (singleCopy) experiment.targetCopy = 1;
+      pending.push_back(std::move(experiment));
+    }
     std::optional<ChunkForks> forks;
     if (plan.supported) forks.emplace(plan, image.memBytes);
-    for (const std::size_t index : executionOrder(ctx.pending)) {
-      const ExperimentFault& fault = ctx.pending[index];
+    for (const std::size_t index : executionOrder(pending)) {
+      const ExperimentFault& fault = pending[index];
       if (forks && !needsStraightFallback(fault, golden)) {
         SnapshotSource source{image, plan, fault, *forks, chunk.snap};
         classify(golden, source, chunk);
@@ -475,16 +479,9 @@ Stats runCampaign(const TaskImage& image, const CampaignConfig& config, const ch
           forks->band1.sweepInstructions() + forks->band2.sweepInstructions();
     }
   };
-  Stats stats = exec::runStoppableChunkedCampaignWithHooks<Stats, ChunkContext>(
-                    config.experiments, config.seed, config.parallelism, what,
-                    [&](util::Rng& rng, Stats&, ChunkContext& ctx) {
-                      const FaultSpec fault =
-                          sampleFault(image, golden.instructions, config.mix, rng);
-                      ExperimentFault experiment = normalize(fault, rng);
-                      if (singleCopy) experiment.targetCopy = 1;
-                      ctx.pending.push_back(std::move(experiment));
-                    },
-                    hooks, {}, config.cancel, config.onProgress)
+  Stats stats = exec::runChunkedCampaign<Stats>(config.experiments, config.seed,
+                                                config.parallelism, what, runChunk, {},
+                                                config.cancel, config.onProgress)
                     .stats;
   if (plan.supported) stats.snap.simulatedCycles += plan.planInstructions;
   return stats;

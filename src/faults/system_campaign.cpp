@@ -99,29 +99,6 @@ Injection classifyMachineFault(const SystemCampaignConfig& config, const GuestCo
   return Injection::None;
 }
 
-[[nodiscard]] std::uint64_t omissionCount(const BbwSimResult& result) {
-  std::uint64_t total = result.commandsOmitted;
-  for (const std::uint64_t omissions : result.wheelOmissions) total += omissions;
-  return total;
-}
-
-SystemOutcome classifyOutcome(const SystemCampaignConfig& config, const BbwSimResult& golden,
-                              const BbwSimResult& run) {
-  if (!run.stopped || run.stoppingDistanceM > golden.stoppingDistanceM + config.missedStopMarginM) {
-    return SystemOutcome::MissedStop;
-  }
-  if (run.undetectedValueDeliveries > 0) return SystemOutcome::ValueFailure;
-  if (run.failSilentEvents > 0) return SystemOutcome::FailSilentDegradation;
-  if (omissionCount(run) > omissionCount(golden) ||
-      run.busFramesDropped > golden.busFramesDropped) {
-    return SystemOutcome::OmissionDegradation;
-  }
-  if (std::abs(run.stoppingDistanceM - golden.stoppingDistanceM) > config.maskToleranceM) {
-    return SystemOutcome::OmissionDegradation;
-  }
-  return SystemOutcome::Masked;
-}
-
 BbwSimConfig makeSimConfig(const SystemCampaignConfig& config) {
   BbwSimConfig sim = config.sim;
   sim.nodeType = config.nodeType;
@@ -325,7 +302,8 @@ SystemExperiment runSystemExperimentImpl(const SystemCampaignConfig& config,
     }
   }
   if (snap != nullptr) snap->simulatedCycles += sim.counterSnapshot().eventsProcessed;
-  experiment.outcome = classifyOutcome(config, golden, experiment.sim);
+  experiment.outcome =
+      classifyStop(golden, experiment.sim, config.maskToleranceM, config.missedStopMarginM);
   return experiment;
 }
 
@@ -355,6 +333,29 @@ Params applyMeasuredCoverage(const CoverageEstimate& measured, Params base) {
 }
 
 }  // namespace
+
+std::uint64_t omissionCount(const BbwSimResult& result) {
+  std::uint64_t total = result.commandsOmitted;
+  for (const std::uint64_t omissions : result.wheelOmissions) total += omissions;
+  return total;
+}
+
+SystemOutcome classifyStop(const BbwSimResult& golden, const BbwSimResult& run,
+                           double maskToleranceM, double missedStopMarginM) {
+  if (!run.stopped || run.stoppingDistanceM > golden.stoppingDistanceM + missedStopMarginM) {
+    return SystemOutcome::MissedStop;
+  }
+  if (run.undetectedValueDeliveries > 0) return SystemOutcome::ValueFailure;
+  if (run.failSilentEvents > 0) return SystemOutcome::FailSilentDegradation;
+  if (omissionCount(run) > omissionCount(golden) ||
+      run.busFramesDropped > golden.busFramesDropped) {
+    return SystemOutcome::OmissionDegradation;
+  }
+  if (std::abs(run.stoppingDistanceM - golden.stoppingDistanceM) > maskToleranceM) {
+    return SystemOutcome::OmissionDegradation;
+  }
+  return SystemOutcome::Masked;
+}
 
 const char* describe(ScenarioKind kind) {
   switch (kind) {
@@ -520,15 +521,6 @@ void runOneScenario(const SystemCampaignConfig& config, const GuestContext& ctx,
   if (experiment.skippedMasked) ++stats.skippedMasked;
 }
 
-/// Per-chunk snapshot state: a PRIVATE byte-bounded cache primed from the
-/// shared baseline (empty optional in straight execution). Chunk-private
-/// caches make hit/miss/eviction counters pure functions of the chunk
-/// contents, which the chunk-order merge then keeps bit-identical at every
-/// thread count.
-struct SnapChunkContext {
-  std::optional<snap::SnapshotCache> cache;
-};
-
 /// The one chunk driver of every system campaign: `experiments` scenarios
 /// from `seed`, sampled crudely (`stratum == nullptr`) or inside the
 /// stratum. Folds the per-simulation metrics into config.metrics and
@@ -537,33 +529,32 @@ SystemCampaignStats runSystemChunks(const SystemCampaignConfig& config, const Gu
                                     const SystemEngine& engine, const StratumSpec* stratum,
                                     std::size_t experiments, std::uint64_t seed,
                                     const char* what, const exec::ProgressFn& onProgress) {
-  exec::ChunkHooks<SystemChunkStats, SnapChunkContext> hooks;
-  if (engine.baseline != nullptr) {
-    const SystemBaseline& baseline = *engine.baseline;
-    hooks.setup = [&config, &baseline](std::size_t) {
-      SnapChunkContext snapCtx;
-      snapCtx.cache.emplace(config.snapshotCacheBytes);
-      baseline.primeCache(*snapCtx.cache);
-      return snapCtx;
-    };
-    // Teardown runs in-worker BEFORE the chunk-order merge, so the folded
-    // counters ride the same determinism guarantee as the statistics.
-    hooks.teardown = [](SnapChunkContext& snapCtx, SystemChunkStats& chunk) {
+  const auto runChunk = [&](util::Rng& rng, std::size_t count, SystemChunkStats& chunk) {
+    // A PRIVATE byte-bounded cache primed from the shared baseline (none in
+    // straight execution) makes the hit/miss/eviction counters pure
+    // functions of the chunk contents, which the chunk-order merge then
+    // keeps bit-identical at every thread count.
+    std::optional<snap::SnapshotCache> cache;
+    if (engine.baseline != nullptr) {
+      cache.emplace(config.snapshotCacheBytes);
+      engine.baseline->primeCache(*cache);
+    }
+    obs::Registry* simMetrics = config.metrics != nullptr ? &chunk.sims : nullptr;
+    for (std::size_t i = 0; i < count; ++i) {
+      runOneScenario(config, ctx, engine, stratum, rng, chunk.stats, simMetrics,
+                     cache ? &*cache : nullptr);
+    }
+    if (cache) {
       SnapCounters& snap = chunk.stats.snap;
-      snap.snapshotHits += snapCtx.cache->hits();
-      snap.snapshotMisses += snapCtx.cache->misses();
-      snap.snapshotBytes += snapCtx.cache->insertedBytes();
-    };
-  }
+      snap.snapshotHits += cache->hits();
+      snap.snapshotMisses += cache->misses();
+      snap.snapshotBytes += cache->insertedBytes();
+    }
+  };
   const SystemChunkStats total =
-      exec::runStoppableChunkedCampaignWithHooks<SystemChunkStats, SnapChunkContext>(
-          experiments, seed, config.parallelism, what,
-          [&](util::Rng& rng, SystemChunkStats& chunk, SnapChunkContext& snapCtx) {
-            runOneScenario(config, ctx, engine, stratum, rng, chunk.stats,
-                           config.metrics != nullptr ? &chunk.sims : nullptr,
-                           snapCtx.cache ? &*snapCtx.cache : nullptr);
-          },
-          hooks, {}, config.cancel, onProgress, config.metrics)
+      exec::runChunkedCampaign<SystemChunkStats>(experiments, seed, config.parallelism, what,
+                                                 runChunk, {}, config.cancel, onProgress,
+                                                 config.metrics)
           .stats;
   if (config.metrics != nullptr) config.metrics->merge(total.sims);
   SystemCampaignStats stats = total.stats;

@@ -211,6 +211,17 @@ struct CoverageEstimate {
 /// The fault-free reference stop for the campaign configuration.
 [[nodiscard]] bbw::BbwSimResult goldenStop(const SystemCampaignConfig& config);
 
+/// Commands omitted by the CUs plus every wheel node's omissions.
+[[nodiscard]] std::uint64_t omissionCount(const bbw::BbwSimResult& result);
+
+/// The vehicle-level oracle (docs/SYSTEM_FI.md): classifies `run` against
+/// the fault-free `golden` stop. A distance deviation within maskToleranceM
+/// is masked; no stop, or one beyond the golden distance +
+/// missedStopMarginM, is a missed stop. The fuzzer's verdicts use it too.
+[[nodiscard]] SystemOutcome classifyStop(const bbw::BbwSimResult& golden,
+                                         const bbw::BbwSimResult& run, double maskToleranceM,
+                                         double missedStopMarginM);
+
 /// One experiment: runs the scenario against the golden stop and classifies
 /// the system-level outcome. MachineTransient scenarios also return the
 /// node-level counts of the machine experiment behind the injection.

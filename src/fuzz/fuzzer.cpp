@@ -101,14 +101,18 @@ FuzzReport runFuzzer(const FuzzConfig& config) {
     // the sequential fold below.
     const std::vector<CorpusEntry> snapshot = report.corpus.entries();
 
-    const RoundStats stats = exec::runChunkedCampaign<RoundStats>(
-        batch, roundSeed(config.seed, report.rounds), config.parallelism, "nlft-fuzz",
-        [&](util::Rng& rng, RoundStats& roundStats) {
-          RoundItem item;
-          item.scenario = generateScenario(rng, snapshot, config);
-          item.verdict = evaluateScenario(item.scenario, oracle, &cache);
-          roundStats.items.push_back(std::move(item));
-        });
+    const RoundStats stats =
+        exec::runChunkedCampaign<RoundStats>(
+            batch, roundSeed(config.seed, report.rounds), config.parallelism, "nlft-fuzz",
+            [&](util::Rng& rng, std::size_t count, RoundStats& roundStats) {
+              for (std::size_t i = 0; i < count; ++i) {
+                RoundItem item;
+                item.scenario = generateScenario(rng, snapshot, config);
+                item.verdict = evaluateScenario(item.scenario, oracle, &cache);
+                roundStats.items.push_back(std::move(item));
+              }
+            })
+            .stats;
 
     // Sequential fold in deterministic (chunk, item) order.
     for (const RoundItem& item : stats.items) {

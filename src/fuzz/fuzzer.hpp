@@ -3,8 +3,8 @@
 // The search runs in ROUNDS. Within a round the corpus is FROZEN: a batch of
 // scenarios is generated (fresh random draws, or mutations of snapshot
 // entries once the corpus is non-empty) and executed on
-// exec::runChunkedCampaign — generation happens inside runOne from the
-// chunk's forked Rng against the frozen snapshot, and the per-chunk result
+// exec::runChunkedCampaign — generation happens inside the chunk body from
+// the chunk's forked Rng against the frozen snapshot, and the per-chunk result
 // lists merge in chunk order, so the full round outcome is a pure function
 // of (seed, round, chunkSize) at ANY thread count. Between rounds the merged
 // results are folded into the corpus and novelty map sequentially, in that

@@ -51,33 +51,6 @@ void applyEvent(BbwSystemSim& sim, const ScheduleEvent& event) {
   return sim.run();
 }
 
-[[nodiscard]] std::uint64_t omissionCount(const BbwSimResult& result) {
-  std::uint64_t total = result.commandsOmitted;
-  for (const std::uint64_t omissions : result.wheelOmissions) total += omissions;
-  return total;
-}
-
-/// Mirrors the fi:: system-campaign oracle (docs/SYSTEM_FI.md) so fuzzer
-/// outcome classes reconcile with campaign statistics.
-[[nodiscard]] fi::SystemOutcome classifyOutcome(const OracleConfig& config,
-                                                const BbwSimResult& golden,
-                                                const BbwSimResult& run) {
-  if (!run.stopped ||
-      run.stoppingDistanceM > golden.stoppingDistanceM + config.missedStopMarginM) {
-    return fi::SystemOutcome::MissedStop;
-  }
-  if (run.undetectedValueDeliveries > 0) return fi::SystemOutcome::ValueFailure;
-  if (run.failSilentEvents > 0) return fi::SystemOutcome::FailSilentDegradation;
-  if (omissionCount(run) > omissionCount(golden) ||
-      run.busFramesDropped > golden.busFramesDropped) {
-    return fi::SystemOutcome::OmissionDegradation;
-  }
-  if (std::abs(run.stoppingDistanceM - golden.stoppingDistanceM) > config.maskToleranceM) {
-    return fi::SystemOutcome::OmissionDegradation;
-  }
-  return fi::SystemOutcome::Masked;
-}
-
 [[nodiscard]] std::size_t bucketOf(double value, std::initializer_list<double> edges) {
   std::size_t bucket = 0;
   for (const double edge : edges) {
@@ -109,8 +82,10 @@ void applyEvent(BbwSystemSim& sim, const ScheduleEvent& event) {
   const double delta = std::abs(run.stoppingDistanceM - golden.stoppingDistanceM);
   sig.distanceBucket =
       bucketOf(delta, {config.maskToleranceM, 2.0, 5.0, config.missedStopMarginM});
+  const std::uint64_t runOmissions = fi::omissionCount(run);
+  const std::uint64_t goldenOmissions = fi::omissionCount(golden);
   const std::uint64_t extraOmissions =
-      omissionCount(run) > omissionCount(golden) ? omissionCount(run) - omissionCount(golden) : 0;
+      runOmissions > goldenOmissions ? runOmissions - goldenOmissions : 0;
   sig.omissionBucket = static_cast<std::size_t>(std::min<std::uint64_t>(extraOmissions, 3));
   const std::uint64_t extraDrops = run.busFramesDropped > golden.busFramesDropped
                                        ? run.busFramesDropped - golden.busFramesDropped
@@ -233,7 +208,8 @@ ScenarioVerdict evaluateScenario(const Scenario& scenario, const OracleConfig& c
   const std::string fingerprint = metrics.goldenFingerprint();
   verdict.stoppingDistanceM = run.stoppingDistanceM;
   verdict.e2eMaxUs = metrics.gauge("e2e.latency.max_us");
-  verdict.outcome = classifyOutcome(config, golden, run);
+  verdict.outcome =
+      fi::classifyStop(golden, run, config.maskToleranceM, config.missedStopMarginM);
   verdict.signature = makeSignature(config, scenario, golden, run, verdict.outcome);
 
   // diff.e2e-bound: the static verifier's sample->apply bound must dominate
@@ -272,7 +248,8 @@ ScenarioVerdict evaluateScenario(const Scenario& scenario, const OracleConfig& c
     if (fsGolden.stopped) {
       const BbwSimResult fsRun =
           runScenarioSim(fsParams, scenario.events, config.horizonUs);
-      const fi::SystemOutcome fsOutcome = classifyOutcome(config, fsGolden, fsRun);
+      const fi::SystemOutcome fsOutcome =
+          fi::classifyStop(fsGolden, fsRun, config.maskToleranceM, config.missedStopMarginM);
       if (outcomeSeverity(verdict.outcome) > outcomeSeverity(fsOutcome)) {
         verdict.violations.push_back(
             {"meta.tem-monotone",

@@ -246,8 +246,17 @@ class Parser {
     skipWhitespace();
     const char c = peek();
     switch (c) {
-      case '{': return parseObject();
-      case '[': return parseArray();
+      case '{':
+      case '[': {
+        // The parser recurses per level: bound it before hostile input can
+        // exhaust the stack.
+        if (++depth_ > kJsonMaxDepth) {
+          fail("nesting deeper than " + std::to_string(kJsonMaxDepth) + " levels");
+        }
+        JsonValue nested = c == '{' ? parseObject() : parseArray();
+        --depth_;
+        return nested;
+      }
       case '"': return JsonValue::string(parseString());
       case 't':
         if (!consumeLiteral("true")) fail("bad literal");
@@ -397,6 +406,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< arrays and objects open at pos_
 };
 
 }  // namespace

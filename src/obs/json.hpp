@@ -11,6 +11,7 @@
 // third-party dependency the container does not have.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -75,8 +76,12 @@ class JsonValue {
   std::map<std::string, JsonValue> object_;
 };
 
+/// Deepest nesting of arrays and objects parseJson accepts.
+inline constexpr std::size_t kJsonMaxDepth = 256;
+
 /// Parses a JSON document; throws std::runtime_error with a byte offset on
-/// malformed input. Accepts exactly one top-level value.
+/// malformed input or nesting deeper than kJsonMaxDepth. Accepts exactly one
+/// top-level value.
 [[nodiscard]] JsonValue parseJson(const std::string& text);
 
 }  // namespace nlft::obs

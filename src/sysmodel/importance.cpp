@@ -124,16 +124,18 @@ IsReliabilityResult estimateReliabilityIs(const SystemSpec& spec, const MonteCar
     };
   }
 
-  const auto run = exec::runStoppableChunkedCampaign<IsChunk>(
+  const auto run = exec::runChunkedCampaign<IsChunk>(
       config.trials, config.seed, config.parallelism, "estimateReliabilityIs",
-      [&](util::Rng& rng, IsChunk& acc) {
-        if (acc.weightedFailure.empty()) acc.weightedFailure.resize(checkpointCount);
-        const BiasedLifetimeSample sample = simulateLifetimeBiased(spec, horizon, rng, bias);
-        for (std::size_t c = 0; c < checkpointCount; ++c) {
-          const bool failed = sample.failedAt < config.checkpointHours[c];
-          acc.weightedFailure[c].add(failed ? sample.weight : 0.0);
+      [&](util::Rng& rng, std::size_t count, IsChunk& acc) {
+        acc.weightedFailure.resize(checkpointCount);
+        for (std::size_t i = 0; i < count; ++i) {
+          const BiasedLifetimeSample sample = simulateLifetimeBiased(spec, horizon, rng, bias);
+          for (std::size_t c = 0; c < checkpointCount; ++c) {
+            const bool failed = sample.failedAt < config.checkpointHours[c];
+            acc.weightedFailure[c].add(failed ? sample.weight : 0.0);
+          }
+          acc.diagnostics.add(sample.failedAt < horizon ? 1.0 : 0.0, sample.weight);
         }
-        acc.diagnostics.add(sample.failedAt < horizon ? 1.0 : 0.0, sample.weight);
       },
       rule, config.cancel, config.onProgress);
 
@@ -189,13 +191,18 @@ MttfIsEstimate estimateMttfIs(const SystemSpec& spec, std::size_t trials, std::u
                               const exec::Parallelism& parallelism) {
   validateBias(bias);
   const double effectivelyForever = std::numeric_limits<double>::infinity();
-  const MttfIsChunk merged = exec::runChunkedCampaign<MttfIsChunk>(
-      trials, seed, parallelism, "estimateMttfIs", [&](util::Rng& rng, MttfIsChunk& acc) {
-        const BiasedLifetimeSample sample =
-            simulateLifetimeBiased(spec, effectivelyForever, rng, bias);
-        acc.weightedLifetimes.add(sample.weight * sample.failedAt);
-        acc.diagnostics.add(sample.failedAt, sample.weight);
-      });
+  const MttfIsChunk merged =
+      exec::runChunkedCampaign<MttfIsChunk>(
+          trials, seed, parallelism, "estimateMttfIs",
+          [&](util::Rng& rng, std::size_t count, MttfIsChunk& acc) {
+            for (std::size_t i = 0; i < count; ++i) {
+              const BiasedLifetimeSample sample =
+                  simulateLifetimeBiased(spec, effectivelyForever, rng, bias);
+              acc.weightedLifetimes.add(sample.weight * sample.failedAt);
+              acc.diagnostics.add(sample.failedAt, sample.weight);
+            }
+          })
+          .stats;
   MttfIsEstimate estimate;
   estimate.weightedLifetimes = merged.weightedLifetimes;
   estimate.weightDiagnostics = merged.diagnostics;

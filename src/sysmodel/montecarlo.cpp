@@ -57,17 +57,19 @@ MonteCarloResult estimateReliability(const SystemSpec& spec, const MonteCarloCon
     };
   }
 
-  const auto run = exec::runStoppableChunkedCampaign<ReliabilityChunk>(
+  const auto run = exec::runChunkedCampaign<ReliabilityChunk>(
       config.trials, config.seed, config.parallelism, "estimateReliability",
-      [&](util::Rng& rng, ReliabilityChunk& acc) {
-        if (acc.survivors.empty()) acc.survivors.assign(checkpointCount, 0);
-        const double failedAt = simulateLifetime(spec, horizon, rng);
-        if (failedAt < horizon) {
-          ++acc.failures;
-          acc.failureTimes.add(failedAt);
-        }
-        for (std::size_t c = 0; c < checkpointCount; ++c) {
-          if (failedAt >= config.checkpointHours[c]) ++acc.survivors[c];
+      [&](util::Rng& rng, std::size_t count, ReliabilityChunk& acc) {
+        acc.survivors.assign(checkpointCount, 0);
+        for (std::size_t i = 0; i < count; ++i) {
+          const double failedAt = simulateLifetime(spec, horizon, rng);
+          if (failedAt < horizon) {
+            ++acc.failures;
+            acc.failureTimes.add(failedAt);
+          }
+          for (std::size_t c = 0; c < checkpointCount; ++c) {
+            if (failedAt >= config.checkpointHours[c]) ++acc.survivors[c];
+          }
         }
       },
       rule, config.cancel, config.onProgress);
@@ -119,10 +121,12 @@ util::RunningStats estimateMttf(const SystemSpec& spec, std::size_t trials, std:
   const double effectivelyForever = std::numeric_limits<double>::infinity();
   return exec::runChunkedCampaign<MttfChunk>(
              trials, seed, parallelism, "estimateMttf",
-             [&](util::Rng& rng, MttfChunk& acc) {
-               acc.lifetimes.add(simulateLifetime(spec, effectivelyForever, rng));
+             [&](util::Rng& rng, std::size_t count, MttfChunk& acc) {
+               for (std::size_t i = 0; i < count; ++i) {
+                 acc.lifetimes.add(simulateLifetime(spec, effectivelyForever, rng));
+               }
              })
-      .lifetimes;
+      .stats.lifetimes;
 }
 
 }  // namespace nlft::sys

@@ -6,11 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <numeric>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
-#include "exec/pool.hpp"
 #include "faults/campaign.hpp"
 #include "hw/assembler.hpp"
 #include "sysmodel/montecarlo.hpp"
@@ -18,42 +21,6 @@
 
 namespace nlft {
 namespace {
-
-// --- ThreadPool ------------------------------------------------------------
-
-TEST(ThreadPool, RunsEverySubmittedTask) {
-  exec::ThreadPool pool{4};
-  EXPECT_EQ(pool.size(), 4u);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&](unsigned) { counter.fetch_add(1); });
-  }
-  pool.wait();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, WorkerIndicesAreWithinRange) {
-  exec::ThreadPool pool{3};
-  std::atomic<bool> outOfRange{false};
-  for (int i = 0; i < 60; ++i) {
-    pool.submit([&](unsigned worker) {
-      if (worker >= 3) outOfRange.store(true);
-    });
-  }
-  pool.wait();
-  EXPECT_FALSE(outOfRange.load());
-}
-
-TEST(ThreadPool, WaitIsReusable) {
-  exec::ThreadPool pool{2};
-  std::atomic<int> counter{0};
-  pool.submit([&](unsigned) { counter.fetch_add(1); });
-  pool.wait();
-  EXPECT_EQ(counter.load(), 1);
-  pool.submit([&](unsigned) { counter.fetch_add(1); });
-  pool.wait();
-  EXPECT_EQ(counter.load(), 2);
-}
 
 // --- forEachChunk ----------------------------------------------------------
 
@@ -107,12 +74,10 @@ TEST(ForEachChunk, ProgressReportsCompleteRun) {
   exec::Parallelism par;
   par.threads = 2;
   par.chunkSize = 50;
-  exec::ProgressOptions progress;
-  progress.minIntervalSeconds = 0.0;
   std::size_t lastCompleted = 0;
   std::size_t callbacks = 0;
   std::size_t workers = 0;
-  progress.callback = [&](const exec::ProgressSnapshot& snapshot) {
+  const exec::ProgressFn progress = [&](const exec::ProgressSnapshot& snapshot) {
     lastCompleted = snapshot.completedItems;
     workers = snapshot.perWorkerItems.size();
     EXPECT_EQ(snapshot.totalItems, 1000u);
@@ -122,6 +87,34 @@ TEST(ForEachChunk, ProgressReportsCompleteRun) {
   EXPECT_GT(callbacks, 0u);
   EXPECT_EQ(lastCompleted, 1000u);  // final callback always fires
   EXPECT_EQ(workers, 2u);
+}
+
+TEST(ForEachChunk, LowestThrowingChunkReachesTheCaller) {
+  // Chunks 3 and 7 of 10 throw; chunk 3 is slow, so with several workers
+  // chunk 7 usually throws first. Chunks are claimed in index order, so
+  // chunk 3 always runs and its exception is the one a serial run throws.
+  for (unsigned threads : {1u, 2u, 8u}) {
+    exec::Parallelism par;
+    par.threads = threads;
+    par.chunkSize = 10;
+    std::atomic<std::size_t> ran{0};
+    try {
+      exec::forEachChunk(100, par, [&](const exec::ChunkRange& range, unsigned) {
+        ran.fetch_add(1);
+        if (range.index == 3) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        if (range.index == 3 || range.index == 7) {
+          throw std::runtime_error("chunk " + std::to_string(range.index));
+        }
+      });
+      ADD_FAILURE() << "no exception at threads=" << threads;
+    } catch (const std::runtime_error& error) {
+      EXPECT_STREQ(error.what(), "chunk 3") << "threads=" << threads;
+    }
+    EXPECT_GE(ran.load(), 4u) << "threads=" << threads;
+    if (threads == 1) {
+      EXPECT_EQ(ran.load(), 4u);  // nothing runs past the throw
+    }
+  }
 }
 
 // --- mergeable statistics --------------------------------------------------
@@ -248,6 +241,20 @@ TEST(ParallelMonteCarlo, MttfBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(actual.variance(), expected.variance());
     EXPECT_EQ(actual.min(), expected.min());
     EXPECT_EQ(actual.max(), expected.max());
+  }
+}
+
+TEST(ParallelMonteCarlo, TrialErrorReachesTheCallerAtEveryThreadCount) {
+  sys::MonteCarloConfig config;
+  config.trials = 4000;
+  config.seed = 11;
+  config.checkpointHours = {8760.0};
+  for (unsigned threads : {1u, 2u, 8u}) {
+    config.parallelism.threads = threads;
+    // No groups: every trial's lifetime simulation rejects the spec.
+    EXPECT_THROW((void)sys::estimateReliability(sys::SystemSpec{}, config),
+                 std::invalid_argument)
+        << "threads=" << threads;
   }
 }
 

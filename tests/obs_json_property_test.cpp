@@ -12,11 +12,14 @@
 //     round-trip formatting), non-finite doubles serialise as null;
 //   * strings survive arbitrary escapes and control characters;
 //   * malformed input is REJECTED with std::runtime_error, never parsed
-//     into something plausible.
+//     into something plausible;
+//   * nesting deeper than kJsonMaxDepth is rejected the same way, however
+//     deep, instead of exhausting the parser's stack.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -200,6 +203,36 @@ TEST(ObsJsonProperty, DeepNestingRoundTrips) {
   }
   const std::string compact = value.dump();
   EXPECT_EQ(parseJson(compact).dump(), compact);
+}
+
+/// The openings of `depth` nested arrays (or single-key objects), in the
+/// normal form dump() writes.
+std::string opening(std::size_t depth, bool objects) {
+  std::string text;
+  for (std::size_t i = 0; i < depth; ++i) text += objects ? "{\"k\": " : "[";
+  return text;
+}
+
+/// `depth` levels of nested arrays (or single-key objects) around 7.
+std::string nested(std::size_t depth, bool objects) {
+  return opening(depth, objects) + "7" + std::string(depth, objects ? '}' : ']');
+}
+
+TEST(ObsJsonProperty, NestingAtTheLimitRoundTrips) {
+  for (const bool objects : {false, true}) {
+    const std::string atLimit = nested(kJsonMaxDepth, objects);
+    EXPECT_EQ(parseJson(atLimit).dump(), atLimit);
+    EXPECT_THROW((void)parseJson(nested(kJsonMaxDepth + 1, objects)), std::runtime_error);
+  }
+}
+
+TEST(ObsJsonProperty, HostileNestingIsRejected) {
+  // 100 000 levels used to overflow the recursive-descent parser's stack.
+  for (const bool objects : {false, true}) {
+    EXPECT_THROW((void)parseJson(nested(100000, objects)), std::runtime_error);
+    // Unterminated, as a truncated file would be.
+    EXPECT_THROW((void)parseJson(opening(100000, objects)), std::runtime_error);
+  }
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <stdexcept>
 
 #include "bbw/markov_models.hpp"
 #include "util/rng.hpp"
@@ -64,6 +65,21 @@ TEST(SystemCampaign, BitIdenticalAcrossThreadCounts) {
     config.parallelism.threads = threads;
     const SystemCampaignStats parallel = runSystemCampaign(config);
     expectIdentical(serial, parallel);
+  }
+}
+
+TEST(SystemCampaign, ExperimentErrorReachesTheCallerAtEveryThreadCount) {
+  SystemCampaignConfig config = smallConfig();
+  config.machineTransientWeight = 0.0;
+  config.busCorruptionWeight = 0.0;
+  config.nodeCrashWeight = 0.0;
+  config.correlatedBurstWeight = 0.0;
+  config.parallelism.chunkSize = 8;
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    config.parallelism.threads = threads;
+    // Every experiment's sampler rejects the all-zero weights.
+    EXPECT_THROW((void)runSystemCampaign(config), std::invalid_argument)
+        << "threads=" << threads;
   }
 }
 
