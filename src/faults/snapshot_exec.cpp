@@ -1,6 +1,7 @@
 #include "faults/snapshot_exec.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <utility>
 
@@ -9,11 +10,9 @@
 namespace nlft::fi {
 
 std::uint64_t behaviorDigest(const hw::Machine& machine) {
-  // One multiply per 64-bit lane keeps the digest cheap enough to evaluate
-  // per experiment (a byte-granular hash over 64 KiB of codewords would cost
-  // more than re-executing a short guest program). A single differing lane
-  // can never cancel, and multi-lane cancellation is vanishingly unlikely;
-  // the differential suite cross-checks the classifications end to end.
+  // FNV-1a over 64-bit lanes: a single differing lane can never cancel, and
+  // multi-lane cancellation is vanishingly unlikely; the differential suite
+  // cross-checks the classifications end to end.
   util::StateHash digest;
   const hw::CpuState& cpu = machine.cpu();
   for (const std::uint32_t reg : cpu.regs) digest.u64(reg);
@@ -28,7 +27,21 @@ std::uint64_t behaviorDigest(const hw::Machine& machine) {
     digest.u64(static_cast<std::uint64_t>(fault.bit));
     digest.u64(fault.stuckHigh ? 1 : 0);
   }
-  for (const std::uint64_t codeword : machine.memory().rawCodewords()) digest.u64(codeword);
+  // One lane per codeword, in address order. Words clear in the dirty
+  // bitmap hold codeword 0, so each run of them folds in as a power of the
+  // prime: the same value as hashing every codeword, at O(words touched).
+  const std::vector<std::uint64_t>& codewords = machine.memory().rawCodewords();
+  const std::vector<std::uint64_t>& dirty = machine.memory().dirtyWords();
+  std::size_t hashed = 0;  // words folded in so far
+  for (std::size_t i = 0; i < dirty.size(); ++i) {
+    for (std::uint64_t bits = dirty[i]; bits != 0; bits &= bits - 1) {
+      const std::size_t word = 64 * i + static_cast<std::size_t>(std::countr_zero(bits));
+      digest.zeros(word - hashed);
+      digest.u64(codewords[word]);
+      hashed = word + 1;
+    }
+  }
+  digest.zeros(codewords.size() - hashed);
   return digest.finish();
 }
 
@@ -41,7 +54,7 @@ void MachineBaseline::forkAt(std::uint64_t instructions, hw::Machine& scratch) {
     sweepInstructions_ += sweep_->run(instructions - position_).executedInstructions;
     position_ = instructions;
   }
-  scratch = *sweep_;  // direct state copy: the hot fork path never serializes
+  scratch = *sweep_;  // copies the words dirty in either machine; never serializes
   ++resumePoints_;
 }
 

@@ -32,6 +32,9 @@ namespace nlft::fi {
 /// correctedErrors counter behind; the machine then behaves exactly like
 /// the clean one, and the classification still sees the correction because
 /// it reads the counter off the live scratch machine, not the digest.
+/// Costs O(dirty memory words), plus O(log k) multiplies per run of k
+/// clean words, which fold in as powers of the FNV prime: the value is the
+/// one a walk over every codeword gives.
 [[nodiscard]] std::uint64_t behaviorDigest(const hw::Machine& machine);
 
 /// A fast-forwardable baseline: a start-state machine plus a sweep machine
@@ -39,7 +42,8 @@ namespace nlft::fi {
 /// copies the baseline state after exactly `t` instructions into `scratch`.
 /// Campaign chunks fork in nondecreasing `t` order, so the sweep never goes
 /// back, the whole chunk executes the clean prefix at most once per band,
-/// and every fork is a pure in-memory state copy — profiling showed that
+/// and every fork is an in-memory state copy of the memory words dirty in
+/// either machine (hw::EccMemory's bitmap) — profiling showed that
 /// serializing a blob per fork costs ~20x more than interpreting the short
 /// guest programs it would skip.
 class MachineBaseline {

@@ -1,6 +1,7 @@
 #include "hw/machine.hpp"
 
 #include <stdexcept>
+#include <string>
 
 #include "snap/blob.hpp"
 
@@ -359,13 +360,24 @@ void Machine::restoreState(std::span<const std::uint8_t> blob) {
   const bool halted = r.boolean();
   const std::uint64_t executed = r.u64();
   const std::int64_t fetchBit = r.i64();
+  // step() shifts by these values and indexes the register file with them,
+  // so a value outside the range the setters produce is refused here.
+  const auto refuseExec = [](const std::string& what, std::int64_t value) {
+    throw snap::BlobError("snapshot section 'exec': " + what + " " + std::to_string(value) +
+                          " out of range");
+  };
+  if (fetchBit < -1 || fetchBit > 31) refuseExec("fetch-corruption bit", fetchBit);
   const std::uint32_t stuckCount = r.elementCount(2 * 4 + 1);  // reg, bit, polarity
   std::vector<StuckAtFault> stuck;
   stuck.reserve(stuckCount);
   for (std::uint32_t i = 0; i < stuckCount; ++i) {
+    const std::uint32_t reg = r.u32();
+    const std::uint32_t bit = r.u32();
+    if (reg >= static_cast<std::uint32_t>(kRegisterCount)) refuseExec("stuck-at register", reg);
+    if (bit > 31) refuseExec("stuck-at bit", bit);
     StuckAtFault fault;
-    fault.reg = static_cast<int>(r.u32());
-    fault.bit = static_cast<int>(r.u32());
+    fault.reg = static_cast<int>(reg);
+    fault.bit = static_cast<int>(bit);
     fault.stuckHigh = r.boolean();
     stuck.push_back(fault);
   }

@@ -1,9 +1,45 @@
 #include "hw/memory.hpp"
 
+#include <algorithm>
+#include <bit>
+#include <utility>
+
 namespace nlft::hw {
 
-EccMemory::EccMemory(std::uint32_t sizeBytes) : wordCount_{sizeBytes / 4} {
-  codewords_.assign(wordCount_, eccEncode(0));
+// The dirty-word invariant rests on this: a never-touched word, whose
+// codeword is 0, reads as a clean zero.
+static_assert(eccEncode(0) == 0);
+
+namespace {
+
+std::size_t bitmapWords(std::uint32_t wordCount) { return (wordCount + 63u) / 64u; }
+
+}  // namespace
+
+EccMemory::EccMemory(std::uint32_t sizeBytes)
+    : wordCount_{sizeBytes / 4}, codewords_(wordCount_, 0), dirty_(bitmapWords(wordCount_), 0) {}
+
+EccMemory& EccMemory::operator=(const EccMemory& other) {
+  // Keyed on the storage, not wordCount_: a moved-from memory keeps its
+  // word count but not its vectors.
+  if (codewords_.size() != other.codewords_.size() || dirty_.size() != other.dirty_.size()) {
+    codewords_.assign(other.codewords_.size(), 0);
+    dirty_.assign(other.dirty_.size(), 0);
+  }
+  wordCount_ = other.wordCount_;
+  // A word clean on both sides is 0 on both sides; every other word is
+  // copied. Self-assignment copies dirty words onto themselves.
+  for (std::size_t i = 0; i < dirty_.size(); ++i) {
+    for (std::uint64_t pending = dirty_[i] | other.dirty_[i]; pending != 0;
+         pending &= pending - 1) {
+      const std::size_t word = 64 * i + static_cast<std::size_t>(std::countr_zero(pending));
+      codewords_[word] = other.codewords_[word];
+    }
+    dirty_[i] = other.dirty_[i];
+  }
+  correctedErrors_ = other.correctedErrors_;
+  uncorrectableErrors_ = other.uncorrectableErrors_;
+  return *this;
 }
 
 MemoryReadResult EccMemory::read(std::uint32_t address) {
@@ -17,7 +53,8 @@ MemoryReadResult EccMemory::read(std::uint32_t address) {
       result.value = decoded.data;
       break;
     case EccStatus::Corrected:
-      // Scrub on read: store the corrected codeword back.
+      // Scrub on read: store the corrected codeword back (the word held a
+      // nonzero codeword, so it is already dirty).
       codeword = decoded.codeword;
       ++correctedErrors_;
       result.ok = true;
@@ -34,6 +71,7 @@ MemoryReadResult EccMemory::read(std::uint32_t address) {
 bool EccMemory::write(std::uint32_t address, std::uint32_t value) {
   if (!validAddress(address)) return false;
   codewords_[address / 4] = eccEncode(value);
+  markDirty(address / 4);
   return true;
 }
 
@@ -45,6 +83,20 @@ void EccMemory::restoreRaw(std::vector<std::uint64_t> codewords, std::uint64_t c
                            std::uint64_t uncorrectableErrors) {
   wordCount_ = static_cast<std::uint32_t>(codewords.size());
   codewords_ = std::move(codewords);
+  // One bitmap word per 64 codewords. Most blocks of a guest memory are all
+  // zero, and the block's OR (which vectorizes) skips them.
+  dirty_.resize(bitmapWords(wordCount_));
+  for (std::size_t i = 0; i < dirty_.size(); ++i) {
+    const std::size_t first = 64 * i;
+    const std::size_t last = std::min<std::size_t>(first + 64, wordCount_);
+    std::uint64_t any = 0;
+    for (std::size_t word = first; word < last; ++word) any |= codewords_[word];
+    std::uint64_t bits = 0;
+    for (std::size_t word = first; any != 0 && word < last; ++word) {
+      bits |= static_cast<std::uint64_t>(codewords_[word] != 0) << (word - first);
+    }
+    dirty_[i] = bits;
+  }
   correctedErrors_ = correctedErrors;
   uncorrectableErrors_ = uncorrectableErrors;
 }
@@ -72,6 +124,7 @@ std::uint32_t EccMemory::scrub() {
 bool EccMemory::flipBit(std::uint32_t address, int bitIndex) {
   if (!validAddress(address) || bitIndex < 0 || bitIndex >= kEccCodewordBits) return false;
   codewords_[address / 4] ^= 1ULL << bitIndex;
+  markDirty(address / 4);
   return true;
 }
 

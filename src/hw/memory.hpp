@@ -5,6 +5,11 @@
 // double-bit upsets raise an uncorrectable-ECC error that the machine turns
 // into a bus-error exception. Fault injectors flip raw codeword bits, so
 // parity bits are exposed to faults exactly like data bits.
+//
+// A dirty-word bitmap records every word that may hold a nonzero codeword.
+// Since eccEncode(0) == 0, a word whose bit is clear holds codeword 0, so
+// copy assignment (every machine fork) and fi::behaviorDigest cost
+// O(words touched), not O(memory size).
 #pragma once
 
 #include <cstdint>
@@ -26,6 +31,13 @@ class EccMemory {
   /// Creates a memory of `sizeBytes` (rounded down to whole words), zeroed.
   explicit EccMemory(std::uint32_t sizeBytes);
 
+  EccMemory(const EccMemory&) = default;
+  EccMemory(EccMemory&&) = default;
+  /// Copies only the words dirty on either side, then the bitmap; a size
+  /// change first resets this memory to all-clean words of the new size.
+  EccMemory& operator=(const EccMemory& other);
+  EccMemory& operator=(EccMemory&&) = default;
+
   [[nodiscard]] std::uint32_t sizeBytes() const { return wordCount_ * 4; }
   [[nodiscard]] std::uint32_t wordCount() const { return wordCount_; }
 
@@ -43,9 +55,16 @@ class EccMemory {
   /// The whole codeword array, raw (for machine snapshots and state digests).
   [[nodiscard]] const std::vector<std::uint64_t>& rawCodewords() const { return codewords_; }
 
+  /// The dirty-word bitmap: bit `w % 64` of element `w / 64` is set once
+  /// word `w` is written, flipped or restored nonzero; only restoreRaw()
+  /// and copy assignment clear bits. A clear bit guarantees
+  /// `rawCodeword(w) == 0`.
+  [[nodiscard]] const std::vector<std::uint64_t>& dirtyWords() const { return dirty_; }
+
   /// Restores the exact raw state captured by a snapshot: one codeword per
   /// word (resizing the memory to match) plus both error counters. Latent
-  /// upsets present at save time come back latent.
+  /// upsets present at save time come back latent. The bitmap is rebuilt
+  /// from the nonzero codewords.
   void restoreRaw(std::vector<std::uint64_t> codewords, std::uint64_t correctedErrors,
                   std::uint64_t uncorrectableErrors);
 
@@ -70,8 +89,11 @@ class EccMemory {
   }
 
  private:
+  void markDirty(std::uint32_t word) { dirty_[word / 64] |= 1ULL << (word % 64); }
+
   std::uint32_t wordCount_;
   std::vector<std::uint64_t> codewords_;
+  std::vector<std::uint64_t> dirty_;  ///< one bit per word, see dirtyWords()
   std::uint64_t correctedErrors_ = 0;
   std::uint64_t uncorrectableErrors_ = 0;
 };

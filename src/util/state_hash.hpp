@@ -17,13 +17,23 @@ namespace nlft::util {
 struct StateHash {
   std::uint64_t hash = 1469598103934665603ull;
 
+  static constexpr std::uint64_t kPrime = 1099511628211ull;
+
   void u64(std::uint64_t value) {
     hash ^= value;
-    hash *= 1099511628211ull;
+    hash *= kPrime;
   }
   void i64(std::int64_t value) { u64(static_cast<std::uint64_t>(value)); }
   void f64(double value) { u64(std::bit_cast<std::uint64_t>(value)); }
   void boolean(bool value) { u64(value ? 1 : 0); }
+  /// Folds in `count` zero lanes, equal to `count` calls of u64(0): a zero
+  /// lane only multiplies by the prime, so this multiplies by its
+  /// `count`-th power (square-and-multiply, O(log count)).
+  void zeros(std::uint64_t count) {
+    for (std::uint64_t power = kPrime; count != 0; count >>= 1, power *= power) {
+      if (count & 1) hash *= power;
+    }
+  }
   [[nodiscard]] std::uint64_t finish() const {
     std::uint64_t x = hash;
     x ^= x >> 30;

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "util/rng.hpp"
 
 namespace nlft::hw {
@@ -159,6 +164,140 @@ TEST(EccMemory, RandomisedUpsetSweep) {
       ASSERT_EQ(r.value, value);
     }
   }
+}
+
+// Differential test of the dirty-word bitmap: random operation sequences on
+// three memories (two of 256 words, one of 100 words, which is not a
+// multiple of 64) against plain codeword vectors. After every operation the
+// bitmap invariant holds (a clear bit means a zero codeword), and the raw
+// codewords and error counters equal the model's.
+struct ModelledMemory {
+  explicit ModelledMemory(std::uint32_t words) : memory{4 * words}, codewords(words, 0) {}
+
+  EccMemory memory;
+  std::vector<std::uint64_t> codewords;
+  std::uint64_t corrected = 0;
+  std::uint64_t uncorrectable = 0;
+
+  /// What a read or scrub of `word` does to the model.
+  EccDecodeResult decodeInModel(std::uint32_t word) {
+    const EccDecodeResult decoded = eccDecode(codewords[word]);
+    if (decoded.status == EccStatus::Corrected) {
+      codewords[word] = decoded.codeword;
+      ++corrected;
+    } else if (decoded.status == EccStatus::Uncorrectable) {
+      ++uncorrectable;
+    }
+    return decoded;
+  }
+};
+
+void expectMatchesModel(const ModelledMemory& m) {
+  const std::vector<std::uint64_t>& dirty = m.memory.dirtyWords();
+  ASSERT_EQ(dirty.size(), (m.codewords.size() + 63) / 64);
+  for (std::uint32_t word = 0; word < m.memory.wordCount(); ++word) {
+    const bool isDirty = (dirty[word / 64] >> (word % 64)) & 1u;
+    ASSERT_TRUE(isDirty || m.memory.rawCodeword(word) == 0) << "clean word " << word << " is nonzero";
+  }
+  // Bitmap bits past the last word stay clear.
+  if (m.codewords.size() % 64 != 0) {
+    ASSERT_EQ(dirty.back() >> (m.codewords.size() % 64), 0u);
+  }
+  ASSERT_EQ(m.memory.rawCodewords(), m.codewords);
+  ASSERT_EQ(m.memory.correctedErrors(), m.corrected);
+  ASSERT_EQ(m.memory.uncorrectableErrors(), m.uncorrectable);
+}
+
+TEST(EccMemory, DirtyWordBitmapMatchesPlainModel) {
+  util::Rng rng{2024};
+  std::array<ModelledMemory, 3> memories{ModelledMemory{256}, ModelledMemory{256},
+                                         ModelledMemory{100}};
+  for (int step = 0; step < 20000; ++step) {
+    ModelledMemory& m = memories[rng.uniformInt(memories.size())];
+    const auto words = static_cast<std::uint32_t>(m.codewords.size());
+    // Words cluster low, as guest programs do, so many stay clean.
+    const auto word = static_cast<std::uint32_t>(rng.uniformInt(rng.bernoulli(0.8) ? 8 : words));
+    switch (rng.uniformInt(7)) {
+      case 0: {
+        const auto value = rng.bernoulli(0.2) ? 0u : static_cast<std::uint32_t>(rng.next());
+        ASSERT_TRUE(m.memory.write(4 * word, value));
+        m.codewords[word] = eccEncode(value);
+        break;
+      }
+      case 1: {
+        const int bitIndex = static_cast<int>(rng.uniformInt(kEccCodewordBits));
+        ASSERT_TRUE(m.memory.flipBit(4 * word, bitIndex));
+        m.codewords[word] ^= 1ULL << bitIndex;
+        break;
+      }
+      case 2: {
+        const MemoryReadResult read = m.memory.read(4 * word);
+        const EccDecodeResult expected = m.decodeInModel(word);
+        ASSERT_EQ(read.ok, expected.status != EccStatus::Uncorrectable);
+        ASSERT_EQ(read.corrected, expected.status == EccStatus::Corrected);
+        if (read.ok) {
+          ASSERT_EQ(read.value, expected.data);
+        }
+        break;
+      }
+      case 3: {
+        std::uint32_t expected = 0;
+        for (std::uint32_t w = 0; w < words; ++w) {
+          if (m.decodeInModel(w).status == EccStatus::Corrected) ++expected;
+        }
+        ASSERT_EQ(m.memory.scrub(), expected);
+        break;
+      }
+      case 4: {
+        // A restore may also change the size, and may carry codeword bits
+        // above bit 38 (the blob format does not forbid them).
+        std::vector<std::uint64_t> raw(rng.bernoulli(0.5) ? words : 64 + rng.uniformInt(200), 0);
+        for (std::uint64_t& codeword : raw) {
+          if (rng.bernoulli(0.1)) codeword = rng.next() >> rng.uniformInt(40);
+        }
+        m.codewords = raw;
+        m.corrected = rng.uniformInt(5);
+        m.uncorrectable = rng.uniformInt(5);
+        m.memory.restoreRaw(std::move(raw), m.corrected, m.uncorrectable);
+        break;
+      }
+      default: {
+        // Copy assignment in every direction, including self-assignment and
+        // the size-changing copies between the 256- and 100-word memories.
+        const ModelledMemory& source = memories[rng.uniformInt(memories.size())];
+        m.memory = source.memory;
+        m.codewords = source.codewords;
+        m.corrected = source.corrected;
+        m.uncorrectable = source.uncorrectable;
+        break;
+      }
+    }
+    for (const ModelledMemory& checked : memories) {
+      expectMatchesModel(checked);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(EccMemory, CopiesAndMovesKeepTheBitmap) {
+  EccMemory source{1024};
+  source.write(4, 7);
+  source.flipBit(900, 3);
+  const EccMemory copied{source};
+  EXPECT_EQ(copied.rawCodewords(), source.rawCodewords());
+  EXPECT_EQ(copied.dirtyWords(), source.dirtyWords());
+  EccMemory temporary{source};
+  const EccMemory moved{std::move(temporary)};
+  EXPECT_EQ(moved.rawCodewords(), source.rawCodewords());
+  EXPECT_EQ(moved.dirtyWords(), source.dirtyWords());
+  temporary = source;  // a moved-from memory takes a copy like any other
+  EXPECT_EQ(temporary.rawCodewords(), source.rawCodewords());
+  EXPECT_EQ(temporary.dirtyWords(), source.dirtyWords());
+  EXPECT_EQ(temporary.read(4).value, 7u);
+  EccMemory assigned{64};
+  assigned = EccMemory{source};
+  EXPECT_EQ(assigned.rawCodewords(), source.rawCodewords());
+  EXPECT_EQ(assigned.dirtyWords(), source.dirtyWords());
 }
 
 }  // namespace

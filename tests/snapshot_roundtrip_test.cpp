@@ -10,7 +10,10 @@
 //     misparsed;
 //   - a blob of the wrong KIND (machine vs system) is refused;
 //   - an element count larger than its section can hold is refused with a
-//     BlobError before anything is allocated for it;
+//     BlobError before anything is allocated for it, and so are exec-section
+//     values that step() would shift by or index with;
+//   - fi::behaviorDigest, which skips words clear in the dirty bitmap,
+//     equals a digest that hashes every codeword;
 //   - fi::runTracedCopy verifies the reconstructed machine against the
 //     campaign baseline snapshot and throws on drift (regression for the
 //     silent-drift hazard).
@@ -20,6 +23,7 @@
 #include <functional>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -30,6 +34,7 @@
 #include "hw/machine.hpp"
 #include "snap/blob.hpp"
 #include "util/rng.hpp"
+#include "util/state_hash.hpp"
 
 namespace nlft {
 namespace {
@@ -264,6 +269,150 @@ TEST(SnapshotRoundtrip, HostileElementCountsAreRefused) {
   const std::vector<std::uint8_t> systemBlob = w.finish();
   BbwSystemSim fresh{BbwSimConfig{}};
   expectBlobErrorNaming([&] { fresh.restoreState(systemBlob); }, "inject");
+}
+
+/// A CRC-valid machine blob of 256 zero words whose exec section carries
+/// `fetchBit` and one stuck-at fault on (`reg`, `bit`).
+std::vector<std::uint8_t> execValuesBlob(std::int64_t fetchBit, std::uint32_t reg,
+                                         std::uint32_t bit) {
+  snap::BlobWriter w{snap::kMachineSnapshot, hw::kMachineStateVersion};
+  w.beginSection("cpu");
+  w.u32Vec(hw::CpuState{}.regs);
+  w.u32(0);
+  w.boolean(false);
+  w.boolean(false);
+  w.endSection();
+  w.beginSection("mem");
+  w.u64Vec(std::vector<std::uint64_t>(256, 0));
+  w.u64(0);
+  w.u64(0);
+  w.endSection();
+  w.beginSection("mmu");
+  w.boolean(false);
+  w.u32(0);
+  w.u64(0);
+  w.u32(0);
+  w.endSection();
+  w.beginSection("exec");
+  w.boolean(false);
+  w.u64(0);
+  w.i64(fetchBit);
+  w.u32(1);
+  w.u32(reg);
+  w.u32(bit);
+  w.boolean(true);
+  w.endSection();
+  return w.finish();
+}
+
+TEST(SnapshotRoundtrip, HostileExecValuesAreRefused) {
+  using ExecValues = std::tuple<std::int64_t, std::uint32_t, std::uint32_t>;
+  // The extremes the setters can produce restore and execute.
+  const ExecValues extremes[] = {{-1, 0, 0}, {31, 15, 31}};
+  for (const auto& [fetchBit, reg, bit] : extremes) {
+    hw::Machine machine{1024};
+    machine.restoreState(execValuesBlob(fetchBit, reg, bit));
+    (void)machine.step();
+  }
+  // Values step() would shift by or index with: refused before the machine
+  // changes, naming the section.
+  const ExecValues hostile[] = {
+      {40, 0, 0},          // fetch-corruption bit past the word
+      {-2, 0, 0},          // below the "none armed" marker
+      {-1, 1000000, 0},    // stuck-at register outside the register file
+      {-1, 0xFFFFFFFFu, 0},  // a negative register
+      {-1, 0, 77},         // stuck-at bit past the word
+  };
+  for (const auto& [fetchBit, reg, bit] : hostile) {
+    SCOPED_TRACE(std::to_string(fetchBit) + "/" + std::to_string(reg) + "/" + std::to_string(bit));
+    hw::Machine machine{1024};
+    const std::vector<std::uint8_t> before = machine.saveState();
+    expectBlobErrorNaming([&] { machine.restoreState(execValuesBlob(fetchBit, reg, bit)); },
+                          "exec");
+    EXPECT_EQ(machine.saveState(), before);
+  }
+}
+
+TEST(SnapshotRoundtrip, StateHashZerosEqualsZeroLanes) {
+  util::Rng rng{0x2e505ULL};
+  const std::vector<std::uint64_t> counts = {0, 1, 2, 3, 63, 64, 65, 1000, 16384,
+                                             rng.uniformInt(100000)};
+  for (const std::uint64_t count : counts) {
+    util::StateHash skipped;
+    skipped.u64(rng.next());
+    util::StateHash walked = skipped;
+    skipped.zeros(count);
+    for (std::uint64_t i = 0; i < count; ++i) walked.u64(0);
+    EXPECT_EQ(skipped.hash, walked.hash) << count;
+  }
+}
+
+/// fi::behaviorDigest's reference: the same lanes, with every codeword
+/// hashed one by one instead of skipping the clean words.
+std::uint64_t fullWalkDigest(const hw::Machine& machine) {
+  util::StateHash digest;
+  const hw::CpuState& cpu = machine.cpu();
+  for (const std::uint32_t reg : cpu.regs) digest.u64(reg);
+  digest.u64(cpu.pc);
+  digest.u64((cpu.flagZero ? 1u : 0u) | (cpu.flagNegative ? 2u : 0u) |
+             (machine.halted() ? 4u : 0u));
+  digest.u64(static_cast<std::uint64_t>(
+      static_cast<std::int64_t>(machine.armedFetchCorruptionBit())));
+  digest.u64(machine.stuckAtFaults().size());
+  for (const hw::StuckAtFault& fault : machine.stuckAtFaults()) {
+    digest.u64(static_cast<std::uint64_t>(fault.reg));
+    digest.u64(static_cast<std::uint64_t>(fault.bit));
+    digest.u64(fault.stuckHigh ? 1 : 0);
+  }
+  for (const std::uint64_t codeword : machine.memory().rawCodewords()) digest.u64(codeword);
+  return digest.finish();
+}
+
+TEST(SnapshotRoundtrip, BehaviorDigestEqualsFullMemoryWalk) {
+  // Random machine-level operations on two guest machines and one of 100
+  // words (not a multiple of 64): after each, on every machine, clean words
+  // hold zero and the bitmap-walking digest equals the full walk.
+  util::Rng rng{0xd1e57ULL};
+  const fi::TaskImage image = bbw::guestPrograms().front().makeNominalImage();
+  std::vector<hw::Machine> machines{randomizedMachine(image, rng), randomizedMachine(image, rng),
+                                    hw::Machine{400}};
+  for (int step = 0; step < 1500; ++step) {
+    hw::Machine& machine = machines[rng.uniformInt(machines.size())];
+    hw::EccMemory& memory = machine.memory();
+    const auto word = static_cast<std::uint32_t>(rng.uniformInt(memory.wordCount()));
+    switch (rng.uniformInt(7)) {
+      case 0:
+        (void)machine.run(rng.uniformInt(30));
+        break;
+      case 1:
+        memory.write(4 * word, rng.bernoulli(0.2) ? 0u : static_cast<std::uint32_t>(rng.next()));
+        break;
+      case 2:
+        machine.flipMemoryBit(4 * word, static_cast<int>(rng.uniformInt(hw::kEccCodewordBits)));
+        break;
+      case 3:
+        (void)memory.read(4 * word);
+        break;
+      case 4:
+        (void)memory.scrub();
+        break;
+      case 5:
+        machine.restoreState(machines[rng.uniformInt(machines.size())].saveState());
+        break;
+      default:
+        machine = machines[rng.uniformInt(machines.size())];  // may be itself
+        break;
+    }
+    for (const hw::Machine& checked : machines) {
+      const std::vector<std::uint64_t>& dirty = checked.memory().dirtyWords();
+      for (std::uint32_t w = 0; w < checked.memory().wordCount(); ++w) {
+        if (((dirty[w / 64] >> (w % 64)) & 1u) == 0) {
+          ASSERT_EQ(checked.memory().rawCodeword(w), 0u) << "clean word " << w;
+        }
+      }
+      ASSERT_EQ(fi::behaviorDigest(checked), fullWalkDigest(checked)) << "step " << step;
+    }
+  }
 }
 
 TEST(SnapshotRoundtrip, RestoreIntoUsedSystemSimIsRefused) {
