@@ -1,8 +1,6 @@
 #include "bbw/control.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <stdexcept>
 
 namespace nlft::bbw {
 
@@ -20,42 +18,8 @@ std::array<double, kWheelCount> distributeBrakeForce(const CentralUnitConfig& co
   return torque;
 }
 
-WheelSlipController::WheelSlipController(SlipControllerConfig config) : config_{config} {
-  if (config.targetSlip <= 0.0 || config.releaseSlip <= config.targetSlip)
-    throw std::invalid_argument("WheelSlipController: bad slip thresholds");
-}
-
-double WheelSlipController::update(double requestedTorqueNm, double measuredSlip) {
-  if (measuredSlip > config_.releaseSlip) {
-    // Imminent lock-up: dump torque hard (two reduction steps).
-    if (currentLimit_ < 0.0) currentLimit_ = requestedTorqueNm;
-    currentLimit_ *= config_.reduceFactor * config_.reduceFactor;
-  } else if (measuredSlip > config_.targetSlip) {
-    if (currentLimit_ < 0.0) currentLimit_ = requestedTorqueNm;
-    currentLimit_ *= config_.reduceFactor;
-  } else if (currentLimit_ >= 0.0) {
-    currentLimit_ *= config_.recoverFactor;
-    if (currentLimit_ >= requestedTorqueNm) currentLimit_ = -1.0;  // limit released
-  }
-  double torque = requestedTorqueNm;
-  if (currentLimit_ >= 0.0) torque = std::min(torque, currentLimit_);
-  return std::max(0.0, torque);
-}
-
-std::uint32_t WheelSlipController::packedState() const {
-  if (currentLimit_ < 0.0) return 0xFFFFFFFFu;
-  return static_cast<std::uint32_t>(std::lround(currentLimit_ * 256.0));
-}
-
-void WheelSlipController::restoreState(std::uint32_t packed) {
-  currentLimit_ = packed == 0xFFFFFFFFu ? -1.0 : static_cast<double>(packed) / 256.0;
-}
-
 std::int32_t wheelControlFixedPoint(std::int32_t requestedTorqueQ8, std::int32_t slipQ8,
                                     std::int32_t currentLimitQ8, std::int32_t* newLimitQ8) {
-  // Quantised counterparts of SlipControllerConfig's defaults:
-  // target 0.1484 (38/256), release 0.25 (64/256), reduce 179/256 = 0.699,
-  // recover 294/256 = 1.148. The structure matches update() exactly.
   constexpr std::int32_t kTarget = 38;
   constexpr std::int32_t kRelease = 64;
   constexpr std::int32_t kReduce = 179;

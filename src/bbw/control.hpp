@@ -24,35 +24,14 @@ struct CentralUnitConfig {
 [[nodiscard]] std::array<double, kWheelCount> distributeBrakeForce(
     const CentralUnitConfig& config, double pedal);
 
-struct SlipControllerConfig {
-  double targetSlip = 0.15;    ///< near the Burckhardt friction peak
-  double releaseSlip = 0.25;   ///< above this the controller dumps torque hard
-  double reduceFactor = 0.70;  ///< multiplicative torque reduction per period
-  double recoverFactor = 1.15; ///< multiplicative torque recovery per period
-};
-
-/// One wheel node's slip-control state (the task's state data; under NLFT it
-/// would be protected by the end-to-end mechanisms of Section 2.6).
-class WheelSlipController {
- public:
-  explicit WheelSlipController(SlipControllerConfig config = {});
-
-  /// Computes the torque to apply this period from the CU request, the
-  /// measured slip, and the internal anti-lock state.
-  [[nodiscard]] double update(double requestedTorqueNm, double measuredSlip);
-
-  /// Serialises the controller state (for duplex state re-synchronisation).
-  [[nodiscard]] std::uint32_t packedState() const;
-  void restoreState(std::uint32_t packed);
-
- private:
-  SlipControllerConfig config_;
-  double currentLimit_ = -1.0;  ///< < 0 means "no anti-lock limit active"
-};
-
-/// Fixed-point version of the wheel control law used by the interpreted-ISA
-/// task (q8.8 arithmetic): must match update() bit-for-bit in behaviour so
-/// fault-injection campaigns exercise the real algorithm.
+/// One wheel node's ABS slip-control law in q8.8 fixed point: the job every
+/// wheel node runs (BbwSystemSim computes it, the interpreted-ISA wheel task
+/// encodes it). Slip above 64/256 (0.25) cuts the torque limit by two
+/// reduction steps, slip above 38/256 (~0.15, near the Burckhardt friction
+/// peak) by one; otherwise an active limit recovers and is released once it
+/// reaches the request. A step multiplies by 179/256 (~0.70) to reduce and by
+/// 294/256 (~1.15) to recover. A negative limit means no anti-lock limit is
+/// active; the updated limit (the task's state data) goes to `newLimitQ8`.
 [[nodiscard]] std::int32_t wheelControlFixedPoint(std::int32_t requestedTorqueQ8,
                                                   std::int32_t slipQ8,
                                                   std::int32_t currentLimitQ8,

@@ -29,24 +29,4 @@ bool SignatureMonitor::finishAndCheck() const {
          legalSignatures_.end();
 }
 
-std::uint64_t DeliveryGuard::armAfterVote(std::uint32_t resultChecksum) {
-  // The token mixes a per-arming nonce with the result checksum, so neither
-  // a stale token nor a token for a different result authorises delivery.
-  nonce_ = nonce_ * 0x5851F42D4C957F2DULL + 1442695040888963407ULL;
-  expected_ = nonce_ ^ (static_cast<std::uint64_t>(resultChecksum) << 32 | resultChecksum);
-  armed_ = true;
-  return expected_;
-}
-
-bool DeliveryGuard::authorizeDelivery(std::uint64_t token, std::uint32_t resultChecksum) {
-  const std::uint64_t wanted =
-      nonce_ ^ (static_cast<std::uint64_t>(resultChecksum) << 32 | resultChecksum);
-  if (!armed_ || token != expected_ || token != wanted) {
-    ++bypassAttempts_;
-    return false;
-  }
-  armed_ = false;
-  return true;
-}
-
 }  // namespace nlft::tem

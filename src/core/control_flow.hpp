@@ -1,13 +1,7 @@
-// Control-flow error detection (paper Section 2.7).
-//
-// Two complementary mechanisms:
-//   * SignatureMonitor — block-signature monitoring: the task reports every
-//     basic block it enters; at the end the accumulated signature must equal
-//     the signature of a legal path. Detects illegal jumps within the task
-//     that the MMU cannot see.
-//   * DeliveryGuard — protects the comparison/vote from being bypassed: the
-//     token required to write the output can only be produced by the vote
-//     step. An erroneous jump straight to the output code fails the check.
+// Control-flow error detection (paper Section 2.7): block-signature
+// monitoring. The task reports every basic block it enters; at the end the
+// accumulated signature must equal the signature of a legal path. Detects
+// illegal jumps within the task that the MMU cannot see.
 #pragma once
 
 #include <cstdint>
@@ -34,26 +28,6 @@ class SignatureMonitor {
  private:
   std::vector<std::uint32_t> legalSignatures_;
   std::uint32_t running_ = 0;
-};
-
-/// One-shot token gate between the vote and the output write.
-class DeliveryGuard {
- public:
-  /// Called by the comparison/vote step after two results matched; returns
-  /// the token that authorises exactly one delivery.
-  [[nodiscard]] std::uint64_t armAfterVote(std::uint32_t resultChecksum);
-
-  /// Called by the output-write step. Succeeds once per armed vote and only
-  /// with the correct token for the same result checksum.
-  [[nodiscard]] bool authorizeDelivery(std::uint64_t token, std::uint32_t resultChecksum);
-
-  [[nodiscard]] std::uint64_t bypassAttempts() const { return bypassAttempts_; }
-
- private:
-  std::uint64_t expected_ = 0;
-  bool armed_ = false;
-  std::uint64_t nonce_ = 0x9E3779B97F4A7C15ULL;
-  std::uint64_t bypassAttempts_ = 0;
 };
 
 }  // namespace nlft::tem

@@ -112,8 +112,6 @@ void RtKernel::start() {
 void RtKernel::stop() {
   stopped_ = true;
   emitEvent(KernelEvent::Kind::Stopped);
-  // Intentional silence: the watchdog must not fire on top of it.
-  if (watchdog_) watchdog_->disable();
   for (auto& task : tasks_) {
     simulator_.cancel(task.nextRelease);
     task.nextRelease = sim::EventId{};
@@ -158,8 +156,6 @@ void RtKernel::release(std::uint32_t taskIndex) {
   TaskEntry& task = tasks_[taskIndex];
   task.nextRelease = sim::EventId{};
   if (stopped_ || task.disabled) return;
-
-  if (watchdog_) watchdog_->kick();  // kernel liveness signal
 
   // Schedule the next periodic release first so a handler exception cannot
   // stall the task chain.

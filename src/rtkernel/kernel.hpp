@@ -19,7 +19,6 @@
 
 #include "rtkernel/cpu.hpp"
 #include "rtkernel/task.hpp"
-#include "rtkernel/watchdog.hpp"
 
 namespace nlft::rt {
 
@@ -157,11 +156,6 @@ class RtKernel {
   /// (kernel-internal error, Section 2.2 strategy 3).
   void setFailSilentHook(std::function<void()> hook) { failSilent_ = std::move(hook); }
 
-  /// Attaches a hardware watchdog: the kernel kicks it on every job release
-  /// (its liveness signal) and disables it on intentional shutdown. A hung
-  /// kernel stops kicking and the watchdog enforces silence externally.
-  void attachWatchdog(Watchdog* watchdog) { watchdog_ = watchdog; }
-
   /// Schedules the first release of every periodic task.
   void start();
   /// Stops all activity (node silent): cancels releases and aborts jobs.
@@ -231,7 +225,6 @@ class RtKernel {
   std::uint64_t kernelErrors_ = 0;
   std::vector<std::unique_ptr<Job>> retired_;
   bool retireCleanupScheduled_ = false;
-  Watchdog* watchdog_ = nullptr;
 };
 
 }  // namespace nlft::rt

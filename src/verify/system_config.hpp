@@ -69,8 +69,8 @@ struct NodeSpec {
   std::string name;
   NodeRole role = NodeRole::WheelNode;
   std::vector<TaskSpec> tasks;
-  /// Hardware watchdog the kernel kicks on every job release (rt::Watchdog);
-  /// zero = no watchdog attached.
+  /// Hardware watchdog the kernel kicks on every job release (a deployment
+  /// assumption the simulator does not model); zero = no watchdog.
   Duration watchdogTimeout{};
   /// Largest static-slot payload this node transmits (words), heartbeat
   /// word included — sizes the frame-fits-slot check.
@@ -81,8 +81,9 @@ struct NodeSpec {
 };
 
 /// Platform clock-synchronisation assumptions (Welch-Lynch fault-tolerant
-/// averaging, net::ClockSyncService). The TDMA slot windows only exist if
-/// all clocks agree to within precisionBound().
+/// averaging; the simulator gives every node the same global time and does
+/// not model it). The TDMA slot windows only exist if all clocks agree to
+/// within precisionBound().
 struct ClockSyncAssumptions {
   double maxDriftPpm = 100.0;    ///< worst oscillator rate deviation
   Duration resyncInterval{};     ///< R: time between resynchronisations

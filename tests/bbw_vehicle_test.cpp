@@ -2,10 +2,25 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "bbw/control.hpp"
 
 namespace nlft::bbw {
 namespace {
+
+/// One wheel node's ABS state, driven through wheelControlFixedPoint() the
+/// way BbwSystemSim drives it: request, slip and limit travel in q8.8.
+struct WheelAbs {
+  std::int32_t limitQ8 = -1;
+
+  double update(double requestedTorqueNm, double measuredSlip) {
+    const std::int32_t torqueQ8 = wheelControlFixedPoint(
+        static_cast<std::int32_t>(std::lround(requestedTorqueNm * 256.0)),
+        static_cast<std::int32_t>(std::lround(measuredSlip * 256.0)), limitQ8, &limitQ8);
+    return static_cast<double>(torqueQ8) / 256.0;
+  }
+};
 
 TEST(Burckhardt, CurveShape) {
   const VehicleParams params;
@@ -105,7 +120,7 @@ TEST(Vehicle, AbsControlsEachWheelToItsOwnSurface) {
   params.frictionScale = {1.0, 0.25, 1.0, 0.25};
   Vehicle vehicle{params};
   vehicle.reset(20.0);
-  std::array<WheelSlipController, kWheelCount> controllers;
+  std::array<WheelAbs, kWheelCount> controllers;
   double maxIcySlip = 0.0;
   for (int ms = 0; ms < 6000 && !vehicle.stopped(); ++ms) {
     if (ms % 5 == 0) {
@@ -128,7 +143,7 @@ TEST(Vehicle, IceLengthensTheStop) {
     params.frictionScale = {1.0, iceScale, 1.0, iceScale};
     Vehicle vehicle{params};
     vehicle.reset(27.8);
-    std::array<WheelSlipController, kWheelCount> controllers;
+    std::array<WheelAbs, kWheelCount> controllers;
     for (int ms = 0; ms < 30000 && !vehicle.stopped(); ++ms) {
       if (ms % 5 == 0) {
         for (std::size_t w = 0; w < kWheelCount; ++w) {
@@ -169,51 +184,44 @@ TEST(Distribution, PedalScalesLinearlyAndClamps) {
 }
 
 TEST(SlipController, PassesThroughBelowTargetSlip) {
-  WheelSlipController controller;
+  WheelAbs controller;
   EXPECT_DOUBLE_EQ(controller.update(800.0, 0.05), 800.0);
   EXPECT_DOUBLE_EQ(controller.update(800.0, 0.10), 800.0);
+  EXPECT_EQ(controller.limitQ8, -1);  // no anti-lock limit armed
 }
 
 TEST(SlipController, ReducesTorqueAboveTargetSlip) {
-  WheelSlipController controller;
+  WheelAbs controller;
   const double first = controller.update(800.0, 0.20);
   EXPECT_LT(first, 800.0);
+  EXPECT_EQ(controller.limitQ8, std::lround(first * 256.0));  // the limit is the torque
   const double second = controller.update(800.0, 0.20);
   EXPECT_LT(second, first);  // keeps reducing while slip stays high
 }
 
 TEST(SlipController, DumpsHardAboveReleaseSlip) {
-  WheelSlipController reduceOnce;
-  WheelSlipController dumpHard;
+  WheelAbs reduceOnce;
+  WheelAbs dumpHard;
   const double gentle = reduceOnce.update(800.0, 0.20);
   const double hard = dumpHard.update(800.0, 0.30);
   EXPECT_LT(hard, gentle);
 }
 
 TEST(SlipController, RecoversWhenSlipNormalises) {
-  WheelSlipController controller;
+  WheelAbs controller;
   double torque = controller.update(800.0, 0.3);
   const double reduced = torque;
   for (int i = 0; i < 50; ++i) torque = controller.update(800.0, 0.05);
   EXPECT_GT(torque, reduced);
   EXPECT_DOUBLE_EQ(torque, 800.0);  // limit fully released eventually
-}
-
-TEST(SlipController, StateRoundTripsThroughPacking) {
-  WheelSlipController a;
-  (void)a.update(800.0, 0.2);  // activate a limit
-  WheelSlipController b;
-  b.restoreState(a.packedState());
-  EXPECT_DOUBLE_EQ(a.update(800.0, 0.05), b.update(800.0, 0.05));
-  WheelSlipController fresh;
-  EXPECT_EQ(fresh.packedState(), 0xFFFFFFFFu);
+  EXPECT_EQ(controller.limitQ8, -1);
 }
 
 TEST(SlipController, RegulatesSlipInClosedLoop) {
   // With ABS the wheel must not lock even under a huge torque request.
   Vehicle vehicle;
   vehicle.reset(27.8);
-  std::array<WheelSlipController, kWheelCount> controllers;
+  std::array<WheelAbs, kWheelCount> controllers;
   double maxSlipSeen = 0.0;
   for (int ms = 0; ms < 4000 && !vehicle.stopped(); ++ms) {
     if (ms % 5 == 0) {  // 5 ms control period
@@ -230,21 +238,6 @@ TEST(SlipController, RegulatesSlipInClosedLoop) {
   EXPECT_TRUE(vehicle.stopped());
   EXPECT_LT(maxSlipSeen, 0.6);  // transiently high, but never sustained lock
   EXPECT_LT(vehicle.distanceM(), 70.0);
-}
-
-TEST(FixedPointControl, MirrorsFloatStructure) {
-  // Below target: passthrough, no limit.
-  std::int32_t limit = -1;
-  EXPECT_EQ(wheelControlFixedPoint(800 * 256, 10, -1, &limit), 800 * 256);
-  EXPECT_EQ(limit, -1);
-  // Above target: limit activates below the request.
-  const std::int32_t reduced = wheelControlFixedPoint(800 * 256, 50, -1, &limit);
-  EXPECT_LT(reduced, 800 * 256);
-  EXPECT_EQ(reduced, limit);
-  // Recovery: limit grows and eventually releases.
-  std::int32_t l2 = limit;
-  for (int i = 0; i < 40 && l2 >= 0; ++i) (void)wheelControlFixedPoint(800 * 256, 10, l2, &l2);
-  EXPECT_EQ(l2, -1);
 }
 
 TEST(FixedPointControl, NeverNegativeTorque) {

@@ -1,12 +1,9 @@
 // Cross-module integration: two NlftNode instances (a duplex pair) on a
-// TDMA bus with heartbeat membership and the dynamic-segment state-resync
-// protocol — the full "omission failure -> partner provides state ->
-// reintegration" story the paper sketches in its future-work section.
+// TDMA bus with heartbeat membership.
 #include <gtest/gtest.h>
 
 #include "core/node.hpp"
 #include "net/membership.hpp"
-#include "net/state_resync.hpp"
 
 namespace nlft {
 namespace {
@@ -16,14 +13,12 @@ using util::SimTime;
 
 constexpr net::NodeId kNodeA = 1;
 constexpr net::NodeId kNodeB = 2;
-constexpr net::StateId32 kFilterState = 0xF117;
 
 struct DuplexFixture : ::testing::Test {
   sim::Simulator simulator;
   net::TdmaConfig busConfig;
   std::unique_ptr<net::TdmaBus> bus;
   std::unique_ptr<net::MembershipService> membership;
-  std::unique_ptr<net::StateResyncService> resync;
   std::unique_ptr<tem::NlftNode> nodeA;
   std::unique_ptr<tem::NlftNode> nodeB;
   // The replicated application state: a smoothed setpoint each node
@@ -34,23 +29,10 @@ struct DuplexFixture : ::testing::Test {
   void SetUp() override {
     busConfig.slotLength = Duration::milliseconds(1);
     busConfig.staticSchedule = {kNodeA, kNodeB};
-    busConfig.dynamicMinislots = 4;
-    busConfig.minislotLength = Duration::microseconds(250);
     bus = std::make_unique<net::TdmaBus>(simulator, busConfig);
     membership = std::make_unique<net::MembershipService>(simulator, *bus);
     membership->addNode(kNodeA);
     membership->addNode(kNodeB);
-    resync = std::make_unique<net::StateResyncService>(simulator, *bus);
-    resync->addNode(kNodeA, [this](net::StateId32 id)
-                                -> std::optional<std::vector<std::uint32_t>> {
-      if (id == kFilterState && !nodeA->silent()) return std::vector<std::uint32_t>{stateA};
-      return std::nullopt;
-    });
-    resync->addNode(kNodeB, [this](net::StateId32 id)
-                                -> std::optional<std::vector<std::uint32_t>> {
-      if (id == kFilterState && !nodeB->silent()) return std::vector<std::uint32_t>{stateB};
-      return std::nullopt;
-    });
 
     nodeA = makeNode(kNodeA, stateA);
     nodeB = makeNode(kNodeB, stateB);
@@ -83,70 +65,6 @@ TEST_F(DuplexFixture, HealthyPairStaysInLockstep) {
   EXPECT_EQ(stateA, stateB);
   EXPECT_GT(stateA, 10u);
   EXPECT_EQ(membership->membershipView(kNodeA), (std::set<net::NodeId>{kNodeA, kNodeB}));
-}
-
-TEST_F(DuplexFixture, FailedNodeRecoversStateFromPartnerAndReintegrates) {
-  // Node A dies at 40 ms (kernel error), loses its filter state.
-  simulator.scheduleAfter(Duration::milliseconds(40), [&] {
-    nodeA->reportKernelError({rt::ErrorEvent::Source::HardwareException, 0});
-    stateA = 0;  // volatile state lost with the crash
-  });
-  simulator.runUntil(SimTime::fromUs(80'000));
-  EXPECT_TRUE(nodeA->silent());
-  EXPECT_FALSE(membership->isMember(kNodeB, kNodeA));
-  const std::uint32_t stateBeforeRestart = stateB;
-  EXPECT_GT(stateBeforeRestart, 0u);
-
-  // Restart at 80 ms: the rebooted node comes back on the bus (peers will
-  // re-admit it after two clean cycles), asks the partner for the filter
-  // state over the dynamic segment, adopts it, and only then resumes its
-  // task releases.
-  Duration recoveryLatency{};
-  resync->setRecoveredHandler(
-      kNodeA, [&](net::StateId32 id, const std::vector<std::uint32_t>& data, Duration latency) {
-        ASSERT_EQ(id, kFilterState);
-        stateA = data[0];
-        recoveryLatency = latency;
-        nodeA->restart();
-      });
-  simulator.scheduleAfter(Duration::milliseconds(1), [&] {
-    membership->setAlive(kNodeA, true);  // hardware rebooted: back on the bus
-    resync->requestState(kNodeA, kFilterState);
-  });
-  simulator.runUntil(SimTime::fromUs(200'000));
-
-  EXPECT_FALSE(nodeA->silent());
-  EXPECT_GT(recoveryLatency, Duration{});
-  EXPECT_LE(recoveryLatency, bus->cycleLength() * 3);
-  // A's state is continuous with B's history (never reset to zero).
-  EXPECT_GE(stateA, stateBeforeRestart);
-  // Both nodes live again in everyone's membership view.
-  EXPECT_TRUE(membership->isMember(kNodeB, kNodeA));
-  EXPECT_TRUE(membership->isMember(kNodeA, kNodeB));
-  // And the pair re-converges: equal job counts from restart on means the
-  // states differ only by phase; both keep advancing.
-  EXPECT_GT(stateA, stateBeforeRestart);
-  EXPECT_GT(stateB, stateBeforeRestart);
-}
-
-TEST_F(DuplexFixture, ResyncWhilePartnerDeadYieldsNothing) {
-  simulator.scheduleAfter(Duration::milliseconds(20), [&] {
-    nodeB->reportKernelError({rt::ErrorEvent::Source::HardwareException, 0});
-  });
-  simulator.scheduleAfter(Duration::milliseconds(30), [&] {
-    nodeA->reportKernelError({rt::ErrorEvent::Source::HardwareException, 0});
-    stateA = 0;
-  });
-  bool recovered = false;
-  resync->setRecoveredHandler(
-      kNodeA, [&](net::StateId32, const std::vector<std::uint32_t>&, Duration) {
-        recovered = true;
-      });
-  simulator.scheduleAfter(Duration::milliseconds(40), [&] {
-    resync->requestState(kNodeA, kFilterState);
-  });
-  simulator.runUntil(SimTime::fromUs(120'000));
-  EXPECT_FALSE(recovered);  // no healthy holder of the state remains
 }
 
 }  // namespace

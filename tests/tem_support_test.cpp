@@ -1,8 +1,7 @@
-// Voting, end-to-end integrity and control-flow monitoring units.
+// Voting and control-flow monitoring units.
 #include <gtest/gtest.h>
 
 #include "core/control_flow.hpp"
-#include "core/end_to_end.hpp"
 #include "core/policies.hpp"
 #include "core/result.hpp"
 
@@ -67,102 +66,6 @@ TEST_P(VoterPlacement, SingleCorruptionAlwaysMasked) {
 
 INSTANTIATE_TEST_SUITE_P(Positions, VoterPlacement, ::testing::Values(0, 1, 2));
 
-// --- end-to-end integrity ---
-
-TEST(CrcRecord, RoundTrip) {
-  CrcProtectedRecord record;
-  const std::uint32_t data[] = {1, 2, 3, 4};
-  record.write(data);
-  const auto back = record.read();
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(*back, (std::vector<std::uint32_t>{1, 2, 3, 4}));
-}
-
-TEST(CrcRecord, DetectsEverySingleBitCorruption) {
-  CrcProtectedRecord record;
-  const std::uint32_t data[] = {0xDEADBEEF, 0x12345678};
-  for (std::size_t word = 0; word < 2; ++word) {
-    for (int bit = 0; bit < 32; ++bit) {
-      record.write(data);
-      record.corruptWord(word, bit);
-      EXPECT_FALSE(record.read().has_value()) << word << ":" << bit;
-    }
-  }
-}
-
-TEST(CrcRecord, DetectsChecksumCorruption) {
-  CrcProtectedRecord record;
-  const std::uint32_t data[] = {5};
-  record.write(data);
-  record.corruptChecksum(17);
-  EXPECT_FALSE(record.read().has_value());
-}
-
-TEST(CrcRecord, RewriteHeals) {
-  CrcProtectedRecord record;
-  const std::uint32_t data[] = {5};
-  record.write(data);
-  record.corruptWord(0, 3);
-  record.write(data);
-  EXPECT_TRUE(record.read().has_value());
-}
-
-TEST(CrcRecord, EmptyRecordReadsEmpty) {
-  CrcProtectedRecord record;
-  const auto back = record.read();
-  ASSERT_TRUE(back.has_value());
-  EXPECT_TRUE(back->empty());
-}
-
-TEST(CrcRecord, CorruptOutOfRangeThrows) {
-  CrcProtectedRecord record;
-  EXPECT_THROW(record.corruptWord(0, 0), std::out_of_range);
-  EXPECT_THROW(record.corruptChecksum(32), std::out_of_range);
-}
-
-TEST(DuplicatedValue, DetectsDivergence) {
-  DuplicatedValue value;
-  value.write(100);
-  EXPECT_EQ(value.read(), 100u);
-  value.corruptCopy(0, 2);
-  EXPECT_FALSE(value.read().has_value());
-}
-
-TEST(DuplicatedValue, MatchingCorruptionInBothCopiesEscapes) {
-  // Documented limitation: identical corruption of both copies is silent.
-  DuplicatedValue value;
-  value.write(100);
-  value.corruptCopy(0, 2);
-  value.corruptCopy(1, 2);
-  EXPECT_EQ(value.read(), 100u ^ 4u);
-}
-
-TEST(TriplicatedValue, MasksSingleCopyCorruption) {
-  for (int copy = 0; copy < 3; ++copy) {
-    TriplicatedValue value;
-    value.write(0xCAFE);
-    value.corruptCopy(copy, 7);
-    EXPECT_EQ(value.read(), 0xCAFEu) << "copy " << copy;
-  }
-}
-
-TEST(TriplicatedValue, ThreeWayDivergenceDetected) {
-  TriplicatedValue value;
-  value.write(10);
-  value.corruptCopy(0, 0);
-  value.corruptCopy(1, 1);
-  EXPECT_FALSE(value.read().has_value());
-}
-
-TEST(TriplicatedValue, TwoIdenticallyCorruptedCopiesOutvoteTheGoodOne) {
-  // Documented limitation of triplication without diversity.
-  TriplicatedValue value;
-  value.write(10);
-  value.corruptCopy(0, 4);
-  value.corruptCopy(1, 4);
-  EXPECT_EQ(value.read(), 10u ^ 16u);
-}
-
 // --- control-flow monitoring ---
 
 TEST(SignatureMonitor, LegalPathAccepted) {
@@ -209,89 +112,6 @@ TEST(SignatureMonitor, BeginResetsState) {
   monitor.begin();
   for (std::uint32_t block : {1u, 2u}) monitor.enterBlock(block);
   EXPECT_TRUE(monitor.finishAndCheck());
-}
-
-TEST(DeliveryGuard, NormalVoteThenDeliver) {
-  DeliveryGuard guard;
-  const std::uint32_t checksum = 0x1234;
-  const std::uint64_t token = guard.armAfterVote(checksum);
-  EXPECT_TRUE(guard.authorizeDelivery(token, checksum));
-  EXPECT_EQ(guard.bypassAttempts(), 0u);
-}
-
-TEST(DeliveryGuard, DeliveryWithoutVoteRejected) {
-  DeliveryGuard guard;
-  EXPECT_FALSE(guard.authorizeDelivery(0xABCDE, 0x1234));
-  EXPECT_EQ(guard.bypassAttempts(), 1u);
-}
-
-TEST(DeliveryGuard, TokenCannotBeReused) {
-  DeliveryGuard guard;
-  const std::uint64_t token = guard.armAfterVote(1);
-  EXPECT_TRUE(guard.authorizeDelivery(token, 1));
-  EXPECT_FALSE(guard.authorizeDelivery(token, 1));  // replay
-}
-
-TEST(DeliveryGuard, TokenBoundToResultChecksum) {
-  DeliveryGuard guard;
-  const std::uint64_t token = guard.armAfterVote(1);
-  // A control-flow error jumps to the output code with a DIFFERENT result.
-  EXPECT_FALSE(guard.authorizeDelivery(token, 2));
-}
-
-TEST(DeliveryGuard, StaleTokenFromEarlierJobRejected) {
-  DeliveryGuard guard;
-  const std::uint64_t oldToken = guard.armAfterVote(1);
-  (void)guard.authorizeDelivery(oldToken, 1);
-  (void)guard.armAfterVote(1);
-  EXPECT_FALSE(guard.authorizeDelivery(oldToken, 1));
-}
-
-TEST(DeliveryGuard, DoubleDeliveryCountsAsBypassAttempt) {
-  // Two output writes for one vote: the second is the control-flow error
-  // (e.g. an erroneous jump back into the delivery code) and must both fail
-  // and be visible in the bypass counter.
-  DeliveryGuard guard;
-  const std::uint64_t token = guard.armAfterVote(9);
-  EXPECT_TRUE(guard.authorizeDelivery(token, 9));
-  EXPECT_FALSE(guard.authorizeDelivery(token, 9));
-  EXPECT_FALSE(guard.authorizeDelivery(token, 9));
-  EXPECT_EQ(guard.bypassAttempts(), 2u);
-}
-
-TEST(DeliveryGuard, StaleTokenFromUndeliveredJobRejected) {
-  // Job A votes but never delivers (e.g. preempted and restarted); job B
-  // votes. A's token must not authorise B's delivery.
-  DeliveryGuard guard;
-  const std::uint64_t tokenA = guard.armAfterVote(1);
-  const std::uint64_t tokenB = guard.armAfterVote(1);
-  EXPECT_FALSE(guard.authorizeDelivery(tokenA, 1));
-  EXPECT_TRUE(guard.authorizeDelivery(tokenB, 1));
-}
-
-TEST(DeliveryGuard, FailedAttemptDoesNotDisarm) {
-  // A bypass attempt with a forged token must not consume the legitimate
-  // arming: the real delivery still succeeds afterwards.
-  DeliveryGuard guard;
-  const std::uint64_t token = guard.armAfterVote(3);
-  EXPECT_FALSE(guard.authorizeDelivery(token ^ 1, 3));
-  EXPECT_TRUE(guard.authorizeDelivery(token, 3));
-  EXPECT_EQ(guard.bypassAttempts(), 1u);
-}
-
-TEST(DeliveryGuard, ChecksumMismatchLeavesTokenValidForRightResult) {
-  // Delivering the WRONG result with the right token fails; the token then
-  // still authorises the result it was armed for.
-  DeliveryGuard guard;
-  const std::uint64_t token = guard.armAfterVote(0xAAAA);
-  EXPECT_FALSE(guard.authorizeDelivery(token, 0xBBBB));
-  EXPECT_TRUE(guard.authorizeDelivery(token, 0xAAAA));
-}
-
-TEST(DeliveryGuard, ZeroTokenNeverAuthorises) {
-  DeliveryGuard guard;
-  (void)guard.armAfterVote(0);
-  EXPECT_FALSE(guard.authorizeDelivery(0, 0));
 }
 
 }  // namespace

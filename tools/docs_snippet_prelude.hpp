@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <memory>
 #include <vector>
 
 #include "analysis/analyzer.hpp"
@@ -21,7 +20,6 @@
 #include "core/node.hpp"
 #include "exec/parallel_for.hpp"
 #include "faults/campaign.hpp"
-#include "faults/machine_behavior.hpp"
 #include "faults/system_campaign.hpp"
 #include "net/bus.hpp"
 #include "net/membership.hpp"
@@ -51,9 +49,8 @@ inline rt::TaskId taskId{};
 inline std::uint32_t myControlLaw() { return 0; }
 inline void actuate(const std::vector<std::uint32_t>&) {}
 
-// §5-§6: an assembled guest program and its input words.
+// §6: an assembled guest program.
 inline fi::TaskImage image;
-inline std::vector<std::uint32_t> inputWords;
 
 // §7: a hand-rolled parallel study.
 inline std::size_t items = 1000;

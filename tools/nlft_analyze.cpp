@@ -8,7 +8,6 @@
 // control-flow errors (trace leaves the CFG) the signature monitor catches.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <string>
 #include <vector>
@@ -17,6 +16,7 @@
 #include "bbw/guest_programs.hpp"
 #include "core/control_flow.hpp"
 #include "faults/campaign.hpp"
+#include "flag_parse.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -70,7 +70,8 @@ int crossCheck(const bbw::GuestProgram& program, std::size_t experiments) {
 int usage() {
   std::fputs(
       "usage: nlft-analyze [--list] [--cross-check N] [program...]\n"
-      "  without names: analyzes every registered guest program\n",
+      "  without names: analyzes every registered guest program\n"
+      "  N >= 1, in decimal digits\n",
       stderr);
   return 2;
 }
@@ -88,7 +89,7 @@ int run(int argc, char** argv) {
     }
     if (arg == "--cross-check") {
       if (i + 1 >= argc) return usage();
-      crossCheckRuns = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
+      crossCheckRuns = cli::parseFlag<std::size_t>(arg, argv[++i], 1);
       continue;
     }
     if (arg.rfind("--", 0) == 0) return usage();

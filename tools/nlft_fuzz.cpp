@@ -24,12 +24,12 @@
 // Exit status: 0 clean, 1 oracle violation / replay mismatch, 2 usage.
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <string>
 #include <vector>
 
 #include "bbw/system_sim.hpp"
+#include "flag_parse.hpp"
 #include "fuzz/fuzzer.hpp"
 #include "fuzz/shrink.hpp"
 #include "obs/metrics.hpp"
@@ -42,7 +42,8 @@ int usage() {
   std::fputs(
       "usage: nlft-fuzz [--budget N] [--seed S] [--threads T] [--chunk C] [--out DIR]\n"
       "       nlft-fuzz --replay case.json [...] [--shrink]\n"
-      "       nlft-fuzz --fingerprint case.json [--resume-split US]\n",
+      "       nlft-fuzz --fingerprint case.json [--resume-split US]\n"
+      "  N >= 1; S, T, C, US >= 0, in decimal digits; T = 0: all cores, C = 0: auto\n",
       stderr);
   return 2;
 }
@@ -171,19 +172,19 @@ int run(int argc, char** argv) {
     if (arg == "--budget") {
       const char* v = value();
       if (v == nullptr) return usage();
-      config.budget = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
+      config.budget = cli::parseFlag<std::size_t>(arg, v, 1);
     } else if (arg == "--seed") {
       const char* v = value();
       if (v == nullptr) return usage();
-      config.seed = std::strtoull(v, nullptr, 10);
+      config.seed = cli::parseFlag<std::uint64_t>(arg, v);
     } else if (arg == "--threads") {
       const char* v = value();
       if (v == nullptr) return usage();
-      config.parallelism.threads = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+      config.parallelism.threads = cli::parseFlag<unsigned>(arg, v);
     } else if (arg == "--chunk") {
       const char* v = value();
       if (v == nullptr) return usage();
-      config.parallelism.chunkSize = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
+      config.parallelism.chunkSize = cli::parseFlag<std::size_t>(arg, v);
     } else if (arg == "--out") {
       const char* v = value();
       if (v == nullptr) return usage();
@@ -201,7 +202,7 @@ int run(int argc, char** argv) {
     } else if (arg == "--resume-split") {
       const char* v = value();
       if (v == nullptr) return usage();
-      resumeSplitUs = std::strtoll(v, nullptr, 10);
+      resumeSplitUs = cli::parseFlag<std::int64_t>(arg, v);
     } else if (arg.rfind("--", 0) == 0) {
       return usage();
     } else if (!replayFiles.empty()) {
