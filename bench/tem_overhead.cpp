@@ -30,17 +30,14 @@ using util::SimTime;
 
 namespace {
 
-tem::CopyPlan cleanCopy(const tem::CopyContext&) {
-  tem::CopyPlan plan;
+void cleanCopy(const tem::CopyContext&, tem::CopyPlan& plan) {
   plan.executionTime = Duration::microseconds(500);
   plan.result = {42};
-  return plan;
 }
 
-tem::CopyPlan faultySecondCopy(const tem::CopyContext& context) {
-  tem::CopyPlan plan = cleanCopy(context);
+void faultySecondCopy(const tem::CopyContext& context, tem::CopyPlan& plan) {
+  cleanCopy(context, plan);
   if (context.copyIndex == 2) plan.result[0] ^= 1;
-  return plan;
 }
 
 void runTemJobs(benchmark::State& state, tem::CopyBehavior behavior) {

@@ -11,18 +11,41 @@
 // the estimates are identical for every thread count (see docs/BENCHMARKS.md).
 //
 //   $ ./fault_injection_campaign [experiments] [threads]   (threads 0 = all cores)
+//
+// Both arguments are whole decimal numbers; anything else prints the usage
+// line and exits 2 before any campaign starts.
 #include <cstdio>
-#include <cstdlib>
+#include <stdexcept>
 
 #include "analysis/analyzer.hpp"
 #include "bbw/wheel_task.hpp"
+#include "flag_parse.hpp"
 
 using namespace nlft;
 
+namespace {
+
+int usage() {
+  std::fputs(
+      "usage: fault_injection_campaign [experiments] [threads]\n"
+      "  experiments >= 1 (default 5000); threads >= 0 (default 0 = all cores)\n",
+      stderr);
+  return 2;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  const std::size_t experiments = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 5000;
-  const unsigned threads =
-      argc > 2 ? static_cast<unsigned>(std::strtoul(argv[2], nullptr, 10)) : 0;
+  if (argc > 3) return usage();
+  std::size_t experiments = 5000;
+  unsigned threads = 0;
+  try {
+    if (argc > 1) experiments = cli::parseFlag<std::size_t>("experiments", argv[1], 1);
+    if (argc > 2) threads = cli::parseFlag<unsigned>("threads", argv[2]);
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "fault_injection_campaign: %s\n", error.what());
+    return usage();
+  }
 
   const fi::TaskImage image = bbw::makeWheelTaskImage(800 * 256, 50, 600 * 256);
   const fi::CopyRun golden = fi::goldenRun(image);

@@ -29,8 +29,8 @@ int main() {
   config.period = Duration::milliseconds(10);
   config.wcet = Duration::milliseconds(2);
 
-  const rt::TaskId task = temExecutor.addCriticalTask(config, [](const tem::CopyContext& ctx) {
-    tem::CopyPlan plan;
+  const rt::TaskId task = temExecutor.addCriticalTask(config, [](const tem::CopyContext& ctx,
+                                                                tem::CopyPlan& plan) {
     plan.executionTime = Duration::milliseconds(2);
     plan.result = {static_cast<std::uint32_t>(40 + ctx.jobIndex)};  // the "correct" answer
     if (ctx.jobIndex == 2 && ctx.copyIndex == 2) {
@@ -40,7 +40,6 @@ int main() {
       plan.end = tem::CopyPlan::End::DetectedError;  // CPU exception fires
       plan.executionTime = Duration::microseconds(700);
     }
-    return plan;
   });
 
   kernel.setResultSink([&](const rt::JobResult& result) {

@@ -47,11 +47,9 @@ void runScenario(const char* title, const char* caption, tem::CopyBehavior behav
   std::printf("          (one column = 0.5 ms, job period = 12 ms)\n\n");
 }
 
-tem::CopyPlan clean(const tem::CopyContext&) {
-  tem::CopyPlan plan;
+void clean(const tem::CopyContext&, tem::CopyPlan& plan) {
   plan.executionTime = Duration::milliseconds(2);
   plan.result = {42};
-  return plan;
 }
 
 }  // namespace
@@ -65,32 +63,29 @@ int main() {
 
   runScenario("(ii) error detected by the comparison",
               "T^2's result is corrupted; T^3 runs and the majority vote masks it:",
-              [](const tem::CopyContext& context) {
-                tem::CopyPlan plan = clean(context);
+              [](const tem::CopyContext& context, tem::CopyPlan& plan) {
+                clean(context, plan);
                 if (context.copyIndex == 2) plan.result[0] ^= 0xFF;
-                return plan;
               });
 
   runScenario("(iii) error detected by an EDM in T^2",
               "T^2 is terminated at 0.8 ms (time reclaimed), T^3 starts immediately:",
-              [](const tem::CopyContext& context) {
-                tem::CopyPlan plan = clean(context);
+              [](const tem::CopyContext& context, tem::CopyPlan& plan) {
+                clean(context, plan);
                 if (context.copyIndex == 2) {
                   plan.end = tem::CopyPlan::End::DetectedError;
                   plan.executionTime = Duration::microseconds(800);
                 }
-                return plan;
               });
 
   runScenario("(iv) error detected by an EDM in T^1",
               "T^1 is terminated at 0.8 ms; the replacement and T^2 still fit:",
-              [](const tem::CopyContext& context) {
-                tem::CopyPlan plan = clean(context);
+              [](const tem::CopyContext& context, tem::CopyPlan& plan) {
+                clean(context, plan);
                 if (context.copyIndex == 1) {
                   plan.end = tem::CopyPlan::End::DetectedError;
                   plan.executionTime = Duration::microseconds(800);
                 }
-                return plan;
               });
 
   return 0;

@@ -50,6 +50,9 @@ constexpr std::uint32_t kMsgCommand = 0xC0DE0001;
 constexpr std::uint32_t kMsgWheelStatus = 0xC0DE0002;
 constexpr std::uint32_t kMsgEmergency = 0xC0DE0003;
 
+/// Marks a command sequence whose pedal sample time is not known.
+constexpr SimTime kNotSampled = SimTime::fromUs(-1);
+
 using StateHash = util::StateHash;
 }  // namespace
 
@@ -121,10 +124,11 @@ struct BbwSystemSim::Impl {
       tem::DuplexArbiter{tem::DuplexArbiter::Policy::FirstValid}};
   std::array<std::int32_t, kWheelCount> wheelLimitQ8{-1, -1, -1, -1};
   // End-to-end latency bookkeeping (simulated clock): when each command
-  // sequence's pedal input was sampled on a CU, which sequence each wheel
-  // last received, and which it already measured (one sample per wheel and
-  // sequence, taken at the first actuator apply).
-  std::map<std::uint64_t, SimTime> commandSampleTime;
+  // sequence's pedal input was sampled on a CU (indexed by sequence,
+  // kNotSampled where unknown), which sequence each wheel last received, and
+  // which it already measured (one sample per wheel and sequence, taken at
+  // the first actuator apply).
+  std::vector<SimTime> commandSampleTime;
   std::array<std::uint64_t, kWheelCount> lastCommandSeq{~0ULL, ~0ULL, ~0ULL, ~0ULL};
   std::array<std::uint64_t, kWheelCount> lastMeasuredSeq{~0ULL, ~0ULL, ~0ULL, ~0ULL};
   std::uint64_t commandFramesDelivered = 0;
@@ -136,8 +140,13 @@ struct BbwSystemSim::Impl {
   std::optional<SimTime> emergencyPressedAt;
   std::optional<SimTime> emergencyAppliedAt;
   bool emergencyLatched = false;  // the pedal sensor also shows full braking
+  // Reused buffer of the CU command payload handed to the membership service.
+  std::vector<std::uint32_t> commandPayload;
   std::function<void(const std::string&)> traceSink;
   obs::Registry* metrics = nullptr;
+  // Metric names of observeEndToEnd(), built once instead of per sample.
+  const std::string e2eLatencyName{"e2e.latency"};
+  const std::string e2eLatencyMaxName{"e2e.latency.max_us"};
   obs::TraceRecorder* recorder = nullptr;
   bool tapsWired = false;
 
@@ -186,7 +195,7 @@ struct BbwSystemSim::Impl {
       membership.addNode(id);
     }
     membership.setAppReceive(
-        [this](net::NodeId receiver, net::NodeId sender, const std::vector<std::uint32_t>& data) {
+        [this](net::NodeId receiver, net::NodeId sender, std::span<const std::uint32_t> data) {
           onAppData(receiver, sender, data);
         });
 
@@ -206,8 +215,8 @@ struct BbwSystemSim::Impl {
       control.period = config.controlPeriod;
       control.wcet = isWheel(id) ? deployment.wheelControlWcet : deployment.cuControlWcet;
 
-      auto behavior = [this, id](const tem::CopyContext& context) {
-        return controlCopy(id, context);
+      auto behavior = [this, id](const tem::CopyContext& context, tem::CopyPlan& plan) {
+        controlCopy(id, context, plan);
       };
       if (config.nodeType == NodeType::Nlft) {
         n.temExecutor = std::make_unique<tem::TemExecutor>(*n.kernel);
@@ -226,11 +235,9 @@ struct BbwSystemSim::Impl {
         emergency.priority = deployment.emergencyPriority;
         emergency.relativeDeadline = deployment.emergencyDeadline;
         emergency.wcet = deployment.emergencyWcet;
-        auto emergencyBehavior = [](const tem::CopyContext&) {
-          tem::CopyPlan plan;
+        auto emergencyBehavior = [](const tem::CopyContext&, tem::CopyPlan& plan) {
           plan.executionTime = bbwDeployment().emergencyWcet;
-          plan.result = {kMsgEmergency};
-          return plan;
+          plan.result.push_back(kMsgEmergency);
         };
         if (n.temExecutor) {
           n.emergencyTask = n.temExecutor->addCriticalTask(emergency, emergencyBehavior);
@@ -257,13 +264,12 @@ struct BbwSystemSim::Impl {
       diagnostic.priority = deployment.diagnosticPriority;
       diagnostic.period = deployment.diagnosticPeriod;
       diagnostic.wcet = deployment.diagnosticWcet;
-      tem::addNonCriticalTask(*n.kernel, diagnostic, [this, id](const tem::CopyContext&) {
-        tem::CopyPlan plan;
-        plan.executionTime = bbwDeployment().diagnosticWcet;
-        plan.result = {kMsgWheelStatus};
-        bus.sendDynamic(id, id, {kMsgWheelStatus, static_cast<std::uint32_t>(id)});
-        return plan;
-      });
+      tem::addNonCriticalTask(
+          *n.kernel, diagnostic, [this, id](const tem::CopyContext&, tem::CopyPlan& plan) {
+            plan.executionTime = bbwDeployment().diagnosticWcet;
+            plan.result.push_back(kMsgWheelStatus);
+            bus.sendDynamic(id, id, {kMsgWheelStatus, static_cast<std::uint32_t>(id)});
+          });
 
       n.kernel->start();
     }
@@ -272,9 +278,8 @@ struct BbwSystemSim::Impl {
     schedulePlantStep();
   }
 
-  tem::CopyPlan controlCopy(net::NodeId id, const tem::CopyContext& context) {
+  void controlCopy(net::NodeId id, const tem::CopyContext& context, tem::CopyPlan& plan) {
     Node& n = node(id);
-    tem::CopyPlan plan;
     plan.executionTime =
         isWheel(id) ? bbwDeployment().wheelControlWcet : bbwDeployment().cuControlWcet;
 
@@ -296,7 +301,12 @@ struct BbwSystemSim::Impl {
         // The pedal is read HERE; the job's sequence number equals its job
         // index, so the e2e.latency clock for that sequence starts now (the
         // earlier of the two CU replicas wins, which only widens the sample).
-        commandSampleTime.try_emplace(context.jobIndex, simulator.now());
+        if (context.jobIndex >= commandSampleTime.size()) {
+          commandSampleTime.resize(context.jobIndex + 1, kNotSampled);
+        }
+        if (commandSampleTime[context.jobIndex] == kNotSampled) {
+          commandSampleTime[context.jobIndex] = simulator.now();
+        }
         double pedal = config.pedalProfile
                            ? config.pedalProfile(simulator.now().toSeconds())
                            : config.pedal;
@@ -312,7 +322,7 @@ struct BbwSystemSim::Impl {
       plan.end = tem::CopyPlan::End::DetectedError;
       plan.executionTime = Duration::microseconds(120);
       plan.error = {rt::ErrorEvent::Source::HardwareException, 0};
-      return plan;
+      return;
     }
 
     if (isWheel(id)) {
@@ -320,11 +330,11 @@ struct BbwSystemSim::Impl {
       const std::int32_t torque = wheelControlFixedPoint(
           static_cast<std::int32_t>(n.jobInput[0]), static_cast<std::int32_t>(n.jobInput[1]),
           static_cast<std::int32_t>(n.jobInput[2]), &newLimit);
-      plan.result = {static_cast<std::uint32_t>(torque), static_cast<std::uint32_t>(newLimit)};
+      plan.result.push_back(static_cast<std::uint32_t>(torque));
+      plan.result.push_back(static_cast<std::uint32_t>(newLimit));
     } else {
       const double pedal = static_cast<double>(n.jobInput[0]) / 256.0;
       const auto torques = distributeBrakeForce(config.centralUnit, pedal);
-      plan.result.reserve(kWheelCount);
       for (double torque : torques) {
         plan.result.push_back(static_cast<std::uint32_t>(std::lround(torque * 256.0)));
       }
@@ -339,7 +349,6 @@ struct BbwSystemSim::Impl {
       // comparison and vote pass it through (bit 16 = 256 Nm in q8.8).
       plan.result[0] ^= 1u << 16;
     }
-    return plan;
   }
 
   void onResult(net::NodeId id, const rt::JobResult& result) {
@@ -374,28 +383,25 @@ struct BbwSystemSim::Impl {
       } else {
         // Replica determinism: both CUs tag the command of job k with
         // sequence number k, so receivers can arbitrate the duplex pair.
-        std::vector<std::uint32_t> payload;
-        payload.reserve(2 + result.data.size());
-        payload.push_back(kMsgCommand);
-        payload.push_back(static_cast<std::uint32_t>(result.jobIndex));
-        payload.insert(payload.end(), result.data.begin(), result.data.end());
-        membership.queueAppData(id, std::move(payload));
+        commandPayload.assign({kMsgCommand, static_cast<std::uint32_t>(result.jobIndex)});
+        commandPayload.insert(commandPayload.end(), result.data.begin(), result.data.end());
+        membership.queueAppData(id, commandPayload);
       }
     }
   }
 
-  void onAppData(net::NodeId receiver, net::NodeId sender,
-                 const std::vector<std::uint32_t>& data) {
+  void onAppData(net::NodeId receiver, net::NodeId sender, std::span<const std::uint32_t> data) {
     if (data.empty() || data[0] != kMsgCommand) return;
     if (!isWheel(receiver) || sender > kCuB) return;
     if (data.size() < 2 + kWheelCount) return;
     const std::size_t w = wheelIndex(receiver);
     const std::uint64_t sequence = data[1];
     const int replica = sender == kCuA ? 0 : 1;
-    const auto accepted = commandArbiter[w].offer(
-        replica, sequence, {data.begin() + 2, data.end()}, simulator.now());
-    if (!accepted) return;  // duplicate from the partner CU
-    lastCommandQ8[w] = (*accepted)[w];
+    const std::span<const std::uint32_t> torques = data.subspan(2);
+    if (!commandArbiter[w].offer(replica, sequence, torques, simulator.now())) {
+      return;  // duplicate from the partner CU
+    }
+    lastCommandQ8[w] = torques[w];
     lastCommandSeq[w] = sequence;
     ++commandFramesDelivered;
   }
@@ -406,12 +412,12 @@ struct BbwSystemSim::Impl {
   void observeEndToEnd(std::size_t wheel, std::uint64_t sequence) {
     if (!metrics || sequence == ~0ULL) return;
     if (lastMeasuredSeq[wheel] == sequence) return;  // later applies hold the value
-    const auto sampled = commandSampleTime.find(sequence);
-    if (sampled == commandSampleTime.end()) return;
+    if (sequence >= commandSampleTime.size() || commandSampleTime[sequence] == kNotSampled) return;
     lastMeasuredSeq[wheel] = sequence;
-    const auto latencyUs = static_cast<double>((simulator.now() - sampled->second).us());
-    metrics->observe("e2e.latency", obs::HistogramSpec{0.0, 50000.0, 50}, latencyUs);
-    metrics->gaugeMax("e2e.latency.max_us", latencyUs);
+    const auto latencyUs =
+        static_cast<double>((simulator.now() - commandSampleTime[sequence]).us());
+    metrics->observe(e2eLatencyName, obs::HistogramSpec{0.0, 50000.0, 50}, latencyUs);
+    metrics->gaugeMax(e2eLatencyMaxName, latencyUs);
   }
 
   void onNodeSilent(net::NodeId id, bool scheduleRestart) {
@@ -548,12 +554,15 @@ struct BbwSystemSim::Impl {
     for (const Node& n : nodes) {
       recorder->setProcessName(n.id, (isWheel(n.id) ? "wheel-node-" : "central-unit-") +
                                          std::to_string(n.id));
-      std::map<std::string, std::uint32_t> tids;
+      std::map<std::string, std::uint32_t, std::less<>> tids;
       for (const rt::ExecutionSegment& segment : n.cpu->trace()) {
-        auto [it, inserted] =
-            tids.try_emplace(segment.label, static_cast<std::uint32_t>(tids.size() + 1));
-        if (inserted) recorder->setThreadName(n.id, it->second, segment.label);
-        recorder->complete(n.id, it->second, segment.label, "cpu", segment.start,
+        auto it = tids.find(segment.label);
+        if (it == tids.end()) {
+          const auto tid = static_cast<std::uint32_t>(tids.size() + 1);
+          it = tids.emplace(std::string{segment.label}, tid).first;
+          recorder->setThreadName(n.id, tid, it->first);
+        }
+        recorder->complete(n.id, it->second, it->first, "cpu", segment.start,
                            segment.end - segment.start);
       }
     }

@@ -4,25 +4,49 @@
 
 namespace nlft::tem {
 
-rt::TaskId FailSilentExecutor::addTask(rt::TaskConfig taskConfig, CopyBehavior behavior) {
-  if (!behavior) throw std::invalid_argument("FailSilentExecutor: null behavior");
-  auto shared = std::make_shared<CopyBehavior>(std::move(behavior));
-  return kernel_.addTask(std::move(taskConfig), [this, shared](rt::Job& job) {
-    auto failSilent = [this] {
-      ++failSilentEvents_;
-      // Fail-silent semantics: the node stops producing any output.
-      kernel_.reportKernelError({rt::ErrorEvent::Source::External, 0});
-    };
-    job.setErrorHandler([failSilent](const rt::ErrorEvent&) { failSilent(); });
-    const CopyPlan plan = (*shared)(CopyContext{job.index(), 1});
-    job.runCopy(plan.executionTime, [&job, plan, failSilent](rt::CopyStop stop) {
+namespace {
+
+/// A task that runs one copy per job and hands any detected error to
+/// `onError`: the fail-silent node's silence, or a non-critical task's
+/// shutdown. The kernel runs at most one job per task, so the plan is reused
+/// from job to job.
+struct SingleCopyTask {
+  SingleCopyTask(CopyBehavior b, std::function<void(rt::TaskId)> e)
+      : behavior{std::move(b)}, onError{std::move(e)} {}
+
+  void run(rt::Job& job) {
+    job.setErrorHandler([this, &job](const rt::ErrorEvent&) { onError(job.taskId()); });
+    resetPlan(plan);
+    behavior(CopyContext{job.index(), 1}, plan);
+    job.runCopy(plan.executionTime, [this, &job](rt::CopyStop stop) {
       if (stop == rt::CopyStop::Aborted) return;
       if (stop != rt::CopyStop::Completed || plan.end == CopyPlan::End::DetectedError) {
-        failSilent();
+        onError(job.taskId());
         return;
       }
       job.complete(plan.result);
     });
+  }
+
+  CopyBehavior behavior;
+  std::function<void(rt::TaskId)> onError;
+  CopyPlan plan;
+};
+
+rt::TaskId addSingleCopyTask(rt::RtKernel& kernel, rt::TaskConfig taskConfig,
+                             CopyBehavior behavior, std::function<void(rt::TaskId)> onError) {
+  auto task = std::make_shared<SingleCopyTask>(std::move(behavior), std::move(onError));
+  return kernel.addTask(std::move(taskConfig), [task](rt::Job& job) { task->run(job); });
+}
+
+}  // namespace
+
+rt::TaskId FailSilentExecutor::addTask(rt::TaskConfig taskConfig, CopyBehavior behavior) {
+  if (!behavior) throw std::invalid_argument("FailSilentExecutor: null behavior");
+  return addSingleCopyTask(kernel_, std::move(taskConfig), std::move(behavior), [this](rt::TaskId) {
+    ++failSilentEvents_;
+    // Fail-silent semantics: the node stops producing any output.
+    kernel_.reportKernelError({rt::ErrorEvent::Source::External, 0});
   });
 }
 
@@ -30,24 +54,8 @@ rt::TaskId addNonCriticalTask(rt::RtKernel& kernel, rt::TaskConfig taskConfig,
                               CopyBehavior behavior) {
   if (!behavior) throw std::invalid_argument("addNonCriticalTask: null behavior");
   taskConfig.criticality = rt::Criticality::NonCritical;
-  auto shared = std::make_shared<CopyBehavior>(std::move(behavior));
-  // The task id is only known after addTask returns; capture via shared slot.
-  auto idSlot = std::make_shared<rt::TaskId>();
-  const rt::TaskId id = kernel.addTask(std::move(taskConfig), [&kernel, shared, idSlot](rt::Job& job) {
-    auto shutdown = [&kernel, idSlot] { kernel.disableTask(*idSlot); };
-    job.setErrorHandler([shutdown](const rt::ErrorEvent&) { shutdown(); });
-    const CopyPlan plan = (*shared)(CopyContext{job.index(), 1});
-    job.runCopy(plan.executionTime, [&job, plan, shutdown](rt::CopyStop stop) {
-      if (stop == rt::CopyStop::Aborted) return;
-      if (stop != rt::CopyStop::Completed || plan.end == CopyPlan::End::DetectedError) {
-        shutdown();
-        return;
-      }
-      job.complete(plan.result);
-    });
-  });
-  *idSlot = id;
-  return id;
+  return addSingleCopyTask(kernel, std::move(taskConfig), std::move(behavior),
+                           [&kernel](rt::TaskId id) { kernel.disableTask(id); });
 }
 
 PermanentFaultMonitor::PermanentFaultMonitor(int threshold) : threshold_{threshold} {

@@ -1,5 +1,6 @@
 #include "core/replication.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "util/state_hash.hpp"
@@ -11,42 +12,50 @@ DuplexArbiter::DuplexArbiter(Policy policy, Duration compareWindow)
   if (compareWindow <= Duration{}) throw std::invalid_argument("DuplexArbiter: bad window");
 }
 
-std::optional<std::vector<std::uint32_t>> DuplexArbiter::offer(
-    int replica, std::uint64_t sequence, std::vector<std::uint32_t> payload, SimTime now) {
+void DuplexArbiter::settle(std::uint64_t sequence) {
+  settled_.insert(std::lower_bound(settled_.begin(), settled_.end(), sequence), sequence);
+}
+
+bool DuplexArbiter::settled(std::uint64_t sequence) const {
+  return std::binary_search(settled_.begin(), settled_.end(), sequence);
+}
+
+bool DuplexArbiter::offer(int replica, std::uint64_t sequence,
+                          std::span<const std::uint32_t> payload, SimTime now) {
   if (replica != 0 && replica != 1) throw std::invalid_argument("DuplexArbiter: bad replica");
 
-  if (settled_.count(sequence)) {
+  if (settled(sequence)) {
     ++duplicatesDropped_;
-    return std::nullopt;
+    return false;
   }
 
   if (policy_ == Policy::FirstValid) {
-    settled_[sequence] = now;
+    settle(sequence);
     ++delivered_;
-    return payload;
+    return true;
   }
 
   // CompareAndFlag.
   const auto pendingIt = pending_.find(sequence);
   if (pendingIt == pending_.end()) {
-    pending_[sequence] = Pending{replica, std::move(payload), now};
-    return std::nullopt;
+    pending_[sequence] = Pending{replica, {payload.begin(), payload.end()}, now};
+    return false;
   }
   if (pendingIt->second.replica == replica) {
     ++duplicatesDropped_;  // same replica retransmitted
-    return std::nullopt;
+    return false;
   }
 
-  const bool match = pendingIt->second.payload == payload;
+  const bool match = std::ranges::equal(pendingIt->second.payload, payload);
   pending_.erase(pendingIt);
-  settled_[sequence] = now;
+  settle(sequence);
   if (match) {
     ++delivered_;
-    return payload;
+    return true;
   }
   ++mismatches_;
   if (onMismatch_) onMismatch_(sequence);
-  return std::nullopt;
+  return false;
 }
 
 std::uint64_t DuplexArbiter::stateDigest() const {
@@ -60,7 +69,7 @@ std::uint64_t DuplexArbiter::stateDigest() const {
     digest.u64(pending.payload.size());
     for (const std::uint32_t word : pending.payload) digest.u64(word);
   }
-  for (const auto& entry : settled_) digest.u64(entry.first);
+  for (const std::uint64_t sequence : settled_) digest.u64(sequence);
   return digest.finish();
 }
 
@@ -69,7 +78,7 @@ std::vector<std::vector<std::uint32_t>> DuplexArbiter::poll(SimTime now) {
   if (policy_ != Policy::CompareAndFlag) return released;
   for (auto it = pending_.begin(); it != pending_.end();) {
     if (now - it->second.arrivedAt >= window_) {
-      settled_[it->first] = now;
+      settle(it->first);
       ++delivered_;
       ++singleSource_;
       released.push_back(std::move(it->second.payload));

@@ -20,7 +20,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <optional>
+#include <span>
 #include <vector>
 
 #include "util/time.hpp"
@@ -37,10 +37,11 @@ class DuplexArbiter {
   /// `compareWindow` is how long CompareAndFlag waits for the partner copy.
   explicit DuplexArbiter(Policy policy, Duration compareWindow = Duration::milliseconds(10));
 
-  /// Offers one replica message. Returns a payload when the arbiter decides
-  /// to deliver at this point (first arrival, or matching second copy).
-  [[nodiscard]] std::optional<std::vector<std::uint32_t>> offer(
-      int replica, std::uint64_t sequence, std::vector<std::uint32_t> payload, SimTime now);
+  /// Offers one replica message. Returns true when the arbiter delivers
+  /// `payload` at this point (first arrival, or matching second copy); the
+  /// caller then consumes its own words. A held first copy is stored.
+  [[nodiscard]] bool offer(int replica, std::uint64_t sequence,
+                           std::span<const std::uint32_t> payload, SimTime now);
 
   /// Flushes timed-out pending sequences; returns the payloads that are
   /// released single-source (partner missing). Call periodically.
@@ -58,11 +59,12 @@ class DuplexArbiter {
 
   /// 64-bit digest of the arbitration state: every pending sequence
   /// (replica, payload, arrival time) and the SET of settled sequences.
-  /// Settle TIMES and the delivery counters are deliberately excluded: they
-  /// never feed back into arbitration decisions, and after a masked fault
-  /// (e.g. a CU omission bridged by the partner replica) a sequence settles
-  /// at a legitimately later instant — pinning the digest to that bookkeeping
-  /// would block the snapshot engine's golden-rejoin check forever.
+  /// Settle times are not kept, and the delivery counters are deliberately
+  /// excluded: they never feed back into arbitration decisions, and after a
+  /// masked fault (e.g. a CU omission bridged by the partner replica) a
+  /// sequence settles at a legitimately later instant — pinning the digest
+  /// to that bookkeeping would block the snapshot engine's golden-rejoin
+  /// check forever.
   [[nodiscard]] std::uint64_t stateDigest() const;
 
  private:
@@ -72,10 +74,16 @@ class DuplexArbiter {
     SimTime arrivedAt;
   };
 
+  /// Records `sequence` as delivered or flagged.
+  void settle(std::uint64_t sequence);
+  [[nodiscard]] bool settled(std::uint64_t sequence) const;
+
   Policy policy_;
   Duration window_;
   std::map<std::uint64_t, Pending> pending_;
-  std::map<std::uint64_t, SimTime> settled_;  // delivered/flagged sequences
+  /// Delivered/flagged sequences, sorted. Sequences arrive nearly in order,
+  /// so an insert is almost always an append.
+  std::vector<std::uint64_t> settled_;
   std::uint64_t delivered_ = 0;
   std::uint64_t duplicatesDropped_ = 0;
   std::uint64_t mismatches_ = 0;

@@ -14,8 +14,9 @@ using TaskResult = std::vector<std::uint32_t>;
 /// Bytewise comparison of two results (the TEM comparison step).
 [[nodiscard]] bool resultsMatch(const TaskResult& a, const TaskResult& b);
 
-/// Majority vote over any number of candidate results: returns a result that
-/// at least two candidates agree on, or nullopt when all differ pairwise.
-[[nodiscard]] std::optional<TaskResult> majorityVote(std::span<const TaskResult> candidates);
+/// Majority vote over any number of candidate results: returns the index of
+/// the first candidate that another candidate agrees with, or nullopt when
+/// all differ pairwise.
+[[nodiscard]] std::optional<std::size_t> majorityVote(std::span<const TaskResult> candidates);
 
 }  // namespace nlft::tem

@@ -4,6 +4,13 @@
 
 namespace nlft::tem {
 
+void resetPlan(CopyPlan& plan) {
+  plan.executionTime = Duration{};
+  plan.end = CopyPlan::End::Result;
+  plan.result.clear();
+  plan.error = rt::ErrorEvent{};
+}
+
 TemExecutor::TemExecutor(rt::RtKernel& kernel, TemConfig config)
     : kernel_{kernel}, config_{config} {
   if (config_.maxCopies < 2) throw std::invalid_argument("TemExecutor: maxCopies must be >= 2");
@@ -37,7 +44,7 @@ void TemExecutor::runJob(TaskState& state, rt::Job& job) {
   JobRun& run = state.run;
   run.job = &job;
   run.copiesStarted = 0;
-  run.results.clear();
+  run.resultCount = 0;
   run.sawMismatch = false;
   run.sawDetectedError = false;
 
@@ -73,7 +80,8 @@ void TemExecutor::startCopy(TaskState& state) {
   } else {
     state.stats.thirdCopies++;
   }
-  run.plan = state.behavior(context);
+  resetPlan(run.plan);
+  state.behavior(context, run.plan);
 
   // Comparison (after the second and later copies) is charged as CPU time
   // together with the copy itself.
@@ -88,16 +96,16 @@ void TemExecutor::onCopyStop(TaskState& state, rt::CopyStop stop) {
   rt::Job& job = *run.job;
   // complete() and omit() finish the job, so they are the last use of `run`:
   // a release they trigger may already reset it for the next job.
-  auto deliver = [&](TaskResult result) {
+  auto deliver = [&](const TaskResult& result) {
     if (!run.hadError()) {
       state.stats.deliveredCleanly++;
-    } else if (run.sawMismatch && run.results.size() >= 3) {
+    } else if (run.sawMismatch && run.resultCount >= 3) {
       state.stats.maskedByVote++;
     } else {
       state.stats.maskedByReplacement++;
     }
     const bool hadError = run.hadError();
-    job.complete(std::move(result));  // deletes the job: last action
+    job.complete(result);  // retires the job: last action
     if (onJobError_) onJobError_(state.id, hadError);
   };
   auto omitNoTime = [&] {
@@ -141,14 +149,16 @@ void TemExecutor::onCopyStop(TaskState& state, rt::CopyStop stop) {
         if (config_.restoreContextOnEdmError) state.stats.contextRestores++;
         break;  // discard: the copy produced no trustworthy result
       }
-      run.results.push_back(std::move(run.plan.result));
-      if (run.results.size() >= 2) {
-        if (run.results.size() == 2 && !resultsMatch(run.results[0], run.results[1])) {
+      if (run.resultCount == run.results.size()) run.results.emplace_back();
+      run.results[run.resultCount++].swap(run.plan.result);
+      if (run.resultCount >= 2) {
+        if (run.resultCount == 2 && !resultsMatch(run.results[0], run.results[1])) {
           run.sawMismatch = true;
           state.stats.comparisonMismatches++;
         }
-        if (auto voted = majorityVote(run.results)) {
-          deliver(std::move(*voted));
+        const std::span<const TaskResult> results{run.results.data(), run.resultCount};
+        if (const auto voted = majorityVote(results)) {
+          deliver(results[*voted]);
           return;
         }
         // All results differ pairwise.

@@ -33,9 +33,14 @@ namespace nlft::tem {
 
 using rt::Duration;
 
-/// What one task copy will do when executed. Produced by the copy behavior
+/// What one task copy will do when executed. Filled by the copy behavior
 /// before the copy runs, so that EDM-detected errors can terminate the copy
 /// part-way through (its remaining time is reclaimed).
+///
+/// The executor owns the plan. It hands it to the behavior reset to the
+/// defaults below, with an empty `result` that keeps the capacity of earlier
+/// copies, so a behavior that writes its words into `result` allocates
+/// nothing once the buffers have grown.
 struct CopyPlan {
   enum class End : std::uint8_t {
     Result,         ///< runs to completion and produces `result`
@@ -52,8 +57,11 @@ struct CopyContext {
   int copyIndex = 0;  ///< 1-based; counts every started copy including replacements
 };
 
-/// Behavior of a critical task: invoked once per started copy.
-using CopyBehavior = std::function<CopyPlan(const CopyContext&)>;
+/// Behavior of a critical task: invoked once per started copy; fills `plan`.
+using CopyBehavior = std::function<void(const CopyContext&, CopyPlan& plan)>;
+
+/// Resets `plan` to the defaults, keeping the capacity of its result buffer.
+void resetPlan(CopyPlan& plan);
 
 /// TEM tuning knobs.
 struct TemConfig {
@@ -103,7 +111,11 @@ class TemExecutor {
   struct JobRun {
     rt::Job* job = nullptr;
     int copiesStarted = 0;
+    /// The first `resultCount` entries are this job's copy results. A
+    /// finished copy's result is swapped in from `plan`, so the buffers are
+    /// reused from job to job.
     std::vector<TaskResult> results;
+    std::size_t resultCount = 0;
     bool sawMismatch = false;
     bool sawDetectedError = false;
     CopyPlan plan;  ///< the running copy's plan

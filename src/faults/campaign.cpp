@@ -355,7 +355,7 @@ TemOutcome classifyTemWith(const TaskImage& image, const CopyRun& golden,
         if (mechanisms) ++mechanisms->temComparison;
       }
       if (const auto voted = tem::majorityVote(results)) {
-        if (*voted != golden.output) return TemOutcome::UndetectedWrongOutput;
+        if (results[*voted] != golden.output) return TemOutcome::UndetectedWrongOutput;
         if (mismatchDetected) return TemOutcome::MaskedByVote;
         if (edmDetected) return TemOutcome::MaskedByRestart;
         if (source.eccCorrected()) {

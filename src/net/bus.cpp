@@ -8,7 +8,7 @@
 
 namespace nlft::net {
 
-std::uint16_t frameCrc(const std::vector<std::uint32_t>& payload) {
+std::uint16_t frameCrc(std::span<const std::uint32_t> payload) {
   return util::crc16CcittWords(payload);
 }
 
@@ -38,8 +38,10 @@ void TdmaBus::attach(NodeId node, ReceiveFn receive) {
   attached_.push_back({node, std::move(receive)});
 }
 
-void TdmaBus::sendStatic(NodeId node, std::vector<std::uint32_t> payload) {
-  pendingStatic_[node] = std::move(payload);
+void TdmaBus::sendStatic(NodeId node, std::span<const std::uint32_t> payload) {
+  StaticSlot& slot = pendingStatic_[node];
+  slot.pending = true;
+  slot.payload.assign(payload.begin(), payload.end());
 }
 
 void TdmaBus::sendDynamic(NodeId node, std::uint32_t priority, std::vector<std::uint32_t> payload) {
@@ -87,10 +89,11 @@ bool TdmaBus::injectionArmed() const {
 
 std::uint64_t TdmaBus::stateDigest() const {
   util::StateHash digest;
-  for (const auto& [node, payload] : pendingStatic_) {
+  for (const auto& [node, slot] : pendingStatic_) {
+    if (!slot.pending) continue;
     digest.u64(node);
-    digest.u64(payload.size());
-    for (const std::uint32_t word : payload) digest.u64(word);
+    digest.u64(slot.payload.size());
+    for (const std::uint32_t word : slot.payload) digest.u64(word);
   }
   for (const Frame& frame : pendingDynamic_) {
     digest.u64(frame.sender);
@@ -164,30 +167,28 @@ void TdmaBus::runStaticSlot(std::uint32_t slot) {
 
   if (nodeSilent(owner)) return;
   const auto it = pendingStatic_.find(owner);
-  if (it == pendingStatic_.end()) return;
+  if (it == pendingStatic_.end() || !it->second.pending) return;
+  it->second.pending = false;
+  Frame& frame = staticFrame_;
+  frame.sender = owner;
+  frame.slot = slot;
+  frame.priority = 0;
+  frame.crc = 0;
+  frame.payload.swap(it->second.payload);
   if (collision) {
     // The owner's frame is destroyed by the overlapping transmission;
     // receivers see garbage and their CRC check drops it.
-    Frame destroyed;
-    destroyed.sender = owner;
-    destroyed.slot = slot;
-    destroyed.payload = std::move(it->second);
-    pendingStatic_.erase(it);
     ++dropped_;
-    if (dropTap_) dropTap_(destroyed, "collision");
+    if (dropTap_) dropTap_(frame, "collision");
     return;
   }
-  Frame frame;
-  frame.sender = owner;
-  frame.slot = slot;
-  frame.payload = std::move(it->second);
-  pendingStatic_.erase(it);
-  deliver(std::move(frame), takeCorruption(owner));
+  deliver(frame, takeCorruption(owner));
 }
 
 void TdmaBus::runDynamicSegment() {
   // Minislot arbitration: pending frames transmit in priority order; each
   // consumes one minislot. Frames beyond the segment capacity wait.
+  if (pendingDynamic_.empty()) return;
   std::stable_sort(pendingDynamic_.begin(), pendingDynamic_.end(),
                    [](const Frame& a, const Frame& b) { return a.priority < b.priority; });
   std::uint32_t used = 0;
@@ -205,14 +206,14 @@ void TdmaBus::runDynamicSegment() {
     simulator_.scheduleAfter(config_.minislotLength * static_cast<std::int64_t>(used),
                              [this, frame = std::move(frame),
                               flipBits = std::move(flipBits)]() mutable {
-                               deliver(std::move(frame), std::move(flipBits));
+                               deliver(frame, flipBits);
                              },
                              sim::EventPriority::Network);
   }
   pendingDynamic_ = std::move(keep);
 }
 
-void TdmaBus::deliver(Frame frame, std::vector<std::uint32_t> flipBits) {
+void TdmaBus::deliver(Frame& frame, std::span<const std::uint32_t> flipBits) {
   // Transmission stamps the frame check sequence; injected corruption then
   // strikes the frame in transit (after the CRC is computed, as on a real
   // bus). Every receiver recomputes the CRC and drops the frame on mismatch

@@ -20,6 +20,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -44,7 +45,7 @@ struct Frame {
 /// frame check sequence every transmitted frame carries. The generator
 /// polynomial 0x1021 has Hamming distance 4 over these frame sizes, so ANY
 /// 1-, 2- or 3-bit corruption is guaranteed to be caught at the receiver.
-[[nodiscard]] std::uint16_t frameCrc(const std::vector<std::uint32_t>& payload);
+[[nodiscard]] std::uint16_t frameCrc(std::span<const std::uint32_t> payload);
 
 /// Flips one bit of a frame in transit. The bit index space covers the
 /// payload first (32 bits per word, little-endian) and then the 16 CRC
@@ -65,13 +66,16 @@ class TdmaBus {
   TdmaBus(sim::Simulator& simulator, TdmaConfig config);
 
   /// Registers a receiver; every delivered frame (except the node's own) is
-  /// passed to `receive`.
+  /// passed to `receive`. The frame is owned by the bus and valid only
+  /// during the callback; a receiver that keeps words must copy them.
   void attach(NodeId node, ReceiveFn receive);
 
-  /// Queues the payload for the node's NEXT static slot. One frame per slot;
-  /// a newer message replaces a pending one (freshest-value semantics, as in
-  /// state message protocols).
-  void sendStatic(NodeId node, std::vector<std::uint32_t> payload);
+  /// Copies the payload into the node's static-slot buffer for its NEXT
+  /// static slot. One frame per slot; a newer message replaces a pending one
+  /// (freshest-value semantics, as in state message protocols). The buffer
+  /// is reused from cycle to cycle, so a steady payload size allocates
+  /// nothing.
+  void sendStatic(NodeId node, std::span<const std::uint32_t> payload);
 
   /// Queues an event-triggered frame for the dynamic segment. Lower priority
   /// value transmits first. Frames that do not fit wait for the next cycle.
@@ -147,10 +151,18 @@ class TdmaBus {
     NodeId node;
     ReceiveFn receive;
   };
+  /// A node's static-slot payload. Entries stay in the map once created, so
+  /// their buffers are reused; `pending` marks a payload not yet sent.
+  struct StaticSlot {
+    bool pending = false;
+    std::vector<std::uint32_t> payload;
+  };
 
   void runStaticSlot(std::uint32_t slot);
   void runDynamicSegment();
-  void deliver(Frame frame, std::vector<std::uint32_t> flipBits);
+  /// Stamps the CRC, applies `flipBits` and hands `frame` to the receivers
+  /// (or the drop tap on a CRC mismatch).
+  void deliver(Frame& frame, std::span<const std::uint32_t> flipBits);
   void scheduleNextCycle();
   /// Consumes the pending corruption for `node` (empty = none pending).
   std::vector<std::uint32_t> takeCorruption(NodeId node);
@@ -158,7 +170,10 @@ class TdmaBus {
   sim::Simulator& simulator_;
   TdmaConfig config_;
   std::vector<Attached> attached_;
-  std::map<NodeId, std::vector<std::uint32_t>> pendingStatic_;
+  std::map<NodeId, StaticSlot> pendingStatic_;
+  /// The frame receivers see for a static slot; its payload buffer is
+  /// swapped with the sender's slot buffer, so neither is reallocated.
+  Frame staticFrame_;
   std::deque<Frame> pendingDynamic_;
   std::map<NodeId, bool> silent_;
   std::map<NodeId, std::vector<std::uint32_t>> corruptNext_;

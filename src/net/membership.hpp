@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <map>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "net/bus.hpp"
@@ -42,8 +43,9 @@ class MembershipService {
   void setAlive(NodeId node, bool alive);
   [[nodiscard]] bool alive(NodeId node) const;
 
-  /// Queues application data to ride along the node's next heartbeat.
-  void queueAppData(NodeId node, std::vector<std::uint32_t> data);
+  /// Copies application data to ride along the node's next heartbeat (into
+  /// a buffer the node reuses from cycle to cycle).
+  void queueAppData(NodeId node, std::span<const std::uint32_t> data);
 
   /// Membership view of `observer`: which peers it currently counts as
   /// members (the observer itself is always included while alive).
@@ -53,8 +55,9 @@ class MembershipService {
   [[nodiscard]] bool isMember(NodeId observer, NodeId peer) const;
 
   /// Application receive hook: called with (receiver, sender, data) for
-  /// every heartbeat frame carrying application data.
-  using AppReceiveFn = std::function<void(NodeId, NodeId, const std::vector<std::uint32_t>&)>;
+  /// every heartbeat frame carrying application data. `data` views the
+  /// delivered frame and is valid only during the call.
+  using AppReceiveFn = std::function<void(NodeId, NodeId, std::span<const std::uint32_t>)>;
   void setAppReceive(AppReceiveFn fn) { appReceive_ = std::move(fn); }
 
   /// Observer for membership transitions: (observer, peer, nowMember) fires
@@ -91,6 +94,7 @@ class MembershipService {
   TdmaBus& bus_;
   MembershipConfig config_;
   std::map<NodeId, NodeState> nodes_;
+  std::vector<std::uint32_t> heartbeat_;  ///< onCycle()'s reused payload buffer
   AppReceiveFn appReceive_;
   MembershipTap membershipTap_;
   bool started_ = false;

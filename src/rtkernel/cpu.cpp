@@ -11,10 +11,17 @@ Cpu::Cpu(sim::Simulator& simulator, Duration contextSwitchOverhead)
     throw std::invalid_argument("Cpu: negative context-switch overhead");
 }
 
-WorkId Cpu::post(int priority, Duration work, CompletionFn onComplete, std::string label) {
+std::string_view Cpu::intern(std::string_view label) {
+  for (const std::string& known : labels_) {
+    if (known == label) return known;
+  }
+  return labels_.emplace_back(label);
+}
+
+WorkId Cpu::post(int priority, Duration work, CompletionFn onComplete, std::string_view label) {
   if (work < Duration{}) throw std::invalid_argument("Cpu: negative work");
   const WorkId id{nextId_++};
-  ready_.push_back(Item{id, priority, nextSeq_++, work, std::move(onComplete), std::move(label)});
+  ready_.push_back(Item{id, priority, nextSeq_++, work, std::move(onComplete), intern(label)});
   if (running_ && priority > running_->item.priority) preemptRunning();
   dispatch();
   return id;
@@ -35,7 +42,9 @@ bool Cpu::cancel(WorkId id) {
   return true;
 }
 
-std::string Cpu::runningLabel() const { return running_ ? running_->item.label : ""; }
+std::string_view Cpu::runningLabel() const {
+  return running_ ? running_->item.label : std::string_view{};
+}
 
 void Cpu::dispatch() {
   if (running_ || ready_.empty()) return;

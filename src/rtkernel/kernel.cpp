@@ -39,12 +39,12 @@ void Job::killRunningCopy() {
   if (stop) stop(CopyStop::Killed);
 }
 
-void Job::complete(std::vector<std::uint32_t> result) {
+void Job::complete(std::span<const std::uint32_t> result) {
   if (finished_) return;
   kernel_.mutableStats(task_).completions++;
   kernel_.emitEvent(KernelEvent::Kind::JobCompleted, task_, index_);
   if (kernel_.resultSink_) {
-    kernel_.resultSink_(JobResult{task_, index_, std::move(result), kernel_.simulator_.now()});
+    kernel_.resultSink_(JobResult{task_, index_, result, kernel_.simulator_.now()});
   }
   finish();
 }
@@ -54,6 +54,34 @@ void Job::omit() {
   kernel_.mutableStats(task_).omissions++;
   kernel_.emitEvent(KernelEvent::Kind::JobOmitted, task_, index_);
   finish();
+}
+
+void Job::begin(TaskId task, std::uint64_t index, SimTime release, SimTime deadline) {
+  task_ = task;
+  index_ = index;
+  release_ = release;
+  deadline_ = deadline;
+  copyWork_ = WorkId{};
+  deadlineEvent_ = sim::EventId{};
+  finished_ = false;
+}
+
+void Job::onDeadline() {
+  RtKernel::TaskEntry& task = kernel_.tasks_[task_.value];
+  if (task.activeJob.get() != this) return;  // already finished
+  task.stats.deadlineMisses++;
+  if (copyWork_.valid()) {
+    kernel_.cpu_.cancel(copyWork_);
+    copyWork_ = WorkId{};
+    auto stop = std::move(copyStop_);
+    copyStop_ = nullptr;
+    if (stop) stop(CopyStop::Aborted);
+  }
+  if (task.activeJob.get() != this) return;  // the stop callback finished it
+  auto abortHandler = std::move(abortHandler_);
+  abortHandler_ = nullptr;
+  omit();
+  if (abortHandler) abortHandler();
 }
 
 void Job::finish() {
@@ -142,6 +170,13 @@ void RtKernel::retire(std::unique_ptr<Job> job) {
     retireCleanupScheduled_ = true;
     simulator_.scheduleAfter(Duration{}, [this] {
       retireCleanupScheduled_ = false;
+      for (std::unique_ptr<Job>& retired : retired_) {
+        // Drop the handlers now: what they capture must not outlive the job.
+        retired->copyStop_ = nullptr;
+        retired->errorHandler_ = nullptr;
+        retired->abortHandler_ = nullptr;
+        freeJobs_.push_back(std::move(retired));
+      }
       retired_.clear();
     }, sim::EventPriority::Observer);
   }
@@ -178,29 +213,20 @@ void RtKernel::release(std::uint32_t taskIndex) {
 
   const SimTime now = simulator_.now();
   const SimTime deadline = now + task.config.relativeDeadline;
-  task.activeJob.reset(new Job{*this, TaskId{taskIndex}, task.nextJobIndex++, now, deadline});
+  if (freeJobs_.empty()) {
+    task.activeJob.reset(new Job{*this});
+  } else {
+    task.activeJob = std::move(freeJobs_.back());
+    freeJobs_.pop_back();
+  }
   Job* job = task.activeJob.get();
+  job->begin(TaskId{taskIndex}, task.nextJobIndex++, now, deadline);
 
-  job->deadlineEvent_ = simulator_.scheduleAt(
-      deadline,
-      [this, taskIndex, job] {
-        TaskEntry& task = tasks_[taskIndex];
-        if (task.activeJob.get() != job) return;  // already finished
-        task.stats.deadlineMisses++;
-        if (job->copyWork_.valid()) {
-          cpu_.cancel(job->copyWork_);
-          job->copyWork_ = WorkId{};
-          auto stop = std::move(job->copyStop_);
-          job->copyStop_ = nullptr;
-          if (stop) stop(CopyStop::Aborted);
-        }
-        if (task.activeJob.get() != job) return;  // stop callback finished it
-        auto abortHandler = std::move(job->abortHandler_);
-        job->abortHandler_ = nullptr;
-        job->omit();
-        if (abortHandler) abortHandler();
-      },
-      sim::EventPriority::Kernel);
+  // Capturing only the job keeps the closure in std::function's inline
+  // buffer. Every way a job finishes cancels this event, and a finished job
+  // is recycled only after the event that finished it.
+  job->deadlineEvent_ =
+      simulator_.scheduleAt(deadline, [job] { job->onDeadline(); }, sim::EventPriority::Kernel);
 
   task.handler(*job);
 }

@@ -13,6 +13,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -64,17 +65,21 @@ struct KernelEvent {
 };
 
 /// A delivered job result (the "write output" of the task loop).
+///
+/// `data` views the words the job completed with; it is valid only during
+/// the result-sink callback. A sink that keeps the words must copy them.
 struct JobResult {
   TaskId task;
   std::uint64_t jobIndex = 0;
-  std::vector<std::uint32_t> data;
+  std::span<const std::uint32_t> data;
   SimTime deliveredAt;
 };
 
 /// Handle used by the job handler (the NLFT layer) to drive one job.
 ///
 /// Lifetime: valid from the handler invocation until complete()/omit() or a
-/// deadline abort. The kernel owns the object.
+/// deadline abort. The kernel owns the object and recycles it for a later
+/// job once the event that finished it is over.
 class Job {
  public:
   [[nodiscard]] TaskId taskId() const { return task_; }
@@ -98,8 +103,9 @@ class Job {
   /// remaining CPU time is reclaimed (paper Fig. 3, scenario iii).
   void killRunningCopy();
 
-  /// Delivers the job result and finishes the job.
-  void complete(std::vector<std::uint32_t> result);
+  /// Delivers the job result and finishes the job. The result sink sees
+  /// `result` itself; the kernel does not copy it.
+  void complete(std::span<const std::uint32_t> result);
 
   /// Finishes the job with an omission failure (no result delivered).
   void omit();
@@ -114,14 +120,17 @@ class Job {
 
  private:
   friend class RtKernel;
-  Job(RtKernel& kernel, TaskId task, std::uint64_t index, SimTime release, SimTime deadline)
-      : kernel_{kernel}, task_{task}, index_{index}, release_{release}, deadline_{deadline} {}
+  explicit Job(RtKernel& kernel) : kernel_{kernel} {}
 
+  /// Readies a fresh or recycled object for a new job.
+  void begin(TaskId task, std::uint64_t index, SimTime release, SimTime deadline);
   void finish();
+  /// The deadline monitor: fires at the absolute deadline.
+  void onDeadline();
 
   RtKernel& kernel_;
-  TaskId task_;
-  std::uint64_t index_;
+  TaskId task_{};
+  std::uint64_t index_ = 0;
   SimTime release_;
   SimTime deadline_;
   WorkId copyWork_{};
@@ -209,8 +218,9 @@ class RtKernel {
   TaskEntry& entry(TaskId task);
   const TaskEntry& entry(TaskId task) const;
 
-  /// Jobs are destroyed deferred (at the end of the current event) because
-  /// finish() is regularly reached from inside the job's own callbacks.
+  /// Finished jobs are recycled deferred (at the end of the current event)
+  /// because finish() is regularly reached from inside the job's own
+  /// callbacks.
   void retire(std::unique_ptr<Job> job);
 
   void emitEvent(KernelEvent::Kind kind, TaskId task = {}, std::uint64_t jobIndex = 0);
@@ -224,6 +234,7 @@ class RtKernel {
   bool stopped_ = false;
   std::uint64_t kernelErrors_ = 0;
   std::vector<std::unique_ptr<Job>> retired_;
+  std::vector<std::unique_ptr<Job>> freeJobs_;  ///< recycled, ready for release()
   bool retireCleanupScheduled_ = false;
 };
 

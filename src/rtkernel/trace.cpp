@@ -19,14 +19,14 @@ std::string renderGantt(const std::vector<ExecutionSegment>& trace, Duration res
   const auto columns = static_cast<std::size_t>((end + resolution - Duration::microseconds(1)) /
                                                 resolution);
 
-  std::vector<std::string> labels;
+  std::vector<std::string_view> labels;
   for (const ExecutionSegment& segment : trace) {
     if (std::find(labels.begin(), labels.end(), segment.label) == labels.end()) {
       labels.push_back(segment.label);
     }
   }
   std::size_t width = 0;
-  for (const std::string& label : labels) width = std::max(width, label.size());
+  for (const std::string_view label : labels) width = std::max(width, label.size());
 
   std::vector<std::string> rows(labels.size(), std::string(columns, '.'));
   for (const ExecutionSegment& segment : trace) {

@@ -1,13 +1,16 @@
 #!/usr/bin/env bash
-# Malformed numeric flags of nlft-fuzz and nlft-analyze: every one must exit
-# with status exactly 2 and name the flag on stderr. A tool that runs with a
-# made-up value, crashes or aborts under a sanitizer fails the check.
+# Malformed numeric flags of nlft-fuzz and nlft-analyze, and malformed
+# positional arguments of the fault_injection_campaign example: every one must
+# exit with status exactly 2 and name the flag or argument on stderr. A
+# program that runs with a made-up value, crashes or aborts under a sanitizer
+# fails the check.
 #
-# Usage: cli_flags_test.sh <nlft-fuzz> <nlft-analyze>
+# Usage: cli_flags_test.sh <nlft-fuzz> <nlft-analyze> <fault_injection_campaign>
 set -u
 
 fuzz=$1
 analyze=$2
+campaign=$3
 failures=0
 
 # expect_rejected FLAG COMMAND... — COMMAND must exit 2 with "FLAG expects"
@@ -33,15 +36,19 @@ for bad in abc 1x x1 -3 +3 " 5" 5\  1.5 "" 99999999999999999999999; do
   expect_rejected --chunk "$fuzz" --budget 1 --seed 1 --chunk "$bad"
   expect_rejected --resume-split "$fuzz" --fingerprint missing-case.json --resume-split "$bad"
   expect_rejected --cross-check "$analyze" --cross-check "$bad" wheel
+  expect_rejected experiments "$campaign" "$bad"
+  expect_rejected threads "$campaign" 1 "$bad"
 done
 
 # Zero where usage() asks for at least one.
 expect_rejected --budget "$fuzz" --budget 0 --seed 1
 expect_rejected --cross-check "$analyze" --cross-check 0 wheel
+expect_rejected experiments "$campaign" 0
 
 # Overflow of the flag's own type: --threads is 32-bit, --resume-split a
 # signed 64-bit count of microseconds.
 expect_rejected --threads "$fuzz" --budget 1 --seed 1 --threads 4294967296
+expect_rejected threads "$campaign" 1 4294967296
 expect_rejected --resume-split "$fuzz" --fingerprint missing-case.json \
   --resume-split 9223372036854775808
 

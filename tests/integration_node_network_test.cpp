@@ -49,11 +49,9 @@ struct DuplexFixture : ::testing::Test {
     config.priority = 5;
     config.period = Duration::milliseconds(5);
     config.wcet = Duration::milliseconds(1);
-    node->addCriticalTask(config, [&state](const tem::CopyContext&) {
-      tem::CopyPlan plan;
+    node->addCriticalTask(config, [&state](const tem::CopyContext&, tem::CopyPlan& plan) {
       plan.executionTime = Duration::milliseconds(1);
       plan.result = {state + 1};  // the next filter state
-      return plan;
     });
     node->setResultSink([&state](const rt::JobResult& result) { state = result.data[0]; });
     return node;

@@ -13,6 +13,7 @@ namespace {
 
 using util::Duration;
 using util::SimTime;
+using Words = std::vector<std::uint32_t>;
 
 struct BusFixture : ::testing::Test {
   sim::Simulator simulator;
@@ -42,7 +43,7 @@ TEST_F(BusFixture, StaticFrameDeliveredInOwnersSlot) {
   TdmaBus bus{simulator, config};
   attachRecorder(bus, 2);
   attachRecorder(bus, 3);
-  bus.sendStatic(1, {0xAB});
+  bus.sendStatic(1, Words{0xAB});
   bus.start();
   simulator.runUntil(SimTime::fromUs(4000));
   ASSERT_EQ(received.size(), 2u);  // both other nodes hear it
@@ -55,7 +56,7 @@ TEST_F(BusFixture, StaticFrameDeliveredInOwnersSlot) {
 TEST_F(BusFixture, SenderDoesNotHearItself) {
   TdmaBus bus{simulator, config};
   attachRecorder(bus, 1);
-  bus.sendStatic(1, {1});
+  bus.sendStatic(1, Words{1});
   bus.start();
   simulator.runUntil(SimTime::fromUs(4000));
   EXPECT_TRUE(received.empty());
@@ -64,8 +65,8 @@ TEST_F(BusFixture, SenderDoesNotHearItself) {
 TEST_F(BusFixture, SlotsAreOwnedOneFramePerCycle) {
   TdmaBus bus{simulator, config};
   attachRecorder(bus, 3);
-  bus.sendStatic(1, {1});
-  bus.sendStatic(2, {2});
+  bus.sendStatic(1, Words{1});
+  bus.sendStatic(2, Words{2});
   bus.start();
   simulator.runUntil(SimTime::fromUs(3900));
   ASSERT_EQ(received.size(), 2u);
@@ -76,8 +77,8 @@ TEST_F(BusFixture, SlotsAreOwnedOneFramePerCycle) {
 TEST_F(BusFixture, FreshestValueReplacesPendingStaticFrame) {
   TdmaBus bus{simulator, config};
   attachRecorder(bus, 2);
-  bus.sendStatic(1, {1});
-  bus.sendStatic(1, {2});  // replaces the first before the slot opens
+  bus.sendStatic(1, Words{1});
+  bus.sendStatic(1, Words{2});  // replaces the first before the slot opens
   bus.start();
   simulator.runUntil(SimTime::fromUs(3900));
   ASSERT_EQ(received.size(), 1u);
@@ -123,7 +124,7 @@ TEST_F(BusFixture, SilentNodeTransmitsNothing) {
   TdmaBus bus{simulator, config};
   attachRecorder(bus, 2);
   bus.setNodeSilent(1, true);
-  bus.sendStatic(1, {1});
+  bus.sendStatic(1, Words{1});
   bus.sendDynamic(1, 0, {2});
   bus.start();
   simulator.runUntil(SimTime::fromUs(8000));
@@ -135,14 +136,14 @@ TEST_F(BusFixture, CorruptedFrameDroppedAtAllReceivers) {
   attachRecorder(bus, 2);
   attachRecorder(bus, 3);
   bus.corruptNextFrame(1);
-  bus.sendStatic(1, {1});
+  bus.sendStatic(1, Words{1});
   bus.start();
   simulator.runUntil(SimTime::fromUs(3900));
   EXPECT_TRUE(received.empty());
   EXPECT_EQ(bus.framesDropped(), 1u);
 
   // The corruption marker is one-shot: the next frame goes through.
-  bus.sendStatic(1, {2});
+  bus.sendStatic(1, Words{2});
   simulator.runUntil(SimTime::fromUs(7900));
   EXPECT_EQ(received.size(), 2u);
   EXPECT_EQ(bus.framesDelivered(), 1u);
@@ -153,7 +154,7 @@ TEST_F(BusFixture, CyclesRepeatIndefinitely) {
   attachRecorder(bus, 2);
   bus.start();
   for (int cycle = 0; cycle < 5; ++cycle) {
-    bus.sendStatic(1, {static_cast<std::uint32_t>(cycle)});
+    bus.sendStatic(1, Words{static_cast<std::uint32_t>(cycle)});
     simulator.runUntil(SimTime::fromUs((cycle + 1) * 4000));
   }
   EXPECT_EQ(received.size(), 5u);
@@ -164,7 +165,7 @@ TEST_F(BusFixture, BabblingIdiotDestroysEverySlotWithoutGuardian) {
   TdmaBus bus{simulator, config};
   attachRecorder(bus, 3);
   bus.setBabbling(2, true);  // node 2 transmits everywhere
-  bus.sendStatic(1, {1});
+  bus.sendStatic(1, Words{1});
   bus.start();
   simulator.runUntil(SimTime::fromUs(3900));
   // Node 1's frame collided with node 2's babble in slot 0.
@@ -178,7 +179,7 @@ TEST_F(BusFixture, BusGuardianContainsTheBabbler) {
   attachRecorder(bus, 3);
   bus.setBusGuardianEnabled(true);
   bus.setBabbling(2, true);
-  bus.sendStatic(1, {1});
+  bus.sendStatic(1, Words{1});
   bus.start();
   simulator.runUntil(SimTime::fromUs(3900));
   // The guardian blocks node 2's out-of-slot transmissions: node 1's frame
@@ -194,7 +195,7 @@ TEST_F(BusFixture, BabblerStillOwnsItsOwnSlot) {
   attachRecorder(bus, 1);
   bus.setBusGuardianEnabled(true);
   bus.setBabbling(2, true);
-  bus.sendStatic(2, {22});
+  bus.sendStatic(2, Words{22});
   bus.start();
   simulator.runUntil(SimTime::fromUs(3900));
   // In ITS OWN slot the babbler's transmission is legitimate.
@@ -207,7 +208,7 @@ TEST_F(BusFixture, SilencedBabblerStopsColliding) {
   attachRecorder(bus, 3);
   bus.setBabbling(2, true);
   bus.setNodeSilent(2, true);  // the node was shut down (fail-silent)
-  bus.sendStatic(1, {1});
+  bus.sendStatic(1, Words{1});
   bus.start();
   simulator.runUntil(SimTime::fromUs(3900));
   ASSERT_EQ(received.size(), 1u);
@@ -304,7 +305,7 @@ TEST_F(BusFixture, DropTapSeesCorruptionReason) {
   std::vector<std::string> reasons;
   bus.setDropTap([&](const Frame&, const char* reason) { reasons.emplace_back(reason); });
   bus.corruptNextFrame(1);
-  bus.sendStatic(1, {0xAB});
+  bus.sendStatic(1, Words{0xAB});
   bus.start();
   simulator.runUntil(SimTime::fromUs(3900));
   ASSERT_EQ(reasons.size(), 1u);

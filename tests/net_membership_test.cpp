@@ -114,10 +114,11 @@ TEST_F(MembershipFixture, AppDataRidesAlongHeartbeats) {
   for (NodeId node : {1u, 2u}) membership.addNode(node);
   config.staticSchedule = {1, 2};
   std::vector<std::tuple<NodeId, NodeId, std::vector<std::uint32_t>>> seen;
-  membership.setAppReceive([&](NodeId receiver, NodeId sender, const std::vector<std::uint32_t>& data) {
-    seen.emplace_back(receiver, sender, data);
-  });
-  membership.queueAppData(1, {0xCAFE, 0xF00D});
+  membership.setAppReceive(
+      [&](NodeId receiver, NodeId sender, std::span<const std::uint32_t> data) {
+        seen.emplace_back(receiver, sender, std::vector<std::uint32_t>(data.begin(), data.end()));
+      });
+  membership.queueAppData(1, std::vector<std::uint32_t>{0xCAFE, 0xF00D});
   membership.start();
   runCycles(1);
   ASSERT_FALSE(seen.empty());

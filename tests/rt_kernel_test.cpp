@@ -30,7 +30,7 @@ RtKernel::JobHandler simpleHandler(Duration work, std::uint32_t value) {
   return [work, value](Job& job) {
     job.runCopy(work, [&job, value](CopyStop stop) {
       if (stop == CopyStop::Completed) {
-        job.complete({value});
+        job.complete(std::array{value});
       } else {
         job.omit();
       }
@@ -45,7 +45,8 @@ TEST_F(KernelFixture, PeriodicReleasesAndResults) {
       simpleHandler(Duration::milliseconds(2), 7));
   kernel.setResultSink([&](const JobResult& result) {
     EXPECT_EQ(result.task, task);
-    EXPECT_EQ(result.data, (std::vector<std::uint32_t>{7}));
+    EXPECT_EQ(std::vector<std::uint32_t>(result.data.begin(), result.data.end()),
+              (std::vector<std::uint32_t>{7}));
     deliveries.push_back(result.deliveredAt);
   });
   kernel.start();
@@ -255,13 +256,12 @@ TEST_F(KernelFixture, TemVoteTieForcesOmissionBeforeDeadline) {
   TaskConfig cfg = periodicTask("tie", 1, Duration::milliseconds(10),
                                 Duration::microseconds(500));
   cfg.relativeDeadline = Duration::milliseconds(8);
-  const TaskId task = temExecutor.addCriticalTask(cfg, [](const tem::CopyContext& context) {
-    tem::CopyPlan plan;
-    plan.executionTime = Duration::microseconds(500);
-    // Every copy disagrees with every other: 101, 102, 103.
-    plan.result = {static_cast<std::uint32_t>(100 + context.copyIndex)};
-    return plan;
-  });
+  const TaskId task = temExecutor.addCriticalTask(
+      cfg, [](const tem::CopyContext& context, tem::CopyPlan& plan) {
+        plan.executionTime = Duration::microseconds(500);
+        // Every copy disagrees with every other: 101, 102, 103.
+        plan.result = {static_cast<std::uint32_t>(100 + context.copyIndex)};
+      });
 
   int deliveries = 0;
   kernel.setResultSink([&](const JobResult&) { ++deliveries; });

@@ -86,9 +86,8 @@ TEST_P(TemExhaustive, MatchesReferenceModel) {
   config.priority = 1;
   config.period = Duration::milliseconds(40);
   config.wcet = Duration::milliseconds(2);
-  const TaskId task = tem.addCriticalTask(config, [&pattern](const CopyContext& ctx) {
+  const auto behavior = [&pattern](const CopyContext& ctx, CopyPlan& plan) {
     const CopyFate fate = pattern[std::min(ctx.copyIndex, 3) - 1];
-    CopyPlan plan;
     plan.executionTime = Duration::milliseconds(2);
     if (fate == CopyFate::EdmError) {
       plan.end = CopyPlan::End::DetectedError;
@@ -96,8 +95,8 @@ TEST_P(TemExhaustive, MatchesReferenceModel) {
     } else {
       plan.result = {copyValue(fate, ctx.copyIndex)};
     }
-    return plan;
-  });
+  };
+  const TaskId task = tem.addCriticalTask(config, behavior);
 
   std::optional<std::uint32_t> delivered;
   kernel.setResultSink([&](const rt::JobResult& r) { delivered = r.data[0]; });

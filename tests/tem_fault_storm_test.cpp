@@ -51,8 +51,7 @@ TEST_P(FaultStorm, DeliveredResultsAreAlwaysCorrect) {
     config.wcet = Duration::milliseconds(1 + t);
     const auto& taskPlans = plans[t];
     tasks.push_back(tem.addCriticalTask(
-        config, [t, &taskPlans](const CopyContext& context) -> CopyPlan {
-          CopyPlan plan;
+        config, [t, &taskPlans](const CopyContext& context, CopyPlan& plan) {
           plan.executionTime = Duration::milliseconds(1 + t);
           plan.result = {static_cast<std::uint32_t>(t),
                          static_cast<std::uint32_t>(context.jobIndex)};
@@ -66,7 +65,6 @@ TEST_P(FaultStorm, DeliveredResultsAreAlwaysCorrect) {
               }
             }
           }
-          return plan;
         }));
   }
 

@@ -33,10 +33,9 @@ TEST(NlftNode, NlftPolicyMasksFaults) {
   node.setResultSink([&](const rt::JobResult&) { ++results; });
   const rt::TaskId task = node.addCriticalTask(
       taskConfig("t", Duration::milliseconds(1), Duration::milliseconds(10)),
-      [](const CopyContext& ctx) {
-        CopyPlan plan = good(Duration::milliseconds(1), 7);
+      [](const CopyContext& ctx, CopyPlan& plan) {
+        plan = good(Duration::milliseconds(1), 7);
         if (ctx.jobIndex == 1 && ctx.copyIndex == 2) plan.result[0] ^= 1;  // one fault
-        return plan;
       });
   node.start();
   simulator.runUntil(SimTime::fromUs(45'000));
@@ -54,10 +53,9 @@ TEST(NlftNode, FailSilentPolicyStopsOnError) {
   bool silent = false;
   node.setSilentHook([&] { silent = true; });
   node.addCriticalTask(taskConfig("t", Duration::milliseconds(1), Duration::milliseconds(10)),
-                       [](const CopyContext& ctx) {
-                         CopyPlan plan = good(Duration::milliseconds(1));
+                       [](const CopyContext& ctx, CopyPlan& plan) {
+                         plan = good(Duration::milliseconds(1));
                          if (ctx.jobIndex == 2) plan.end = CopyPlan::End::DetectedError;
-                         return plan;
                        });
   node.start();
   simulator.runUntil(SimTime::fromUs(60'000));
@@ -77,10 +75,9 @@ TEST(NlftNode, PermanentFaultSuspicionSilencesNode) {
   // A stuck-at fault corrupts copy 2 of EVERY job: masked each time, but the
   // streak betrays a permanent fault after 3 jobs.
   node.addCriticalTask(taskConfig("t", Duration::milliseconds(1), Duration::milliseconds(10)),
-                       [](const CopyContext& ctx) {
-                         CopyPlan plan = good(Duration::milliseconds(1));
+                       [](const CopyContext& ctx, CopyPlan& plan) {
+                         plan = good(Duration::milliseconds(1));
                          if (ctx.copyIndex == 2) plan.result[0] ^= 4;
-                         return plan;
                        });
   node.start();
   simulator.runUntil(SimTime::fromUs(100'000));
@@ -95,7 +92,9 @@ TEST(NlftNode, RestartAfterTransientDiagnosis) {
   int results = 0;
   node.setResultSink([&](const rt::JobResult&) { ++results; });
   node.addCriticalTask(taskConfig("t", Duration::milliseconds(1), Duration::milliseconds(10)),
-                       [](const CopyContext&) { return good(Duration::milliseconds(1)); });
+                       [](const CopyContext&, CopyPlan& plan) {
+                         plan = good(Duration::milliseconds(1));
+                       });
   node.start();
   simulator.scheduleAfter(Duration::milliseconds(15), [&] {
     node.reportKernelError({rt::ErrorEvent::Source::HardwareException, 0});
@@ -115,13 +114,14 @@ TEST(NlftNode, NonCriticalTaskShutdownDoesNotSilenceNode) {
     if (result.task == rt::TaskId{0}) ++criticalResults;
   });
   node.addCriticalTask(taskConfig("critical", Duration::milliseconds(1), Duration::milliseconds(10)),
-                       [](const CopyContext&) { return good(Duration::milliseconds(1)); });
+                       [](const CopyContext&, CopyPlan& plan) {
+                         plan = good(Duration::milliseconds(1));
+                       });
   const rt::TaskId diag = node.addNonCriticalTask(
       taskConfig("diag", Duration::milliseconds(1), Duration::milliseconds(10)),
-      [](const CopyContext& ctx) {
-        CopyPlan plan = good(Duration::milliseconds(1));
+      [](const CopyContext& ctx, CopyPlan& plan) {
+        plan = good(Duration::milliseconds(1));
         if (ctx.jobIndex == 1) plan.end = CopyPlan::End::DetectedError;
-        return plan;
       });
   node.start();
   simulator.runUntil(SimTime::fromUs(55'000));
@@ -136,7 +136,7 @@ TEST(NlftNode, ReportedTaskErrorTriggersTemRecovery) {
   NlftNode node{simulator};
   const rt::TaskId task = node.addCriticalTask(
       taskConfig("t", Duration::milliseconds(4), Duration::milliseconds(20)),
-      [](const CopyContext&) { return good(Duration::milliseconds(4)); });
+      [](const CopyContext&, CopyPlan& plan) { plan = good(Duration::milliseconds(4)); });
   node.start();
   simulator.scheduleAfter(Duration::milliseconds(1), [&] {
     node.reportTaskError(task, {rt::ErrorEvent::Source::EccUncorrectable, 0});

@@ -50,7 +50,7 @@ CopyPlan bad(Duration time) {
 TEST_F(PolicyFixture, FailSilentNodeRunsSingleCopies) {
   FailSilentExecutor fs{kernel};
   fs.addTask(config("t", Duration::milliseconds(2), Duration::milliseconds(10)),
-             [](const CopyContext&) { return good(Duration::milliseconds(2)); });
+             [](const CopyContext&, CopyPlan& plan) { plan = good(Duration::milliseconds(2)); });
   kernel.start();
   simulator.runUntil(SimTime::fromUs(35'000));
   EXPECT_EQ(results, 4);
@@ -63,9 +63,9 @@ TEST_F(PolicyFixture, FailSilentNodeStopsOnFirstDetectedError) {
   FailSilentExecutor fs{kernel};
   const TaskId task =
       fs.addTask(config("t", Duration::milliseconds(2), Duration::milliseconds(10)),
-                 [](const CopyContext& context) {
+                 [](const CopyContext& context, CopyPlan& plan) {
                    // Third job hits a transient fault.
-                   return context.jobIndex == 2 ? bad(Duration::milliseconds(1))
+                   plan = context.jobIndex == 2 ? bad(Duration::milliseconds(1))
                                                 : good(Duration::milliseconds(2));
                  });
   kernel.start();
@@ -81,7 +81,9 @@ TEST_F(PolicyFixture, FailSilentNodeStopsOnReportedError) {
   FailSilentExecutor fs{kernel};
   const TaskId task =
       fs.addTask(config("t", Duration::milliseconds(4), Duration::milliseconds(10)),
-                 [](const CopyContext&) { return good(Duration::milliseconds(4)); });
+                 [](const CopyContext&, CopyPlan& plan) {
+                   plan = good(Duration::milliseconds(4));
+                 });
   kernel.start();
   simulator.scheduleAfter(Duration::milliseconds(1), [&] {
     kernel.reportTaskError(task, {rt::ErrorEvent::Source::MmuViolation, 0});
@@ -94,11 +96,11 @@ TEST_F(PolicyFixture, FailSilentNodeStopsOnReportedError) {
 TEST_F(PolicyFixture, NonCriticalTaskShutDownOnErrorOthersContinue) {
   FailSilentExecutor fs{kernel};
   fs.addTask(config("critical", Duration::milliseconds(1), Duration::milliseconds(10)),
-             [](const CopyContext&) { return good(Duration::milliseconds(1)); });
+             [](const CopyContext&, CopyPlan& plan) { plan = good(Duration::milliseconds(1)); });
   const TaskId diagnostic = addNonCriticalTask(
       kernel, config("diagnostic", Duration::milliseconds(1), Duration::milliseconds(10)),
-      [](const CopyContext& context) {
-        return context.jobIndex == 1 ? bad(Duration::milliseconds(1))
+      [](const CopyContext& context, CopyPlan& plan) {
+        plan = context.jobIndex == 1 ? bad(Duration::milliseconds(1))
                                      : good(Duration::milliseconds(1));
       });
   kernel.start();
@@ -115,7 +117,7 @@ TEST_F(PolicyFixture, NonCriticalTaskShutDownOnErrorOthersContinue) {
 TEST_F(PolicyFixture, NonCriticalCriticalityFlagSet) {
   const TaskId task = addNonCriticalTask(
       kernel, config("nc", Duration::milliseconds(1), Duration::milliseconds(10)),
-      [](const CopyContext&) { return good(Duration::milliseconds(1)); });
+      [](const CopyContext&, CopyPlan& plan) { plan = good(Duration::milliseconds(1)); });
   EXPECT_EQ(kernel.config(task).criticality, rt::Criticality::NonCritical);
 }
 

@@ -36,9 +36,9 @@ CopyPlan edmErrorCopy(Duration timeUntilError) {
 /// Behavior that replays a scripted list of per-copy plans (repeating the
 /// last entry if more copies start than scripted).
 CopyBehavior scripted(std::vector<CopyPlan> plans) {
-  return [plans = std::move(plans)](const CopyContext& context) {
+  return [plans = std::move(plans)](const CopyContext& context, CopyPlan& plan) {
     const std::size_t i = std::min<std::size_t>(context.copyIndex - 1, plans.size() - 1);
-    return plans[i];
+    plan = plans[i];
   };
 }
 
@@ -66,7 +66,9 @@ struct TemFixture : ::testing::Test {
 
   void captureResults() {
     kernel.setResultSink([this](const rt::JobResult& result) {
-      deliveries.push_back({result.jobIndex, result.data, result.deliveredAt.us()});
+      deliveries.push_back({result.jobIndex,
+                            {result.data.begin(), result.data.end()},
+                            result.deliveredAt.us()});
     });
   }
 };
@@ -200,10 +202,13 @@ TEST_F(TemFixture, JobAfterAbortedJobStartsClean) {
   const Duration wcet = Duration::milliseconds(2);
   // Job 0: the first copy delivers A, the second runs away (20 ms) with a
   // loose budget. Every later job: copies deliver B.
-  const auto behavior = [](const CopyContext& context) {
-    if (context.jobIndex > 0) return goodCopy(Duration::milliseconds(1), kB);
-    return context.copyIndex == 1 ? goodCopy(Duration::milliseconds(1), kA)
-                                  : goodCopy(Duration::milliseconds(20), kA);
+  const auto behavior = [](const CopyContext& context, CopyPlan& plan) {
+    if (context.jobIndex > 0) {
+      plan = goodCopy(Duration::milliseconds(1), kB);
+    } else {
+      plan = context.copyIndex == 1 ? goodCopy(Duration::milliseconds(1), kA)
+                                    : goodCopy(Duration::milliseconds(20), kA);
+    }
   };
   struct Case {
     const char* name;
@@ -226,15 +231,20 @@ TEST_F(TemFixture, JobAfterAbortedJobStartsClean) {
     TaskConfig cfg = config(wcet, period, c.deadline);
     cfg.budget = Duration::milliseconds(30);
     const TaskId task = tem.addCriticalTask(cfg, behavior);
-    std::vector<rt::JobResult> results;
-    rtKernel.setResultSink([&](const rt::JobResult& result) { results.push_back(result); });
+    // The sink's view of the words lasts only for the call, so copy them.
+    std::vector<Delivery> results;
+    rtKernel.setResultSink([&](const rt::JobResult& result) {
+      results.push_back({result.jobIndex,
+                         {result.data.begin(), result.data.end()},
+                         result.deliveredAt.us()});
+    });
     rtKernel.start();
     sim.runUntil(SimTime::fromUs(c.untilUs));
 
     ASSERT_EQ(results.size(), 1u);
-    EXPECT_EQ(results[0].jobIndex, 1u);
+    EXPECT_EQ(results[0].job, 1u);
     EXPECT_EQ(results[0].data, (std::vector<std::uint32_t>{kB}));
-    EXPECT_EQ(results[0].deliveredAt.us(), c.deliveredAtUs);  // exactly two 1 ms copies
+    EXPECT_EQ(results[0].atUs, c.deliveredAtUs);  // exactly two 1 ms copies
     const TemStats& stats = tem.stats(task);
     EXPECT_EQ(stats.jobs, 2u);
     EXPECT_EQ(stats.omissionsAborted, 1u);
@@ -378,19 +388,19 @@ TEST_F(TemFixture, PeriodicStreamMixesScenarios) {
   // Job 0: clean; job 1: mismatch+vote; job 2: EDM error; job 3: clean.
   const TaskId task = tem.addCriticalTask(
       config(wcet, Duration::milliseconds(10)),
-      [&jobCount, wcet](const CopyContext& context) -> CopyPlan {
+      [&jobCount, wcet](const CopyContext& context, CopyPlan& plan) {
         jobCount = static_cast<int>(context.jobIndex);
+        plan = goodCopy(wcet);
         switch (context.jobIndex % 4) {
           case 1:
-            if (context.copyIndex == 2) return corruptedCopy(wcet, 99);
+            if (context.copyIndex == 2) plan = corruptedCopy(wcet, 99);
             break;
           case 2:
-            if (context.copyIndex == 1) return edmErrorCopy(Duration::microseconds(300));
+            if (context.copyIndex == 1) plan = edmErrorCopy(Duration::microseconds(300));
             break;
           default:
             break;
         }
-        return goodCopy(wcet);
       });
   captureResults();
   kernel.start();

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <span>
 #include <vector>
 
 #include "analysis/analyzer.hpp"
@@ -47,7 +48,7 @@ inline tem::NlftNode node{simulator, {}};
 inline rt::TaskConfig task;
 inline rt::TaskId taskId{};
 inline std::uint32_t myControlLaw() { return 0; }
-inline void actuate(const std::vector<std::uint32_t>&) {}
+inline void actuate(std::span<const std::uint32_t>) {}
 
 // §6: an assembled guest program.
 inline fi::TaskImage image;
