@@ -8,6 +8,7 @@
 
 #include <map>
 
+#include "bbw/control.hpp"
 #include "bbw/cu_task.hpp"
 #include "core/replication.hpp"
 #include "obs/metrics.hpp"
@@ -52,6 +53,8 @@ constexpr std::uint32_t kMsgEmergency = 0xC0DE0003;
 
 /// Marks a command sequence whose pedal sample time is not known.
 constexpr SimTime kNotSampled = SimTime::fromUs(-1);
+/// Integration step of the vehicle plant.
+constexpr Duration kPlantStep = Duration::milliseconds(1);
 
 using StateHash = util::StateHash;
 }  // namespace
@@ -81,8 +84,7 @@ const BbwDeployment& bbwDeployment() {
 
 struct BbwSystemSim::Impl {
   explicit Impl(BbwSimConfig cfg)
-      : config{cfg}, bus{simulator, bbwDeployment().bus}, membership{simulator, bus},
-        vehicle{cfg.vehicle} {}
+      : config{cfg}, bus{simulator, bbwDeployment().bus}, membership{simulator, bus} {}
 
   struct Node {
     net::NodeId id = 0;
@@ -117,11 +119,7 @@ struct BbwSystemSim::Impl {
   std::array<std::uint32_t, kWheelCount> lastCommandQ8{};
   // Per-wheel duplex arbitration of the two CUs' command streams: the first
   // valid copy of each command sequence wins, the partner's is dropped.
-  std::array<tem::DuplexArbiter, kWheelCount> commandArbiter{
-      tem::DuplexArbiter{tem::DuplexArbiter::Policy::FirstValid},
-      tem::DuplexArbiter{tem::DuplexArbiter::Policy::FirstValid},
-      tem::DuplexArbiter{tem::DuplexArbiter::Policy::FirstValid},
-      tem::DuplexArbiter{tem::DuplexArbiter::Policy::FirstValid}};
+  std::array<tem::DuplexArbiter, kWheelCount> commandArbiter{};
   std::array<std::int32_t, kWheelCount> wheelLimitQ8{-1, -1, -1, -1};
   // End-to-end latency bookkeeping (simulated clock): when each command
   // sequence's pedal input was sampled on a CU (indexed by sequence,
@@ -212,7 +210,7 @@ struct BbwSystemSim::Impl {
       rt::TaskConfig control;
       control.name = isWheel(id) ? "wheel-control" : "brake-distribution";
       control.priority = deployment.controlPriority;
-      control.period = config.controlPeriod;
+      control.period = deployment.controlPeriod;
       control.wcet = isWheel(id) ? deployment.wheelControlWcet : deployment.cuControlWcet;
 
       auto behavior = [this, id](const tem::CopyContext& context, tem::CopyPlan& plan) {
@@ -334,7 +332,7 @@ struct BbwSystemSim::Impl {
       plan.result.push_back(static_cast<std::uint32_t>(newLimit));
     } else {
       const double pedal = static_cast<double>(n.jobInput[0]) / 256.0;
-      const auto torques = distributeBrakeForce(config.centralUnit, pedal);
+      const auto torques = distributeBrakeForce(CentralUnitConfig{}, pedal);
       for (double torque : torques) {
         plan.result.push_back(static_cast<std::uint32_t>(std::lround(torque * 256.0)));
       }
@@ -396,12 +394,8 @@ struct BbwSystemSim::Impl {
     if (data.size() < 2 + kWheelCount) return;
     const std::size_t w = wheelIndex(receiver);
     const std::uint64_t sequence = data[1];
-    const int replica = sender == kCuA ? 0 : 1;
-    const std::span<const std::uint32_t> torques = data.subspan(2);
-    if (!commandArbiter[w].offer(replica, sequence, torques, simulator.now())) {
-      return;  // duplicate from the partner CU
-    }
-    lastCommandQ8[w] = torques[w];
+    if (!commandArbiter[w].offer(sequence)) return;  // duplicate from the partner CU
+    lastCommandQ8[w] = data[2 + w];
     lastCommandSeq[w] = sequence;
     ++commandFramesDelivered;
   }
@@ -578,21 +572,8 @@ struct BbwSystemSim::Impl {
     digest.f64(config.initialSpeedMps);
     digest.f64(config.pedal);
     digest.boolean(static_cast<bool>(config.pedalProfile));
-    digest.i64(config.controlPeriod.us());
-    digest.i64(config.plantStep.us());
     digest.i64(config.horizon.us());
     digest.i64(config.restartTime.us());
-    digest.f64(config.vehicle.massKg);
-    digest.f64(config.vehicle.wheelRadiusM);
-    digest.f64(config.vehicle.wheelInertia);
-    digest.f64(config.vehicle.burckhardtC1);
-    digest.f64(config.vehicle.burckhardtC2);
-    digest.f64(config.vehicle.burckhardtC3);
-    digest.f64(config.vehicle.rollingResistance);
-    for (const double scale : config.vehicle.frictionScale) digest.f64(scale);
-    digest.f64(config.centralUnit.maxTotalForceN);
-    digest.f64(config.centralUnit.frontShare);
-    digest.f64(config.centralUnit.wheelRadiusM);
     return digest.finish();
   }
 
@@ -732,8 +713,8 @@ struct BbwSystemSim::Impl {
   }
 
   void schedulePlantStep() {
-    simulator.scheduleAfter(config.plantStep, [this] {
-      vehicle.step(config.plantStep.toSeconds());
+    simulator.scheduleAfter(kPlantStep, [this] {
+      vehicle.step(kPlantStep.toSeconds());
       if (vehicle.stopped()) {
         if (!vehicleStopped) {
           vehicleStopped = true;
@@ -758,7 +739,6 @@ BbwSystemSim::BbwSystemSim(BbwSimConfig config) : impl_{std::make_unique<Impl>(c
 BbwSystemSim::~BbwSystemSim() = default;
 
 sim::Simulator& BbwSystemSim::simulator() { return impl_->simulator; }
-const Vehicle& BbwSystemSim::vehicle() const { return impl_->vehicle; }
 
 void BbwSystemSim::injectComputationFault(net::NodeId node, SimTime at) {
   impl_->injectionLog.push_back({Impl::LoggedInjection::Kind::Computation, node, at, {}});

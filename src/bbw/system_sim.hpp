@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "bbw/control.hpp"
 #include "bbw/params.hpp"
 #include "bbw/vehicle.hpp"
 #include "core/policies.hpp"
@@ -76,12 +75,8 @@ struct BbwSimConfig {
   /// Optional pedal profile (simulated seconds -> pedal position [0,1]);
   /// overrides `pedal` when set. Sampled once per CU job (read-input phase).
   std::function<double(double)> pedalProfile;
-  Duration controlPeriod = Duration::milliseconds(5);
-  Duration plantStep = Duration::milliseconds(1);
   Duration horizon = Duration::seconds(15);
   Duration restartTime = Duration::seconds(3);  ///< node reboot + diagnosis (mu_R)
-  VehicleParams vehicle{};
-  CentralUnitConfig centralUnit{};
 };
 
 struct BbwSimResult {
@@ -275,12 +270,11 @@ class BbwSystemSim {
   /// True when no injected one-shot fault is still armed: every
   /// corrupt/detected-error/omission/value flag has been consumed by a
   /// control job, no value-failure job is in flight, and the bus holds no
-  /// armed corruption or babbler. Scheduled-but-unfired injection closures
+  /// armed corruption. Scheduled-but-unfired injection closures
   /// are invisible here; callers gate on the injection time separately.
   [[nodiscard]] bool injectionQuiescent() const;
 
   [[nodiscard]] sim::Simulator& simulator();
-  [[nodiscard]] const Vehicle& vehicle() const;
 
  private:
   struct Impl;

@@ -61,7 +61,6 @@ void TemExecutor::runJob(TaskState& state, rt::Job& job) {
   job.setErrorHandler([this, s = &state](const rt::ErrorEvent&) {
     s->run.sawDetectedError = true;
     s->stats.edmDetectedErrors++;
-    if (config_.restoreContextOnEdmError) s->stats.contextRestores++;
     if (s->run.job->copyActive()) {
       s->run.job->killRunningCopy();  // its onStop(Killed) continues the recovery
     }
@@ -139,14 +138,12 @@ void TemExecutor::onCopyStop(TaskState& state, rt::CopyStop stop) {
       // The execution-time monitor is itself an EDM (Table 1).
       run.sawDetectedError = true;
       state.stats.edmDetectedErrors++;
-      if (config_.restoreContextOnEdmError) state.stats.contextRestores++;
       break;
     case rt::CopyStop::Completed:
       if (run.plan.end == CopyPlan::End::DetectedError) {
         // The EDM fired after the copy consumed plan.executionTime.
         run.sawDetectedError = true;
         state.stats.edmDetectedErrors++;
-        if (config_.restoreContextOnEdmError) state.stats.contextRestores++;
         break;  // discard: the copy produced no trustworthy result
       }
       if (run.resultCount == run.results.size()) run.results.emplace_back();

@@ -67,8 +67,6 @@ void resetPlan(CopyPlan& plan);
 struct TemConfig {
   int maxCopies = 3;             ///< total started copies per job (paper: 3)
   Duration checkOverhead{};      ///< CPU cost of one comparison or vote
-  /// Full CPU-context restore on EDM-detected errors (scenario iii/iv).
-  bool restoreContextOnEdmError = true;
 };
 
 /// Per-task TEM statistics, beyond the kernel's TaskStats.
@@ -82,7 +80,6 @@ struct TemStats {
   std::uint64_t maskedByReplacement = 0; ///< scenario (iii)/(iv) success
   std::uint64_t comparisonMismatches = 0;
   std::uint64_t edmDetectedErrors = 0;
-  std::uint64_t contextRestores = 0;
   std::uint64_t omissionsNoTime = 0;     ///< recovery abandoned: deadline too close
   std::uint64_t omissionsVoteFailed = 0; ///< three pairwise-different results
   std::uint64_t omissionsAborted = 0;    ///< deadline monitor aborted the job

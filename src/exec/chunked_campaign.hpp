@@ -24,8 +24,6 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
-#include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "exec/parallel_for.hpp"
@@ -70,13 +68,11 @@ struct ChunkedCampaignResult {
 /// its body, and counters it folds into `stats` land in the deterministic
 /// chunk-order merge.
 ///
-/// A cancelled campaign throws std::runtime_error("<what>: cancelled")
-/// rather than returning truncated statistics (an early-stopped campaign is
-/// NOT truncated: its prefix is a complete deterministic result). An
-/// exception from `runChunk` reaches the caller at every thread count (see
-/// forEachChunk), except that it is dropped when the stop rule fired: a
-/// failed chunk never joins the merged prefix, so the rule fired at or
-/// before it, and a serial run never reaches it.
+/// An early-stopped campaign is not truncated: its prefix is a complete
+/// deterministic result. An exception from `runChunk` reaches the caller at
+/// every thread count (see forEachChunk), except that it is dropped when the
+/// stop rule fired: a failed chunk never joins the merged prefix, so the
+/// rule fired at or before it, and a serial run never reaches it.
 ///
 /// `profile` (optional) receives execution profiling: deterministic
 /// structure counters ("exec.items", "exec.chunks", "exec.early_stopped" —
@@ -87,8 +83,7 @@ struct ChunkedCampaignResult {
 template <typename Stats, typename RunChunk>
 ChunkedCampaignResult<Stats> runChunkedCampaign(
     std::size_t experiments, std::uint64_t seed, const Parallelism& parallelism,
-    const char* what, RunChunk runChunk, const EarlyStopRule<Stats>& stop = {},
-    CancellationToken* cancel = nullptr, const ProgressFn& onProgress = {},
+    RunChunk runChunk, const EarlyStopRule<Stats>& stop = {}, const ProgressFn& onProgress = {},
     obs::Registry* profile = nullptr) {
   const std::size_t chunkSize = parallelism.resolvedChunkSize(experiments);
   const std::size_t chunks = chunkCount(experiments, chunkSize);
@@ -104,7 +99,7 @@ ChunkedCampaignResult<Stats> runChunkedCampaign(
 
   // Early-stop bookkeeping. The contiguous completed prefix is merged
   // incrementally (in chunk order, under the mutex) and the rule evaluated
-  // at every new boundary; the first satisfying prefix wins. `stopToken`
+  // at every new boundary; the first satisfying prefix wins. `stopClaims`
   // stops workers from claiming chunks past the decision.
   const bool stoppable = static_cast<bool>(stop.shouldStop);
   std::mutex prefixMutex;
@@ -114,18 +109,13 @@ ChunkedCampaignResult<Stats> runChunkedCampaign(
   std::size_t prefixItems = 0;
   bool ruleFired = false;
   std::size_t stopChunk = chunks;
-  CancellationToken stopToken;
-  CancellationToken* runCancel = stoppable ? &stopToken : cancel;
+  std::atomic<bool> stopClaims{false};
 
   const util::MonotonicStopwatch campaignClock;
   std::atomic<double> busySeconds{0.0};
   std::atomic<std::size_t> ranItems{0};
 
   const auto chunkBody = [&](const ChunkRange& range, unsigned) {
-    if (stoppable && cancel != nullptr && cancel->cancelled()) {
-      stopToken.requestCancel();
-      return;
-    }
     const util::MonotonicStopwatch chunkClock;
     const std::size_t count = range.end - range.begin;
     util::Rng rng = chunkRngs[range.index];
@@ -149,21 +139,17 @@ ChunkedCampaignResult<Stats> runChunkedCampaign(
         if (prefixItems >= stop.minItems && stop.shouldStop(prefixStats, prefixItems)) {
           ruleFired = true;
           stopChunk = prefixChunks;
-          stopToken.requestCancel();
+          stopClaims.store(true, std::memory_order_relaxed);
           break;
         }
       }
     }
   };
   try {
-    forEachChunk(experiments, parallelism, chunkBody, runCancel, onProgress);
+    forEachChunk(experiments, parallelism, chunkBody, &stopClaims, onProgress);
   } catch (...) {
     // Every worker has returned, so ruleFired is final.
     if (!ruleFired) throw;
-  }
-
-  if (cancel != nullptr && cancel->cancelled() && !ruleFired) {
-    throw std::runtime_error(std::string{what} + ": cancelled");
   }
 
   ChunkedCampaignResult<Stats> result;

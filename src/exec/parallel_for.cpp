@@ -76,7 +76,7 @@ std::size_t chunkCount(std::size_t items, std::size_t chunkSize) {
 
 std::size_t forEachChunk(std::size_t items, const Parallelism& parallelism,
                          const std::function<void(const ChunkRange&, unsigned worker)>& body,
-                         CancellationToken* cancel, const ProgressFn& onProgress) {
+                         const std::atomic<bool>* stop, const ProgressFn& onProgress) {
   if (items == 0) return 0;
   const std::size_t chunkSize = parallelism.resolvedChunkSize(items);
   const std::size_t chunks = chunkCount(items, chunkSize);
@@ -96,7 +96,7 @@ std::size_t forEachChunk(std::size_t items, const Parallelism& parallelism,
 
   const auto drainChunks = [&](unsigned worker) {
     while (!failed.load(std::memory_order_relaxed)) {
-      if (cancel != nullptr && cancel->cancelled()) return;
+      if (stop != nullptr && stop->load(std::memory_order_relaxed)) return;
       const std::size_t c = nextChunk.fetch_add(1, std::memory_order_relaxed);
       if (c >= chunks) return;
       ChunkRange range;

@@ -37,17 +37,6 @@ struct Parallelism {
   [[nodiscard]] std::size_t resolvedChunkSize(std::size_t items) const;
 };
 
-/// Cooperative cancellation: workers observe the token between chunks, so a
-/// cancelled run stops after the chunks already in flight.
-class CancellationToken {
- public:
-  void requestCancel() { cancelled_.store(true, std::memory_order_relaxed); }
-  [[nodiscard]] bool cancelled() const { return cancelled_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<bool> cancelled_{false};
-};
-
 /// Throughput snapshot passed to progress callbacks.
 struct ProgressSnapshot {
   std::size_t completedItems = 0;
@@ -78,12 +67,15 @@ struct ChunkRange {
 /// workers claim chunks in index order, so `body` may run concurrently on
 /// different chunks. A throwing body stops further claims: once every
 /// running chunk has returned, the exception of the lowest-index chunk that
-/// threw is rethrown — the one a `threads = 1` run throws. On a completed
-/// (uncancelled) run `onProgress`, if set, always fires one last time at
-/// 100%. Returns the number of items actually processed (< items only when
-/// cancelled).
+/// threw is rethrown — the one a `threads = 1` run throws. Workers read
+/// `stop`, if set, before claiming a chunk: once it is true no further chunk
+/// starts and the run ends after the chunks already in flight. On a run that
+/// was not stopped `onProgress`, if set, always fires one last time at 100%.
+/// Returns the number of items actually processed (< items only when
+/// stopped).
 std::size_t forEachChunk(std::size_t items, const Parallelism& parallelism,
                          const std::function<void(const ChunkRange&, unsigned worker)>& body,
-                         CancellationToken* cancel = nullptr, const ProgressFn& onProgress = {});
+                         const std::atomic<bool>* stop = nullptr,
+                         const ProgressFn& onProgress = {});
 
 }  // namespace nlft::exec

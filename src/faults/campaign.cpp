@@ -445,8 +445,8 @@ void tallyFs(FsCampaignStats& stats, FsOutcome outcome) {
 /// modes and thread counts. `singleCopy` pins every fault to copy 1 (the
 /// fail-silent node runs one copy).
 template <typename Stats, typename Classify>
-Stats runCampaign(const TaskImage& image, const CampaignConfig& config, const char* what,
-                  bool singleCopy, Classify classify) {
+Stats runCampaign(const TaskImage& image, const CampaignConfig& config, bool singleCopy,
+                  Classify classify) {
   const CopyRun golden = goldenRun(image);
   TemSnapshotPlan plan;
   if (config.mode != ExecutionMode::Straight) plan = buildTemSnapshotPlan(image, golden);
@@ -480,8 +480,8 @@ Stats runCampaign(const TaskImage& image, const CampaignConfig& config, const ch
     }
   };
   Stats stats = exec::runChunkedCampaign<Stats>(config.experiments, config.seed,
-                                                config.parallelism, what, runChunk, {},
-                                                config.cancel, config.onProgress)
+                                                config.parallelism, runChunk, {},
+                                                config.onProgress)
                     .stats;
   if (plan.supported) stats.snap.simulatedCycles += plan.planInstructions;
   return stats;
@@ -581,7 +581,7 @@ FaultSpec sampleFault(const TaskImage& image, std::uint64_t goldenInstructions,
 
 TemCampaignStats runTemCampaign(const TaskImage& image, const CampaignConfig& config) {
   return runCampaign<TemCampaignStats>(
-      image, config, "runTemCampaign", false,
+      image, config, false,
       [&](const CopyRun& golden, auto& source, TemCampaignStats& chunk) {
         tallyTem(chunk, classifyTemWith(image, golden, config.jobBudgetFactor,
                                         &chunk.mechanisms, source));
@@ -590,7 +590,7 @@ TemCampaignStats runTemCampaign(const TaskImage& image, const CampaignConfig& co
 
 FsCampaignStats runFsCampaign(const TaskImage& image, const CampaignConfig& config) {
   return runCampaign<FsCampaignStats>(
-      image, config, "runFsCampaign", true,
+      image, config, true,
       [&](const CopyRun& golden, auto& source, FsCampaignStats& chunk) {
         tallyFs(chunk, classifyFsWith(image, golden, source));
       });

@@ -211,9 +211,6 @@ struct CampaignConfig {
   exec::Parallelism parallelism{};
   /// Optional throughput reporting (experiments/sec, ETA, per-worker counts).
   exec::ProgressFn onProgress;
-  /// Optional cooperative cancellation. A cancelled campaign throws
-  /// std::runtime_error rather than returning truncated statistics.
-  exec::CancellationToken* cancel = nullptr;
   /// Execution engine (see ExecutionMode). Outcome statistics are
   /// bit-identical across modes; only the snap.* counters differ.
   ExecutionMode mode = ExecutionMode::Auto;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <stdexcept>
 #include <utility>
 
 #include "util/state_hash.hpp"
@@ -60,8 +59,8 @@ void MachineBaseline::forkAt(std::uint64_t instructions, hw::Machine& scratch) {
 
 SystemBaseline::SystemBaseline(bbw::BbwSimConfig config, util::Duration checkpointStride)
     : config_(std::move(config)) {
-  strideUs_ = checkpointStride.us() > 0 ? checkpointStride.us() : config_.controlPeriod.us();
-  if (strideUs_ <= 0) throw std::invalid_argument("SystemBaseline: non-positive stride");
+  strideUs_ = checkpointStride.us() > 0 ? checkpointStride.us()
+                                        : bbw::bbwDeployment().controlPeriod.us();
 
   // One golden simulation does double duty: it records the checkpoint grid
   // on the way (runUntil + saveState compose exactly with a straight run,
@@ -185,7 +184,7 @@ std::optional<bbw::BbwSimResult> SystemBaseline::runToRejoin(
 bool systemSnapshotSupported(const bbw::BbwSimConfig& config) {
   try {
     bbw::BbwSystemSim probe{config};
-    probe.runUntil(util::SimTime::zero() + config.controlPeriod);
+    probe.runUntil(util::SimTime::zero() + bbw::bbwDeployment().controlPeriod);
     const std::vector<std::uint8_t> blob = probe.saveState();
     bbw::BbwSystemSim twin{config};
     twin.restoreState(blob);

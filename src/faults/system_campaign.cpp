@@ -528,7 +528,7 @@ void runOneScenario(const SystemCampaignConfig& config, const GuestContext& ctx,
 SystemCampaignStats runSystemChunks(const SystemCampaignConfig& config, const GuestContext& ctx,
                                     const SystemEngine& engine, const StratumSpec* stratum,
                                     std::size_t experiments, std::uint64_t seed,
-                                    const char* what, const exec::ProgressFn& onProgress) {
+                                    const exec::ProgressFn& onProgress) {
   const auto runChunk = [&](util::Rng& rng, std::size_t count, SystemChunkStats& chunk) {
     // A PRIVATE byte-bounded cache primed from the shared baseline (none in
     // straight execution) makes the hit/miss/eviction counters pure
@@ -552,9 +552,8 @@ SystemCampaignStats runSystemChunks(const SystemCampaignConfig& config, const Gu
     }
   };
   const SystemChunkStats total =
-      exec::runChunkedCampaign<SystemChunkStats>(experiments, seed, config.parallelism, what,
-                                                 runChunk, {}, config.cancel, onProgress,
-                                                 config.metrics)
+      exec::runChunkedCampaign<SystemChunkStats>(experiments, seed, config.parallelism,
+                                                 runChunk, {}, onProgress, config.metrics)
           .stats;
   if (config.metrics != nullptr) config.metrics->merge(total.sims);
   SystemCampaignStats stats = total.stats;
@@ -568,17 +567,13 @@ SystemCampaignStats runSystemCampaign(const SystemCampaignConfig& config) {
   const GuestContext ctx = makeGuestContext();
   const SystemEngine engine = makeSystemEngine(config);
   SystemCampaignStats stats = runSystemChunks(config, ctx, engine, nullptr, config.experiments,
-                                              config.seed, "runSystemCampaign", config.onProgress);
+                                              config.seed, config.onProgress);
   // The one golden run (snapshot sweep or straight reference) charges its
   // events once per campaign, in every mode — the speedup bench's ratio
   // compares total simulated work honestly.
   stats.snap.simulatedCycles += engine.goldenEvents;
   if (config.metrics != nullptr) addCampaignCounters(*config.metrics, stats);
   return stats;
-}
-
-util::ProportionEstimate StratumResult::outcomeRate(SystemOutcome outcome) const {
-  return util::wilsonInterval(stats.outcome(outcome), stats.experiments);
 }
 
 util::StratifiedProportionEstimate StratifiedCampaignResult::outcomeEstimate(
@@ -678,8 +673,7 @@ StratifiedCampaignResult runStratifiedSystemCampaign(const SystemCampaignConfig&
       const std::uint64_t stratumSeed =
           config.seed ^ (0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(h) + 1));
       stratumResult.stats = runSystemChunks(config, ctx, engine, &strata[h],
-                                            strata[h].experiments, stratumSeed,
-                                            "runStratifiedSystemCampaign", {});
+                                            strata[h].experiments, stratumSeed, {});
     }
     result.total.merge(stratumResult.stats);
     result.strata.push_back(std::move(stratumResult));

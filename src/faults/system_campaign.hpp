@@ -144,7 +144,6 @@ struct SystemCampaignConfig {
 
   exec::Parallelism parallelism{};
   exec::ProgressFn onProgress;
-  exec::CancellationToken* cancel = nullptr;
 
   /// Optional metrics sink (not owned). The campaign folds in: every
   /// per-simulation registry (kernel/TEM/bus counters, via chunk-local
@@ -274,9 +273,6 @@ struct StratumSpec {
 struct StratumResult {
   StratumSpec spec;
   SystemCampaignStats stats;
-
-  /// Wilson interval for P(outcome | stratum).
-  [[nodiscard]] util::ProportionEstimate outcomeRate(SystemOutcome outcome) const;
 };
 
 struct StratifiedCampaignResult {

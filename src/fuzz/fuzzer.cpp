@@ -11,6 +11,13 @@ namespace nlft::fuzz {
 
 namespace {
 
+/// Probability of mutating a corpus entry instead of drawing a fresh random
+/// scenario, once the corpus is non-empty.
+constexpr double kMutateProbability = 0.75;
+/// Shrink at most this many distinct (oracle, signature) violations; the
+/// rest are still counted and reported unshrunk.
+constexpr std::size_t kMaxShrinks = 4;
+
 /// One executed scenario, carried from the workers to the sequential fold.
 struct RoundItem {
   Scenario scenario;
@@ -36,7 +43,7 @@ struct RoundStats {
 
 [[nodiscard]] Scenario generateScenario(util::Rng& rng, const std::vector<CorpusEntry>& snapshot,
                                         const FuzzConfig& config) {
-  if (snapshot.empty() || !rng.bernoulli(config.mutateProbability)) {
+  if (snapshot.empty() || !rng.bernoulli(kMutateProbability)) {
     return randomScenario(rng, config.limits);
   }
   const Scenario& base = snapshot[rng.uniformInt(snapshot.size())].scenario;
@@ -103,7 +110,7 @@ FuzzReport runFuzzer(const FuzzConfig& config) {
 
     const RoundStats stats =
         exec::runChunkedCampaign<RoundStats>(
-            batch, roundSeed(config.seed, report.rounds), config.parallelism, "nlft-fuzz",
+            batch, roundSeed(config.seed, report.rounds), config.parallelism,
             [&](util::Rng& rng, std::size_t count, RoundStats& roundStats) {
               for (std::size_t i = 0; i < count; ++i) {
                 RoundItem item;
@@ -132,8 +139,7 @@ FuzzReport runFuzzer(const FuzzConfig& config) {
         repro.message = violation.message;
         repro.scenario = item.scenario;
         repro.shrunk = item.scenario;
-        if (report.violations.size() <
-            static_cast<std::size_t>(config.maxShrinks)) {
+        if (report.violations.size() < kMaxShrinks) {
           const ShrinkResult shrunk =
               shrinkScenario(item.scenario, violatesOracle(violation.oracle, oracle, &cache),
                              config.limits, config.shrinkEvaluations);

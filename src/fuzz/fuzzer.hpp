@@ -31,12 +31,6 @@ struct FuzzConfig {
   exec::Parallelism parallelism{};
   ScenarioLimits limits{};
   OracleConfig oracle{};  ///< resolved internally (resolveOracleConfig)
-  /// Probability of mutating a corpus entry instead of drawing a fresh
-  /// random scenario, once the corpus is non-empty.
-  double mutateProbability = 0.75;
-  /// Shrink at most this many distinct (oracle, signature) violations; the
-  /// rest are still counted and reported unshrunk.
-  std::size_t maxShrinks = 4;
   std::size_t shrinkEvaluations = 400;  ///< predicate budget per shrink
 };
 

@@ -1,12 +1,26 @@
 #include "fuzz/scenario.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
+#include <string>
 #include <tuple>
 
 namespace nlft::fuzz {
 
 namespace {
+
+/// Reads a field the scenario stores in 32 bits. A value that does not fit
+/// is refused: narrowing it first would let a wrapped value pass the legality
+/// check.
+[[nodiscard]] std::uint32_t asU32(const obs::JsonValue& value, const char* field) {
+  const std::int64_t v = value.asInt();
+  if (v < 0 || v > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::runtime_error(std::string{"scenarioFromJson: "} + field + " " + std::to_string(v) +
+                             " does not fit 32 bits");
+  }
+  return static_cast<std::uint32_t>(v);
+}
 
 [[nodiscard]] std::int64_t clampI64(std::int64_t v, std::int64_t lo, std::int64_t hi) {
   return std::min(std::max(v, lo), hi);
@@ -159,12 +173,12 @@ Scenario scenarioFromJson(const obs::JsonValue& json) {
     const obs::JsonValue& e = events.at(i);
     ScheduleEvent event;
     event.kind = parseEventKind(e.get("kind").asString());
-    event.node = static_cast<net::NodeId>(e.get("node").asInt());
+    event.node = asU32(e.get("node"), "node");
     event.atUs = e.get("at_us").asInt();
     if (e.has("flip_bits")) {
       const obs::JsonValue& bits = e.get("flip_bits");
       for (std::size_t b = 0; b < bits.size(); ++b) {
-        event.flipBits.push_back(static_cast<std::uint32_t>(bits.at(b).asInt()));
+        event.flipBits.push_back(asU32(bits.at(b), "flip_bits"));
       }
     }
     scenario.events.push_back(std::move(event));

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <limits>
 #include <optional>
 #include <sstream>
 
@@ -64,6 +65,26 @@ Statement parseStatement(const std::string& body, int line) {
   return statement;
 }
 
+/// Parses a numeric directive operand (decimal, 0x hex or 0 octal) that
+/// must be consumed whole and lie in [minimum, 0xffffffff]; the value is
+/// returned as its 32-bit pattern.
+std::uint32_t parseWord(const std::string& operand, long long minimum, const char* directive,
+                        int line) {
+  const std::string bad = std::string{"bad "} + directive + " operand '" + operand + "'";
+  long long value = 0;
+  std::size_t consumed = 0;
+  try {
+    value = std::stoll(operand, &consumed, 0);
+  } catch (const std::exception&) {
+    throw AssemblyError(line, bad);
+  }
+  if (consumed != operand.size()) throw AssemblyError(line, bad);
+  if (value < minimum || value > 0xffffffffLL) {
+    throw AssemblyError(line, std::string{directive} + " operand out of range: " + operand);
+  }
+  return static_cast<std::uint32_t>(value);
+}
+
 bool isIdentifier(const std::string& s) {
   if (s.empty() || (!std::isalpha(static_cast<unsigned char>(s[0])) && s[0] != '_')) return false;
   return std::all_of(s.begin(), s.end(), [](unsigned char c) {
@@ -90,7 +111,8 @@ class Assembler {
       for (std::size_t i = 1; i < s.size(); ++i) {
         if (!std::isdigit(static_cast<unsigned char>(s[i])))
           throw AssemblyError(line, "bad register '" + operand + "'");
-        value = value * 10 + (s[i] - '0');
+        // Once out of range the index stays so; more digits cannot overflow.
+        if (value < kRegisterCount) value = value * 10 + (s[i] - '0');
       }
       if (value >= kRegisterCount) throw AssemblyError(line, "register out of range: " + operand);
       return value;
@@ -156,7 +178,7 @@ class Assembler {
         if (statement.operands.size() != 1) throw AssemblyError(number, ".org needs one operand");
         if (originSet || address != 0)
           throw AssemblyError(number, ".org must appear before any instruction");
-        program_.origin = static_cast<std::uint32_t>(std::stol(statement.operands[0], nullptr, 0));
+        program_.origin = parseWord(statement.operands[0], 0, ".org", number);
         address = program_.origin;
         originSet = true;
         continue;
@@ -191,18 +213,7 @@ class Assembler {
       if (statement.mnemonic == ".loopbound") {
         if (statement.operands.size() != 1) throw AssemblyError(number, ".loopbound needs one operand");
         if (pendingLoopBound_) throw AssemblyError(number, "consecutive .loopbound directives");
-        long bound = 0;
-        try {
-          std::size_t consumed = 0;
-          bound = std::stol(statement.operands[0], &consumed, 0);
-          if (consumed != statement.operands[0].size() || bound < 0)
-            throw AssemblyError(number, "bad .loopbound operand '" + statement.operands[0] + "'");
-        } catch (const AssemblyError&) {
-          throw;
-        } catch (const std::exception&) {
-          throw AssemblyError(number, "bad .loopbound operand '" + statement.operands[0] + "'");
-        }
-        pendingLoopBound_ = static_cast<std::uint32_t>(bound);
+        pendingLoopBound_ = parseWord(statement.operands[0], 0, ".loopbound", number);
         pendingLoopBoundLine_ = number;
         continue;
       }
@@ -217,17 +228,8 @@ class Assembler {
               throw AssemblyError(number, "undefined label '" + operand + "'");
             program_.words.push_back(it->second);
           } else {
-            try {
-              std::size_t consumed = 0;
-              const long long value = std::stoll(operand, &consumed, 0);
-              if (consumed != operand.size())
-                throw AssemblyError(number, "bad .word operand '" + operand + "'");
-              program_.words.push_back(static_cast<std::uint32_t>(value));
-            } catch (const AssemblyError&) {
-              throw;
-            } catch (const std::exception&) {
-              throw AssemblyError(number, "bad .word operand '" + operand + "'");
-            }
+            program_.words.push_back(
+                parseWord(operand, std::numeric_limits<std::int32_t>::min(), ".word", number));
           }
         }
         continue;

@@ -22,8 +22,6 @@ enum class ExceptionKind : std::uint8_t {
   StackOverflow,       ///< push/pop outside the stack bounds
 };
 
-[[nodiscard]] const char* exceptionName(ExceptionKind kind);
-
 /// A raised exception with its architectural context.
 struct HwException {
   ExceptionKind kind = ExceptionKind::None;

@@ -266,7 +266,6 @@ void Machine::flipRegisterBit(int reg, int bit) { cpu_.regs[reg] ^= 1u << bit; }
 void Machine::flipPcBit(int bit) { cpu_.pc ^= 1u << bit; }
 void Machine::flipMemoryBit(std::uint32_t address, int bit) { memory_.flipBit(address, bit); }
 void Machine::addStuckAtFault(StuckAtFault fault) { stuckAt_.push_back(fault); }
-void Machine::clearStuckAtFaults() { stuckAt_.clear(); }
 void Machine::armFetchCorruption(int bit) { fetchCorruptionBit_ = bit & 31; }
 
 std::vector<std::uint8_t> Machine::saveState() const {

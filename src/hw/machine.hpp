@@ -90,7 +90,6 @@ class Machine {
   void flipMemoryBit(std::uint32_t address, int bit);
   /// Installs a stuck-at fault, re-asserted before every instruction.
   void addStuckAtFault(StuckAtFault fault);
-  void clearStuckAtFaults();
 
   /// Arms a one-shot corruption of the next instruction FETCH: the word
   /// read from memory has `bit` flipped before decoding (a transient upset

@@ -75,14 +75,9 @@ std::vector<std::uint32_t> TdmaBus::takeCorruption(NodeId node) {
   return bits;
 }
 
-void TdmaBus::setBabbling(NodeId node, bool babbling) { babbling_[node] = babbling; }
-
 bool TdmaBus::injectionArmed() const {
   for (const auto& entry : corruptNext_) {
     if (!entry.second.empty()) return true;
-  }
-  for (const auto& entry : babbling_) {
-    if (entry.second) return true;
   }
   return false;
 }
@@ -109,10 +104,6 @@ std::uint64_t TdmaBus::stateDigest() const {
     digest.u64(node);
     for (const std::uint32_t bit : bits) digest.u64(bit);
   }
-  for (const auto& [node, active] : babbling_) {
-    if (active) digest.u64(node);
-  }
-  digest.boolean(guardian_);
   return digest.finish();
 }
 
@@ -150,21 +141,6 @@ void TdmaBus::scheduleNextCycle() {
 
 void TdmaBus::runStaticSlot(std::uint32_t slot) {
   const NodeId owner = config_.staticSchedule[slot];
-
-  // Babbling-idiot handling: a faulty node transmitting outside its slot
-  // either collides with the owner's frame (no guardian) or is blocked at
-  // its own bus interface (guardian enabled).
-  bool collision = false;
-  for (const auto& [babbler, active] : babbling_) {
-    if (!active || babbler == owner || nodeSilent(babbler)) continue;
-    if (guardian_) {
-      ++babbleBlocked_;
-    } else {
-      collision = true;
-      ++babbleCollisions_;
-    }
-  }
-
   if (nodeSilent(owner)) return;
   const auto it = pendingStatic_.find(owner);
   if (it == pendingStatic_.end() || !it->second.pending) return;
@@ -175,13 +151,6 @@ void TdmaBus::runStaticSlot(std::uint32_t slot) {
   frame.priority = 0;
   frame.crc = 0;
   frame.payload.swap(it->second.payload);
-  if (collision) {
-    // The owner's frame is destroyed by the overlapping transmission;
-    // receivers see garbage and their CRC check drops it.
-    ++dropped_;
-    if (dropTap_) dropTap_(frame, "collision");
-    return;
-  }
   deliver(frame, takeCorruption(owner));
 }
 

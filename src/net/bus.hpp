@@ -101,24 +101,9 @@ class TdmaBus {
   void corruptNextFrame(NodeId node, std::vector<std::uint32_t> flipBits);
 
   /// Observer for dropped frames: (frame, reason) with reason "crc" (failed
-  /// frame check) or "collision" (destroyed by a babbling transmission).
+  /// frame check).
   using DropTap = std::function<void(const Frame&, const char* reason)>;
   void setDropTap(DropTap tap) { dropTap_ = std::move(tap); }
-
-  /// Fault injection: `node` becomes a babbling idiot — it transmits in
-  /// EVERY static slot. Without a bus guardian, its babble collides with
-  /// the slot owner's frame and destroys it (both are dropped); with the
-  /// guardian enabled, out-of-slot transmissions are blocked at the node's
-  /// bus interface and only counted.
-  void setBabbling(NodeId node, bool babbling);
-
-  /// Enables the bus guardian (per-slot transmission windows enforced in
-  /// hardware, as in TTP/FlexRay star couplers / local guardians).
-  void setBusGuardianEnabled(bool enabled) { guardian_ = enabled; }
-  [[nodiscard]] bool busGuardianEnabled() const { return guardian_; }
-
-  [[nodiscard]] std::uint64_t babbleCollisions() const { return babbleCollisions_; }
-  [[nodiscard]] std::uint64_t babbleBlocked() const { return babbleBlocked_; }
 
   [[nodiscard]] Duration cycleLength() const;
   [[nodiscard]] std::uint64_t cyclesCompleted() const { return cycles_; }
@@ -132,14 +117,14 @@ class TdmaBus {
   [[nodiscard]] const TdmaConfig& config() const { return config_; }
 
   /// True while any injected disturbance is still armed: a pending
-  /// corruptNextFrame that no transmission has consumed yet, or an active
-  /// babbling idiot. The snapshot campaign engine refuses to splice a
-  /// faulted run back onto the golden timeline until this returns false.
+  /// corruptNextFrame that no transmission has consumed yet. The snapshot
+  /// campaign engine refuses to splice a faulted run back onto the golden
+  /// timeline until this returns false.
   [[nodiscard]] bool injectionArmed() const;
 
   /// 64-bit digest of the EVOLUTION-RELEVANT bus state: queued static
-  /// payloads, pending dynamic frames, silenced nodes, armed corruptions and
-  /// active babblers. Monotone delivery counters are excluded, and so are
+  /// payloads, pending dynamic frames, silenced nodes and armed corruptions.
+  /// Monotone delivery counters are excluded, and so are
   /// map entries that no longer carry state (a node un-silenced via
   /// setNodeSilent(node, false) leaves a `false` entry behind that must not
   /// perturb the digest). Two buses with equal digests queue and deliver the
@@ -177,16 +162,12 @@ class TdmaBus {
   std::deque<Frame> pendingDynamic_;
   std::map<NodeId, bool> silent_;
   std::map<NodeId, std::vector<std::uint32_t>> corruptNext_;
-  std::map<NodeId, bool> babbling_;
   DropTap dropTap_;
-  bool guardian_ = false;
   std::uint64_t cycles_ = 0;
   std::uint64_t delivered_ = 0;
   std::uint64_t dropped_ = 0;
   std::uint64_t corruptionsInjected_ = 0;
   std::uint64_t crcRejected_ = 0;
-  std::uint64_t babbleCollisions_ = 0;
-  std::uint64_t babbleBlocked_ = 0;
   bool started_ = false;
 };
 

@@ -7,6 +7,10 @@
 
 namespace nlft::obs {
 
+namespace {
+std::string formatDouble(double d);
+}  // namespace
+
 std::string jsonEscape(const std::string& raw) {
   std::string out;
   out.reserve(raw.size());
@@ -72,14 +76,17 @@ JsonValue JsonValue::object() {
   return v;
 }
 
-bool JsonValue::asBool() const {
-  if (kind_ != Kind::Bool) throw std::logic_error("JsonValue: not a bool");
-  return bool_;
-}
-
 std::int64_t JsonValue::asInt() const {
   if (kind_ == Kind::Int) return int_;
-  if (kind_ == Kind::Double) return static_cast<std::int64_t>(double_);
+  if (kind_ == Kind::Double) {
+    // Converting a fraction would drop it silently, and converting a value
+    // outside [-2^63, 2^63) is undefined behaviour.
+    if (std::trunc(double_) == double_ && double_ >= -0x1p63 && double_ < 0x1p63) {
+      return static_cast<std::int64_t>(double_);
+    }
+    throw std::logic_error("JsonValue: " + formatDouble(double_) +
+                           " is not a whole number in the int64 range");
+  }
   throw std::logic_error("JsonValue: not a number");
 }
 

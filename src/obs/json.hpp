@@ -43,7 +43,6 @@ class JsonValue {
   [[nodiscard]] bool isNull() const { return kind_ == Kind::Null; }
   [[nodiscard]] bool isNumber() const { return kind_ == Kind::Int || kind_ == Kind::Double; }
 
-  [[nodiscard]] bool asBool() const;
   [[nodiscard]] std::int64_t asInt() const;
   [[nodiscard]] double asDouble() const;
   [[nodiscard]] const std::string& asString() const;

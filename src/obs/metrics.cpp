@@ -101,11 +101,6 @@ double Registry::gauge(const std::string& name) const {
   return it == gauges_.end() ? 0.0 : it->second;
 }
 
-bool Registry::hasCounter(const std::string& name) const {
-  std::scoped_lock lock{mutex_};
-  return counters_.count(name) != 0;
-}
-
 HistogramSnapshot Registry::histogram(const std::string& name) const {
   std::scoped_lock lock{mutex_};
   const auto it = histograms_.find(name);
@@ -130,16 +125,6 @@ std::vector<std::string> Registry::counterNames() const {
   return keysOf(counters_);
 }
 
-std::vector<std::string> Registry::gaugeNames() const {
-  std::scoped_lock lock{mutex_};
-  return keysOf(gauges_);
-}
-
-std::vector<std::string> Registry::histogramNames() const {
-  std::scoped_lock lock{mutex_};
-  return keysOf(histograms_);
-}
-
 void Registry::merge(const Registry& other) {
   if (this == &other) throw std::invalid_argument("Registry::merge: self-merge");
   std::scoped_lock lock{mutex_, other.mutex_};
@@ -160,13 +145,6 @@ void Registry::merge(const Registry& other) {
     for (std::size_t b = 0; b < mine.counts.size(); ++b) mine.counts[b] += theirs.counts[b];
     mine.total += theirs.total;
   }
-}
-
-void Registry::clear() {
-  std::scoped_lock lock{mutex_};
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
 }
 
 namespace {

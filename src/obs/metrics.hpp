@@ -74,19 +74,14 @@ class Registry {
 
   [[nodiscard]] std::uint64_t count(const std::string& name) const;  ///< 0 if absent
   [[nodiscard]] double gauge(const std::string& name) const;         ///< 0.0 if absent
-  [[nodiscard]] bool hasCounter(const std::string& name) const;
   [[nodiscard]] HistogramSnapshot histogram(const std::string& name) const;  ///< throws if absent
 
-  /// Sorted names per family.
+  /// Sorted counter names.
   [[nodiscard]] std::vector<std::string> counterNames() const;
-  [[nodiscard]] std::vector<std::string> gaugeNames() const;
-  [[nodiscard]] std::vector<std::string> histogramNames() const;
 
   /// Folds `other` into this registry (counters add, gauges max, histograms
   /// add bin-wise; mismatched histogram specs throw).
   void merge(const Registry& other);
-
-  void clear();
 
   /// Full JSON object: {"counters": {...}, "gauges": {...}, "histograms":
   /// {...}}. Deterministic (sorted names).

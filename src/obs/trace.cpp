@@ -1,7 +1,6 @@
 #include "obs/trace.hpp"
 
 #include <fstream>
-#include <ostream>
 #include <sstream>
 #include <stdexcept>
 
@@ -122,8 +121,6 @@ std::string TraceRecorder::toJson() const {
   out += "\n], \"displayTimeUnit\": \"ms\"}\n";
   return out;
 }
-
-void TraceRecorder::writeJson(std::ostream& out) const { out << toJson(); }
 
 void TraceRecorder::writeJsonFile(const std::string& path) const {
   std::ofstream out{path, std::ios::binary};

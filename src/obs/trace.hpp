@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -65,7 +64,6 @@ class TraceRecorder {
   /// "displayTimeUnit": "ms"}). Deterministic: a second call on the same
   /// recorder returns a byte-identical string.
   [[nodiscard]] std::string toJson() const;
-  void writeJson(std::ostream& out) const;
   /// Writes toJson() to `path`; throws std::runtime_error on I/O failure.
   void writeJsonFile(const std::string& path) const;
 

@@ -126,7 +126,6 @@ const RtKernel::TaskEntry& RtKernel::entry(TaskId task) const {
 const TaskConfig& RtKernel::config(TaskId task) const { return entry(task).config; }
 const TaskStats& RtKernel::stats(TaskId task) const { return entry(task).stats; }
 TaskStats& RtKernel::mutableStats(TaskId task) { return entry(task).stats; }
-bool RtKernel::jobActive(TaskId task) const { return entry(task).activeJob != nullptr; }
 Job* RtKernel::activeJob(TaskId task) { return entry(task).activeJob.get(); }
 
 void RtKernel::start() {

@@ -193,7 +193,6 @@ class RtKernel {
   [[nodiscard]] const TaskConfig& config(TaskId task) const;
   [[nodiscard]] const TaskStats& stats(TaskId task) const;
   [[nodiscard]] TaskStats& mutableStats(TaskId task);
-  [[nodiscard]] bool jobActive(TaskId task) const;
   [[nodiscard]] Job* activeJob(TaskId task);
   [[nodiscard]] std::size_t taskCount() const { return tasks_.size(); }
   [[nodiscard]] sim::Simulator& simulator() { return simulator_; }

@@ -54,20 +54,4 @@ std::string renderGantt(const std::vector<ExecutionSegment>& trace, Duration res
   return output;
 }
 
-std::vector<std::pair<std::string, Duration>> perLabelBusyTime(
-    const std::vector<ExecutionSegment>& trace) {
-  std::vector<std::pair<std::string, Duration>> totals;
-  for (const ExecutionSegment& segment : trace) {
-    const auto it = std::find_if(totals.begin(), totals.end(),
-                                 [&](const auto& entry) { return entry.first == segment.label; });
-    const Duration length = segment.end - segment.start;
-    if (it == totals.end()) {
-      totals.emplace_back(segment.label, length);
-    } else {
-      it->second += length;
-    }
-  }
-  return totals;
-}
-
 }  // namespace nlft::rt

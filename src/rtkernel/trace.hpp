@@ -21,8 +21,4 @@ namespace nlft::rt {
 [[nodiscard]] std::string renderGantt(const std::vector<ExecutionSegment>& trace,
                                       Duration resolution, Duration horizon = Duration{});
 
-/// Total CPU time per label, e.g. for utilisation summaries.
-[[nodiscard]] std::vector<std::pair<std::string, Duration>> perLabelBusyTime(
-    const std::vector<ExecutionSegment>& trace);
-
 }  // namespace nlft::rt

@@ -60,7 +60,6 @@ void BlobWriter::u16(std::uint16_t value) { appendLe(bytes_, value, 2); }
 void BlobWriter::u32(std::uint32_t value) { appendLe(bytes_, value, 4); }
 void BlobWriter::u64(std::uint64_t value) { appendLe(bytes_, value, 8); }
 void BlobWriter::i64(std::int64_t value) { appendLe(bytes_, static_cast<std::uint64_t>(value), 8); }
-void BlobWriter::f64(double value) { appendLe(bytes_, std::bit_cast<std::uint64_t>(value), 8); }
 void BlobWriter::boolean(bool value) { appendLe(bytes_, value ? 1 : 0, 1); }
 
 void BlobWriter::str(std::string_view value) {
@@ -167,7 +166,6 @@ std::uint16_t BlobReader::u16() { return static_cast<std::uint16_t>(readLe(take(
 std::uint32_t BlobReader::u32() { return static_cast<std::uint32_t>(readLe(take(4))); }
 std::uint64_t BlobReader::u64() { return readLe(take(8)); }
 std::int64_t BlobReader::i64() { return static_cast<std::int64_t>(readLe(take(8))); }
-double BlobReader::f64() { return std::bit_cast<double>(readLe(take(8))); }
 bool BlobReader::boolean() { return readLe(take(1)) != 0; }
 
 std::string BlobReader::str() {

@@ -61,7 +61,6 @@ class BlobWriter {
   void u32(std::uint32_t value);
   void u64(std::uint64_t value);
   void i64(std::int64_t value);
-  void f64(double value);
   void boolean(bool value);
   void str(std::string_view value);           ///< u32 length + bytes
   void u32Vec(std::span<const std::uint32_t> values);
@@ -92,7 +91,6 @@ class BlobReader {
   [[nodiscard]] std::uint32_t u32();
   [[nodiscard]] std::uint64_t u64();
   [[nodiscard]] std::int64_t i64();
-  [[nodiscard]] double f64();
   [[nodiscard]] bool boolean();
   [[nodiscard]] std::string str();
   [[nodiscard]] std::vector<std::uint32_t> u32Vec();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 #include "exec/chunked_campaign.hpp"
@@ -125,7 +124,7 @@ IsReliabilityResult estimateReliabilityIs(const SystemSpec& spec, const MonteCar
   }
 
   const auto run = exec::runChunkedCampaign<IsChunk>(
-      config.trials, config.seed, config.parallelism, "estimateReliabilityIs",
+      config.trials, config.seed, config.parallelism,
       [&](util::Rng& rng, std::size_t count, IsChunk& acc) {
         acc.weightedFailure.resize(checkpointCount);
         for (std::size_t i = 0; i < count; ++i) {
@@ -137,7 +136,7 @@ IsReliabilityResult estimateReliabilityIs(const SystemSpec& spec, const MonteCar
           acc.diagnostics.add(sample.failedAt < horizon ? 1.0 : 0.0, sample.weight);
         }
       },
-      rule, config.cancel, config.onProgress);
+      rule, config.onProgress);
 
   IsReliabilityResult result;
   result.trials = run.itemsUsed;
@@ -168,45 +167,6 @@ IsReliabilityResult estimateReliabilityIs(const SystemSpec& spec, const MonteCar
     }
   }
   return result;
-}
-
-namespace {
-
-struct MttfIsChunk {
-  std::size_t experiments = 0;
-  util::RunningStats weightedLifetimes;
-  util::WeightedStats diagnostics;
-
-  void merge(const MttfIsChunk& other) {
-    experiments += other.experiments;
-    weightedLifetimes.merge(other.weightedLifetimes);
-    diagnostics.merge(other.diagnostics);
-  }
-};
-
-}  // namespace
-
-MttfIsEstimate estimateMttfIs(const SystemSpec& spec, std::size_t trials, std::uint64_t seed,
-                              const ImportanceSamplingConfig& bias,
-                              const exec::Parallelism& parallelism) {
-  validateBias(bias);
-  const double effectivelyForever = std::numeric_limits<double>::infinity();
-  const MttfIsChunk merged =
-      exec::runChunkedCampaign<MttfIsChunk>(
-          trials, seed, parallelism, "estimateMttfIs",
-          [&](util::Rng& rng, std::size_t count, MttfIsChunk& acc) {
-            for (std::size_t i = 0; i < count; ++i) {
-              const BiasedLifetimeSample sample =
-                  simulateLifetimeBiased(spec, effectivelyForever, rng, bias);
-              acc.weightedLifetimes.add(sample.weight * sample.failedAt);
-              acc.diagnostics.add(sample.failedAt, sample.weight);
-            }
-          })
-          .stats;
-  MttfIsEstimate estimate;
-  estimate.weightedLifetimes = merged.weightedLifetimes;
-  estimate.weightDiagnostics = merged.diagnostics;
-  return estimate;
 }
 
 }  // namespace nlft::sys

@@ -75,18 +75,4 @@ struct IsReliabilityResult {
                                                         const MonteCarloConfig& config,
                                                         const ImportanceSamplingConfig& bias);
 
-struct MttfIsEstimate {
-  /// Samples w * T; mean() is the unbiased IS estimate of the MTTF.
-  util::RunningStats weightedLifetimes;
-  /// Weighted accumulator (x = lifetime, w = weight) for diagnostics.
-  util::WeightedStats weightDiagnostics;
-};
-
-/// IS counterpart of estimateMttf (every trial simulated to failure under
-/// the biased measure).
-[[nodiscard]] MttfIsEstimate estimateMttfIs(const SystemSpec& spec, std::size_t trials,
-                                            std::uint64_t seed,
-                                            const ImportanceSamplingConfig& bias,
-                                            const exec::Parallelism& parallelism = {});
-
 }  // namespace nlft::sys

@@ -58,7 +58,7 @@ MonteCarloResult estimateReliability(const SystemSpec& spec, const MonteCarloCon
   }
 
   const auto run = exec::runChunkedCampaign<ReliabilityChunk>(
-      config.trials, config.seed, config.parallelism, "estimateReliability",
+      config.trials, config.seed, config.parallelism,
       [&](util::Rng& rng, std::size_t count, ReliabilityChunk& acc) {
         acc.survivors.assign(checkpointCount, 0);
         for (std::size_t i = 0; i < count; ++i) {
@@ -72,7 +72,7 @@ MonteCarloResult estimateReliability(const SystemSpec& spec, const MonteCarloCon
           }
         }
       },
-      rule, config.cancel, config.onProgress);
+      rule, config.onProgress);
 
   MonteCarloResult result;
   result.trials = run.itemsUsed;
@@ -120,7 +120,7 @@ util::RunningStats estimateMttf(const SystemSpec& spec, std::size_t trials, std:
                                 const exec::Parallelism& parallelism) {
   const double effectivelyForever = std::numeric_limits<double>::infinity();
   return exec::runChunkedCampaign<MttfChunk>(
-             trials, seed, parallelism, "estimateMttf",
+             trials, seed, parallelism,
              [&](util::Rng& rng, std::size_t count, MttfChunk& acc) {
                for (std::size_t i = 0; i < count; ++i) {
                  acc.lifetimes.add(simulateLifetime(spec, effectivelyForever, rng));

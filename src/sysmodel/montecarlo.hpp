@@ -112,9 +112,6 @@ struct MonteCarloConfig {
   exec::Parallelism parallelism{};
   /// Optional throughput reporting (trials/sec, ETA, per-worker counts).
   exec::ProgressFn onProgress;
-  /// Optional cooperative cancellation. A cancelled run throws
-  /// std::runtime_error rather than returning a truncated estimate.
-  exec::CancellationToken* cancel = nullptr;
   /// Optional metrics sink (not owned): deterministic "mc.*" counters plus
   /// non-golden "wall.mc.*" throughput gauges (trials per second).
   obs::Registry* metrics = nullptr;

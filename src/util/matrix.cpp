@@ -21,16 +21,6 @@ Matrix Matrix::transpose() const {
   return t;
 }
 
-double Matrix::normInf() const {
-  double best = 0.0;
-  for (std::size_t r = 0; r < rows_; ++r) {
-    double sum = 0.0;
-    for (std::size_t c = 0; c < cols_; ++c) sum += std::abs(at(r, c));
-    best = std::max(best, sum);
-  }
-  return best;
-}
-
 double Matrix::norm1() const {
   double best = 0.0;
   for (std::size_t c = 0; c < cols_; ++c) {
@@ -107,7 +97,6 @@ LuDecomposition::LuDecomposition(Matrix a) : lu_{std::move(a)} {
     if (pivot != k) {
       for (std::size_t c = 0; c < n; ++c) std::swap(lu_.at(pivot, c), lu_.at(k, c));
       std::swap(pivots_[pivot], pivots_[k]);
-      pivotSign_ = -pivotSign_;
     }
     for (std::size_t r = k + 1; r < n; ++r) {
       const double factor = lu_.at(r, k) / lu_.at(k, k);
@@ -144,12 +133,6 @@ Matrix LuDecomposition::solveMatrix(const Matrix& b) const {
     for (std::size_t r = 0; r < n; ++r) x.at(r, c) = solved[r];
   }
   return x;
-}
-
-double LuDecomposition::determinant() const {
-  double det = pivotSign_;
-  for (std::size_t i = 0; i < lu_.rows(); ++i) det *= lu_.at(i, i);
-  return det;
 }
 
 Matrix matrixExponential(const Matrix& a) {

@@ -28,8 +28,6 @@ class Matrix {
 
   [[nodiscard]] Matrix transpose() const;
 
-  /// Maximum absolute row sum (the induced infinity norm).
-  [[nodiscard]] double normInf() const;
   /// Maximum absolute column sum (the induced 1-norm).
   [[nodiscard]] double norm1() const;
 
@@ -67,12 +65,9 @@ class LuDecomposition {
   /// Solves A X = B column by column.
   [[nodiscard]] Matrix solveMatrix(const Matrix& b) const;
 
-  [[nodiscard]] double determinant() const;
-
  private:
   Matrix lu_;
   std::vector<std::size_t> pivots_;
-  int pivotSign_ = 1;
 };
 
 /// Matrix exponential exp(A) via scaling-and-squaring with Pade(13)

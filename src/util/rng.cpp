@@ -72,20 +72,4 @@ double Rng::normal(double mean, double stddev) {
   return mean + stddev * z;
 }
 
-std::uint64_t Rng::poisson(double mean) {
-  if (mean <= 0.0) return 0;
-  if (mean > 64.0) {
-    const double v = normal(mean, std::sqrt(mean));
-    return v <= 0.0 ? 0 : static_cast<std::uint64_t>(std::llround(v));
-  }
-  const double limit = std::exp(-mean);
-  std::uint64_t count = 0;
-  double product = uniform01();
-  while (product > limit) {
-    ++count;
-    product *= uniform01();
-  }
-  return count;
-}
-
 }  // namespace nlft::util

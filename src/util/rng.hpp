@@ -47,8 +47,6 @@ class Rng {
   [[nodiscard]] double exponential(double rate);
   /// Standard normal via Box-Muller (no cached spare: keeps state minimal).
   [[nodiscard]] double normal(double mean = 0.0, double stddev = 1.0);
-  /// Poisson-distributed count (Knuth for small means, normal approx above 64).
-  [[nodiscard]] std::uint64_t poisson(double mean);
 
  private:
   std::array<std::uint64_t, 4> s_{};

@@ -1,9 +1,7 @@
 #include "util/statistics.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
-#include <string>
 
 namespace nlft::util {
 
@@ -204,23 +202,5 @@ void Histogram::add(double x) {
   ++counts_[static_cast<std::size_t>(bin)];
   ++total_;
 }
-
-void Histogram::merge(const Histogram& other) {
-  if (other.lo_ != lo_ || other.hi_ != hi_ || other.counts_.size() != counts_.size()) {
-    char detail[128];
-    std::snprintf(detail, sizeof detail,
-                  ": ours [%g, %g) / %zu bins vs theirs [%g, %g) / %zu bins", lo_, hi_,
-                  counts_.size(), other.lo_, other.hi_, other.counts_.size());
-    throw std::invalid_argument(std::string{"Histogram::merge: incompatible layout"} + detail);
-  }
-  for (std::size_t bin = 0; bin < counts_.size(); ++bin) counts_[bin] += other.counts_[bin];
-  total_ += other.total_;
-}
-
-double Histogram::binLow(std::size_t bin) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(bin) / static_cast<double>(counts_.size());
-}
-
-double Histogram::binHigh(std::size_t bin) const { return binLow(bin + 1); }
 
 }  // namespace nlft::util

@@ -136,13 +136,9 @@ class Histogram {
   Histogram(double lo, double hi, std::size_t bins);
 
   void add(double x);
-  /// Adds another histogram's counts; ranges and bin counts must match.
-  void merge(const Histogram& other);
   [[nodiscard]] std::size_t binCount(std::size_t bin) const { return counts_[bin]; }
   [[nodiscard]] std::size_t bins() const { return counts_.size(); }
   [[nodiscard]] std::size_t total() const { return total_; }
-  [[nodiscard]] double binLow(std::size_t bin) const;
-  [[nodiscard]] double binHigh(std::size_t bin) const;
 
  private:
   double lo_;

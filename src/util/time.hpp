@@ -9,7 +9,6 @@
 #include <chrono>
 #include <cstdint>
 #include <compare>
-#include <string>
 
 namespace nlft::util {
 
@@ -44,8 +43,6 @@ class Duration {
   [[nodiscard]] static constexpr Duration microseconds(std::int64_t us) { return Duration{us}; }
   [[nodiscard]] static constexpr Duration milliseconds(std::int64_t ms) { return Duration{ms * 1000}; }
   [[nodiscard]] static constexpr Duration seconds(std::int64_t s) { return Duration{s * 1'000'000}; }
-  /// Converts a floating-point second count, rounding to nearest microsecond.
-  [[nodiscard]] static Duration fromSeconds(double s);
 
   [[nodiscard]] constexpr std::int64_t us() const { return us_; }
   [[nodiscard]] constexpr double toSeconds() const { return static_cast<double>(us_) / 1e6; }
@@ -62,8 +59,6 @@ class Duration {
   friend constexpr Duration operator*(std::int64_t k, Duration a) { return a * k; }
   /// Integer division: how many times does `b` fit into `a` (floor).
   friend constexpr std::int64_t operator/(Duration a, Duration b) { return a.us_ / b.us_; }
-
-  [[nodiscard]] std::string toString() const;
 
  private:
   constexpr explicit Duration(std::int64_t us) : us_{us} {}
@@ -86,8 +81,6 @@ class SimTime {
   friend constexpr SimTime operator+(SimTime t, Duration d) { return SimTime{t.us_ + d.us()}; }
   friend constexpr SimTime operator-(SimTime t, Duration d) { return SimTime{t.us_ - d.us()}; }
   friend constexpr Duration operator-(SimTime a, SimTime b) { return Duration::microseconds(a.us_ - b.us_); }
-
-  [[nodiscard]] std::string toString() const;
 
  private:
   constexpr explicit SimTime(std::int64_t us) : us_{us} {}

@@ -41,13 +41,11 @@ using ChunkBody = std::function<void(util::Rng&, std::size_t, SumStats&)>;
 ChunkedCampaignResult<SumStats> runWithRule(std::size_t experiments, unsigned threads,
                                             std::size_t chunkSize,
                                             const EarlyStopRule<SumStats>& rule,
-                                            CancellationToken* cancel = nullptr,
                                             const ChunkBody& body = runChunk) {
   Parallelism parallelism;
   parallelism.threads = threads;
   parallelism.chunkSize = chunkSize;
-  return runChunkedCampaign<SumStats>(experiments, kSeed, parallelism, "test", body, rule,
-                                      cancel);
+  return runChunkedCampaign<SumStats>(experiments, kSeed, parallelism, body, rule);
 }
 
 /// runChunk is not told its chunk index, but chunk c draws from the c-th
@@ -64,7 +62,7 @@ std::size_t chunkIndexOf(const util::Rng& rng, std::size_t chunks) {
 
 /// runChunk, except that chunk 0 is slow (so parallel workers claim later
 /// chunks speculatively) and every chunk from `firstThrowing` on throws
-/// std::domain_error (distinct from the "cancelled" std::runtime_error).
+/// std::domain_error.
 ChunkBody throwingFrom(std::size_t firstThrowing, std::size_t chunks) {
   return [=](util::Rng& rng, std::size_t count, SumStats& stats) {
     const std::size_t chunk = chunkIndexOf(rng, chunks);
@@ -133,25 +131,17 @@ TEST(EarlyStop, UnreachableRuleRunsTheFullBudget) {
   EXPECT_EQ(result.stats.sum, plain.stats.sum);
 }
 
-TEST(EarlyStop, CallerCancellationStillThrows) {
-  CancellationToken cancel;
-  cancel.requestCancel();
-  EarlyStopRule<SumStats> rule;
-  rule.shouldStop = [](const SumStats&, std::size_t items) { return items >= 1000000; };
-  EXPECT_THROW((void)runWithRule(1000, 2, 50, rule, &cancel), std::runtime_error);
-}
-
 TEST(EarlyStop, ChunkErrorPastTheStopIsDropped) {
   // 40 chunks of 25; the rule fires at 50 items (chunk boundary 2) and
   // chunks 3.. throw. A serial run never reaches them; parallel workers run
   // them while chunk 0 sleeps, and their errors must not leak out.
   EarlyStopRule<SumStats> rule;
   rule.shouldStop = [](const SumStats&, std::size_t items) { return items >= 50; };
-  const auto serial = runWithRule(1000, 1, 25, rule, nullptr, throwingFrom(3, 40));
+  const auto serial = runWithRule(1000, 1, 25, rule, throwingFrom(3, 40));
   ASSERT_TRUE(serial.stoppedEarly);
   EXPECT_EQ(serial.itemsUsed, 50u);
   for (unsigned threads : {2u, 8u}) {
-    const auto parallel = runWithRule(1000, threads, 25, rule, nullptr, throwingFrom(3, 40));
+    const auto parallel = runWithRule(1000, threads, 25, rule, throwingFrom(3, 40));
     EXPECT_TRUE(parallel.stoppedEarly) << "threads=" << threads;
     EXPECT_EQ(parallel.itemsUsed, serial.itemsUsed) << "threads=" << threads;
     EXPECT_EQ(parallel.chunksUsed, serial.chunksUsed) << "threads=" << threads;
@@ -165,10 +155,10 @@ TEST(EarlyStop, ChunkErrorBeforeTheStopReachesTheCaller) {
   EarlyStopRule<SumStats> rule;
   rule.shouldStop = [](const SumStats&, std::size_t items) { return items >= 200; };
   for (unsigned threads : {1u, 2u, 8u}) {
-    EXPECT_THROW((void)runWithRule(1000, threads, 25, rule, nullptr, throwingFrom(3, 40)),
+    EXPECT_THROW((void)runWithRule(1000, threads, 25, rule, throwingFrom(3, 40)),
                  std::domain_error)
         << "threads=" << threads;
-    EXPECT_THROW((void)runWithRule(1000, threads, 25, {}, nullptr, throwingFrom(3, 40)),
+    EXPECT_THROW((void)runWithRule(1000, threads, 25, {}, throwingFrom(3, 40)),
                  std::domain_error)
         << "threads=" << threads << " without a rule";
   }

@@ -80,6 +80,36 @@ TEST(FuzzScenario, FromJsonRejectsIllegalAndMalformed) {
   EXPECT_THROW((void)parseEventKind("definitely-not-a-kind"), std::invalid_argument);
 }
 
+TEST(FuzzScenario, FromJsonRefusesNumbersThatWouldNarrow) {
+  // One legal event, with the field under test spliced in. Narrowed, each
+  // would load as a different legal value (node 1, at_us 500000), and 1e300
+  // would be an undefined double-to-integer conversion.
+  const auto caseWith = [](const std::string& event) {
+    return obs::parseJson(R"({"params":{"node_type":"nlft","initial_speed_mps":20,)"
+                          R"("pedal":1,"restart_time_us":2000000},"events":[{)" +
+                          event + "}]}");
+  };
+  ASSERT_NO_THROW((void)scenarioFromJson(
+      caseWith(R"("kind":"bus-corruption","node":1,"at_us":500000,"flip_bits":[1])")));
+  for (const std::string event : {
+           R"("kind":"value-failure","node":4294967297,"at_us":500000)",
+           R"("kind":"value-failure","node":1.9,"at_us":500000)",
+           R"("kind":"value-failure","node":1,"at_us":500000.7)",
+           R"("kind":"value-failure","node":1,"at_us":1e300)",
+           R"("kind":"bus-corruption","node":1,"at_us":500000,"flip_bits":[4294967297])",
+       }) {
+    EXPECT_THROW((void)scenarioFromJson(caseWith(event)), std::exception) << event;
+  }
+  // The JSON accessor names the value it refuses.
+  try {
+    (void)obs::parseJson("1e300").asInt();
+    ADD_FAILURE() << "1e300 converted";
+  } catch (const std::logic_error& error) {
+    EXPECT_NE(std::string{error.what()}.find("not a whole number"), std::string::npos);
+  }
+  EXPECT_EQ(obs::parseJson("-4.0e3").asInt(), -4000);
+}
+
 TEST(FuzzMutate, MutantsAreAlwaysLegalAndUsuallyDifferent) {
   util::Rng rng{7};
   std::size_t changed = 0;

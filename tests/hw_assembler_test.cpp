@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "hw/isa.hpp"
 #include "hw/machine.hpp"
 
@@ -131,6 +135,9 @@ TEST(Assembler, ErrorsCarryLineNumbers) {
 
 TEST(Assembler, RejectsBadInput) {
   EXPECT_THROW((void)assemble("ldi r99, 1\n"), AssemblyError);
+  EXPECT_THROW((void)assemble("ldi r99999999999, 1\n"), AssemblyError);  // no int overflow
+  EXPECT_THROW((void)assemble("ld r1, [r2147483648]\n"), AssemblyError);
+  EXPECT_THROW((void)assemble("ld r1, [r2147483648+4]\n"), AssemblyError);
   EXPECT_THROW((void)assemble("ldi r1\n"), AssemblyError);            // missing operand
   EXPECT_THROW((void)assemble("add r1, r2\n"), AssemblyError);        // wrong arity
   EXPECT_THROW((void)assemble("beq nowhere\n"), AssemblyError);       // undefined label
@@ -145,13 +152,15 @@ TEST(Assembler, WordDirectiveEmitsLiteralData) {
       ld r1, [r0+table]
       halt
     table:
-      .word 10, 0x20, -1
+      .word 10, 0x20, -1, -2147483648, 4294967295
   )");
-  ASSERT_EQ(p.words.size(), 5u);
+  ASSERT_EQ(p.words.size(), 7u);
   EXPECT_EQ(p.symbol("table"), 8u);
   EXPECT_EQ(p.words[2], 10u);
   EXPECT_EQ(p.words[3], 0x20u);
   EXPECT_EQ(p.words[4], 0xFFFFFFFFu);
+  EXPECT_EQ(p.words[5], 0x80000000u);  // the 32-bit limits are accepted
+  EXPECT_EQ(p.words[6], 0xFFFFFFFFu);
 }
 
 TEST(Assembler, WordDirectiveCanHoldLabelAddresses) {
@@ -191,6 +200,30 @@ TEST(Assembler, WordDirectiveRejectsBadOperands) {
   EXPECT_THROW((void)assemble(".word\n"), AssemblyError);
   EXPECT_THROW((void)assemble(".word nowhere\n"), AssemblyError);
   EXPECT_THROW((void)assemble(".word 1x\n"), AssemblyError);
+}
+
+TEST(Assembler, DirectiveOperandsMustBeWhole32BitNumbers) {
+  // (source, line of the bad operand). Each value must be refused with its
+  // line: truncated to 32 bits or cut at the first bad character, it would
+  // silently move code or change data.
+  const std::vector<std::pair<std::string, int>> cases = {
+      {".org abc\nnop\n", 1},
+      {".org 0x1ffffffff\nnop\n", 1},
+      {".org -4\nnop\n", 1},
+      {".org 0x100zz\nnop\n", 1},
+      {"nop\n.word 0x1ffffffff\n", 2},
+      {"nop\n.word 99999999999\n", 2},
+      {"nop\n.word -2147483649\n", 2},
+      {"nop\n.loopbound 4294967296\nloop: bne loop\n", 2},
+  };
+  for (const auto& [source, line] : cases) {
+    try {
+      (void)assemble(source);
+      ADD_FAILURE() << "accepted: " << source;
+    } catch (const AssemblyError& error) {
+      EXPECT_EQ(error.line(), line) << source;
+    }
+  }
 }
 
 TEST(Assembler, MnemonicsAreCaseInsensitive) {

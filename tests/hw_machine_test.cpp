@@ -246,7 +246,6 @@ TEST(Machine, StuckAtFaultReassertsEveryInstruction) {
   m.addStuckAtFault({1, 3, true});  // r1 bit 3 stuck high
   EXPECT_EQ(m.run(10).reason, StopReason::Halted);
   EXPECT_EQ(m.readWords(0x100, 1)[0], 8u);
-  m.clearStuckAtFaults();
 }
 
 TEST(Machine, StackOverflowDetected) {

@@ -58,17 +58,6 @@ TEST(Gantt, LabelsKeepFirstExecutionOrder) {
   EXPECT_LT(chart.find("zeta"), chart.find("alpha"));
 }
 
-TEST(PerLabelBusyTime, SumsSegments) {
-  const std::vector<ExecutionSegment> trace{segment("a", 0, 3), segment("b", 3, 5),
-                                            segment("a", 5, 8)};
-  const auto totals = perLabelBusyTime(trace);
-  ASSERT_EQ(totals.size(), 2u);
-  EXPECT_EQ(totals[0].first, "a");
-  EXPECT_EQ(totals[0].second.us(), 6000);
-  EXPECT_EQ(totals[1].first, "b");
-  EXPECT_EQ(totals[1].second.us(), 2000);
-}
-
 TEST(Gantt, RendersRealSchedulerTrace) {
   sim::Simulator simulator;
   Cpu cpu{simulator};

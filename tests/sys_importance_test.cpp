@@ -175,27 +175,6 @@ TEST(ImportanceSampling, EarlyStoppingHonoursPrecisionTarget) {
   EXPECT_EQ(parallel.checkpoints[0].reliability.proportion, mc.proportion);
 }
 
-TEST(ImportanceSampling, MttfIdentityBiasMatchesPlainEstimator) {
-  const SystemSpec s = nonRareSpec();
-  const util::RunningStats plain = estimateMttf(s, 2000, 31);
-  const MttfIsEstimate is = estimateMttfIs(s, 2000, 31, {1.0, 1.0});
-  EXPECT_EQ(is.weightedLifetimes.mean(), plain.mean());
-  EXPECT_EQ(is.weightDiagnostics.sumWeights(), 2000.0);
-  EXPECT_EQ(is.weightDiagnostics.weightCv(), 0.0);
-}
-
-TEST(ImportanceSampling, BoostedMttfAgreesWithinConfidenceIntervals) {
-  const SystemSpec s = nonRareSpec();
-  const util::RunningStats plain = estimateMttf(s, 20000, 32);
-  ImportanceSamplingConfig bias;
-  bias.arrivalBoost = 1.5;
-  const MttfIsEstimate is = estimateMttfIs(s, 20000, 32, bias);
-  const double plainHw = plain.confidenceHalfWidth();
-  const double isHw = is.weightedLifetimes.confidenceHalfWidth();
-  EXPECT_LT(is.weightedLifetimes.mean() - isHw, plain.mean() + plainHw);
-  EXPECT_GT(is.weightedLifetimes.mean() + isHw, plain.mean() - plainHw);
-}
-
 TEST(ImportanceSampling, RejectsNonPositiveBoosts) {
   const SystemSpec s = nonRareSpec();
   const MonteCarloConfig config = mcConfig(10, 1);

@@ -125,7 +125,6 @@ TEST_F(TemFixture, ScenarioIII_EdmErrorInSecondCopyReclaimsTime) {
   EXPECT_EQ(deliveries[0].atUs, 24'000);
   EXPECT_EQ(tem.stats(task).maskedByReplacement, 1u);
   EXPECT_EQ(tem.stats(task).edmDetectedErrors, 1u);
-  EXPECT_EQ(tem.stats(task).contextRestores, 1u);
   EXPECT_EQ(tem.stats(task).comparisonMismatches, 0u);
 }
 

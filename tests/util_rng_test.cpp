@@ -114,29 +114,6 @@ TEST(Rng, NormalMeanAndStddev) {
   EXPECT_NEAR(std::sqrt(var), 2.0, 0.03);
 }
 
-TEST(Rng, PoissonSmallMean) {
-  Rng rng{12};
-  constexpr int n = 100000;
-  const double mean = 2.5;
-  double sum = 0.0;
-  for (int i = 0; i < n; ++i) sum += static_cast<double>(rng.poisson(mean));
-  EXPECT_NEAR(sum / n, mean, 0.05);
-}
-
-TEST(Rng, PoissonZeroMean) {
-  Rng rng{13};
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(rng.poisson(0.0), 0u);
-}
-
-TEST(Rng, PoissonLargeMeanUsesNormalApproximation) {
-  Rng rng{14};
-  constexpr int n = 20000;
-  const double mean = 400.0;
-  double sum = 0.0;
-  for (int i = 0; i < n; ++i) sum += static_cast<double>(rng.poisson(mean));
-  EXPECT_NEAR(sum / n, mean, 1.5);
-}
-
 TEST(Splitmix64, KnownSequenceIsStable) {
   std::uint64_t state = 0;
   const std::uint64_t first = splitmix64(state);

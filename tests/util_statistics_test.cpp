@@ -272,38 +272,11 @@ TEST(Histogram, BinningAndClamping) {
   EXPECT_EQ(h.binCount(0), 2u);
   EXPECT_EQ(h.binCount(2), 1u);
   EXPECT_EQ(h.binCount(4), 2u);
-  EXPECT_DOUBLE_EQ(h.binLow(2), 4.0);
-  EXPECT_DOUBLE_EQ(h.binHigh(2), 6.0);
 }
 
 TEST(Histogram, RejectsBadConstruction) {
   EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
   EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
-TEST(Histogram, MergeRejectsMismatchedLayoutWithDiagnostic) {
-  Histogram mine{0.0, 10.0, 5};
-  mine.add(1.0);
-  const Histogram rebinned{0.0, 10.0, 10};
-  const Histogram shifted{0.0, 20.0, 5};
-  for (const Histogram* theirs : {&rebinned, &shifted}) {
-    try {
-      mine.merge(*theirs);
-      FAIL() << "merge of incompatible layout did not throw";
-    } catch (const std::invalid_argument& error) {
-      // The diagnostic names both layouts' bin edges, so the mismatch is
-      // debuggable straight from the exception text.
-      const std::string message = error.what();
-      EXPECT_NE(message.find("ours [0, 10) / 5 bins"), std::string::npos) << message;
-      EXPECT_NE(message.find("theirs"), std::string::npos) << message;
-    }
-  }
-  // Failed merges leave the target untouched.
-  EXPECT_EQ(mine.total(), 1u);
-  Histogram compatible{0.0, 10.0, 5};
-  compatible.add(2.0);
-  mine.merge(compatible);
-  EXPECT_EQ(mine.total(), 2u);
 }
 
 }  // namespace
