@@ -18,21 +18,18 @@ using util::SimTime;
 
 namespace {
 
-struct Episode {
-  net::NodeId node;
-  int faultKind;  // 0 = silent data, 1 = EDM-detected, 2 = kernel error
-  std::int64_t atUs;
+/// The transient kinds an episode draws from, in draw order.
+constexpr InjectionKind kEpisodeKinds[] = {
+    InjectionKind::ComputationFault,  // silent data
+    InjectionKind::DetectedError,     // EDM-detected
+    InjectionKind::KernelError,
 };
 
-double runEpisode(NodeType type, const Episode& episode) {
+double runEpisode(NodeType type, const Injection& episode) {
   BbwSimConfig config;
   config.nodeType = type;
   BbwSystemSim sim{config};
-  switch (episode.faultKind) {
-    case 0: sim.injectComputationFault(episode.node, SimTime::fromUs(episode.atUs)); break;
-    case 1: sim.injectDetectedError(episode.node, SimTime::fromUs(episode.atUs)); break;
-    default: sim.injectKernelError(episode.node, SimTime::fromUs(episode.atUs)); break;
-  }
+  sim.inject(episode);
   const BbwSimResult result = sim.run();
   return result.stopped ? result.stoppingDistanceM : 999.0;
 }
@@ -42,12 +39,12 @@ double runEpisode(NodeType type, const Episode& episode) {
 int main() {
   constexpr int kEpisodes = 150;
   util::Rng rng{2025};
-  std::vector<Episode> episodes;
+  std::vector<Injection> episodes;
   for (int i = 0; i < kEpisodes; ++i) {
-    Episode episode;
+    Injection episode;
     episode.node = 1 + static_cast<net::NodeId>(rng.uniformInt(6));
-    episode.faultKind = static_cast<int>(rng.uniformInt(3));
-    episode.atUs = 100'000 + static_cast<std::int64_t>(rng.uniformInt(2'400'000));
+    episode.kind = kEpisodeKinds[rng.uniformInt(3)];
+    episode.at = SimTime::fromUs(100'000 + static_cast<std::int64_t>(rng.uniformInt(2'400'000)));
     episodes.push_back(episode);
   }
 
@@ -62,7 +59,7 @@ int main() {
     util::RunningStats stats;
     util::Histogram histogram{35.0, 55.0, 10};
     int degraded = 0;
-    for (const Episode& episode : episodes) {
+    for (const Injection& episode : episodes) {
       const double distance = runEpisode(type, episode);
       stats.add(distance);
       histogram.add(distance);

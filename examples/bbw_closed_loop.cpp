@@ -70,7 +70,7 @@ int main() {
     // Event-triggered path: driver coasts, then slams the emergency brake.
     BbwSimConfig config;
     config.nodeType = NodeType::Nlft;
-    config.pedalProfile = [](double) { return 0.0; };
+    config.pedal = 0.0;
     BbwSystemSim sim{config};
     sim.pressEmergencyBrake(SimTime::fromUs(500'000));
     const BbwSimResult result = sim.run();

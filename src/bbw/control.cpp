@@ -1,22 +1,6 @@
 #include "bbw/control.hpp"
 
-#include <algorithm>
-
 namespace nlft::bbw {
-
-std::array<double, kWheelCount> distributeBrakeForce(const CentralUnitConfig& config,
-                                                     double pedal) {
-  pedal = std::clamp(pedal, 0.0, 1.0);
-  const double total = pedal * config.maxTotalForceN;
-  const double front = total * config.frontShare / 2.0;
-  const double rear = total * (1.0 - config.frontShare) / 2.0;
-  std::array<double, kWheelCount> torque{};
-  torque[FrontLeft] = front * config.wheelRadiusM;
-  torque[FrontRight] = front * config.wheelRadiusM;
-  torque[RearLeft] = rear * config.wheelRadiusM;
-  torque[RearRight] = rear * config.wheelRadiusM;
-  return torque;
-}
 
 std::int32_t wheelControlFixedPoint(std::int32_t requestedTorqueQ8, std::int32_t slipQ8,
                                     std::int32_t currentLimitQ8, std::int32_t* newLimitQ8) {

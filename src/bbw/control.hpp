@@ -1,28 +1,15 @@
-// Brake-by-wire control algorithms.
+// Brake-by-wire wheel control.
 //
-// The central unit turns the pedal position into per-wheel brake torque
-// requests (static front/rear proportioning); each wheel node runs an
-// ABS-style slip controller that caps the applied torque when the wheel
-// approaches lock-up. Both are pure functions of their inputs so that TEM
-// replica determinism holds trivially.
+// Each wheel node runs an ABS-style slip controller that caps the applied
+// torque when the wheel approaches lock-up (the central unit's law, static
+// front/rear proportioning of the pedal, is distributeFixedPoint in
+// bbw/cu_task.hpp). It is a pure function of its inputs so that TEM replica
+// determinism holds trivially.
 #pragma once
 
-#include <array>
 #include <cstdint>
 
-#include "bbw/vehicle.hpp"
-
 namespace nlft::bbw {
-
-struct CentralUnitConfig {
-  double maxTotalForceN = 18000.0;  ///< total brake force at full pedal
-  double frontShare = 0.6;          ///< front axle share of the total force
-  double wheelRadiusM = 0.30;
-};
-
-/// Pedal position [0,1] -> per-wheel brake torque request (N m).
-[[nodiscard]] std::array<double, kWheelCount> distributeBrakeForce(
-    const CentralUnitConfig& config, double pedal);
 
 /// One wheel node's ABS slip-control law in q8.8 fixed point: the job every
 /// wheel node runs (BbwSystemSim computes it, the interpreted-ISA wheel task

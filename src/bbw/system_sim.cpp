@@ -4,9 +4,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdio>
-#include <stdexcept>
-
 #include <map>
+#include <stdexcept>
+#include <variant>
 
 #include "bbw/control.hpp"
 #include "bbw/cu_task.hpp"
@@ -51,6 +51,12 @@ constexpr std::uint32_t kMsgCommand = 0xC0DE0001;
 constexpr std::uint32_t kMsgWheelStatus = 0xC0DE0002;
 constexpr std::uint32_t kMsgEmergency = 0xC0DE0003;
 
+/// One replay-log entry: an injection, or the instant of an emergency press.
+using LogEntry = std::variant<Injection, SimTime>;
+/// Tag of an emergency-brake press in the blob's `inject` section; every
+/// smaller tag is an InjectionKind.
+constexpr std::uint16_t kPressTag = kInjectionKindCount;
+
 /// Marks a command sequence whose pedal sample time is not known.
 constexpr SimTime kNotSampled = SimTime::fromUs(-1);
 /// Integration step of the vehicle plant.
@@ -58,6 +64,26 @@ constexpr Duration kPlantStep = Duration::milliseconds(1);
 
 using StateHash = util::StateHash;
 }  // namespace
+
+const char* describe(InjectionKind kind) {
+  switch (kind) {
+    case InjectionKind::ComputationFault: return "computation-fault";
+    case InjectionKind::DetectedError: return "detected-error";
+    case InjectionKind::KernelError: return "kernel-error";
+    case InjectionKind::OmissionFailure: return "omission-failure";
+    case InjectionKind::ValueFailure: return "value-failure";
+    case InjectionKind::BusCorruption: return "bus-corruption";
+  }
+  return "?";
+}
+
+InjectionKind parseInjectionKind(const std::string& name) {
+  for (std::size_t k = 0; k < kInjectionKindCount; ++k) {
+    const auto kind = static_cast<InjectionKind>(k);
+    if (name == describe(kind)) return kind;
+  }
+  throw std::invalid_argument("parseInjectionKind: unknown injection kind '" + name + "'");
+}
 
 const BbwDeployment& bbwDeployment() {
   static const BbwDeployment deployment = [] {
@@ -148,25 +174,9 @@ struct BbwSystemSim::Impl {
   obs::TraceRecorder* recorder = nullptr;
   bool tapsWired = false;
 
-  /// One entry per public injection/press call, in call order — the replay
-  /// schedule a restoreState() re-applies to a fresh simulation.
-  struct LoggedInjection {
-    enum class Kind : std::uint16_t {
-      Computation = 1,
-      DetectedError = 2,
-      KernelError = 3,
-      Omission = 4,
-      ValueFailure = 5,
-      BusCorruption = 6,
-      BusCorruptionBits = 7,
-      EmergencyBrake = 8,
-    };
-    Kind kind{};
-    net::NodeId node = 0;
-    SimTime at;
-    std::vector<std::uint32_t> flipBits;  ///< BusCorruptionBits only
-  };
-  std::vector<LoggedInjection> injectionLog;
+  /// Every inject() and pressEmergencyBrake() call, in call order: the
+  /// schedule restoreState() re-applies to a fresh simulation.
+  std::vector<LogEntry> replayLog;
   bool advanced = false;  ///< any simulated time has elapsed (run/runUntil)
 
   /// Emits one trace line, prefixed with the simulated time in microseconds.
@@ -305,12 +315,9 @@ struct BbwSystemSim::Impl {
         if (commandSampleTime[context.jobIndex] == kNotSampled) {
           commandSampleTime[context.jobIndex] = simulator.now();
         }
-        double pedal = config.pedalProfile
-                           ? config.pedalProfile(simulator.now().toSeconds())
-                           : config.pedal;
         // An emergency press latches the pedal input: the event-triggered
         // message delivers the FIRST actuation, the periodic path sustains it.
-        if (emergencyLatched) pedal = 1.0;
+        const double pedal = emergencyLatched ? 1.0 : std::clamp(config.pedal, 0.0, 1.0);
         n.jobInput[0] = static_cast<std::uint32_t>(std::lround(pedal * 256.0));
       }
     }
@@ -331,10 +338,9 @@ struct BbwSystemSim::Impl {
       plan.result.push_back(static_cast<std::uint32_t>(torque));
       plan.result.push_back(static_cast<std::uint32_t>(newLimit));
     } else {
-      const double pedal = static_cast<double>(n.jobInput[0]) / 256.0;
-      const auto torques = distributeBrakeForce(CentralUnitConfig{}, pedal);
-      for (double torque : torques) {
-        plan.result.push_back(static_cast<std::uint32_t>(std::lround(torque * 256.0)));
+      for (const std::int32_t torque :
+           distributeFixedPoint(static_cast<std::int32_t>(n.jobInput[0]))) {
+        plan.result.push_back(static_cast<std::uint32_t>(torque));
       }
     }
 
@@ -562,16 +568,13 @@ struct BbwSystemSim::Impl {
     }
   }
 
-  /// Digest of the configuration a checkpoint was taken under. A replay is
-  /// only meaningful on an identically configured simulation; the pedal
-  /// profile is a closure, so only its PRESENCE can be pinned (the caller
-  /// owns supplying the same profile, see BbwSystemSim::restoreState docs).
+  /// Digest of the configuration a checkpoint was taken under: a replay is
+  /// only meaningful on an identically configured simulation.
   [[nodiscard]] std::uint64_t configDigest() const {
     StateHash digest;
     digest.u64(static_cast<std::uint64_t>(config.nodeType));
     digest.f64(config.initialSpeedMps);
     digest.f64(config.pedal);
-    digest.boolean(static_cast<bool>(config.pedalProfile));
     digest.i64(config.horizon.us());
     digest.i64(config.restartTime.us());
     return digest.finish();
@@ -712,6 +715,30 @@ struct BbwSystemSim::Impl {
     }
   }
 
+  /// Makes an injection take effect: one trace line and recorder instant,
+  /// then the kind's effect on the node (or on its next bus frame).
+  void fire(const Injection& injection) {
+    // Traces spell the omission kind "omission".
+    const std::string name = injection.kind == InjectionKind::OmissionFailure
+                                 ? "omission"
+                                 : describe(injection.kind);
+    trace("inject " + name + " node=" + std::to_string(injection.node));
+    record(injection.node, name, "inject");
+    Node& n = node(injection.node);
+    switch (injection.kind) {
+      case InjectionKind::ComputationFault: n.corruptSecondCopy = true; break;
+      case InjectionKind::DetectedError: n.detectedErrorNextCopy = true; break;
+      case InjectionKind::KernelError:
+        n.kernel->reportKernelError({rt::ErrorEvent::Source::HardwareException, 0});
+        break;
+      case InjectionKind::OmissionFailure: n.omitNextResult = true; break;
+      case InjectionKind::ValueFailure: n.valueFailureArmed = true; break;
+      case InjectionKind::BusCorruption:
+        bus.corruptNextFrame(injection.node, injection.flipBits);
+        break;
+    }
+  }
+
   void schedulePlantStep() {
     simulator.scheduleAfter(kPlantStep, [this] {
       vehicle.step(kPlantStep.toSeconds());
@@ -740,60 +767,13 @@ BbwSystemSim::~BbwSystemSim() = default;
 
 sim::Simulator& BbwSystemSim::simulator() { return impl_->simulator; }
 
-void BbwSystemSim::injectComputationFault(net::NodeId node, SimTime at) {
-  impl_->injectionLog.push_back({Impl::LoggedInjection::Kind::Computation, node, at, {}});
-  impl_->simulator.scheduleAt(at,
-                              [this, node] {
-                                impl_->trace("inject computation-fault node=" +
-                                             std::to_string(node));
-                                impl_->record(node, "computation-fault", "inject");
-                                impl_->node(node).corruptSecondCopy = true;
-                              },
-                              sim::EventPriority::FaultInjection);
-}
-
-void BbwSystemSim::injectDetectedError(net::NodeId node, SimTime at) {
-  impl_->injectionLog.push_back({Impl::LoggedInjection::Kind::DetectedError, node, at, {}});
-  impl_->simulator.scheduleAt(at,
-                              [this, node] {
-                                impl_->trace("inject detected-error node=" + std::to_string(node));
-                                impl_->record(node, "detected-error", "inject");
-                                impl_->node(node).detectedErrorNextCopy = true;
-                              },
-                              sim::EventPriority::FaultInjection);
-}
-
-void BbwSystemSim::injectOmissionFailure(net::NodeId node, SimTime at) {
-  impl_->injectionLog.push_back({Impl::LoggedInjection::Kind::Omission, node, at, {}});
-  impl_->simulator.scheduleAt(at,
-                              [this, node] {
-                                impl_->trace("inject omission node=" + std::to_string(node));
-                                impl_->record(node, "omission", "inject");
-                                impl_->node(node).omitNextResult = true;
-                              },
-                              sim::EventPriority::FaultInjection);
-}
-
-void BbwSystemSim::injectValueFailure(net::NodeId node, SimTime at) {
-  impl_->injectionLog.push_back({Impl::LoggedInjection::Kind::ValueFailure, node, at, {}});
-  impl_->simulator.scheduleAt(at,
-                              [this, node] {
-                                impl_->trace("inject value-failure node=" + std::to_string(node));
-                                impl_->record(node, "value-failure", "inject");
-                                impl_->node(node).valueFailureArmed = true;
-                              },
-                              sim::EventPriority::FaultInjection);
-}
-
-void BbwSystemSim::injectKernelError(net::NodeId node, SimTime at) {
-  impl_->injectionLog.push_back({Impl::LoggedInjection::Kind::KernelError, node, at, {}});
-  impl_->simulator.scheduleAt(at,
-                              [this, node] {
-                                impl_->trace("inject kernel-error node=" + std::to_string(node));
-                                impl_->record(node, "kernel-error", "inject");
-                                impl_->node(node).kernel->reportKernelError(
-                                    {rt::ErrorEvent::Source::HardwareException, 0});
-                              },
+void BbwSystemSim::inject(const Injection& injection) {
+  if (injection.node < kCuA || injection.node > kWheelNodeBase + 3) {
+    throw std::invalid_argument("BbwSystemSim::inject: node " + std::to_string(injection.node) +
+                                " is not a node of the stop (1..6)");
+  }
+  impl_->replayLog.emplace_back(injection);
+  impl_->simulator.scheduleAt(injection.at, [this, injection] { impl_->fire(injection); },
                               sim::EventPriority::FaultInjection);
 }
 
@@ -817,7 +797,7 @@ const net::MembershipService& BbwSystemSim::membership() const { return impl_->m
 net::MembershipService& BbwSystemSim::membership() { return impl_->membership; }
 
 void BbwSystemSim::pressEmergencyBrake(SimTime at) {
-  impl_->injectionLog.push_back({Impl::LoggedInjection::Kind::EmergencyBrake, 0, at, {}});
+  impl_->replayLog.emplace_back(at);
   impl_->simulator.scheduleAt(at, [this] {
     Impl& impl = *impl_;
     impl.emergencyLatched = true;
@@ -828,29 +808,6 @@ void BbwSystemSim::pressEmergencyBrake(SimTime at) {
       }
     }
   }, sim::EventPriority::Application);
-}
-
-void BbwSystemSim::injectBusCorruption(net::NodeId node, SimTime at) {
-  impl_->injectionLog.push_back({Impl::LoggedInjection::Kind::BusCorruption, node, at, {}});
-  impl_->simulator.scheduleAt(at,
-                              [this, node] {
-                                impl_->trace("inject bus-corruption node=" + std::to_string(node));
-                                impl_->record(node, "bus-corruption", "inject");
-                                impl_->bus.corruptNextFrame(node);
-                              },
-                              sim::EventPriority::FaultInjection);
-}
-
-void BbwSystemSim::injectBusCorruption(net::NodeId node, SimTime at,
-                                       std::vector<std::uint32_t> flipBits) {
-  impl_->injectionLog.push_back({Impl::LoggedInjection::Kind::BusCorruptionBits, node, at, flipBits});
-  impl_->simulator.scheduleAt(at,
-                              [this, node, flipBits = std::move(flipBits)] {
-                                impl_->trace("inject bus-corruption node=" + std::to_string(node));
-                                impl_->record(node, "bus-corruption", "inject");
-                                impl_->bus.corruptNextFrame(node, flipBits);
-                              },
-                              sim::EventPriority::FaultInjection);
 }
 
 BbwSimResult BbwSystemSim::run() {
@@ -909,12 +866,19 @@ std::vector<std::uint8_t> BbwSystemSim::saveState() const {
   writer.u64(impl.configDigest());
   writer.endSection();
   writer.beginSection("inject");
-  writer.u32(static_cast<std::uint32_t>(impl.injectionLog.size()));
-  for (const Impl::LoggedInjection& injection : impl.injectionLog) {
-    writer.u16(static_cast<std::uint16_t>(injection.kind));
-    writer.u32(injection.node);
-    writer.i64(injection.at.us());
-    writer.u32Vec(injection.flipBits);
+  writer.u32(static_cast<std::uint32_t>(impl.replayLog.size()));
+  for (const LogEntry& entry : impl.replayLog) {
+    if (const auto* injection = std::get_if<Injection>(&entry)) {
+      writer.u16(static_cast<std::uint16_t>(injection->kind));
+      writer.u32(injection->node);
+      writer.i64(injection->at.us());
+      writer.u32Vec(injection->flipBits);
+    } else {
+      writer.u16(kPressTag);
+      writer.u32(0);
+      writer.i64(std::get<SimTime>(entry).us());
+      writer.u32Vec({});
+    }
   }
   writer.endSection();
   writer.beginSection("clock");
@@ -933,7 +897,7 @@ std::vector<std::uint8_t> BbwSystemSim::saveState() const {
 
 void BbwSystemSim::restoreState(std::span<const std::uint8_t> blob) {
   Impl& impl = *impl_;
-  if (impl.advanced || !impl.injectionLog.empty()) {
+  if (impl.advanced || !impl.replayLog.empty()) {
     throw std::runtime_error(
         "BbwSystemSim::restoreState: requires a freshly constructed simulation "
         "(this one has already advanced or been injected into)");
@@ -945,17 +909,24 @@ void BbwSystemSim::restoreState(std::span<const std::uint8_t> blob) {
   const std::uint64_t configDigest = reader.u64();
   reader.closeSection();
   reader.openSection("inject");
-  // Smallest injection: kind, node, time and an empty flip-bit list.
-  const std::uint32_t injections = reader.elementCount(2 + 4 + 8 + 4);
-  std::vector<Impl::LoggedInjection> schedule;
-  schedule.reserve(injections);
-  for (std::uint32_t i = 0; i < injections; ++i) {
-    Impl::LoggedInjection injection;
-    injection.kind = static_cast<Impl::LoggedInjection::Kind>(reader.u16());
-    injection.node = reader.u32();
-    injection.at = SimTime::fromUs(reader.i64());
-    injection.flipBits = reader.u32Vec();
-    schedule.push_back(std::move(injection));
+  // Smallest entry: tag, node, time and an empty flip-bit list.
+  const std::uint32_t entries = reader.elementCount(2 + 4 + 8 + 4);
+  std::vector<LogEntry> schedule;
+  schedule.reserve(entries);
+  for (std::uint32_t i = 0; i < entries; ++i) {
+    const std::uint16_t tag = reader.u16();
+    const net::NodeId node = reader.u32();
+    const SimTime at = SimTime::fromUs(reader.i64());
+    std::vector<std::uint32_t> flipBits = reader.u32Vec();
+    if (tag == kPressTag) {
+      schedule.emplace_back(at);
+    } else if (tag < kInjectionKindCount) {
+      schedule.emplace_back(
+          Injection{static_cast<InjectionKind>(tag), node, at, std::move(flipBits)});
+    } else {
+      throw snap::BlobError("snapshot section 'inject': unknown injection kind " +
+                            std::to_string(tag));
+    }
   }
   reader.closeSection();
   reader.openSection("clock");
@@ -977,22 +948,11 @@ void BbwSystemSim::restoreState(std::span<const std::uint8_t> blob) {
   // checkpoint clock, and verify the state digest. Because the simulation
   // is a deterministic function of (config, schedule, clock), a fingerprint
   // match means THIS simulation is the checkpointed one.
-  using Kind = Impl::LoggedInjection::Kind;
-  for (const Impl::LoggedInjection& injection : schedule) {
-    switch (injection.kind) {
-      case Kind::Computation: injectComputationFault(injection.node, injection.at); break;
-      case Kind::DetectedError: injectDetectedError(injection.node, injection.at); break;
-      case Kind::KernelError: injectKernelError(injection.node, injection.at); break;
-      case Kind::Omission: injectOmissionFailure(injection.node, injection.at); break;
-      case Kind::ValueFailure: injectValueFailure(injection.node, injection.at); break;
-      case Kind::BusCorruption: injectBusCorruption(injection.node, injection.at); break;
-      case Kind::BusCorruptionBits:
-        injectBusCorruption(injection.node, injection.at, injection.flipBits);
-        break;
-      case Kind::EmergencyBrake: pressEmergencyBrake(injection.at); break;
-      default:
-        throw std::runtime_error("BbwSystemSim::restoreState: unknown injection kind " +
-                                 std::to_string(static_cast<int>(injection.kind)));
+  for (const LogEntry& entry : schedule) {
+    if (const auto* injection = std::get_if<Injection>(&entry)) {
+      inject(*injection);
+    } else {
+      pressEmergencyBrake(std::get<SimTime>(entry));
     }
   }
   // Advance by PROCESSED-EVENT COUNT, not by clock: the producer may have
@@ -1010,7 +970,7 @@ void BbwSystemSim::restoreState(std::span<const std::uint8_t> blob) {
     throw std::runtime_error(
         "BbwSystemSim::restoreState: replay diverged from the checkpoint fingerprint "
         "at t=" + std::to_string(target.us()) +
-        "us (corrupted blob, mismatched pedal profile, or nondeterminism)");
+        "us (corrupted blob or nondeterminism)");
   }
 }
 

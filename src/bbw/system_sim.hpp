@@ -41,12 +41,56 @@ using util::SimTime;
 
 /// Format version of BbwSystemSim::saveState() blobs. Bump on any layout
 /// change; restoreState() refuses blobs of any other version.
-inline constexpr std::uint16_t kSystemStateVersion = 1;
+inline constexpr std::uint16_t kSystemStateVersion = 2;
 
 /// Node ids on the bus.
 inline constexpr net::NodeId kCuA = 1;
 inline constexpr net::NodeId kCuB = 2;
 inline constexpr net::NodeId kWheelNodeBase = 3;  // +0..3 = FL, FR, RL, RR
+
+/// The fault kinds a stop can be injected with. The order is fixed: the
+/// fuzzer's corpus signatures and mutator draws index it.
+enum class InjectionKind : std::uint8_t {
+  /// Corrupts one copy of the node's next control job: NLFT masks it by
+  /// comparison and vote; a fail-silent node delivers the wrong value.
+  ComputationFault,
+  /// An EDM-detected error in the node's next control-task copy: NLFT
+  /// replaces the copy; a fail-silent node goes silent.
+  DetectedError,
+  /// An error in the node's kernel: the node goes silent and restarts after
+  /// restartTime (both node types, Section 2.2 strategy 3).
+  KernelError,
+  /// Suppresses the node's next delivered control result, the node-level
+  /// OMISSION failure (P_OM): no command that period; receivers bridge with
+  /// the previous value (Section 2.2 "the system is able to use a previous
+  /// value").
+  OmissionFailure,
+  /// The coverage gap: the node's next control job computes the same wrong
+  /// result in EVERY copy, so neither comparison nor vote detects it
+  /// (counted in BbwSimResult::undetectedValueDeliveries).
+  ValueFailure,
+  /// Flips bits of the node's next bus frame in transit: the CRC check
+  /// drops it at every receiver, so one command/heartbeat is lost.
+  BusCorruption,
+};
+inline constexpr std::size_t kInjectionKindCount = 6;
+
+/// Name of a kind as fuzz case files spell it ("omission-failure", ...).
+[[nodiscard]] const char* describe(InjectionKind kind);
+/// Inverse of describe(); throws std::invalid_argument for unknown names.
+[[nodiscard]] InjectionKind parseInjectionKind(const std::string& name);
+
+/// One fault of a stop's schedule: what, on which node, when.
+struct Injection {
+  InjectionKind kind = InjectionKind::ComputationFault;
+  net::NodeId node = kCuA;  ///< 1..6
+  SimTime at;
+  /// BusCorruption only: the frame bits to flip (payload first, then CRC;
+  /// indices wrap, see net::TdmaBus). Empty flips bit 0.
+  std::vector<std::uint32_t> flipBits;
+
+  friend bool operator==(const Injection&, const Injection&) = default;
+};
 
 /// The fixed deployment constants shared by the simulator AND the static
 /// verifier (src/verify): TDMA bus layout and per-task timing of every node.
@@ -71,12 +115,11 @@ struct BbwDeployment {
 struct BbwSimConfig {
   NodeType nodeType = NodeType::Nlft;
   double initialSpeedMps = 27.8;   ///< ~100 km/h
-  double pedal = 1.0;              ///< panic braking
-  /// Optional pedal profile (simulated seconds -> pedal position [0,1]);
-  /// overrides `pedal` when set. Sampled once per CU job (read-input phase).
-  std::function<double(double)> pedalProfile;
+  double pedal = 1.0;              ///< position in [0,1] (clamped); 1 = panic braking
   Duration horizon = Duration::seconds(15);
   Duration restartTime = Duration::seconds(3);  ///< node reboot + diagnosis (mu_R)
+
+  friend bool operator==(const BbwSimConfig&, const BbwSimConfig&) = default;
 };
 
 struct BbwSimResult {
@@ -93,11 +136,11 @@ struct BbwSimResult {
   std::uint64_t cuCompletions = 0;
   std::uint64_t errorsMaskedByTem = 0;   ///< summed over all NLFT nodes
   std::uint64_t failSilentEvents = 0;
-  /// Control results suppressed by injectOmissionFailure (node-level
+  /// Control results suppressed by OmissionFailure injections (node-level
   /// omission failures: no command that period).
   std::uint64_t commandsOmitted = 0;
-  /// Results corrupted identically in every copy by injectValueFailure that
-  /// reached the actuator/bus undetected (the system-level coverage gap).
+  /// Results corrupted identically in every copy by ValueFailure injections
+  /// that reached the actuator/bus undetected (the system-level coverage gap).
   std::uint64_t undetectedValueDeliveries = 0;
   /// Emergency-brake press -> first wheel actuation latency (zero if the
   /// emergency path was never exercised).
@@ -147,40 +190,30 @@ class BbwSystemSim {
   BbwSystemSim(const BbwSystemSim&) = delete;
   BbwSystemSim& operator=(const BbwSystemSim&) = delete;
 
-  /// Corrupts the result of one copy of the node's next control job
-  /// (a silent data fault: NLFT masks it by comparison+vote; a fail-silent
-  /// node delivers the wrong value undetected).
-  void injectComputationFault(net::NodeId node, SimTime at);
+  /// Schedules one injection at `injection.at` (see InjectionKind for what
+  /// each kind does). Throws std::invalid_argument, before anything is
+  /// logged or scheduled, for a node outside 1..6.
+  void inject(const Injection& injection);
 
-  /// Injects an EDM-detected error into the node's next control-task copy
-  /// (NLFT: copy terminated + replacement; FS baseline: node fail-silent).
-  void injectDetectedError(net::NodeId node, SimTime at);
-
-  /// Injects an error into the node's kernel: the node becomes silent and
-  /// restarts after restartTime (both node types, Section 2.2 strategy 3).
-  void injectKernelError(net::NodeId node, SimTime at);
-
-  /// Forces the node's next delivered control result to be suppressed
-  /// before it reaches the actuator/bus — the node-level OMISSION failure
-  /// (P_OM): no command that period; receivers bridge with the previous
-  /// value (Section 2.2 "the system is able to use a previous value").
-  void injectOmissionFailure(net::NodeId node, SimTime at);
-
-  /// The coverage-gap injection: the node's next control job computes a
-  /// wrong result in EVERY copy identically, so neither the comparison nor
-  /// the vote can detect it — an undetected VALUE failure delivered to the
-  /// system (counted in BbwSimResult::undetectedValueDeliveries).
-  void injectValueFailure(net::NodeId node, SimTime at);
-
-  /// Corrupts the node's next bus frame in transit: the CRC check drops it
-  /// at every receiver, so one command/heartbeat is lost. Wheel nodes hold
-  /// the previous command (Section 2.2: "the system is able to use a
-  /// previous value").
-  void injectBusCorruption(net::NodeId node, SimTime at);
-
-  /// As above but with explicit fault locations: flips the given frame bits
-  /// (payload first, then CRC; indices wrap — see net::TdmaBus).
-  void injectBusCorruption(net::NodeId node, SimTime at, std::vector<std::uint32_t> flipBits);
+  /// One-line forms of inject(), one per kind.
+  void injectComputationFault(net::NodeId node, SimTime at) {
+    inject({InjectionKind::ComputationFault, node, at, {}});
+  }
+  void injectDetectedError(net::NodeId node, SimTime at) {
+    inject({InjectionKind::DetectedError, node, at, {}});
+  }
+  void injectKernelError(net::NodeId node, SimTime at) {
+    inject({InjectionKind::KernelError, node, at, {}});
+  }
+  void injectOmissionFailure(net::NodeId node, SimTime at) {
+    inject({InjectionKind::OmissionFailure, node, at, {}});
+  }
+  void injectValueFailure(net::NodeId node, SimTime at) {
+    inject({InjectionKind::ValueFailure, node, at, {}});
+  }
+  void injectBusCorruption(net::NodeId node, SimTime at, std::vector<std::uint32_t> flipBits) {
+    inject({InjectionKind::BusCorruption, node, at, std::move(flipBits)});
+  }
 
   /// Presses the emergency-brake input at `at`: both CUs release a SPORADIC
   /// task whose full-brake command travels in the event-triggered (dynamic)
@@ -239,12 +272,12 @@ class BbwSystemSim {
   [[nodiscard]] std::vector<std::uint8_t> saveState() const;
 
   /// Restores a saveState() checkpoint into THIS simulation, which must be
-  /// freshly constructed with the same BbwSimConfig (and the same pedal
-  /// profile, which the digest can only check for presence) and never
-  /// advanced or injected into. Throws snap::BlobError on a damaged or
-  /// version-mismatched blob and std::runtime_error if the configuration
-  /// digest differs or the replayed state misses the checkpoint
-  /// fingerprint.
+  /// freshly constructed with the same BbwSimConfig and never advanced or
+  /// injected into. Throws snap::BlobError on a damaged or
+  /// version-mismatched blob or an unknown injection kind,
+  /// std::invalid_argument for an injection on a node outside 1..6, and
+  /// std::runtime_error if the configuration digest differs or the replayed
+  /// state misses the checkpoint fingerprint.
   void restoreState(std::span<const std::uint8_t> blob);
 
   /// 64-bit digest of the deterministic simulation state: simulated clock,

@@ -347,13 +347,13 @@ TemOutcome classifyTemWith(const TaskImage& image, const CopyRun& golden,
       if (mechanisms) ++mechanisms->endToEndCheck;
     } else {
       results.push_back(run.output);
-    }
-
-    if (results.size() >= 2) {
       if (results.size() == 2 && results[0] != results[1]) {
         mismatchDetected = true;
         if (mechanisms) ++mechanisms->temComparison;
       }
+    }
+
+    if (results.size() >= 2) {
       if (const auto voted = tem::majorityVote(results)) {
         if (results[*voted] != golden.output) return TemOutcome::UndetectedWrongOutput;
         if (mismatchDetected) return TemOutcome::MaskedByVote;

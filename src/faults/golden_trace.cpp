@@ -1,8 +1,8 @@
 #include "faults/golden_trace.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <functional>
 #include <stdexcept>
 
 namespace nlft::fi {
@@ -11,16 +11,14 @@ namespace {
 
 using bbw::BbwSimConfig;
 using bbw::BbwSystemSim;
+using bbw::Injection;
+using bbw::InjectionKind;
 using util::SimTime;
 
 struct ScenarioEntry {
   const char* name;
   bbw::NodeType nodeType;
-  /// Earliest injection instant the scenario arms (microseconds): forked
-  /// recordings restore a clean checkpoint strictly before this.
-  std::int64_t earliestUs;
-  /// Arms the scenario's injections on a fresh simulation.
-  void (*arm)(BbwSystemSim&);
+  std::vector<Injection> schedule;  ///< armed in order on a fresh simulation
 };
 
 SimTime at(double seconds) {
@@ -31,29 +29,44 @@ SimTime at(double seconds) {
 // each at a fixed instant so traces are reproducible. Scenarios that take a
 // node down run long enough for the mu_R restart to appear in the trace, so
 // a perturbed restart time is caught by the harness.
-constexpr ScenarioEntry kScenarios[] = {
-    {"nlft-computation-fault", bbw::NodeType::Nlft, 500000,
-     [](BbwSystemSim& sim) { sim.injectComputationFault(bbw::kWheelNodeBase, at(0.5)); }},
-    {"nlft-omission-value", bbw::NodeType::Nlft, 400000,
-     [](BbwSystemSim& sim) {
-       sim.injectOmissionFailure(bbw::kWheelNodeBase + 1, at(0.4));
-       sim.injectValueFailure(bbw::kWheelNodeBase + 2, at(0.8));
-     }},
-    {"fs-kernel-error-restart", bbw::NodeType::FailSilent, 400000,
-     [](BbwSystemSim& sim) { sim.injectKernelError(bbw::kWheelNodeBase, at(0.4)); }},
-    {"bus-corruption", bbw::NodeType::Nlft, 500000,
-     [](BbwSystemSim& sim) {
-       sim.injectBusCorruption(bbw::kCuA, at(0.5));
-       sim.injectBusCorruption(bbw::kWheelNodeBase + 3, at(0.9), {7, 133, 260});
-     }},
-    {"cu-failover", bbw::NodeType::Nlft, 500000,
-     [](BbwSystemSim& sim) { sim.injectKernelError(bbw::kCuA, at(0.5)); }},
-    {"correlated-burst", bbw::NodeType::Nlft, 600000,
-     [](BbwSystemSim& sim) {
-       sim.injectKernelError(bbw::kWheelNodeBase, at(0.6));
-       sim.injectKernelError(bbw::kWheelNodeBase + 2, at(0.6));
-     }},
-};
+const std::vector<ScenarioEntry>& catalogue() {
+  static const std::vector<ScenarioEntry> entries = {
+      {"nlft-computation-fault", bbw::NodeType::Nlft,
+       {{InjectionKind::ComputationFault, bbw::kWheelNodeBase, at(0.5), {}}}},
+      {"nlft-omission-value", bbw::NodeType::Nlft,
+       {{InjectionKind::OmissionFailure, bbw::kWheelNodeBase + 1, at(0.4), {}},
+        {InjectionKind::ValueFailure, bbw::kWheelNodeBase + 2, at(0.8), {}}}},
+      {"fs-kernel-error-restart", bbw::NodeType::FailSilent,
+       {{InjectionKind::KernelError, bbw::kWheelNodeBase, at(0.4), {}}}},
+      {"bus-corruption", bbw::NodeType::Nlft,
+       {{InjectionKind::BusCorruption, bbw::kCuA, at(0.5), {}},
+        {InjectionKind::BusCorruption, bbw::kWheelNodeBase + 3, at(0.9), {7, 133, 260}}}},
+      {"cu-failover", bbw::NodeType::Nlft,
+       {{InjectionKind::KernelError, bbw::kCuA, at(0.5), {}}}},
+      {"correlated-burst", bbw::NodeType::Nlft,
+       {{InjectionKind::KernelError, bbw::kWheelNodeBase, at(0.6), {}},
+        {InjectionKind::KernelError, bbw::kWheelNodeBase + 2, at(0.6), {}}}},
+  };
+  return entries;
+}
+
+const ScenarioEntry& entryNamed(const std::string& name) {
+  for (const ScenarioEntry& entry : catalogue()) {
+    if (name == entry.name) return entry;
+  }
+  throw std::invalid_argument("unknown golden-trace scenario: " + name);
+}
+
+/// `base` with the entry's node type.
+BbwSimConfig configFor(const ScenarioEntry& entry, const BbwSimConfig& base) {
+  BbwSimConfig config = base;
+  config.nodeType = entry.nodeType;
+  return config;
+}
+
+void arm(BbwSystemSim& sim, const ScenarioEntry& entry) {
+  for (const Injection& injection : entry.schedule) sim.inject(injection);
+}
 
 void appendResultSummary(const bbw::BbwSimResult& result, std::vector<std::string>& lines) {
   char buffer[160];
@@ -83,15 +96,15 @@ void appendResultSummary(const bbw::BbwSimResult& result, std::vector<std::strin
 
 std::vector<std::string> goldenScenarioNames() {
   std::vector<std::string> names;
-  for (const ScenarioEntry& entry : kScenarios) names.emplace_back(entry.name);
+  for (const ScenarioEntry& entry : catalogue()) names.emplace_back(entry.name);
   return names;
 }
 
 std::int64_t goldenScenarioEarliestUs(const std::string& name) {
-  for (const ScenarioEntry& entry : kScenarios) {
-    if (name == entry.name) return entry.earliestUs;
-  }
-  throw std::invalid_argument("unknown golden-trace scenario: " + name);
+  const std::vector<Injection>& schedule = entryNamed(name).schedule;
+  return std::min_element(schedule.begin(), schedule.end(),
+                          [](const Injection& a, const Injection& b) { return a.at < b.at; })
+      ->at.us();
 }
 
 std::vector<std::string> recordScenarioTrace(const std::string& name,
@@ -102,71 +115,58 @@ std::vector<std::string> recordScenarioTrace(const std::string& name,
 std::vector<std::string> recordScenarioTrace(const std::string& name, const bbw::BbwSimConfig& base,
                                              obs::TraceRecorder* recorder,
                                              obs::Registry* metrics) {
-  for (const ScenarioEntry& entry : kScenarios) {
-    if (name != entry.name) continue;
-    BbwSimConfig config = base;
-    config.nodeType = entry.nodeType;
-    BbwSystemSim sim{config};
-    std::vector<std::string> lines;
-    sim.setTraceSink([&lines](const std::string& line) { lines.push_back(line); });
-    if (recorder != nullptr) sim.setTraceRecorder(recorder);
-    if (metrics != nullptr) sim.setMetricsRegistry(metrics);
-    entry.arm(sim);
-    appendResultSummary(sim.run(), lines);
-    return lines;
-  }
-  throw std::invalid_argument("unknown golden-trace scenario: " + name);
+  const ScenarioEntry& entry = entryNamed(name);
+  BbwSystemSim sim{configFor(entry, base)};
+  std::vector<std::string> lines;
+  sim.setTraceSink([&lines](const std::string& line) { lines.push_back(line); });
+  if (recorder != nullptr) sim.setTraceRecorder(recorder);
+  if (metrics != nullptr) sim.setMetricsRegistry(metrics);
+  arm(sim, entry);
+  appendResultSummary(sim.run(), lines);
+  return lines;
 }
 
 std::vector<std::string> recordScenarioTraceResumed(const std::string& name,
                                                     std::int64_t splitAtUs,
                                                     const bbw::BbwSimConfig& base) {
-  for (const ScenarioEntry& entry : kScenarios) {
-    if (name != entry.name) continue;
-    BbwSimConfig config = base;
-    config.nodeType = entry.nodeType;
-    BbwSystemSim producer{config};
-    entry.arm(producer);
-    producer.runUntil(SimTime::fromUs(splitAtUs));
-    const std::vector<std::uint8_t> checkpoint = producer.saveState();
+  const ScenarioEntry& entry = entryNamed(name);
+  const BbwSimConfig config = configFor(entry, base);
+  BbwSystemSim producer{config};
+  arm(producer, entry);
+  producer.runUntil(SimTime::fromUs(splitAtUs));
+  const std::vector<std::uint8_t> checkpoint = producer.saveState();
 
-    BbwSystemSim resumed{config};
-    std::vector<std::string> lines;
-    resumed.setTraceSink([&lines](const std::string& line) { lines.push_back(line); });
-    resumed.restoreState(checkpoint);
-    appendResultSummary(resumed.run(), lines);
-    return lines;
-  }
-  throw std::invalid_argument("unknown golden-trace scenario: " + name);
+  BbwSystemSim resumed{config};
+  std::vector<std::string> lines;
+  resumed.setTraceSink([&lines](const std::string& line) { lines.push_back(line); });
+  resumed.restoreState(checkpoint);
+  appendResultSummary(resumed.run(), lines);
+  return lines;
 }
 
 std::vector<std::string> recordScenarioTraceForked(const std::string& name,
                                                    std::int64_t forkBeforeUs,
                                                    const bbw::BbwSimConfig& base) {
-  for (const ScenarioEntry& entry : kScenarios) {
-    if (name != entry.name) continue;
-    BbwSimConfig config = base;
-    config.nodeType = entry.nodeType;
+  const ScenarioEntry& entry = entryNamed(name);
+  const BbwSimConfig config = configFor(entry, base);
 
-    // The clean producer stands in for a campaign's shared golden baseline:
-    // no injections armed, checkpointed at the fork point.
-    BbwSystemSim clean{config};
-    clean.runUntil(SimTime::fromUs(forkBeforeUs));
-    if (clean.simulator().now().us() >= entry.earliestUs) {
-      throw std::invalid_argument(
-          "recordScenarioTraceForked: fork point not strictly before the first injection");
-    }
-    const std::vector<std::uint8_t> checkpoint = clean.saveState();
-
-    BbwSystemSim forked{config};
-    std::vector<std::string> lines;
-    forked.setTraceSink([&lines](const std::string& line) { lines.push_back(line); });
-    forked.restoreState(checkpoint);
-    entry.arm(forked);
-    appendResultSummary(forked.run(), lines);
-    return lines;
+  // The clean producer stands in for a campaign's shared golden baseline:
+  // no injections armed, checkpointed at the fork point.
+  BbwSystemSim clean{config};
+  clean.runUntil(SimTime::fromUs(forkBeforeUs));
+  if (clean.simulator().now().us() >= goldenScenarioEarliestUs(name)) {
+    throw std::invalid_argument(
+        "recordScenarioTraceForked: fork point not strictly before the first injection");
   }
-  throw std::invalid_argument("unknown golden-trace scenario: " + name);
+  const std::vector<std::uint8_t> checkpoint = clean.saveState();
+
+  BbwSystemSim forked{config};
+  std::vector<std::string> lines;
+  forked.setTraceSink([&lines](const std::string& line) { lines.push_back(line); });
+  forked.restoreState(checkpoint);
+  arm(forked, entry);
+  appendResultSummary(forked.run(), lines);
+  return lines;
 }
 
 TraceDiff compareTraces(const std::vector<std::string>& expected,

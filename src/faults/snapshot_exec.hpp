@@ -169,11 +169,10 @@ class SystemBaseline {
 
 /// Probes whether replay checkpoints round-trip for `config`: saves one
 /// early checkpoint, restores it into a twin simulation built from the same
-/// config, and compares both fingerprints. Configs with closures pass —
-/// the twin shares the closure object, exactly as campaign sims share the
-/// campaign config — so this guards against FUTURE sim state the blob
-/// format does not cover yet, not against closures. ExecutionMode::Auto
-/// campaigns fall back to straight execution when the probe fails.
+/// config, and compares both fingerprints. The config is plain data, so this
+/// guards against FUTURE sim state the blob format does not cover yet.
+/// ExecutionMode::Auto campaigns fall back to straight execution when the
+/// probe fails.
 [[nodiscard]] bool systemSnapshotSupported(const bbw::BbwSimConfig& config);
 
 }  // namespace nlft::fi

@@ -62,41 +62,41 @@ GuestContext makeGuestContext() {
   return ctx;
 }
 
-/// Which BbwSystemSim hook replays a node-level outcome into the system.
-enum class Injection : std::uint8_t {
-  None,           ///< fault not activated: the run equals the golden stop
-  Computation,    ///< one copy computes wrong (masked by comparison+vote)
-  DetectedError,  ///< EDM error in one copy (replacement / fail-silent)
-  Omission,       ///< the job's result is suppressed (no command)
-  Value,          ///< every copy computes the same wrong result (undetected)
-};
-
-/// Classifies the machine-level experiment and folds it into node-level
-/// counts + the system injection that replays the outcome.
-Injection classifyMachineFault(const SystemCampaignConfig& config, const GuestContext& ctx,
-                               const SystemScenario& scenario, NodeLevelCounts& counts) {
+/// Classifies the machine-level experiment, folds it into node-level counts
+/// and returns the injection kind that replays the outcome into the system:
+/// none when the fault never became an error (the run equals the golden
+/// stop).
+std::optional<bbw::InjectionKind> classifyMachineFault(const SystemCampaignConfig& config,
+                                                       const GuestContext& ctx,
+                                                       const SystemScenario& scenario,
+                                                       NodeLevelCounts& counts) {
+  using bbw::InjectionKind;
   const TaskImage& image = ctx.imageFor(scenario.targets.front());
   ++counts.injected;
   if (config.nodeType == bbw::NodeType::Nlft) {
     switch (runTemExperiment(image, scenario.fault, config.jobBudgetFactor)) {
-      case TemOutcome::NotActivated: ++counts.notActivated; return Injection::None;
-      case TemOutcome::MaskedByEcc: ++counts.maskedByEcc; return Injection::None;
-      case TemOutcome::MaskedByVote: ++counts.masked; return Injection::Computation;
-      case TemOutcome::MaskedByRestart: ++counts.masked; return Injection::DetectedError;
+      case TemOutcome::NotActivated: ++counts.notActivated; return std::nullopt;
+      case TemOutcome::MaskedByEcc: ++counts.maskedByEcc; return std::nullopt;
+      case TemOutcome::MaskedByVote: ++counts.masked; return InjectionKind::ComputationFault;
+      case TemOutcome::MaskedByRestart: ++counts.masked; return InjectionKind::DetectedError;
       case TemOutcome::OmissionVoteFailed:
-      case TemOutcome::OmissionNoBudget: ++counts.omission; return Injection::Omission;
-      case TemOutcome::UndetectedWrongOutput: ++counts.undetected; return Injection::Value;
+      case TemOutcome::OmissionNoBudget: ++counts.omission; return InjectionKind::OmissionFailure;
+      case TemOutcome::UndetectedWrongOutput:
+        ++counts.undetected;
+        return InjectionKind::ValueFailure;
     }
   } else {
     switch (runFsExperiment(image, scenario.fault)) {
-      case FsOutcome::NotActivated: ++counts.notActivated; return Injection::None;
-      case FsOutcome::MaskedByEcc: ++counts.maskedByEcc; return Injection::None;
-      case FsOutcome::FailSilent: ++counts.failSilent; return Injection::DetectedError;
-      case FsOutcome::DetectedByEndToEnd: ++counts.omission; return Injection::Omission;
-      case FsOutcome::UndetectedWrongOutput: ++counts.undetected; return Injection::Value;
+      case FsOutcome::NotActivated: ++counts.notActivated; return std::nullopt;
+      case FsOutcome::MaskedByEcc: ++counts.maskedByEcc; return std::nullopt;
+      case FsOutcome::FailSilent: ++counts.failSilent; return InjectionKind::DetectedError;
+      case FsOutcome::DetectedByEndToEnd: ++counts.omission; return InjectionKind::OmissionFailure;
+      case FsOutcome::UndetectedWrongOutput:
+        ++counts.undetected;
+        return InjectionKind::ValueFailure;
     }
   }
-  return Injection::None;
+  return std::nullopt;
 }
 
 BbwSimConfig makeSimConfig(const SystemCampaignConfig& config) {
@@ -183,30 +183,28 @@ SystemScenario sampleScenarioImpl(const SystemCampaignConfig& config, util::Rng&
   return scenario;
 }
 
-/// Arms the scenario's injection hooks on a (fresh or restored) simulation.
-/// Legal after a restore STRICTLY before scenario.at: injection events run
-/// at EventPriority::FaultInjection, which no other event uses, so arming
-/// late is ordering-equivalent to arming at t=0.
-void armScenario(BbwSystemSim& sim, const SystemScenario& scenario, Injection injection) {
+/// Arms the scenario's injections on a (fresh or restored) simulation: the
+/// replayed node-level outcome of a machine transient, the corrupted frame,
+/// or a kernel error on every crashed node. Legal after a restore STRICTLY
+/// before scenario.at: injection events run at
+/// EventPriority::FaultInjection, which no other event uses, so arming late
+/// is ordering-equivalent to arming at t=0.
+void armScenario(BbwSystemSim& sim, const SystemScenario& scenario,
+                 std::optional<bbw::InjectionKind> replayed) {
+  using bbw::InjectionKind;
   const net::NodeId target = scenario.targets.front();
   switch (scenario.kind) {
     case ScenarioKind::MachineTransient:
-      switch (injection) {
-        case Injection::Computation: sim.injectComputationFault(target, scenario.at); break;
-        case Injection::DetectedError: sim.injectDetectedError(target, scenario.at); break;
-        case Injection::Omission: sim.injectOmissionFailure(target, scenario.at); break;
-        case Injection::Value: sim.injectValueFailure(target, scenario.at); break;
-        case Injection::None: break;
-      }
+      if (replayed) sim.inject({*replayed, target, scenario.at, {}});
       break;
     case ScenarioKind::BusCorruption:
-      sim.injectBusCorruption(target, scenario.at, scenario.flipBits);
+      sim.inject({InjectionKind::BusCorruption, target, scenario.at, scenario.flipBits});
       break;
     case ScenarioKind::NodeCrash:
-      sim.injectKernelError(target, scenario.at);
-      break;
     case ScenarioKind::CorrelatedBurst:
-      for (const net::NodeId node : scenario.targets) sim.injectKernelError(node, scenario.at);
+      for (const net::NodeId node : scenario.targets) {
+        sim.inject({InjectionKind::KernelError, node, scenario.at, {}});
+      }
       break;
   }
 }
@@ -249,10 +247,10 @@ SystemExperiment runSystemExperimentImpl(const SystemCampaignConfig& config,
   experiment.scenario = scenario;
   if (scenario.targets.empty()) throw std::invalid_argument("system scenario without targets");
 
-  Injection injection = Injection::None;
+  std::optional<bbw::InjectionKind> replayed;
   if (scenario.kind == ScenarioKind::MachineTransient) {
-    injection = classifyMachineFault(config, ctx, scenario, experiment.nodeLevel);
-    if (injection == Injection::None) {
+    replayed = classifyMachineFault(config, ctx, scenario, experiment.nodeLevel);
+    if (!replayed) {
       // The fault never became an error (or ECC absorbed it): the stop is
       // identical to the golden run, so skip the simulation — in EVERY
       // execution mode, costing zero simulated events. The caller counts
@@ -278,7 +276,7 @@ SystemExperiment runSystemExperimentImpl(const SystemCampaignConfig& config,
     restoredAt = engine->baseline->restoreBefore(sim, scenario.at.us(), *cache);
     if (restoredAt && snap != nullptr) ++snap->resumePoints;
   }
-  armScenario(sim, scenario, injection);
+  armScenario(sim, scenario, replayed);
 
   if (forking && simMetrics == nullptr) {
     // Splice path: stop simulating once the faulted run provably rejoins

@@ -41,14 +41,11 @@ struct RoundStats {
   return util::splitmix64(state);
 }
 
-[[nodiscard]] Scenario generateScenario(util::Rng& rng, const std::vector<CorpusEntry>& snapshot,
-                                        const FuzzConfig& config) {
-  if (snapshot.empty() || !rng.bernoulli(kMutateProbability)) {
-    return randomScenario(rng, config.limits);
-  }
+[[nodiscard]] Scenario generateScenario(util::Rng& rng, const std::vector<CorpusEntry>& snapshot) {
+  if (snapshot.empty() || !rng.bernoulli(kMutateProbability)) return randomScenario(rng);
   const Scenario& base = snapshot[rng.uniformInt(snapshot.size())].scenario;
   const Scenario& donor = snapshot[rng.uniformInt(snapshot.size())].scenario;
-  return mutateScenario(rng, base, &donor, config.limits);
+  return mutateScenario(rng, base, &donor);
 }
 
 }  // namespace
@@ -114,7 +111,7 @@ FuzzReport runFuzzer(const FuzzConfig& config) {
             [&](util::Rng& rng, std::size_t count, RoundStats& roundStats) {
               for (std::size_t i = 0; i < count; ++i) {
                 RoundItem item;
-                item.scenario = generateScenario(rng, snapshot, config);
+                item.scenario = generateScenario(rng, snapshot);
                 item.verdict = evaluateScenario(item.scenario, oracle, &cache);
                 roundStats.items.push_back(std::move(item));
               }
@@ -141,8 +138,7 @@ FuzzReport runFuzzer(const FuzzConfig& config) {
         repro.shrunk = item.scenario;
         if (report.violations.size() < kMaxShrinks) {
           const ShrinkResult shrunk =
-              shrinkScenario(item.scenario, violatesOracle(violation.oracle, oracle, &cache),
-                             config.limits, config.shrinkEvaluations);
+              shrinkScenario(item.scenario, violatesOracle(violation.oracle, oracle, &cache));
           repro.shrunk = shrunk.scenario;
           repro.wasShrunk = true;
           repro.shrinkEvaluations = shrunk.evaluations;

@@ -29,9 +29,7 @@ struct FuzzConfig {
   std::size_t budget = 200;    ///< total scenario executions
   std::size_t batchSize = 25;  ///< scenarios per round (corpus freeze window)
   exec::Parallelism parallelism{};
-  ScenarioLimits limits{};
   OracleConfig oracle{};  ///< resolved internally (resolveOracleConfig)
-  std::size_t shrinkEvaluations = 400;  ///< predicate budget per shrink
 };
 
 struct FuzzViolation {

@@ -6,23 +6,7 @@ namespace nlft::fuzz {
 
 namespace {
 
-[[nodiscard]] ScheduleEvent randomEvent(util::Rng& rng, const ScenarioLimits& limits) {
-  ScheduleEvent event;
-  event.kind = static_cast<EventKind>(rng.uniformInt(kEventKindCount));
-  event.node = static_cast<net::NodeId>(1 + rng.uniformInt(limits.nodeCount));
-  event.atUs = limits.minEventUs + static_cast<std::int64_t>(rng.uniformInt(
-      static_cast<std::uint64_t>(limits.maxEventUs - limits.minEventUs + 1)));
-  if (event.kind == EventKind::BusCorruption) {
-    const std::size_t flips = 1 + rng.uniformInt(limits.maxFlipBits);
-    for (std::size_t f = 0; f < flips; ++f) {
-      event.flipBits.push_back(static_cast<std::uint32_t>(rng.uniformInt(limits.flipBitSpace)));
-    }
-  }
-  return event;
-}
-
-void applyOne(util::Rng& rng, Scenario& scenario, const Scenario* donor,
-              const ScenarioLimits& limits, MutationKind kind) {
+void applyOne(util::Rng& rng, Scenario& scenario, const Scenario* donor, MutationKind kind) {
   switch (kind) {
     case MutationKind::ParamNudge: {
       switch (rng.uniformInt(4)) {
@@ -32,8 +16,8 @@ void applyOne(util::Rng& rng, Scenario& scenario, const Scenario* donor,
           break;
         case 1: scenario.params.pedal += rng.uniform(-0.1, 0.1); break;
         case 2:
-          scenario.params.restartTimeUs +=
-              static_cast<std::int64_t>(rng.uniform(-500'000.0, 500'000.0));
+          scenario.params.restartTime += util::Duration::microseconds(
+              static_cast<std::int64_t>(rng.uniform(-500'000.0, 500'000.0)));
           break;
         default:
           scenario.params.nodeType = scenario.params.nodeType == bbw::NodeType::Nlft
@@ -45,11 +29,13 @@ void applyOne(util::Rng& rng, Scenario& scenario, const Scenario* donor,
     }
     case MutationKind::TimeShift: {
       if (scenario.events.empty()) break;
-      const auto delta = static_cast<std::int64_t>(rng.uniform(-400'000.0, 400'000.0));
+      const auto delta = util::Duration::microseconds(
+          static_cast<std::int64_t>(rng.uniform(-400'000.0, 400'000.0)));
       if (rng.bernoulli(0.5)) {
-        scenario.events[rng.uniformInt(scenario.events.size())].atUs += delta;
+        bbw::Injection& event = scenario.events[rng.uniformInt(scenario.events.size())];
+        event.at = event.at + delta;
       } else {
-        for (ScheduleEvent& event : scenario.events) event.atUs += delta;
+        for (bbw::Injection& event : scenario.events) event.at = event.at + delta;
       }
       break;
     }
@@ -63,7 +49,7 @@ void applyOne(util::Rng& rng, Scenario& scenario, const Scenario* donor,
       break;
     }
     case MutationKind::AddEvent: {
-      scenario.events.push_back(randomEvent(rng, limits));
+      scenario.events.push_back(randomInjection(rng));
       break;
     }
     case MutationKind::DeleteEvent: {
@@ -74,24 +60,26 @@ void applyOne(util::Rng& rng, Scenario& scenario, const Scenario* donor,
     }
     case MutationKind::RetargetEvent: {
       if (scenario.events.empty()) break;
-      ScheduleEvent& event = scenario.events[rng.uniformInt(scenario.events.size())];
+      bbw::Injection& event = scenario.events[rng.uniformInt(scenario.events.size())];
+      const auto randomKind = [&rng] {
+        return static_cast<bbw::InjectionKind>(rng.uniformInt(bbw::kInjectionKindCount));
+      };
       switch (rng.uniformInt(3)) {
         case 0:
-          event.node = static_cast<net::NodeId>(1 + rng.uniformInt(limits.nodeCount));
+          event.node = static_cast<net::NodeId>(1 + rng.uniformInt(kNodeCount));
           break;
         case 1:
-          event.kind = static_cast<EventKind>(rng.uniformInt(kEventKindCount));
+          event.kind = randomKind();
           break;
         default:
-          if (event.kind == EventKind::BusCorruption) {
+          if (event.kind == bbw::InjectionKind::BusCorruption) {
             event.flipBits.clear();
-            const std::size_t flips = 1 + rng.uniformInt(limits.maxFlipBits);
+            const std::size_t flips = 1 + rng.uniformInt(kMaxFlipBits);
             for (std::size_t f = 0; f < flips; ++f) {
-              event.flipBits.push_back(
-                  static_cast<std::uint32_t>(rng.uniformInt(limits.flipBitSpace)));
+              event.flipBits.push_back(static_cast<std::uint32_t>(rng.uniformInt(kFlipBitSpace)));
             }
           } else {
-            event.kind = static_cast<EventKind>(rng.uniformInt(kEventKindCount));
+            event.kind = randomKind();
           }
           break;
       }
@@ -102,27 +90,14 @@ void applyOne(util::Rng& rng, Scenario& scenario, const Scenario* donor,
 
 }  // namespace
 
-const char* describe(MutationKind kind) {
-  switch (kind) {
-    case MutationKind::ParamNudge: return "param-nudge";
-    case MutationKind::TimeShift: return "time-shift";
-    case MutationKind::ScheduleSplice: return "schedule-splice";
-    case MutationKind::AddEvent: return "add-event";
-    case MutationKind::DeleteEvent: return "delete-event";
-    case MutationKind::RetargetEvent: return "retarget-event";
-  }
-  return "?";
-}
-
-Scenario mutateScenario(util::Rng& rng, const Scenario& base, const Scenario* donor,
-                        const ScenarioLimits& limits) {
+Scenario mutateScenario(util::Rng& rng, const Scenario& base, const Scenario* donor) {
   Scenario scenario = base;
   const std::size_t rounds = rng.bernoulli(0.25) ? 2 : 1;
   for (std::size_t r = 0; r < rounds; ++r) {
     const auto kind = static_cast<MutationKind>(rng.uniformInt(kMutationKindCount));
-    applyOne(rng, scenario, donor, limits, kind);
+    applyOne(rng, scenario, donor, kind);
   }
-  clampScenario(scenario, limits);
+  clampScenario(scenario);
   return scenario;
 }
 

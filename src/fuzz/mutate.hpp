@@ -12,7 +12,7 @@
 
 namespace nlft::fuzz {
 
-/// The operator families; exposed so tests can pin coverage of each.
+/// The operator families.
 enum class MutationKind : std::uint8_t {
   ParamNudge,     ///< perturb speed / pedal / restart time (or flip node type)
   TimeShift,      ///< shift one event (or the whole schedule) in time
@@ -23,14 +23,11 @@ enum class MutationKind : std::uint8_t {
 };
 inline constexpr std::size_t kMutationKindCount = 6;
 
-[[nodiscard]] const char* describe(MutationKind kind);
-
 /// Applies one randomly chosen operator (two with probability 1/4) to `base`.
 /// `donor` feeds ScheduleSplice; pass nullptr (or base itself) when the
 /// corpus has a single entry — splicing then degrades to duplication, which
 /// clampScenario keeps legal. The result is always canonical.
 [[nodiscard]] Scenario mutateScenario(util::Rng& rng, const Scenario& base,
-                                      const Scenario* donor = nullptr,
-                                      const ScenarioLimits& limits = {});
+                                      const Scenario* donor = nullptr);
 
 }  // namespace nlft::fuzz

@@ -17,37 +17,16 @@ using bbw::BbwSimConfig;
 using bbw::BbwSimResult;
 using bbw::BbwSystemSim;
 
-[[nodiscard]] BbwSimConfig simConfigFor(const ScenarioParams& params, std::int64_t horizonUs) {
-  BbwSimConfig config;
-  config.nodeType = params.nodeType;
-  config.initialSpeedMps = params.initialSpeedMps;
-  config.pedal = params.pedal;
-  config.restartTime = util::Duration::microseconds(params.restartTimeUs);
-  config.horizon = util::Duration::microseconds(horizonUs);
-  return config;
-}
+/// Vehicle-level outcome thresholds: the fi:: system campaign oracle's.
+constexpr double kMaskToleranceM = 0.5;
+constexpr double kMissedStopMarginM = 20.0;
 
-void applyEvent(BbwSystemSim& sim, const ScheduleEvent& event) {
-  const util::SimTime at = util::SimTime::fromUs(event.atUs);
-  switch (event.kind) {
-    case EventKind::ComputationFault: sim.injectComputationFault(event.node, at); break;
-    case EventKind::DetectedError: sim.injectDetectedError(event.node, at); break;
-    case EventKind::KernelError: sim.injectKernelError(event.node, at); break;
-    case EventKind::OmissionFailure: sim.injectOmissionFailure(event.node, at); break;
-    case EventKind::ValueFailure: sim.injectValueFailure(event.node, at); break;
-    case EventKind::BusCorruption:
-      sim.injectBusCorruption(event.node, at, event.flipBits);
-      break;
-  }
-}
-
-[[nodiscard]] BbwSimResult runScenarioSim(const ScenarioParams& params,
-                                          const std::vector<ScheduleEvent>& events,
-                                          std::int64_t horizonUs,
+[[nodiscard]] BbwSimResult runScenarioSim(const BbwSimConfig& config,
+                                          const std::vector<bbw::Injection>& events,
                                           obs::Registry* metrics = nullptr) {
-  BbwSystemSim sim{simConfigFor(params, horizonUs)};
+  BbwSystemSim sim{config};
   if (metrics != nullptr) sim.setMetricsRegistry(metrics);
-  for (const ScheduleEvent& event : events) applyEvent(sim, event);
+  for (const bbw::Injection& event : events) sim.inject(event);
   return sim.run();
 }
 
@@ -70,8 +49,7 @@ void applyEvent(BbwSystemSim& sim, const ScheduleEvent& event) {
   return type == bbw::NodeType::Nlft ? "nlft" : "fail-silent";
 }
 
-[[nodiscard]] ScenarioSignature makeSignature(const OracleConfig& config,
-                                              const Scenario& scenario,
+[[nodiscard]] ScenarioSignature makeSignature(const Scenario& scenario,
                                               const BbwSimResult& golden,
                                               const BbwSimResult& run,
                                               fi::SystemOutcome outcome) {
@@ -81,7 +59,7 @@ void applyEvent(BbwSystemSim& sim, const ScheduleEvent& event) {
   sig.stopped = run.stopped;
   const double delta = std::abs(run.stoppingDistanceM - golden.stoppingDistanceM);
   sig.distanceBucket =
-      bucketOf(delta, {config.maskToleranceM, 2.0, 5.0, config.missedStopMarginM});
+      bucketOf(delta, {kMaskToleranceM, 2.0, 5.0, kMissedStopMarginM});
   const std::uint64_t runOmissions = fi::omissionCount(run);
   const std::uint64_t goldenOmissions = fi::omissionCount(golden);
   const std::uint64_t extraOmissions =
@@ -95,7 +73,7 @@ void applyEvent(BbwSystemSim& sim, const ScheduleEvent& event) {
   sig.masking = run.errorsMaskedByTem > 0;
   sig.failSilent = run.failSilentEvents > 0;
   sig.undetectedValue = run.undetectedValueDeliveries > 0;
-  for (const ScheduleEvent& event : scenario.events) {
+  for (const bbw::Injection& event : scenario.events) {
     std::size_t& bucket = sig.eventKindBuckets[static_cast<std::size_t>(event.kind)];
     bucket = std::min<std::size_t>(bucket + 1, 2);
   }
@@ -152,11 +130,11 @@ std::uint32_t ScenarioSignature::key() const {
 }
 
 bbw::BbwSimResult GoldenCache::get(
-    const ScenarioParams& params, std::int64_t horizonUs,
+    const BbwSimConfig& config,
     const std::function<void(std::vector<std::uint8_t>&)>& mutateCheckpoint) {
-  std::string key = nodeTypeName(params.nodeType);
-  key += '|' + fmt(params.initialSpeedMps) + '|' + fmt(params.pedal) + '|' +
-         std::to_string(params.restartTimeUs) + '|' + std::to_string(horizonUs);
+  std::string key = nodeTypeName(config.nodeType);
+  key += '|' + fmt(config.initialSpeedMps) + '|' + fmt(config.pedal) + '|' +
+         std::to_string(config.restartTime.us()) + '|' + std::to_string(config.horizon.us());
   {
     std::lock_guard<std::mutex> lock{mutex_};
     const auto it = cache_.find(key);
@@ -170,11 +148,11 @@ bbw::BbwSimResult GoldenCache::get(
   // damaged blob or a diverging replay BEFORE anything reaches the cache,
   // so a corrupted checkpoint surfaces as a det.replay violation at the
   // caller rather than a poisoned entry.
-  BbwSystemSim producer{simConfigFor(params, horizonUs)};
-  producer.runUntil(util::SimTime::fromUs(horizonUs / 2));
+  BbwSystemSim producer{config};
+  producer.runUntil(util::SimTime::fromUs(config.horizon.us() / 2));
   std::vector<std::uint8_t> checkpoint = producer.saveState();
   if (mutateCheckpoint) mutateCheckpoint(checkpoint);
-  BbwSystemSim replica{simConfigFor(params, horizonUs)};
+  BbwSystemSim replica{config};
   replica.restoreState(checkpoint);
   const bbw::BbwSimResult golden = replica.run();
   std::lock_guard<std::mutex> lock{mutex_};
@@ -189,7 +167,7 @@ ScenarioVerdict evaluateScenario(const Scenario& scenario, const OracleConfig& c
 
   BbwSimResult golden;
   try {
-    golden = cache.get(scenario.params, config.horizonUs, config.corruptReplayCheckpoint);
+    golden = cache.get(scenario.params, config.corruptReplayCheckpoint);
   } catch (const std::exception& error) {
     // The golden cache's validation restore rejected the checkpoint: report
     // it as a det.replay violation; nothing was cached.
@@ -203,14 +181,12 @@ ScenarioVerdict evaluateScenario(const Scenario& scenario, const OracleConfig& c
   verdict.valid = true;
 
   obs::Registry metrics;
-  const BbwSimResult run =
-      runScenarioSim(scenario.params, scenario.events, config.horizonUs, &metrics);
+  const BbwSimResult run = runScenarioSim(scenario.params, scenario.events, &metrics);
   const std::string fingerprint = metrics.goldenFingerprint();
   verdict.stoppingDistanceM = run.stoppingDistanceM;
   verdict.e2eMaxUs = metrics.gauge("e2e.latency.max_us");
-  verdict.outcome =
-      fi::classifyStop(golden, run, config.maskToleranceM, config.missedStopMarginM);
-  verdict.signature = makeSignature(config, scenario, golden, run, verdict.outcome);
+  verdict.outcome = fi::classifyStop(golden, run, kMaskToleranceM, kMissedStopMarginM);
+  verdict.signature = makeSignature(scenario, golden, run, verdict.outcome);
 
   // diff.e2e-bound: the static verifier's sample->apply bound must dominate
   // the measured worst end-to-end latency of this run.
@@ -229,27 +205,26 @@ ScenarioVerdict evaluateScenario(const Scenario& scenario, const OracleConfig& c
   // must never miss the stop (value failures are the documented coverage
   // gap and excluded by definition).
   if (scenario.params.nodeType == bbw::NodeType::Nlft && scenario.events.size() == 1 &&
-      scenario.events.front().kind != EventKind::ValueFailure &&
+      scenario.events.front().kind != bbw::InjectionKind::ValueFailure &&
       verdict.outcome == fi::SystemOutcome::MissedStop) {
     verdict.violations.push_back(
         {"nlft.single-transient",
-         std::string{"single "} + describe(scenario.events.front().kind) + " on node " +
+         std::string{"single "} + bbw::describe(scenario.events.front().kind) + " on node " +
              std::to_string(scenario.events.front().node) + " at " +
-             std::to_string(scenario.events.front().atUs) + "us produced a missed stop (" +
+             std::to_string(scenario.events.front().at.us()) + "us produced a missed stop (" +
              fmt(run.stoppingDistanceM) + "m vs golden " + fmt(golden.stoppingDistanceM) + "m)"});
   }
 
   // meta.tem-monotone: the fail-silent twin of an NLFT scenario must not
   // fare strictly better, and must not report TEM maskings.
   if (config.checkTemMonotone && scenario.params.nodeType == bbw::NodeType::Nlft) {
-    ScenarioParams fsParams = scenario.params;
+    BbwSimConfig fsParams = scenario.params;
     fsParams.nodeType = bbw::NodeType::FailSilent;
-    const BbwSimResult fsGolden = cache.get(fsParams, config.horizonUs);
+    const BbwSimResult fsGolden = cache.get(fsParams);
     if (fsGolden.stopped) {
-      const BbwSimResult fsRun =
-          runScenarioSim(fsParams, scenario.events, config.horizonUs);
+      const BbwSimResult fsRun = runScenarioSim(fsParams, scenario.events);
       const fi::SystemOutcome fsOutcome =
-          fi::classifyStop(fsGolden, fsRun, config.maskToleranceM, config.missedStopMarginM);
+          fi::classifyStop(fsGolden, fsRun, kMaskToleranceM, kMissedStopMarginM);
       if (outcomeSeverity(verdict.outcome) > outcomeSeverity(fsOutcome)) {
         verdict.violations.push_back(
             {"meta.tem-monotone",
@@ -277,13 +252,13 @@ ScenarioVerdict evaluateScenario(const Scenario& scenario, const OracleConfig& c
     const std::int64_t splitUs =
         std::max<std::int64_t>(static_cast<std::int64_t>(golden.stopTimeS * 500000.0), 1000);
     try {
-      BbwSystemSim twin{simConfigFor(scenario.params, config.horizonUs)};
-      for (const ScheduleEvent& event : scenario.events) applyEvent(twin, event);
+      BbwSystemSim twin{scenario.params};
+      for (const bbw::Injection& event : scenario.events) twin.inject(event);
       twin.runUntil(util::SimTime::fromUs(splitUs));
       std::vector<std::uint8_t> checkpoint = twin.saveState();
       if (config.corruptReplayCheckpoint) config.corruptReplayCheckpoint(checkpoint);
       obs::Registry replayMetrics;
-      BbwSystemSim resumed{simConfigFor(scenario.params, config.horizonUs)};
+      BbwSystemSim resumed{scenario.params};
       resumed.setMetricsRegistry(&replayMetrics);
       resumed.restoreState(checkpoint);
       (void)resumed.run();

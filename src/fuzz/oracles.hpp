@@ -56,15 +56,6 @@ struct OracleConfig {
   bool checkTemMonotone = true;
   bool checkReplayDeterminism = true;
 
-  /// Vehicle-level outcome thresholds (same semantics as the fi:: system
-  /// campaign oracle).
-  double maskToleranceM = 0.5;
-  double missedStopMarginM = 20.0;
-
-  /// Simulation horizon; scenarios whose fault-free stop does not complete
-  /// inside it are classified invalid and never reach the oracles.
-  std::int64_t horizonUs = 15'000'000;
-
   /// TEST HOOK: when set, every replay checkpoint blob (the golden cache's
   /// validation restore and the det.replay resume leg) passes through this
   /// mutator before being restored. Tests use it to prove a deliberately
@@ -95,7 +86,7 @@ struct ScenarioSignature {
   bool masking = false;             ///< TEM masked at least one error
   bool failSilent = false;
   bool undetectedValue = false;
-  std::array<std::size_t, kEventKindCount> eventKindBuckets{};  ///< 0/1/2(=2+)
+  std::array<std::size_t, bbw::kInjectionKindCount> eventKindBuckets{};  ///< 0/1/2(=2+)
 
   /// Canonical one-line form (deterministic; feeds key()).
   [[nodiscard]] std::string canonical() const;
@@ -120,9 +111,9 @@ struct ScenarioVerdict {
   std::vector<OracleViolation> violations;
 };
 
-/// Shared fault-free reference runs, keyed by the perturbed parameters.
-/// Golden results are pure functions of the parameters, so the cache only
-/// affects speed, never results; safe to share across worker threads.
+/// Shared fault-free reference runs, keyed by the stop's configuration.
+/// Golden results are pure functions of the configuration, so the cache
+/// only affects speed, never results; safe to share across worker threads.
 ///
 /// Re-pointed at snapshot-resume (docs/SNAPSHOT.md): a cache miss runs the
 /// fault-free producer, checkpoints it (BbwSystemSim::saveState) and takes
@@ -136,7 +127,7 @@ class GoldenCache {
   /// `mutateCheckpoint` is the OracleConfig::corruptReplayCheckpoint test
   /// hook; leave empty outside tests.
   [[nodiscard]] bbw::BbwSimResult get(
-      const ScenarioParams& params, std::int64_t horizonUs,
+      const bbw::BbwSimConfig& config,
       const std::function<void(std::vector<std::uint8_t>&)>& mutateCheckpoint = {});
 
  private:

@@ -30,89 +30,73 @@ namespace {
   return std::min(std::max(v, lo), hi);
 }
 
-[[nodiscard]] auto eventOrderKey(const ScheduleEvent& e) {
-  return std::make_tuple(e.atUs, e.node, static_cast<std::uint8_t>(e.kind), e.flipBits);
+[[nodiscard]] auto eventOrderKey(const bbw::Injection& e) {
+  return std::make_tuple(e.at, e.node, static_cast<std::uint8_t>(e.kind), e.flipBits);
 }
 
 }  // namespace
 
-const char* describe(EventKind kind) {
-  switch (kind) {
-    case EventKind::ComputationFault: return "computation-fault";
-    case EventKind::DetectedError: return "detected-error";
-    case EventKind::KernelError: return "kernel-error";
-    case EventKind::OmissionFailure: return "omission-failure";
-    case EventKind::ValueFailure: return "value-failure";
-    case EventKind::BusCorruption: return "bus-corruption";
-  }
-  return "?";
-}
+void clampScenario(Scenario& scenario) {
+  bbw::BbwSimConfig& p = scenario.params;
+  p.initialSpeedMps = clampD(p.initialSpeedMps, kMinSpeedMps, kMaxSpeedMps);
+  p.pedal = clampD(p.pedal, kMinPedal, kMaxPedal);
+  p.restartTime = util::Duration::microseconds(
+      clampI64(p.restartTime.us(), kMinRestartUs, kMaxRestartUs));
 
-EventKind parseEventKind(const std::string& name) {
-  for (std::size_t k = 0; k < kEventKindCount; ++k) {
-    const auto kind = static_cast<EventKind>(k);
-    if (name == describe(kind)) return kind;
-  }
-  throw std::invalid_argument("parseEventKind: unknown event kind '" + name + "'");
-}
-
-void clampScenario(Scenario& scenario, const ScenarioLimits& limits) {
-  ScenarioParams& p = scenario.params;
-  p.initialSpeedMps = clampD(p.initialSpeedMps, limits.minSpeedMps, limits.maxSpeedMps);
-  p.pedal = clampD(p.pedal, limits.minPedal, limits.maxPedal);
-  p.restartTimeUs = clampI64(p.restartTimeUs, limits.minRestartUs, limits.maxRestartUs);
-
-  if (scenario.events.size() > limits.maxEvents) scenario.events.resize(limits.maxEvents);
-  for (ScheduleEvent& event : scenario.events) {
-    event.node = static_cast<net::NodeId>(
-        1 + (event.node == 0 ? 0 : (event.node - 1) % limits.nodeCount));
-    event.atUs = clampI64(event.atUs, limits.minEventUs, limits.maxEventUs);
-    if (event.kind == EventKind::BusCorruption) {
+  if (scenario.events.size() > kMaxEvents) scenario.events.resize(kMaxEvents);
+  for (bbw::Injection& event : scenario.events) {
+    event.node =
+        static_cast<net::NodeId>(1 + (event.node == 0 ? 0 : (event.node - 1) % kNodeCount));
+    event.at = util::SimTime::fromUs(clampI64(event.at.us(), kMinEventUs, kMaxEventUs));
+    if (event.kind == bbw::InjectionKind::BusCorruption) {
       if (event.flipBits.empty()) event.flipBits.push_back(0);
-      if (event.flipBits.size() > limits.maxFlipBits) event.flipBits.resize(limits.maxFlipBits);
-      for (std::uint32_t& bit : event.flipBits) bit %= limits.flipBitSpace;
+      if (event.flipBits.size() > kMaxFlipBits) event.flipBits.resize(kMaxFlipBits);
+      for (std::uint32_t& bit : event.flipBits) bit %= kFlipBitSpace;
       std::sort(event.flipBits.begin(), event.flipBits.end());
     } else {
       event.flipBits.clear();
     }
   }
   std::sort(scenario.events.begin(), scenario.events.end(),
-            [](const ScheduleEvent& a, const ScheduleEvent& b) {
+            [](const bbw::Injection& a, const bbw::Injection& b) {
               return eventOrderKey(a) < eventOrderKey(b);
             });
 }
 
-bool isLegalScenario(const Scenario& scenario, const ScenarioLimits& limits) {
+bool isLegalScenario(const Scenario& scenario) {
   Scenario clamped = scenario;
-  clampScenario(clamped, limits);
+  clampScenario(clamped);
   return clamped == scenario;
 }
 
-Scenario randomScenario(util::Rng& rng, const ScenarioLimits& limits) {
+bbw::Injection randomInjection(util::Rng& rng) {
+  bbw::Injection event;
+  event.kind = static_cast<bbw::InjectionKind>(rng.uniformInt(bbw::kInjectionKindCount));
+  event.node = static_cast<net::NodeId>(1 + rng.uniformInt(kNodeCount));
+  event.at = util::SimTime::fromUs(kMinEventUs + static_cast<std::int64_t>(rng.uniformInt(
+      static_cast<std::uint64_t>(kMaxEventUs - kMinEventUs + 1))));
+  if (event.kind == bbw::InjectionKind::BusCorruption) {
+    const std::size_t flips = 1 + rng.uniformInt(kMaxFlipBits);
+    for (std::size_t f = 0; f < flips; ++f) {
+      event.flipBits.push_back(static_cast<std::uint32_t>(rng.uniformInt(kFlipBitSpace)));
+    }
+  }
+  return event;
+}
+
+Scenario randomScenario(util::Rng& rng) {
   Scenario scenario;
   scenario.params.nodeType =
       rng.bernoulli(0.5) ? bbw::NodeType::Nlft : bbw::NodeType::FailSilent;
-  scenario.params.initialSpeedMps = rng.uniform(limits.minSpeedMps, limits.maxSpeedMps);
-  scenario.params.pedal = rng.uniform(limits.minPedal, limits.maxPedal);
-  scenario.params.restartTimeUs = limits.minRestartUs + static_cast<std::int64_t>(rng.uniformInt(
-      static_cast<std::uint64_t>(limits.maxRestartUs - limits.minRestartUs + 1)));
+  scenario.params.initialSpeedMps = rng.uniform(kMinSpeedMps, kMaxSpeedMps);
+  scenario.params.pedal = rng.uniform(kMinPedal, kMaxPedal);
+  scenario.params.restartTime = util::Duration::microseconds(
+      kMinRestartUs + static_cast<std::int64_t>(rng.uniformInt(
+                          static_cast<std::uint64_t>(kMaxRestartUs - kMinRestartUs + 1))));
 
   const std::size_t count = 1 + rng.uniformInt(3);  // fresh seeds start small
-  for (std::size_t i = 0; i < count; ++i) {
-    ScheduleEvent event;
-    event.kind = static_cast<EventKind>(rng.uniformInt(kEventKindCount));
-    event.node = static_cast<net::NodeId>(1 + rng.uniformInt(limits.nodeCount));
-    event.atUs = limits.minEventUs + static_cast<std::int64_t>(rng.uniformInt(
-        static_cast<std::uint64_t>(limits.maxEventUs - limits.minEventUs + 1)));
-    if (event.kind == EventKind::BusCorruption) {
-      const std::size_t flips = 1 + rng.uniformInt(limits.maxFlipBits);
-      for (std::size_t f = 0; f < flips; ++f) {
-        event.flipBits.push_back(static_cast<std::uint32_t>(rng.uniformInt(limits.flipBitSpace)));
-      }
-    }
-    scenario.events.push_back(std::move(event));
-  }
-  clampScenario(scenario, limits);
+  for (std::size_t i = 0; i < count; ++i) scenario.events.push_back(randomInjection(rng));
+  clampScenario(scenario);
   return scenario;
 }
 
@@ -122,14 +106,14 @@ obs::JsonValue scenarioToJson(const Scenario& scenario) {
       scenario.params.nodeType == bbw::NodeType::Nlft ? "nlft" : "fail-silent"));
   params.set("initial_speed_mps", obs::JsonValue::number(scenario.params.initialSpeedMps));
   params.set("pedal", obs::JsonValue::number(scenario.params.pedal));
-  params.set("restart_time_us", obs::JsonValue::integer(scenario.params.restartTimeUs));
+  params.set("restart_time_us", obs::JsonValue::integer(scenario.params.restartTime.us()));
 
   obs::JsonValue events = obs::JsonValue::array();
-  for (const ScheduleEvent& event : scenario.events) {
+  for (const bbw::Injection& event : scenario.events) {
     obs::JsonValue e = obs::JsonValue::object();
-    e.set("kind", obs::JsonValue::string(describe(event.kind)));
+    e.set("kind", obs::JsonValue::string(bbw::describe(event.kind)));
     e.set("node", obs::JsonValue::integer(static_cast<std::int64_t>(event.node)));
-    e.set("at_us", obs::JsonValue::integer(event.atUs));
+    e.set("at_us", obs::JsonValue::integer(event.at.us()));
     if (!event.flipBits.empty()) {
       obs::JsonValue bits = obs::JsonValue::array();
       for (const std::uint32_t bit : event.flipBits) {
@@ -163,7 +147,8 @@ Scenario scenarioFromJson(const obs::JsonValue& json) {
   }
   scenario.params.initialSpeedMps = params.get("initial_speed_mps").asDouble();
   scenario.params.pedal = params.get("pedal").asDouble();
-  scenario.params.restartTimeUs = params.get("restart_time_us").asInt();
+  scenario.params.restartTime =
+      util::Duration::microseconds(params.get("restart_time_us").asInt());
 
   const obs::JsonValue& events = json.get("events");
   if (events.kind() != obs::JsonValue::Kind::Array) {
@@ -171,10 +156,10 @@ Scenario scenarioFromJson(const obs::JsonValue& json) {
   }
   for (std::size_t i = 0; i < events.size(); ++i) {
     const obs::JsonValue& e = events.at(i);
-    ScheduleEvent event;
-    event.kind = parseEventKind(e.get("kind").asString());
+    bbw::Injection event;
+    event.kind = bbw::parseInjectionKind(e.get("kind").asString());
     event.node = asU32(e.get("node"), "node");
-    event.atUs = e.get("at_us").asInt();
+    event.at = util::SimTime::fromUs(e.get("at_us").asInt());
     if (e.has("flip_bits")) {
       const obs::JsonValue& bits = e.get("flip_bits");
       for (std::size_t b = 0; b < bits.size(); ++b) {

@@ -1,13 +1,12 @@
 // Structured scenario model of the coverage-guided fuzzer (docs/FUZZING.md).
 //
 // A Scenario is everything one adversarial experiment needs to be replayed
-// bit-identically: the deployment-parameter perturbations (node type, initial
-// speed, pedal position, restart time — each confined to the legal range the
-// static verifier certifies the deployment for) plus a fault SCHEDULE, an
-// ordered list of injection events that map 1:1 onto the BbwSystemSim
-// injection hooks. Correlated bursts are simply several kernel-error events
-// sharing one instant, so the schedule subsumes every scenario kind of the
-// fi:: system campaigns.
+// bit-identically: the stop's configuration, whose node type, initial speed,
+// pedal position and restart time the fuzzer perturbs (each confined to the
+// legal range the static verifier certifies the deployment for), plus a
+// fault SCHEDULE, an ordered list of bbw::Injection records. Correlated
+// bursts are simply several kernel-error injections sharing one instant, so
+// the schedule subsumes every scenario kind of the fi:: system campaigns.
 //
 // Scenarios serialise to self-contained JSON case files (obs::json, sorted
 // keys, fixed number format) — the corpus under tests/corpus/ and every
@@ -15,72 +14,34 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
-#include "bbw/params.hpp"
-#include "net/bus.hpp"
+#include "bbw/system_sim.hpp"
 #include "obs/json.hpp"
 #include "util/rng.hpp"
 
 namespace nlft::fuzz {
 
-/// One injection event; kinds map 1:1 onto the BbwSystemSim hooks.
-enum class EventKind : std::uint8_t {
-  ComputationFault,  ///< one copy computes wrong (maskable by TEM)
-  DetectedError,     ///< EDM-detected error in one copy
-  KernelError,       ///< node crash + restart after restartTime
-  OmissionFailure,   ///< the node's next result is suppressed
-  ValueFailure,      ///< every copy wrong identically (coverage gap)
-  BusCorruption,     ///< flip bits on the node's next bus frame
-};
-inline constexpr std::size_t kEventKindCount = 6;
-
-[[nodiscard]] const char* describe(EventKind kind);
-/// Inverse of describe(); throws std::invalid_argument for unknown names.
-[[nodiscard]] EventKind parseEventKind(const std::string& name);
-
-struct ScheduleEvent {
-  EventKind kind = EventKind::ComputationFault;
-  net::NodeId node = 1;  ///< 1..6 (duplex CU pair, four wheel nodes)
-  std::int64_t atUs = 0;
-  std::vector<std::uint32_t> flipBits;  ///< BusCorruption only
-
-  friend bool operator==(const ScheduleEvent&, const ScheduleEvent&) = default;
-};
-
-/// Deployment-parameter perturbations. The ranges in ScenarioLimits keep
-/// every value inside what the verifier's certified deployment tolerates
-/// (and inside the region where the fault-free stop completes well before
-/// the horizon, so the missed-stop oracle is meaningful).
-struct ScenarioParams {
-  bbw::NodeType nodeType = bbw::NodeType::Nlft;
-  double initialSpeedMps = 27.8;
-  double pedal = 1.0;
-  std::int64_t restartTimeUs = 3'000'000;
-
-  friend bool operator==(const ScenarioParams&, const ScenarioParams&) = default;
-};
-
-/// Legal ranges of the generator; clampScenario() enforces them.
-struct ScenarioLimits {
-  double minSpeedMps = 15.0;
-  double maxSpeedMps = 40.0;
-  double minPedal = 0.6;
-  double maxPedal = 1.0;
-  std::int64_t minRestartUs = 1'000'000;
-  std::int64_t maxRestartUs = 5'000'000;
-  std::int64_t minEventUs = 100'000;    ///< after the control loop settles
-  std::int64_t maxEventUs = 8'000'000;  ///< inside every legal stop
-  std::size_t maxEvents = 8;
-  std::size_t maxFlipBits = 3;
-  std::uint32_t flipBitSpace = 512;  ///< net::flipFrameBit index space
-  net::NodeId nodeCount = 6;
-};
+/// The legal ranges of the generator; clampScenario() enforces them. They
+/// keep every value inside what the verifier's certified deployment
+/// tolerates (and inside the region where the fault-free stop completes well
+/// before the horizon, so the missed-stop oracle is meaningful).
+inline constexpr double kMinSpeedMps = 15.0;
+inline constexpr double kMaxSpeedMps = 40.0;
+inline constexpr double kMinPedal = 0.6;
+inline constexpr double kMaxPedal = 1.0;
+inline constexpr std::int64_t kMinRestartUs = 1'000'000;
+inline constexpr std::int64_t kMaxRestartUs = 5'000'000;
+inline constexpr std::int64_t kMinEventUs = 100'000;    ///< after the control loop settles
+inline constexpr std::int64_t kMaxEventUs = 8'000'000;  ///< inside every legal stop
+inline constexpr std::size_t kMaxEvents = 8;
+inline constexpr std::size_t kMaxFlipBits = 3;
+inline constexpr std::uint32_t kFlipBitSpace = 512;  ///< net::flipFrameBit index space
+inline constexpr net::NodeId kNodeCount = 6;
 
 struct Scenario {
-  ScenarioParams params;
-  std::vector<ScheduleEvent> events;
+  bbw::BbwSimConfig params;
+  std::vector<bbw::Injection> events;
 
   friend bool operator==(const Scenario&, const Scenario&) = default;
 };
@@ -88,13 +49,16 @@ struct Scenario {
 /// Clamps every field into the legal ranges and canonicalises the event
 /// order (by time, then node, then kind) so equal scenarios serialise
 /// identically regardless of how they were produced.
-void clampScenario(Scenario& scenario, const ScenarioLimits& limits = {});
+void clampScenario(Scenario& scenario);
 
 /// True when the scenario is already clamped and canonical.
-[[nodiscard]] bool isLegalScenario(const Scenario& scenario, const ScenarioLimits& limits = {});
+[[nodiscard]] bool isLegalScenario(const Scenario& scenario);
 
 /// Uniform random scenario inside the legal ranges (already canonical).
-[[nodiscard]] Scenario randomScenario(util::Rng& rng, const ScenarioLimits& limits = {});
+[[nodiscard]] Scenario randomScenario(util::Rng& rng);
+
+/// One uniform random injection inside the legal ranges.
+[[nodiscard]] bbw::Injection randomInjection(util::Rng& rng);
 
 /// Deterministic JSON encoding (sorted keys; see docs/FUZZING.md).
 [[nodiscard]] obs::JsonValue scenarioToJson(const Scenario& scenario);

@@ -9,15 +9,14 @@ namespace {
 
 class Shrinker {
  public:
-  Shrinker(const std::function<bool(const Scenario&)>& stillFails, const ScenarioLimits& limits,
-           std::size_t maxEvaluations)
-      : stillFails_{stillFails}, limits_{limits}, maxEvaluations_{maxEvaluations} {}
+  Shrinker(const std::function<bool(const Scenario&)>& stillFails, std::size_t maxEvaluations)
+      : stillFails_{stillFails}, maxEvaluations_{maxEvaluations} {}
 
   /// Evaluates a canonicalised candidate; true if it still fails (and is
   /// actually different from `current` — re-evaluating the same scenario
   /// would waste budget).
   [[nodiscard]] bool accepts(const Scenario& current, Scenario& candidate) {
-    clampScenario(candidate, limits_);
+    clampScenario(candidate);
     if (candidate == current) return false;
     if (evaluations_ >= maxEvaluations_) return false;
     ++evaluations_;
@@ -29,7 +28,6 @@ class Shrinker {
 
  private:
   const std::function<bool(const Scenario&)>& stillFails_;
-  const ScenarioLimits& limits_;
   std::size_t maxEvaluations_;
   std::size_t evaluations_ = 0;
 };
@@ -69,12 +67,12 @@ void deleteEvents(Scenario& scenario, Shrinker& shrinker, std::size_t& removed) 
 
 ShrinkResult shrinkScenario(const Scenario& seed,
                             const std::function<bool(const Scenario&)>& stillFails,
-                            const ScenarioLimits& limits, std::size_t maxEvaluations) {
+                            std::size_t maxEvaluations) {
   ShrinkResult result;
   result.scenario = seed;
-  clampScenario(result.scenario, limits);
+  clampScenario(result.scenario);
 
-  Shrinker shrinker{stillFails, limits, maxEvaluations};
+  Shrinker shrinker{stillFails, maxEvaluations};
   {
     // The seed must fail; otherwise there is nothing to preserve.
     Scenario probe = result.scenario;
@@ -88,7 +86,7 @@ ShrinkResult shrinkScenario(const Scenario& seed,
   deleteEvents(scenario, shrinker, result.removedEvents);
 
   // Parameter bisection toward the defaults.
-  const ScenarioParams defaults{};
+  const bbw::BbwSimConfig defaults{};
   const auto trySet = [&](auto apply, auto target, auto get) {
     constexpr int kIterations = 10;
     {
@@ -118,8 +116,9 @@ ShrinkResult shrinkScenario(const Scenario& seed,
          [](const Scenario& s) { return s.params.initialSpeedMps; });
   trySet([](Scenario& s, double v) { s.params.pedal = v; }, defaults.pedal,
          [](const Scenario& s) { return s.params.pedal; });
-  trySet([](Scenario& s, std::int64_t v) { s.params.restartTimeUs = v; }, defaults.restartTimeUs,
-         [](const Scenario& s) { return s.params.restartTimeUs; });
+  trySet(
+      [](Scenario& s, std::int64_t v) { s.params.restartTime = util::Duration::microseconds(v); },
+      defaults.restartTime.us(), [](const Scenario& s) { return s.params.restartTime.us(); });
 
   // Time bisection: normalise each surviving event toward the earliest
   // legal instant. Event identity is positional, so iterate by index and
@@ -129,11 +128,11 @@ ShrinkResult shrinkScenario(const Scenario& seed,
     const std::size_t index = i;
     trySet(
         [index](Scenario& s, std::int64_t v) {
-          if (index < s.events.size()) s.events[index].atUs = v;
+          if (index < s.events.size()) s.events[index].at = util::SimTime::fromUs(v);
         },
-        limits.minEventUs,
+        kMinEventUs,
         [index](const Scenario& s) {
-          return index < s.events.size() ? s.events[index].atUs : std::int64_t{0};
+          return index < s.events.size() ? s.events[index].at.us() : std::int64_t{0};
         });
   }
 

@@ -34,12 +34,14 @@ struct ShrinkResult {
   std::size_t removedEvents = 0;
 };
 
+/// Predicate calls one shrink may spend.
+inline constexpr std::size_t kShrinkEvaluations = 400;
+
 /// Shrinks `seed` while `stillFails` holds. `seed` itself must fail (the
 /// shrinker asserts this with the first evaluation and returns it unchanged
 /// if not). `maxEvaluations` bounds the total predicate calls.
 [[nodiscard]] ShrinkResult shrinkScenario(const Scenario& seed,
                                           const std::function<bool(const Scenario&)>& stillFails,
-                                          const ScenarioLimits& limits = {},
-                                          std::size_t maxEvaluations = 400);
+                                          std::size_t maxEvaluations = kShrinkEvaluations);
 
 }  // namespace nlft::fuzz

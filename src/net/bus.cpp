@@ -60,8 +60,6 @@ bool TdmaBus::nodeSilent(NodeId node) const {
   return it != silent_.end() && it->second;
 }
 
-void TdmaBus::corruptNextFrame(NodeId node) { corruptNext_[node] = {0}; }
-
 void TdmaBus::corruptNextFrame(NodeId node, std::vector<std::uint32_t> flipBits) {
   if (flipBits.empty()) flipBits.push_back(0);
   corruptNext_[node] = std::move(flipBits);

@@ -89,13 +89,9 @@ class TdmaBus {
   void setNodeSilent(NodeId node, bool silent);
   [[nodiscard]] bool nodeSilent(NodeId node) const;
 
-  /// Fault injection: the next transmitted frame of `node` is corrupted in
-  /// transit (one bit flip; the receivers' CRC check drops the frame).
-  void corruptNextFrame(NodeId node);
-
-  /// Fault injection with explicit fault locations: flips the given bits of
-  /// the node's next transmitted frame (payload bits first, then the 16 CRC
-  /// bits; indices wrap modulo the frame length). Receivers verify the CRC
+  /// Fault injection: flips the given bits of the node's next transmitted
+  /// frame (payload bits first, then the 16 CRC bits; indices wrap modulo
+  /// the frame length; an empty list flips bit 0). Receivers verify the CRC
   /// and drop the frame on mismatch — with 1..3 flipped bits the CRC-16
   /// catches the corruption with certainty (Hamming distance 4).
   void corruptNextFrame(NodeId node, std::vector<std::uint32_t> flipBits);

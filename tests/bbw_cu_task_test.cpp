@@ -3,9 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
-#include "bbw/control.hpp"
+#include "bbw/vehicle.hpp"
 
 namespace nlft::bbw {
 namespace {
@@ -25,19 +23,6 @@ TEST_P(CuTaskEquivalence, AssemblyMatchesFixedPointReference) {
 
 INSTANTIATE_TEST_SUITE_P(PedalSweep, CuTaskEquivalence,
                          ::testing::Values(0, 1, 64, 128, 200, 255, 256, 300, -5));
-
-TEST(CuTask, FixedPointTracksFloatingDistribution) {
-  // The q8.8 law must agree with the double-precision CU algorithm to
-  // within quantisation (one torque LSB per 1/256 pedal step).
-  const CentralUnitConfig config;
-  for (int pedalQ8 : {0, 32, 100, 256}) {
-    const auto fixed = distributeFixedPoint(pedalQ8);
-    const auto floating = distributeBrakeForce(config, pedalQ8 / 256.0);
-    for (int w = 0; w < 4; ++w) {
-      EXPECT_NEAR(static_cast<double>(fixed[w]) / 256.0, floating[w], 0.51) << w;
-    }
-  }
-}
 
 TEST(CuTask, ClampsOutOfRangePedal) {
   EXPECT_EQ(distributeFixedPoint(-100), distributeFixedPoint(0));

@@ -146,8 +146,8 @@ TEST(BbwSystem, LostCommandFrameIsBridgedByPreviousValue) {
   // starting at t = 4 mod 20 ms carry a fresh command; arming the fault at
   // t = cycleStart - 0.4 ms makes that heartbeat the node's next frame.
   for (int i = 0; i < 5; ++i) {
-    noisy.injectBusCorruption(kCuA, SimTime::fromUs(503'600 + i * 20'000));
-    noisy.injectBusCorruption(kCuB, SimTime::fromUs(503'600 + i * 20'000));
+    noisy.injectBusCorruption(kCuA, SimTime::fromUs(503'600 + i * 20'000), {});
+    noisy.injectBusCorruption(kCuB, SimTime::fromUs(503'600 + i * 20'000), {});
   }
   const BbwSimResult result = noisy.run();
   EXPECT_TRUE(result.stopped);
@@ -181,7 +181,7 @@ TEST(BbwSystem, EmergencyBrakeUsesTheEventTriggeredPath) {
   // the wheels through the sporadic task + dynamic segment within a few
   // milliseconds, far quicker than a periodic-command round trip from idle.
   BbwSimConfig config = baseConfig(NodeType::Nlft);
-  config.pedalProfile = [](double) { return 0.0; };
+  config.pedal = 0.0;
   BbwSystemSim sim{config};
   sim.pressEmergencyBrake(SimTime::fromUs(500'000));
   const BbwSimResult result = sim.run();
@@ -195,7 +195,7 @@ TEST(BbwSystem, EmergencyBrakeUsesTheEventTriggeredPath) {
 
 TEST(BbwSystem, EmergencyBrakeSurvivesOneCuDown) {
   BbwSimConfig config = baseConfig(NodeType::Nlft);
-  config.pedalProfile = [](double) { return 0.0; };
+  config.pedal = 0.0;
   BbwSystemSim sim{config};
   sim.injectKernelError(kCuA, SimTime::fromUs(100'000));
   sim.pressEmergencyBrake(SimTime::fromUs(500'000));
@@ -206,7 +206,7 @@ TEST(BbwSystem, EmergencyBrakeSurvivesOneCuDown) {
 }
 
 TEST(BbwSystem, PedalProfileDrivesTheStop) {
-  // Half pedal brakes longer than full pedal; a ramped profile sits between.
+  // Half pedal brakes longer than full pedal.
   BbwSimConfig half = baseConfig(NodeType::Nlft);
   half.pedal = 0.5;
   const double halfDistance = BbwSystemSim{half}.run().stoppingDistanceM;
@@ -214,13 +214,24 @@ TEST(BbwSystem, PedalProfileDrivesTheStop) {
   BbwSimConfig full = baseConfig(NodeType::Nlft);
   const double fullDistance = BbwSystemSim{full}.run().stoppingDistanceM;
 
-  BbwSimConfig ramp = baseConfig(NodeType::Nlft);
-  ramp.pedalProfile = [](double t) { return std::min(1.0, 0.5 + t); };  // full after 0.5 s
-  const double rampDistance = BbwSystemSim{ramp}.run().stoppingDistanceM;
-
   EXPECT_GT(halfDistance, fullDistance + 5.0);
-  EXPECT_GT(rampDistance, fullDistance);
-  EXPECT_LT(rampDistance, halfDistance);
+}
+
+TEST(BbwSystem, NegativePedalCoastsLikeReleasedPedal) {
+  // The pedal reading is clamped to [0, 1] before the CU quantises it, so a
+  // negative position brakes like a released pedal, not like full braking.
+  const auto run = [](double pedal) {
+    BbwSimConfig config = baseConfig(NodeType::Nlft);
+    config.pedal = pedal;
+    return BbwSystemSim{config}.run();
+  };
+  const BbwSimResult released = run(0.0);
+  const BbwSimResult negative = run(-0.5);
+  EXPECT_FALSE(released.stopped);
+  EXPECT_EQ(negative.stopped, released.stopped);
+  EXPECT_EQ(negative.stoppingDistanceM, released.stoppingDistanceM);
+  EXPECT_EQ(negative.commandFramesDelivered, released.commandFramesDelivered);
+  EXPECT_GT(negative.stoppingDistanceM, run(1.0).stoppingDistanceM + 100.0);
 }
 
 TEST(BbwSystem, SoakTestManySequentialFaultsAllMasked) {

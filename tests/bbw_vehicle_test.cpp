@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "bbw/control.hpp"
+#include "bbw/cu_task.hpp"
 
 namespace nlft::bbw {
 namespace {
@@ -160,27 +161,23 @@ TEST(Vehicle, IceLengthensTheStop) {
 // --- control algorithms ---
 
 TEST(Distribution, FrontRearSplit) {
-  CentralUnitConfig config;
-  const auto torques = distributeBrakeForce(config, 1.0);
-  EXPECT_DOUBLE_EQ(torques[FrontLeft], torques[FrontRight]);
-  EXPECT_DOUBLE_EQ(torques[RearLeft], torques[RearRight]);
+  // The CU law the closed loop and the cu guest program run, in q8.8.
+  const auto torques = distributeFixedPoint(256);
+  EXPECT_EQ(torques[FrontLeft], torques[FrontRight]);
+  EXPECT_EQ(torques[RearLeft], torques[RearRight]);
   // 60/40 split -> front/rear torque ratio 1.5.
-  EXPECT_NEAR(torques[FrontLeft] / torques[RearLeft], 1.5, 1e-12);
-  // Total force: sum(torque)/R = maxTotalForce.
-  const double totalForce =
-      (torques[0] + torques[1] + torques[2] + torques[3]) / config.wheelRadiusM;
-  EXPECT_NEAR(totalForce, config.maxTotalForceN, 1e-9);
+  EXPECT_EQ(torques[FrontLeft] * 2, torques[RearLeft] * 3);
+  // Total force at full pedal: sum(torque) / 0.30 m wheel radius = 18 kN.
+  const double totalTorqueNm = (torques[0] + torques[1] + torques[2] + torques[3]) / 256.0;
+  EXPECT_NEAR(totalTorqueNm / 0.30, 18000.0, 1e-9);
 }
 
 TEST(Distribution, PedalScalesLinearlyAndClamps) {
-  CentralUnitConfig config;
-  const auto half = distributeBrakeForce(config, 0.5);
-  const auto full = distributeBrakeForce(config, 1.0);
-  EXPECT_NEAR(half[FrontLeft] * 2.0, full[FrontLeft], 1e-9);
-  const auto over = distributeBrakeForce(config, 1.7);
-  EXPECT_DOUBLE_EQ(over[FrontLeft], full[FrontLeft]);
-  const auto idle = distributeBrakeForce(config, 0.0);
-  EXPECT_DOUBLE_EQ(idle[RearLeft], 0.0);
+  const auto half = distributeFixedPoint(128);
+  const auto full = distributeFixedPoint(256);
+  EXPECT_EQ(half[FrontLeft] * 2, full[FrontLeft]);
+  EXPECT_EQ(distributeFixedPoint(435), full);  // 1.7 x full pedal
+  EXPECT_EQ(distributeFixedPoint(0)[RearLeft], 0);
 }
 
 TEST(SlipController, PassesThroughBelowTargetSlip) {

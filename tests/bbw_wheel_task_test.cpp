@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "bbw/control.hpp"
+#include "bbw/guest_programs.hpp"
 
 namespace nlft::bbw {
 namespace {
@@ -89,6 +90,20 @@ TEST(WheelTask, TemCampaignOnBrakeTaskMatchesPaperRegime) {
   // The paper assumed P_T = 0.9 from brake-task fault injection [7].
   EXPECT_GT(stats.pMask().proportion, 0.80);
   EXPECT_GT(stats.coverage().proportion, 0.97);
+}
+
+TEST(WheelTask, TemCountsOneComparisonPerJob) {
+  // Seed 1346 draws one experiment on the nominal wheel image whose copies
+  // run clean, corrupt, then EDM-detected: the two results disagree once,
+  // so the comparison is counted once, not again after the third copy.
+  const GuestProgram& wheel = guestPrograms().front();
+  ASSERT_EQ(wheel.name, "wheel");
+  fi::CampaignConfig config;
+  config.experiments = 1;
+  config.seed = 1346;
+  const fi::TemCampaignStats stats = fi::runTemCampaign(wheel.makeNominalImage(), config);
+  ASSERT_EQ(stats.omissionVoteFailed, 1u);
+  EXPECT_EQ(stats.mechanisms.temComparison, 1u);
 }
 
 TEST(WheelTask, FsNodeLeaksSilentCorruptionOnBrakeTask) {

@@ -8,6 +8,9 @@
 // drift of campaign statistics.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -26,6 +29,21 @@ TEST(FuzzCorpus, CorpusIsNonEmptyAndWellFormed) {
     EXPECT_TRUE(isLegalScenario(entry.scenario)) << entry.signature;
     EXPECT_FALSE(entry.outcome.empty());
     EXPECT_FALSE(entry.signature.empty());
+  }
+}
+
+TEST(FuzzCorpus, EveryCaseReserialisesByteForByte) {
+  // Loading a case and writing it back (what saveCorpusEntry writes) gives
+  // the checked-in file, under the name corpusFileName derives.
+  for (const auto& file : std::filesystem::directory_iterator(NLFT_FUZZ_CORPUS_DIR)) {
+    if (file.path().extension() != ".json") continue;
+    SCOPED_TRACE(file.path().string());
+    std::ifstream in{file.path()};
+    std::ostringstream text;
+    text << in.rdbuf();
+    const CorpusEntry entry = loadCorpusEntry(file.path().string());
+    EXPECT_EQ(corpusEntryToJson(entry).dump(2) + "\n", text.str());
+    EXPECT_EQ(corpusFileName(entry), file.path().filename().string());
   }
 }
 

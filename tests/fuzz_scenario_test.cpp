@@ -21,35 +21,34 @@ TEST(FuzzScenario, ClampCanonicalisesOrderAndRanges) {
   Scenario scenario;
   scenario.params.initialSpeedMps = 500.0;  // out of range
   scenario.params.pedal = -1.0;
-  scenario.params.restartTimeUs = 0;
-  ScheduleEvent late;
-  late.kind = EventKind::KernelError;
+  scenario.params.restartTime = util::Duration{};
+  bbw::Injection late;
+  late.kind = bbw::InjectionKind::KernelError;
   late.node = 99;  // wraps into 1..6
-  late.atUs = 99'000'000;
-  ScheduleEvent early;
-  early.kind = EventKind::BusCorruption;
+  late.at = util::SimTime::fromUs(99'000'000);
+  bbw::Injection early;
+  early.kind = bbw::InjectionKind::BusCorruption;
   early.node = 2;
-  early.atUs = 1;  // below minEventUs
+  early.at = util::SimTime::fromUs(1);  // below kMinEventUs
   early.flipBits = {1000, 3, 3000};  // out of bit space, unsorted
   scenario.events = {late, early};
 
   clampScenario(scenario);
-  const ScenarioLimits limits;
-  EXPECT_EQ(scenario.params.initialSpeedMps, limits.maxSpeedMps);
-  EXPECT_EQ(scenario.params.pedal, limits.minPedal);
-  EXPECT_EQ(scenario.params.restartTimeUs, limits.minRestartUs);
+  EXPECT_EQ(scenario.params.initialSpeedMps, kMaxSpeedMps);
+  EXPECT_EQ(scenario.params.pedal, kMinPedal);
+  EXPECT_EQ(scenario.params.restartTime.us(), kMinRestartUs);
   ASSERT_EQ(scenario.events.size(), 2u);
   // Canonical order is by time: the clamped "early" event comes first.
-  EXPECT_EQ(scenario.events[0].kind, EventKind::BusCorruption);
-  EXPECT_EQ(scenario.events[0].atUs, limits.minEventUs);
+  EXPECT_EQ(scenario.events[0].kind, bbw::InjectionKind::BusCorruption);
+  EXPECT_EQ(scenario.events[0].at.us(), kMinEventUs);
   for (const std::uint32_t bit : scenario.events[0].flipBits) {
-    EXPECT_LT(bit, limits.flipBitSpace);
+    EXPECT_LT(bit, kFlipBitSpace);
   }
   EXPECT_TRUE(std::is_sorted(scenario.events[0].flipBits.begin(),
                              scenario.events[0].flipBits.end()));
-  EXPECT_EQ(scenario.events[1].atUs, limits.maxEventUs);
+  EXPECT_EQ(scenario.events[1].at.us(), kMaxEventUs);
   EXPECT_GE(scenario.events[1].node, 1u);
-  EXPECT_LE(scenario.events[1].node, limits.nodeCount);
+  EXPECT_LE(scenario.events[1].node, kNodeCount);
   // Non-bus events carry no flip bits.
   EXPECT_TRUE(scenario.events[1].flipBits.empty());
   EXPECT_TRUE(isLegalScenario(scenario));
@@ -77,7 +76,7 @@ TEST(FuzzScenario, FromJsonRejectsIllegalAndMalformed) {
                    R"({"params":{"node_type":"nlft","initial_speed_mps":900,)"
                    R"("pedal":1,"restart_time_us":2000000},"events":[]})")),
                std::runtime_error);
-  EXPECT_THROW((void)parseEventKind("definitely-not-a-kind"), std::invalid_argument);
+  EXPECT_THROW((void)bbw::parseInjectionKind("definitely-not-a-kind"), std::invalid_argument);
 }
 
 TEST(FuzzScenario, FromJsonRefusesNumbersThatWouldNarrow) {
@@ -186,8 +185,8 @@ TEST(FuzzCorpus, EntryJsonRoundTripKeepsExpectations) {
 TEST(FuzzShrink, DeletesEveryIrrelevantEvent) {
   // Predicate: "fails" iff the schedule contains a kernel error on node 1.
   const auto stillFails = [](const Scenario& scenario) {
-    for (const ScheduleEvent& event : scenario.events) {
-      if (event.kind == EventKind::KernelError && event.node == 1) return true;
+    for (const bbw::Injection& event : scenario.events) {
+      if (event.kind == bbw::InjectionKind::KernelError && event.node == 1) return true;
     }
     return false;
   };
@@ -196,30 +195,30 @@ TEST(FuzzShrink, DeletesEveryIrrelevantEvent) {
   Scenario noisy = randomScenario(rng);
   noisy.events.clear();
   for (int i = 0; i < 7; ++i) {
-    ScheduleEvent filler;
-    filler.kind = EventKind::OmissionFailure;
+    bbw::Injection filler;
+    filler.kind = bbw::InjectionKind::OmissionFailure;
     filler.node = static_cast<net::NodeId>(2 + (i % 5));
-    filler.atUs = 200'000 + 100'000 * i;
+    filler.at = util::SimTime::fromUs(200'000 + 100'000 * i);
     noisy.events.push_back(filler);
   }
-  ScheduleEvent culprit;
-  culprit.kind = EventKind::KernelError;
+  bbw::Injection culprit;
+  culprit.kind = bbw::InjectionKind::KernelError;
   culprit.node = 1;
-  culprit.atUs = 700'000;
+  culprit.at = util::SimTime::fromUs(700'000);
   noisy.events.push_back(culprit);
   clampScenario(noisy);
   ASSERT_TRUE(stillFails(noisy));
 
   const ShrinkResult result = shrinkScenario(noisy, stillFails);
   ASSERT_EQ(result.scenario.events.size(), 1u);
-  EXPECT_EQ(result.scenario.events[0].kind, EventKind::KernelError);
+  EXPECT_EQ(result.scenario.events[0].kind, bbw::InjectionKind::KernelError);
   EXPECT_EQ(result.scenario.events[0].node, 1u);
   EXPECT_EQ(result.removedEvents, 7u);
   // Parameter bisection pulled the deployment back to the defaults and time
   // bisection normalised the injection instant (neither affects this
   // predicate, so both collapse fully).
-  EXPECT_EQ(result.scenario.params, ScenarioParams{});
-  EXPECT_EQ(result.scenario.events[0].atUs, ScenarioLimits{}.minEventUs);
+  EXPECT_EQ(result.scenario.params, bbw::BbwSimConfig{});
+  EXPECT_EQ(result.scenario.events[0].at.us(), kMinEventUs);
 }
 
 TEST(FuzzShrink, ReturnsSeedWhenPredicateDoesNotFail) {
@@ -235,10 +234,11 @@ TEST(FuzzShrink, RespectsEvaluationBudget) {
   util::Rng rng{13};
   Scenario big = randomScenario(rng);
   while (big.events.size() < 8) {
-    ScheduleEvent extra;
-    extra.kind = EventKind::DetectedError;
+    bbw::Injection extra;
+    extra.kind = bbw::InjectionKind::DetectedError;
     extra.node = 3;
-    extra.atUs = 500'000 + static_cast<std::int64_t>(big.events.size()) * 100'000;
+    extra.at = util::SimTime::fromUs(
+        500'000 + static_cast<std::int64_t>(big.events.size()) * 100'000);
     big.events.push_back(extra);
   }
   clampScenario(big);
@@ -249,7 +249,7 @@ TEST(FuzzShrink, RespectsEvaluationBudget) {
         ++calls;
         return true;  // everything "fails": worst case for the search
       },
-      {}, 25);
+      25);
   EXPECT_LE(result.evaluations, 26u);  // budget + the initial probe
   EXPECT_LE(calls, 26u);
 }

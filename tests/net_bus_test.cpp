@@ -135,7 +135,7 @@ TEST_F(BusFixture, CorruptedFrameDroppedAtAllReceivers) {
   TdmaBus bus{simulator, config};
   attachRecorder(bus, 2);
   attachRecorder(bus, 3);
-  bus.corruptNextFrame(1);
+  bus.corruptNextFrame(1, {});
   bus.sendStatic(1, Words{1});
   bus.start();
   simulator.runUntil(SimTime::fromUs(3900));
@@ -250,7 +250,7 @@ TEST_F(BusFixture, DropTapSeesCorruptionReason) {
   TdmaBus bus{simulator, config};
   std::vector<std::string> reasons;
   bus.setDropTap([&](const Frame&, const char* reason) { reasons.emplace_back(reason); });
-  bus.corruptNextFrame(1);
+  bus.corruptNextFrame(1, {});
   bus.sendStatic(1, Words{0xAB});
   bus.start();
   simulator.runUntil(SimTime::fromUs(3900));

@@ -67,36 +67,15 @@ TEST(SnapshotDifferential, EveryGoldenTraceIsSplitInvariant) {
   }
 }
 
-BbwSimConfig configFor(const fuzz::ScenarioParams& params) {
-  BbwSimConfig config;
-  config.nodeType = params.nodeType;
-  config.initialSpeedMps = params.initialSpeedMps;
-  config.pedal = params.pedal;
-  config.restartTime = util::Duration::microseconds(params.restartTimeUs);
-  return config;
-}
-
-void applyEvents(BbwSystemSim& sim, const std::vector<fuzz::ScheduleEvent>& events) {
-  for (const fuzz::ScheduleEvent& event : events) {
-    const util::SimTime at = util::SimTime::fromUs(event.atUs);
-    switch (event.kind) {
-      case fuzz::EventKind::ComputationFault: sim.injectComputationFault(event.node, at); break;
-      case fuzz::EventKind::DetectedError: sim.injectDetectedError(event.node, at); break;
-      case fuzz::EventKind::KernelError: sim.injectKernelError(event.node, at); break;
-      case fuzz::EventKind::OmissionFailure: sim.injectOmissionFailure(event.node, at); break;
-      case fuzz::EventKind::ValueFailure: sim.injectValueFailure(event.node, at); break;
-      case fuzz::EventKind::BusCorruption:
-        sim.injectBusCorruption(event.node, at, event.flipBits);
-        break;
-    }
-  }
+void applyEvents(BbwSystemSim& sim, const std::vector<bbw::Injection>& events) {
+  for (const bbw::Injection& event : events) sim.inject(event);
 }
 
 TEST(SnapshotDifferential, EveryCorpusCaseIsSplitInvariant) {
   const std::vector<fuzz::CorpusEntry> corpus = fuzz::loadCorpusDir(NLFT_FUZZ_CORPUS_DIR);
   ASSERT_GE(corpus.size(), 6u);
   for (const fuzz::CorpusEntry& entry : corpus) {
-    const BbwSimConfig config = configFor(entry.scenario.params);
+    const BbwSimConfig& config = entry.scenario.params;
 
     obs::Registry straightMetrics;
     BbwSystemSim straight{config};
@@ -292,7 +271,8 @@ TEST(SnapshotDifferential, ImageWithoutCleanFixedPointRunsStraight) {
 TEST(SnapshotDifferential, CorruptedCheckpointRestoreIsAViolationNotACacheEntry) {
   fuzz::Scenario scenario;
   scenario.events.push_back(
-      {fuzz::EventKind::ComputationFault, bbw::kWheelNodeBase, 500'000, {}});
+      {bbw::InjectionKind::ComputationFault, bbw::kWheelNodeBase,
+       util::SimTime::fromUs(500'000), {}});
 
   fuzz::OracleConfig corrupting = fuzz::resolveOracleConfig({});
   corrupting.checkTemMonotone = false;

@@ -96,6 +96,17 @@ TEST(SnapshotRoundtrip, SystemSaveRestoreSaveIsByteIdentical) {
     if (rng.bernoulli(0.5)) {
       producer.injectKernelError(bbw::kWheelNodeBase, util::SimTime::fromUs(700000));
     }
+    // One injection of every kind (the bus corruption with explicit flip
+    // bits) and an emergency press: the replay log round-trips every tag.
+    for (std::size_t k = 0; k < bbw::kInjectionKindCount; ++k) {
+      const auto kind = static_cast<bbw::InjectionKind>(k);
+      std::vector<std::uint32_t> flipBits;
+      if (kind == bbw::InjectionKind::BusCorruption) flipBits = {7, 133, 260};
+      producer.inject({kind, static_cast<net::NodeId>(1 + k),
+                       util::SimTime::fromUs(300000 + 50000 * static_cast<std::int64_t>(k)),
+                       flipBits});
+    }
+    producer.pressEmergencyBrake(util::SimTime::fromUs(650000));
     producer.runUntil(util::SimTime::fromUs(
         static_cast<std::int64_t>(200000 + rng.uniformInt(2000000))));
     const std::vector<std::uint8_t> first = producer.saveState();
@@ -269,6 +280,65 @@ TEST(SnapshotRoundtrip, HostileElementCountsAreRefused) {
   const std::vector<std::uint8_t> systemBlob = w.finish();
   BbwSystemSim fresh{BbwSimConfig{}};
   expectBlobErrorNaming([&] { fresh.restoreState(systemBlob); }, "inject");
+}
+
+/// A CRC-valid checkpoint of a default simulation whose schedule holds one
+/// entry with the given tag and node at 1 ms, and whose clock is 200 ms.
+std::vector<std::uint8_t> systemBlobWithInjection(std::uint16_t tag, std::uint32_t node) {
+  const std::vector<std::uint8_t> clean = BbwSystemSim{BbwSimConfig{}}.saveState();
+  snap::BlobReader reader{clean, snap::kSystemSnapshot, bbw::kSystemStateVersion};
+  reader.openSection("config");
+  const std::uint64_t configDigest = reader.u64();
+
+  snap::BlobWriter w{snap::kSystemSnapshot, bbw::kSystemStateVersion};
+  w.beginSection("config");
+  w.u64(configDigest);
+  w.endSection();
+  w.beginSection("inject");
+  w.u32(1);
+  w.u16(tag);
+  w.u32(node);
+  w.i64(1000);
+  w.u32Vec({});
+  w.endSection();
+  w.beginSection("clock");
+  w.i64(200000);
+  w.u64(~0ULL);  // processed-event target: the clock bounds the replay
+  w.endSection();
+  w.beginSection("fp");
+  w.u64(0);
+  w.endSection();
+  return w.finish();
+}
+
+TEST(SnapshotRoundtrip, HostileInjectionsAreRefused) {
+  const auto computation = static_cast<std::uint16_t>(bbw::InjectionKind::ComputationFault);
+  // A node outside 1..6 is refused before anything is scheduled.
+  for (const std::uint32_t node : {0u, 99u}) {
+    SCOPED_TRACE(node);
+    BbwSystemSim fresh{BbwSimConfig{}};
+    try {
+      fresh.restoreState(systemBlobWithInjection(computation, node));
+      FAIL() << "injection on node " << node << " was accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string{error.what()}.find("node " + std::to_string(node)),
+                std::string::npos)
+          << error.what();
+    }
+  }
+  // The same blob on a real node parses and replays; only the fingerprint
+  // is wrong.
+  try {
+    BbwSystemSim fresh{BbwSimConfig{}};
+    fresh.restoreState(systemBlobWithInjection(computation, bbw::kWheelNodeBase));
+    FAIL() << "a zero fingerprint was accepted";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string{error.what()}.find("fingerprint"), std::string::npos) << error.what();
+  }
+  // An unknown kind is refused while the blob is parsed.
+  BbwSystemSim fresh{BbwSimConfig{}};
+  expectBlobErrorNaming([&] { fresh.restoreState(systemBlobWithInjection(77, bbw::kCuA)); },
+                        "inject");
 }
 
 /// A CRC-valid machine blob of 256 zero words whose exec section carries

@@ -219,37 +219,5 @@ TEST(SystemSnapshotDifferential, CorruptedRestoreAbortsLoudly) {
       std::runtime_error);
 }
 
-TEST(SystemSnapshotDifferential, PedalProfileClosureForksBitIdentically) {
-  // A checkpoint blob pins a pedal-profile closure only by PRESENCE (code
-  // cannot be serialized), but every campaign sim is built from the SAME
-  // config object, so the replay re-executes the same closure and the
-  // support probe accepts it. Forked execution must still match straight
-  // execution exactly under a non-default profile.
-  SystemCampaignConfig straightConfig = smallConfig(ExecutionMode::Straight);
-  straightConfig.experiments = 16;
-  straightConfig.sim.pedalProfile = [](double) { return 0.8; };
-  ASSERT_TRUE(systemSnapshotSupported(straightConfig.sim));
-  const SystemCampaignStats straight = runSystemCampaign(straightConfig);
-
-  SystemCampaignConfig snapConfig = straightConfig;
-  snapConfig.mode = ExecutionMode::Auto;
-  const SystemCampaignStats snapshot = runSystemCampaign(snapConfig);
-  expectSameResults(straight, snapshot);
-  expectForked(snapshot.snap);
-
-  // But restoring that blob into a sim whose config LACKS the closure must
-  // abort on the config-digest mismatch, not silently replay a different
-  // braking profile.
-  bbw::BbwSimConfig with = straightConfig.sim;
-  with.nodeType = straightConfig.nodeType;
-  bbw::BbwSystemSim producer{with};
-  producer.runUntil(util::SimTime::fromUs(100000));
-  const std::vector<std::uint8_t> blob = producer.saveState();
-  bbw::BbwSimConfig without = with;
-  without.pedalProfile = nullptr;
-  bbw::BbwSystemSim stranger{without};
-  EXPECT_THROW(stranger.restoreState(blob), std::runtime_error);
-}
-
 }  // namespace
 }  // namespace nlft::fi

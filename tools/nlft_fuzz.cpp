@@ -53,41 +53,23 @@ int usage() {
 /// registry BEFORE restoreState so the replayed prefix streams the same
 /// live samples as the straight run.
 int fingerprint(const std::string& file, std::int64_t resumeSplitUs) {
-  const fuzz::CorpusEntry entry = fuzz::loadCorpusEntry(file);
-  bbw::BbwSimConfig config;
-  config.nodeType = entry.scenario.params.nodeType;
-  config.initialSpeedMps = entry.scenario.params.initialSpeedMps;
-  config.pedal = entry.scenario.params.pedal;
-  config.restartTime = util::Duration::microseconds(entry.scenario.params.restartTimeUs);
-
-  const auto arm = [&entry](bbw::BbwSystemSim& sim) {
-    for (const fuzz::ScheduleEvent& event : entry.scenario.events) {
-      const util::SimTime at = util::SimTime::fromUs(event.atUs);
-      switch (event.kind) {
-        case fuzz::EventKind::ComputationFault: sim.injectComputationFault(event.node, at); break;
-        case fuzz::EventKind::DetectedError: sim.injectDetectedError(event.node, at); break;
-        case fuzz::EventKind::KernelError: sim.injectKernelError(event.node, at); break;
-        case fuzz::EventKind::OmissionFailure: sim.injectOmissionFailure(event.node, at); break;
-        case fuzz::EventKind::ValueFailure: sim.injectValueFailure(event.node, at); break;
-        case fuzz::EventKind::BusCorruption:
-          sim.injectBusCorruption(event.node, at, event.flipBits);
-          break;
-      }
-    }
+  const fuzz::Scenario scenario = fuzz::loadCorpusEntry(file).scenario;
+  const auto arm = [&scenario](bbw::BbwSystemSim& sim) {
+    for (const bbw::Injection& event : scenario.events) sim.inject(event);
   };
 
   obs::Registry metrics;
   if (resumeSplitUs < 0) {
-    bbw::BbwSystemSim sim{config};
+    bbw::BbwSystemSim sim{scenario.params};
     sim.setMetricsRegistry(&metrics);
     arm(sim);
     (void)sim.run();
   } else {
-    bbw::BbwSystemSim producer{config};
+    bbw::BbwSystemSim producer{scenario.params};
     arm(producer);
     producer.runUntil(util::SimTime::fromUs(resumeSplitUs));
     const std::vector<std::uint8_t> checkpoint = producer.saveState();
-    bbw::BbwSystemSim resumed{config};
+    bbw::BbwSystemSim resumed{scenario.params};
     resumed.setMetricsRegistry(&metrics);
     resumed.restoreState(checkpoint);
     (void)resumed.run();
@@ -139,10 +121,8 @@ int replay(const std::vector<std::string>& files, bool shrink, const fuzz::FuzzC
 
     if (shrink && !verdict.violations.empty()) {
       const fuzz::ShrinkResult minimized = fuzz::shrinkScenario(
-          entry.scenario,
-          fuzz::violatesOracle(verdict.violations.front().oracle,
-                               fuzz::resolveOracleConfig(config.oracle)),
-          config.limits, config.shrinkEvaluations);
+          entry.scenario, fuzz::violatesOracle(verdict.violations.front().oracle,
+                                               fuzz::resolveOracleConfig(config.oracle)));
       obs::JsonValue s = obs::JsonValue::object();
       s.set("oracle", obs::JsonValue::string(verdict.violations.front().oracle));
       s.set("scenario", fuzz::scenarioToJson(minimized.scenario));
