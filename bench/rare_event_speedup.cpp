@@ -20,12 +20,14 @@
 // recombines post-stratified; the bench compares interval half-widths at the
 // same budget.
 //
-// Results append to BENCH_rare_event.json. `--smoke` shrinks budgets for CI.
+// Results append to BENCH_rare_event.json. `--smoke` shrinks budgets for CI;
+// any other argument exits 2 with the usage line.
 #include <cmath>
 #include <cstdio>
-#include <cstring>
+#include <optional>
 
 #include "faults/system_campaign.hpp"
+#include "flag_parse.hpp"
 #include "obs/metrics.hpp"
 #include "obs/run_report.hpp"
 #include "sysmodel/importance.hpp"
@@ -62,10 +64,9 @@ double samplesToTarget(double variancePerSample, double targetHalfWidth) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-  }
+  const std::optional<bool> smokeFlag = cli::parseSmokeFlag(argc, argv, "rare_event_speedup");
+  if (!smokeFlag) return 2;
+  const bool smoke = *smokeFlag;
 
   obs::JsonValue report = obs::JsonValue::object();
   report.set("report", obs::JsonValue::string("rare_event_speedup"));

@@ -18,12 +18,13 @@
 // warns whenever the two ratios point in different directions.
 //
 // Results append to BENCH_snapshot_speedup.json. `--smoke` shrinks budgets
-// for CI.
+// for CI; any other argument exits 2 with the usage line.
 #include <cstdio>
-#include <cstring>
+#include <optional>
 
 #include "bbw/guest_programs.hpp"
 #include "faults/campaign.hpp"
+#include "flag_parse.hpp"
 #include "obs/metrics.hpp"
 #include "obs/run_report.hpp"
 #include "util/time.hpp"
@@ -69,10 +70,9 @@ bool directionsDisagree(double workRatio, double wallRatio) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-  }
+  const std::optional<bool> smokeFlag = cli::parseSmokeFlag(argc, argv, "snapshot_speedup");
+  if (!smokeFlag) return 2;
+  const bool smoke = *smokeFlag;
 
   obs::JsonValue report = obs::JsonValue::object();
   report.set("report", obs::JsonValue::string("snapshot_speedup"));

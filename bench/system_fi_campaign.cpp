@@ -13,13 +13,16 @@
 // a machine-readable run report (BENCH_system_fi_report.json) whose
 // campaign.* counters reconcile 1:1 with the printed statistics. Pass
 // `--trace out.json` to additionally record one representative faulty stop
-// as Chrome trace_event JSON (open in chrome://tracing or Perfetto).
+// as Chrome trace_event JSON (open in chrome://tracing or Perfetto). Any
+// other argument, or `--trace` without a path, exits 2 with the usage line
+// before the campaign starts.
 #include <cstdio>
-#include <cstring>
 #include <string>
+#include <string_view>
 
 #include "bbw/markov_models.hpp"
 #include "faults/system_campaign.hpp"
+#include "flag_parse.hpp"
 #include "obs/metrics.hpp"
 #include "obs/run_report.hpp"
 #include "obs/trace.hpp"
@@ -95,9 +98,18 @@ obs::JsonValue runReport(const fi::SystemCampaignConfig& config,
 int main(int argc, char** argv) {
   constexpr double kYear = util::kHoursPerYear;
 
+  constexpr std::string_view kUsage = "system_fi_campaign [--trace out.json]";
   std::string tracePath;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) tracePath = argv[++i];
+    const std::string_view arg = argv[i];
+    if (arg != "--trace") {
+      return cli::refuse("system_fi_campaign: unknown argument '" + std::string{arg} + "'",
+                         kUsage);
+    }
+    if (i + 1 == argc || *argv[i + 1] == '\0') {
+      return cli::refuse("system_fi_campaign: --trace expects an output path", kUsage);
+    }
+    tracePath = argv[++i];
   }
 
   fi::SystemCampaignConfig config;

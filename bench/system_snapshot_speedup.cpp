@@ -20,11 +20,13 @@
 // whenever the two ratios point in different directions.
 //
 // Results append to BENCH_system_snapshot_speedup.json. `--smoke` shrinks
-// budgets for CI.
+// budgets for CI; any other argument exits 2 with the usage line.
 #include <cstdio>
 #include <cstring>
+#include <optional>
 
 #include "faults/system_campaign.hpp"
+#include "flag_parse.hpp"
 #include "obs/metrics.hpp"
 #include "obs/run_report.hpp"
 #include "util/time.hpp"
@@ -93,10 +95,9 @@ fi::SystemCampaignConfig benchConfig(std::size_t experiments, fi::ExecutionMode 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-  }
+  const std::optional<bool> smokeFlag = cli::parseSmokeFlag(argc, argv, "system_snapshot_speedup");
+  if (!smokeFlag) return 2;
+  const bool smoke = *smokeFlag;
 
   const std::size_t experiments = smoke ? 240 : 1200;
   std::printf("system campaign, %zu experiments, same seed and chunking in both modes\n\n",

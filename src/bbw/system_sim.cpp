@@ -1,6 +1,7 @@
 #include "bbw/system_sim.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdio>
@@ -276,7 +277,7 @@ struct BbwSystemSim::Impl {
           *n.kernel, diagnostic, [this, id](const tem::CopyContext&, tem::CopyPlan& plan) {
             plan.executionTime = bbwDeployment().diagnosticWcet;
             plan.result.push_back(kMsgWheelStatus);
-            bus.sendDynamic(id, id, {kMsgWheelStatus, static_cast<std::uint32_t>(id)});
+            bus.sendDynamic(id, id, std::array{kMsgWheelStatus, static_cast<std::uint32_t>(id)});
           });
 
       n.kernel->start();
@@ -358,7 +359,7 @@ struct BbwSystemSim::Impl {
   void onResult(net::NodeId id, const rt::JobResult& result) {
     if (!isWheel(id) && node(id).emergencyTask == result.task &&
         !result.data.empty() && result.data[0] == kMsgEmergency) {
-      bus.sendDynamic(id, 0 /* wins every minislot arbitration */, {kMsgEmergency});
+      bus.sendDynamic(id, 0 /* wins every minislot arbitration */, std::array{kMsgEmergency});
       return;
     }
     if (node(id).controlTask == result.task) {

@@ -44,13 +44,14 @@ void TdmaBus::sendStatic(NodeId node, std::span<const std::uint32_t> payload) {
   slot.payload.assign(payload.begin(), payload.end());
 }
 
-void TdmaBus::sendDynamic(NodeId node, std::uint32_t priority, std::vector<std::uint32_t> payload) {
-  Frame frame;
+void TdmaBus::sendDynamic(NodeId node, std::uint32_t priority,
+                          std::span<const std::uint32_t> payload) {
+  if (dynamicPending_ == dynamicFrames_.size()) dynamicFrames_.emplace_back();
+  Frame& frame = dynamicFrames_[dynamicPending_++];
   frame.sender = node;
   frame.slot = ~0u;
   frame.priority = priority;
-  frame.payload = std::move(payload);
-  pendingDynamic_.push_back(std::move(frame));
+  frame.payload.assign(payload.begin(), payload.end());
 }
 
 void TdmaBus::setNodeSilent(NodeId node, bool silent) { silent_[node] = silent; }
@@ -88,7 +89,8 @@ std::uint64_t TdmaBus::stateDigest() const {
     digest.u64(slot.payload.size());
     for (const std::uint32_t word : slot.payload) digest.u64(word);
   }
-  for (const Frame& frame : pendingDynamic_) {
+  for (std::size_t i = 0; i < dynamicPending_; ++i) {
+    const Frame& frame = dynamicFrames_[i];
     digest.u64(frame.sender);
     digest.u64(frame.priority);
     digest.u64(frame.payload.size());
@@ -155,29 +157,37 @@ void TdmaBus::runStaticSlot(std::uint32_t slot) {
 void TdmaBus::runDynamicSegment() {
   // Minislot arbitration: pending frames transmit in priority order; each
   // consumes one minislot. Frames beyond the segment capacity wait.
-  if (pendingDynamic_.empty()) return;
-  std::stable_sort(pendingDynamic_.begin(), pendingDynamic_.end(),
-                   [](const Frame& a, const Frame& b) { return a.priority < b.priority; });
+  // A stable insertion sort (ties keep send order) moves frames in place,
+  // so arbitration allocates nothing.
+  for (std::size_t i = 1; i < dynamicPending_; ++i) {
+    for (std::size_t j = i; j > 0 && dynamicFrames_[j].priority < dynamicFrames_[j - 1].priority;
+         --j) {
+      std::swap(dynamicFrames_[j], dynamicFrames_[j - 1]);
+    }
+  }
   std::uint32_t used = 0;
-  std::deque<Frame> keep;
-  while (!pendingDynamic_.empty()) {
-    Frame frame = std::move(pendingDynamic_.front());
-    pendingDynamic_.pop_front();
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < dynamicPending_; ++i) {
+    Frame& frame = dynamicFrames_[i];
     if (nodeSilent(frame.sender)) continue;  // silent nodes transmit nothing
     if (used >= config_.dynamicMinislots) {
-      keep.push_back(std::move(frame));
+      if (kept != i) std::swap(dynamicFrames_[kept], frame);
+      ++kept;
       continue;
     }
+    if (used == inFlight_.size()) inFlight_.emplace_back();
+    InFlight& winner = inFlight_[used];
+    std::swap(winner.frame, frame);
+    winner.flipBits = takeCorruption(winner.frame.sender);
     ++used;
-    std::vector<std::uint32_t> flipBits = takeCorruption(frame.sender);
     simulator_.scheduleAfter(config_.minislotLength * static_cast<std::int64_t>(used),
-                             [this, frame = std::move(frame),
-                              flipBits = std::move(flipBits)]() mutable {
-                               deliver(frame, flipBits);
+                             [this, index = used - 1] {
+                               InFlight& delivery = inFlight_[index];
+                               deliver(delivery.frame, delivery.flipBits);
                              },
                              sim::EventPriority::Network);
   }
-  pendingDynamic_ = std::move(keep);
+  dynamicPending_ = kept;
 }
 
 void TdmaBus::deliver(Frame& frame, std::span<const std::uint32_t> flipBits) {

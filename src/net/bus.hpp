@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <optional>
@@ -77,9 +76,11 @@ class TdmaBus {
   /// nothing.
   void sendStatic(NodeId node, std::span<const std::uint32_t> payload);
 
-  /// Queues an event-triggered frame for the dynamic segment. Lower priority
-  /// value transmits first. Frames that do not fit wait for the next cycle.
-  void sendDynamic(NodeId node, std::uint32_t priority, std::vector<std::uint32_t> payload);
+  /// Copies the payload into an event-triggered frame for the dynamic
+  /// segment. Lower priority value transmits first (ties in send order).
+  /// Frames that do not fit wait for the next cycle. Frame buffers are reused
+  /// from cycle to cycle, so steady traffic allocates nothing.
+  void sendDynamic(NodeId node, std::uint32_t priority, std::span<const std::uint32_t> payload);
 
   /// Starts the first communication cycle at the current simulated time.
   void start();
@@ -138,6 +139,11 @@ class TdmaBus {
     bool pending = false;
     std::vector<std::uint32_t> payload;
   };
+  /// A frame that won dynamic arbitration, with the corruption it carries.
+  struct InFlight {
+    Frame frame;
+    std::vector<std::uint32_t> flipBits;
+  };
 
   void runStaticSlot(std::uint32_t slot);
   void runDynamicSegment();
@@ -155,7 +161,15 @@ class TdmaBus {
   /// The frame receivers see for a static slot; its payload buffer is
   /// swapped with the sender's slot buffer, so neither is reallocated.
   Frame staticFrame_;
-  std::deque<Frame> pendingDynamic_;
+  /// Dynamic frames awaiting arbitration occupy the first `dynamicPending_`
+  /// entries, in send order (frames kept from an earlier segment first); the
+  /// entries beyond are spare, kept for their payload buffers.
+  std::vector<Frame> dynamicFrames_;
+  std::size_t dynamicPending_ = 0;
+  /// The current segment's winners; entry k is delivered at the end of
+  /// minislot k + 1. The segment ends before the next cycle's arbitration
+  /// reuses the entries.
+  std::vector<InFlight> inFlight_;
   std::map<NodeId, bool> silent_;
   std::map<NodeId, std::vector<std::uint32_t>> corruptNext_;
   DropTap dropTap_;

@@ -8,10 +8,16 @@
 // stable before it may carry load again). The restart/reintegration times
 // behind the paper's repair rates mu_R (3 s) and mu_OM (1.6 s) are exactly
 // these protocol latencies plus the local reboot/diagnosis time.
+//
+// The protocol state is a dense table in ascending node-id order: one row
+// per node, and in each row one peer entry per node. A frame reaches its
+// receiver's row directly (the bus closure holds the row index) and finds
+// the sender's entry by scanning the few registered ids, so no frame does a
+// tree lookup; every walk (evaluation, taps, views, digest) visits ids in
+// ascending order, as an ordered map would.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <set>
 #include <span>
 #include <vector>
@@ -81,19 +87,24 @@ class MembershipService {
     std::uint32_t consecutiveMissed = 0;
     std::uint64_t lastHeardCycle = ~0ULL;
   };
+  /// `peers` has one entry per registered node, in the order of `ids_`; a
+  /// node's entry for itself is unused.
   struct NodeState {
     bool alive = true;
     std::vector<std::uint32_t> pendingAppData;
-    std::map<NodeId, PeerState> peers;
+    std::vector<PeerState> peers;
   };
 
+  /// Index of `node` in `ids_`; throws std::out_of_range if not registered.
+  [[nodiscard]] std::size_t indexOf(NodeId node) const;
   void onCycle();
-  void onFrame(NodeId receiver, const Frame& frame);
+  void onFrame(std::size_t receiver, const Frame& frame);
 
   sim::Simulator& simulator_;
   TdmaBus& bus_;
   MembershipConfig config_;
-  std::map<NodeId, NodeState> nodes_;
+  std::vector<NodeId> ids_;       ///< registered nodes, ascending
+  std::vector<NodeState> nodes_;  ///< nodes_[i] belongs to ids_[i]
   std::vector<std::uint32_t> heartbeat_;  ///< onCycle()'s reused payload buffer
   AppReceiveFn appReceive_;
   MembershipTap membershipTap_;

@@ -1,6 +1,5 @@
 #include "sim/simulator.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace nlft::sim {
@@ -20,8 +19,7 @@ EventId Simulator::scheduleAt(SimTime at, Callback cb, EventPriority priority) {
   const std::uint32_t generation = ++record.generation;
   ++live_;
   const std::uint64_t order = static_cast<std::uint64_t>(priority) << 56 | nextSeq_++;
-  heap_.push_back(Entry{at, order, slot, generation});
-  std::push_heap(heap_.begin(), heap_.end(), EntryLater{});
+  insert(Entry{at, order, slot, generation});
   return EventId{std::uint64_t{generation} << 32 | slot};
 }
 
@@ -49,18 +47,22 @@ void Simulator::releaseSlot(std::uint32_t slot) {
   --live_;
 }
 
-void Simulator::popTop() {
-  std::pop_heap(heap_.begin(), heap_.end(), EntryLater{});
-  heap_.pop_back();
+void Simulator::insert(const Entry& entry) {
+  // One insertion-sort step from the back: the entries that fire before the
+  // new one move one place towards the back, and it takes the gap.
+  queue_.push_back(entry);
+  std::size_t i = queue_.size() - 1;
+  for (; i > 0 && queue_[i - 1].runsBefore(entry); --i) queue_[i] = queue_[i - 1];
+  queue_[i] = entry;
 }
 
-void Simulator::dropStaleTop() {
-  while (!heap_.empty() && stale(heap_.front())) popTop();
+void Simulator::dropStaleBack() {
+  while (!queue_.empty() && stale(queue_.back())) queue_.pop_back();
 }
 
-void Simulator::fireTop() {
-  const Entry entry = heap_.front();
-  popTop();
+void Simulator::fireBack() {
+  const Entry entry = queue_.back();
+  queue_.pop_back();
   // Free the slot before running the callback: the callback may schedule
   // (growing the slab) or try to cancel its own, already fired, event.
   Callback cb = std::move(slots_[entry.slot].callback);
@@ -71,17 +73,17 @@ void Simulator::fireTop() {
 }
 
 bool Simulator::step() {
-  dropStaleTop();
-  if (heap_.empty()) return false;
-  fireTop();
+  dropStaleBack();
+  if (queue_.empty()) return false;
+  fireBack();
   return true;
 }
 
 void Simulator::runUntil(SimTime limit) {
   for (;;) {
-    dropStaleTop();
-    if (heap_.empty() || heap_.front().at > limit) break;
-    fireTop();
+    dropStaleBack();
+    if (queue_.empty() || queue_.back().at > limit) break;
+    fireBack();
   }
   if (now_ < limit) now_ = limit;
 }

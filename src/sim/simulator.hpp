@@ -10,12 +10,16 @@
 // second task copy") is exact.
 //
 // Storage is a slab: each pending callback sits in a reusable slot with a
-// generation counter, and the queue is a binary heap of plain entries that
-// name their slot and generation. Cancelling frees the slot at once; the
-// heap entry it leaves behind no longer matches the slot's generation and is
-// skipped when it reaches the top. No event is hashed, and once the slab and
-// heap have grown to the simulation's queue depth no event allocates inside
-// the simulator.
+// generation counter, and the queue is a vector of plain entries that name
+// their slot and generation, sorted so that the next entry to fire is at the
+// back. Popping is O(1); an insert scans from the back and shifts the
+// entries that fire before it, which stays cheap at the few dozen entries a
+// brake-by-wire stop keeps queued. Keys are unique, so the order is exactly
+// (at, priority, seq). Cancelling frees the slot at once; the entry it
+// leaves behind no longer matches the slot's generation and is skipped when
+// it reaches the back. No event is hashed, and once the slab and queue have
+// grown to the simulation's queue depth no event allocates inside the
+// simulator.
 #pragma once
 
 #include <cstdint>
@@ -92,35 +96,32 @@ class Simulator {
     SimTime at;
     /// priority << 56 | seq. EventPriority values are below 2^8 and seq stays
     /// below 2^56, so comparing `order` compares (priority, seq); one word
-    /// keeps the entry at 24 bytes, which makes the heap measurably faster.
+    /// keeps the entry at 24 bytes, which keeps the insert's shifts cheap.
     std::uint64_t order;
     std::uint32_t slot;
     std::uint32_t generation;
-  };
-  /// Heap order: the entry that must run LATER compares greater, so the
-  /// heap's front is the earliest (at, priority, seq).
-  struct EntryLater {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.order > b.order;
+
+    [[nodiscard]] bool runsBefore(const Entry& other) const {
+      return at != other.at ? at < other.at : order < other.order;
     }
   };
 
   [[nodiscard]] bool stale(const Entry& entry) const {
     return slots_[entry.slot].generation != entry.generation;
   }
+  void insert(const Entry& entry);
   void releaseSlot(std::uint32_t slot);
-  void popTop();
-  /// Pops cancelled entries until the front is live or the heap is empty.
-  void dropStaleTop();
-  /// Runs the live event at the heap's front.
-  void fireTop();
+  /// Pops cancelled entries until the back is live or the queue is empty.
+  void dropStaleBack();
+  /// Runs the live event at the queue's back.
+  void fireBack();
 
   SimTime now_;
   std::uint64_t nextSeq_ = 0;
   std::uint64_t processed_ = 0;
   std::size_t live_ = 0;
-  std::vector<Entry> heap_;
+  /// Sorted latest first: the next entry to fire is `queue_.back()`.
+  std::vector<Entry> queue_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> freeSlots_;
 };

@@ -1,9 +1,10 @@
 // Allocation budget of a simulated event: one fault-free brake-by-wire stop
-// with a metrics registry attached must make at most 0.2 heap allocations
-// per processed event. Frames, task results, jobs and CPU labels live in
-// buffers the simulation reuses, so the steady-state event is
-// allocation-free; what remains is growth of those buffers and the
-// end-of-run metric folding.
+// with a metrics registry attached must make at most 0.025 heap allocations
+// per processed event (it makes about 0.016). Static and dynamic frames,
+// task results, jobs and CPU labels live in buffers the simulation reuses,
+// so the steady-state event is allocation-free; what remains is growth of
+// those buffers and the end-of-run metric folding. One allocation per
+// dynamic-segment frame would exceed the budget.
 //
 // This file replaces the global operator new to count allocations, which is
 // why it is an executable of its own.
@@ -53,7 +54,7 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace nlft::bbw {
 namespace {
 
-TEST(BbwAllocBudget, GoldenStopAllocatesAtMostPointTwoPerEvent) {
+TEST(BbwAllocBudget, GoldenStopAllocatesAtMostPointZeroTwoFivePerEvent) {
   obs::Registry registry;
   BbwSystemSim sim{BbwSimConfig{}};
   sim.setMetricsRegistry(&registry);
@@ -70,7 +71,7 @@ TEST(BbwAllocBudget, GoldenStopAllocatesAtMostPointTwoPerEvent) {
       static_cast<double>(gAllocations.load()) / static_cast<double>(events);
   RecordProperty("allocations", static_cast<int>(gAllocations.load()));
   RecordProperty("events", static_cast<int>(events));
-  EXPECT_LE(perEvent, 0.2) << gAllocations.load() << " allocations over " << events
+  EXPECT_LE(perEvent, 0.025) << gAllocations.load() << " allocations over " << events
                            << " events";
 }
 

@@ -1,16 +1,20 @@
 #!/usr/bin/env bash
-# Malformed numeric flags of nlft-fuzz and nlft-analyze, and malformed
-# positional arguments of the fault_injection_campaign example: every one must
-# exit with status exactly 2 and name the flag or argument on stderr. A
-# program that runs with a made-up value, crashes or aborts under a sanitizer
-# fails the check.
+# Malformed numeric flags of nlft-fuzz and nlft-analyze, malformed
+# positional arguments of the fault_injection_campaign example, and unknown
+# arguments of the benches: every one must exit with status exactly 2 and
+# name the flag or argument on stderr. A program that runs with a made-up
+# value, crashes or aborts under a sanitizer fails the check.
 #
 # Usage: cli_flags_test.sh <nlft-fuzz> <nlft-analyze> <fault_injection_campaign>
+#          <snapshot_speedup> <system_snapshot_speedup> <rare_event_speedup>
+#          <system_fi_campaign>
 set -u
 
 fuzz=$1
 analyze=$2
 campaign=$3
+smoke_benches=("$4" "$5" "$6")
+system_fi=$7
 failures=0
 
 # expect_rejected FLAG COMMAND... — COMMAND must exit 2 with "FLAG expects"
@@ -52,8 +56,44 @@ expect_rejected threads "$campaign" 1 4294967296
 expect_rejected --resume-split "$fuzz" --fingerprint missing-case.json \
   --resume-split 9223372036854775808
 
+# expect_usage TEXT COMMAND... — COMMAND must exit 2 with a usage line and
+# TEXT on stderr, and print nothing on stdout: the benches print before their
+# first campaign, so an empty stdout shows that none started. The timeout
+# stops a bench that runs anyway.
+expect_usage() {
+  local text=$1
+  shift
+  local out err rc
+  err=$(mktemp)
+  out=$(timeout 60 "$@" 2>"$err")
+  rc=$?
+  if [ "$rc" -ne 2 ] || [ -n "$out" ] || ! grep -qF -- "$text" "$err" ||
+    ! grep -q "^usage: " "$err"; then
+    echo "FAIL: $* -> exit $rc, stdout: ${out:0:200}, stderr: $(cat "$err")" >&2
+    failures=$((failures + 1))
+  fi
+  rm -f "$err"
+}
+
+# A misspelt or decorated --smoke, a stray word and another bench's flag are
+# unknown to every bench that takes only --smoke.
+for bench in "${smoke_benches[@]}"; do
+  for bad in --smok -smoke smoke --smoke=1 --SMOKE --trace ""; do
+    expect_usage "unknown argument '$bad'" "$bench" "$bad"
+  done
+  expect_usage "unknown argument 'extra'" "$bench" --smoke extra
+done
+
+# system_fi_campaign takes only --trace with a path.
+expect_usage "--trace expects an output path" "$system_fi" --trace
+expect_usage "--trace expects an output path" "$system_fi" --trace ""
+for bad in --smoke --tarce trace.json -- ""; do
+  expect_usage "unknown argument '$bad'" "$system_fi" "$bad"
+done
+expect_usage "unknown argument 'extra'" "$system_fi" --trace stop.json extra
+
 if [ "$failures" -ne 0 ]; then
   echo "$failures malformed flag(s) not rejected" >&2
   exit 1
 fi
-echo "every malformed flag exits 2 and names the flag"
+echo "every malformed flag or unknown argument exits 2 and names it"

@@ -97,8 +97,8 @@ TEST_F(BusFixture, EmptySlotTransmitsNothing) {
 TEST_F(BusFixture, DynamicSegmentArbitratesByPriority) {
   TdmaBus bus{simulator, config};
   attachRecorder(bus, 1);
-  bus.sendDynamic(3, 7, {30});
-  bus.sendDynamic(2, 2, {20});  // higher priority (lower value) wins
+  bus.sendDynamic(3, 7, Words{30});
+  bus.sendDynamic(2, 2, Words{20});  // higher priority (lower value) wins
   bus.start();
   simulator.runUntil(SimTime::fromUs(4000));
   ASSERT_EQ(received.size(), 2u);
@@ -110,8 +110,8 @@ TEST_F(BusFixture, DynamicOverflowWaitsForNextCycle) {
   config.dynamicMinislots = 1;
   TdmaBus bus{simulator, config};
   attachRecorder(bus, 1);
-  bus.sendDynamic(2, 1, {1});
-  bus.sendDynamic(3, 2, {2});
+  bus.sendDynamic(2, 1, Words{1});
+  bus.sendDynamic(3, 2, Words{2});
   bus.start();
   simulator.runUntil(SimTime::fromUs(3300));  // cycle 0 = 3.25 ms
   ASSERT_EQ(received.size(), 1u);  // only the winner fits in cycle 0
@@ -125,7 +125,7 @@ TEST_F(BusFixture, SilentNodeTransmitsNothing) {
   attachRecorder(bus, 2);
   bus.setNodeSilent(1, true);
   bus.sendStatic(1, Words{1});
-  bus.sendDynamic(1, 0, {2});
+  bus.sendDynamic(1, 0, Words{2});
   bus.start();
   simulator.runUntil(SimTime::fromUs(8000));
   EXPECT_TRUE(received.empty());

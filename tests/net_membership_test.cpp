@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <initializer_list>
+#include <set>
+#include <tuple>
+#include <vector>
+
 namespace nlft::net {
 namespace {
 
@@ -151,6 +159,74 @@ TEST_F(MembershipFixture, NodeAddedDeadJoinsLater) {
   membership.setAlive(3, true);
   runCycles(6);
   EXPECT_TRUE(membership.isMember(1, 3));
+}
+
+// What a membership run shows from outside: every transition the tap saw,
+// and after each phase every node's view, every isMember answer and the
+// digest.
+struct ObservedRun {
+  std::vector<std::tuple<NodeId, NodeId, bool>> taps;
+  std::vector<std::set<NodeId>> views;
+  std::vector<bool> memberships;
+  std::vector<std::uint64_t> digests;
+  friend bool operator==(const ObservedRun&, const ObservedRun&) = default;
+};
+
+/// Registers the sparse ids 40, 7, 19 and 3 in `order` (19 starts down) and
+/// applies the same churn: 7 fails and restarts, 19 comes up, 40 fails.
+ObservedRun runSparseIds(std::initializer_list<NodeId> order) {
+  constexpr std::array<NodeId, 4> kIds{3, 7, 19, 40};
+  sim::Simulator simulator;
+  TdmaConfig config;
+  config.slotLength = Duration::milliseconds(1);
+  config.staticSchedule = {40, 7, 19, 3};
+  TdmaBus bus{simulator, config};
+  MembershipService membership{simulator, bus};
+  ObservedRun run;
+  membership.setMembershipTap([&run](NodeId observer, NodeId peer, bool member) {
+    run.taps.emplace_back(observer, peer, member);
+  });
+  for (const NodeId node : order) membership.addNode(node, /*alive=*/node != 19);
+  membership.queueAppData(40, std::vector<std::uint32_t>{0xBEEF});
+
+  const auto observe = [&] {
+    for (const NodeId observer : kIds) {
+      run.views.push_back(membership.membershipView(observer));
+      for (const NodeId peer : kIds) {
+        run.memberships.push_back(membership.isMember(observer, peer));
+      }
+    }
+    run.digests.push_back(membership.stateDigest());
+  };
+  const auto runToUs = [&](std::int64_t us) {
+    simulator.runUntil(SimTime::fromUs(us));
+    observe();
+  };
+  observe();
+  membership.start();
+  runToUs(9'000);
+  membership.setAlive(7, false);
+  runToUs(21'000);
+  membership.setAlive(19, true);
+  membership.setAlive(7, true);
+  runToUs(26'000);
+  membership.setAlive(40, false);
+  runToUs(45'000);
+  return run;
+}
+
+TEST(MembershipSparseIds, UnorderedRegistrationMatchesAscending) {
+  const ObservedRun ascending = runSparseIds({3, 7, 19, 40});
+  EXPECT_EQ(runSparseIds({40, 7, 19, 3}), ascending);
+  EXPECT_EQ(runSparseIds({19, 40, 3, 7}), ascending);
+  // The churn moved the views: 3 expelled 7 and admitted 19, and at the end
+  // 40 is down while 7 and 19 are back in 3's view.
+  using Tap = std::tuple<NodeId, NodeId, bool>;
+  EXPECT_EQ(std::count(ascending.taps.begin(), ascending.taps.end(), Tap{3, 7, false}), 1);
+  EXPECT_EQ(std::count(ascending.taps.begin(), ascending.taps.end(), Tap{3, 19, true}), 1);
+  EXPECT_EQ(ascending.views.back(), (std::set<NodeId>{}));         // 40 is down
+  EXPECT_EQ(ascending.views.front(), (std::set<NodeId>{3, 7, 40}));  // 3, before start
+  EXPECT_EQ(ascending.views[ascending.views.size() - 4], (std::set<NodeId>{3, 7, 19}));
 }
 
 TEST_F(MembershipFixture, InvalidUsage) {

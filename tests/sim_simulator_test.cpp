@@ -6,6 +6,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <iterator>
 #include <map>
 #include <tuple>
@@ -200,19 +201,37 @@ TEST(Simulator, EventCancellingItselfGetsFalse) {
   EXPECT_EQ(simulator.processedEvents(), 2u);
 }
 
-// Differential test against a reference model: an ordered map keyed by
+// Differential tests against a reference model: an ordered map keyed by
 // (at, priority, seq), which is the documented event order. Random
 // schedule / cancel / step / runUntil operations; half of the cancels hit a
 // pending event, the rest any handle ever issued (fired, cancelled, or stale
-// after its slot was reused).
-TEST(Simulator, RandomizedOperationsMatchOrderedMapModel) {
+// after its slot was reused). After the mix, both sides drain.
+struct OperationMix {
+  int prefill = 0;  ///< schedules before the mix starts
+  int operations = 0;
+  int schedulePct = 0;
+  int cancelPct = 0;
+  int stepPct = 0;  ///< the remaining percent are runUntil
+  std::function<std::int64_t(util::Rng&)> delayUs;       ///< at = now + delay
+  std::function<std::int64_t(util::Rng&)> runUntilSpanUs;  ///< limit = now + span
+};
+
+struct ModelRunCounts {
+  std::size_t fired = 0;
+  std::size_t cancelledLive = 0;
+  std::size_t pendingSum = 0;  ///< summed over the mix's operations
+  std::size_t maxPending = 0;
+};
+
+void runAgainstOrderedMapModel(std::uint64_t seed, const OperationMix& mix,
+                               ModelRunCounts& counts) {
   using Key = std::tuple<std::int64_t, int, std::uint64_t>;
   constexpr std::array<EventPriority, 6> kPriorities{
       EventPriority::FaultInjection, EventPriority::Hardware, EventPriority::Kernel,
       EventPriority::Network,        EventPriority::Application, EventPriority::Observer};
 
   Simulator simulator;
-  util::Rng rng{20260417};
+  util::Rng rng{seed};
   std::vector<int> fired;  // tags in the order the simulator ran them
 
   std::map<Key, std::size_t> model;  // pending events -> index into `issued`
@@ -220,28 +239,38 @@ TEST(Simulator, RandomizedOperationsMatchOrderedMapModel) {
   std::vector<int> modelFired;
   std::int64_t modelNow = 0;
   std::uint64_t modelSeq = 0;
-  std::size_t cancelledLive = 0;
+  std::size_t checked = 0;  // fired tags already compared
 
   const auto modelFireFront = [&] {
     modelNow = std::get<0>(model.begin()->first);
     modelFired.push_back(static_cast<int>(model.begin()->second));
     model.erase(model.begin());
   };
+  const auto schedule = [&] {
+    const std::int64_t at = modelNow + mix.delayUs(rng);
+    const EventPriority priority = kPriorities[rng.uniformInt(kPriorities.size())];
+    const int tag = static_cast<int>(issued.size());
+    const EventId id = simulator.scheduleAt(SimTime::fromUs(at),
+                                            [&fired, tag] { fired.push_back(tag); }, priority);
+    const Key key{at, static_cast<int>(priority), modelSeq++};
+    model.emplace(key, issued.size());
+    issued.emplace_back(id, key);
+  };
+  const auto agree = [&] {
+    ASSERT_EQ(fired.size(), modelFired.size());
+    for (; checked < fired.size(); ++checked) ASSERT_EQ(fired[checked], modelFired[checked]);
+    ASSERT_EQ(simulator.now(), SimTime::fromUs(modelNow));
+    ASSERT_EQ(simulator.pendingEvents(), model.size());
+    ASSERT_EQ(simulator.processedEvents(), modelFired.size());
+  };
 
-  for (int op = 0; op < 20000; ++op) {
+  for (int i = 0; i < mix.prefill; ++i) schedule();
+  for (int op = 0; op < mix.operations; ++op) {
     SCOPED_TRACE(op);
-    const std::uint64_t kind = rng.uniformInt(100);
-    if (kind < 45) {
-      // Small time spread so that same-instant ties are common.
-      const std::int64_t at = modelNow + static_cast<std::int64_t>(rng.uniformInt(40));
-      const EventPriority priority = kPriorities[rng.uniformInt(kPriorities.size())];
-      const int tag = static_cast<int>(issued.size());
-      const EventId id = simulator.scheduleAt(SimTime::fromUs(at),
-                                              [&fired, tag] { fired.push_back(tag); }, priority);
-      const Key key{at, static_cast<int>(priority), modelSeq++};
-      model.emplace(key, issued.size());
-      issued.emplace_back(id, key);
-    } else if (kind < 70) {
+    const auto kind = static_cast<int>(rng.uniformInt(100));
+    if (kind < mix.schedulePct) {
+      schedule();
+    } else if (kind < mix.schedulePct + mix.cancelPct) {
       if (issued.empty()) continue;
       const bool pickLive = !model.empty() && rng.uniformInt(2) == 0;
       const std::size_t index =
@@ -250,27 +279,86 @@ TEST(Simulator, RandomizedOperationsMatchOrderedMapModel) {
                    : rng.uniformInt(issued.size());
       const auto& [id, key] = issued[index];
       const bool expected = model.erase(key) == 1;
-      cancelledLive += expected;
+      counts.cancelledLive += expected;
       ASSERT_EQ(simulator.cancel(id), expected);
-    } else if (kind < 90) {
+    } else if (kind < mix.schedulePct + mix.cancelPct + mix.stepPct) {
       const bool expected = !model.empty();
       if (expected) modelFireFront();
       ASSERT_EQ(simulator.step(), expected);
     } else {
-      // Occasionally a limit before now: the clock must not move back.
-      const std::int64_t limit = modelNow - 5 + static_cast<std::int64_t>(rng.uniformInt(65));
+      // A limit before now must not move the clock back.
+      const std::int64_t limit = modelNow + mix.runUntilSpanUs(rng);
       while (!model.empty() && std::get<0>(model.begin()->first) <= limit) modelFireFront();
       modelNow = std::max(modelNow, limit);
       simulator.runUntil(SimTime::fromUs(limit));
     }
-    ASSERT_EQ(fired, modelFired);
-    ASSERT_EQ(simulator.now(), SimTime::fromUs(modelNow));
-    ASSERT_EQ(simulator.pendingEvents(), model.size());
-    ASSERT_EQ(simulator.processedEvents(), modelFired.size());
+    ASSERT_NO_FATAL_FAILURE(agree());
+    counts.pendingSum += model.size();
+    counts.maxPending = std::max(counts.maxPending, model.size());
   }
+  counts.fired = modelFired.size();
+  while (!model.empty()) modelFireFront();
+  simulator.runAll();
+  ASSERT_NO_FATAL_FAILURE(agree());
+}
+
+TEST(Simulator, RandomizedOperationsMatchOrderedMapModel) {
+  OperationMix mix;
+  mix.operations = 20000;
+  mix.schedulePct = 45;
+  mix.cancelPct = 25;
+  mix.stepPct = 20;
+  // Small time spread so that same-instant ties are common.
+  mix.delayUs = [](util::Rng& rng) { return static_cast<std::int64_t>(rng.uniformInt(40)); };
+  mix.runUntilSpanUs = [](util::Rng& rng) {
+    return static_cast<std::int64_t>(rng.uniformInt(65)) - 5;
+  };
+  ModelRunCounts counts;
+  ASSERT_NO_FATAL_FAILURE(runAgainstOrderedMapModel(20260417, mix, counts));
   // The mix must have exercised every path.
-  EXPECT_GT(modelFired.size(), 1000u);
-  EXPECT_GT(cancelledLive, 1000u);
+  EXPECT_GT(counts.fired, 1000u);
+  EXPECT_GT(counts.cancelledLive, 1000u);
+}
+
+// The same model with thousands of pending events: inserts land at both
+// ends of the queue and in between (at the instant of now, within a few
+// control periods, or up to seconds ahead), so they shift long runs of
+// entries; cancelled far-future entries wait deep in the queue, and the
+// final drain steps past them.
+TEST(Simulator, DeepQueueOperationsMatchOrderedMapModel) {
+  OperationMix mix;
+  mix.prefill = 3000;
+  mix.operations = 30000;
+  mix.schedulePct = 59;
+  mix.cancelPct = 8;
+  mix.stepPct = 25;
+  mix.delayUs = [](util::Rng& rng) -> std::int64_t {
+    switch (rng.uniformInt(8)) {
+      case 0:
+      case 1:
+        return 0;  // same instant as now
+      case 2:
+      case 3:
+      case 4:
+        return static_cast<std::int64_t>(rng.uniformInt(400));
+      case 5:
+        return static_cast<std::int64_t>(rng.uniformInt(20'000));
+      default:
+        return static_cast<std::int64_t>(rng.uniformInt(3'000'000));  // up to 3 s
+    }
+  };
+  mix.runUntilSpanUs = [](util::Rng& rng) -> std::int64_t {
+    if (rng.uniformInt(64) == 0) return static_cast<std::int64_t>(rng.uniformInt(20'000));
+    return static_cast<std::int64_t>(rng.uniformInt(1000)) - 50;
+  };
+  ModelRunCounts counts;
+  ASSERT_NO_FATAL_FAILURE(runAgainstOrderedMapModel(20261018, mix, counts));
+  // Over a thousand live events on average, and the whole prefill at the
+  // peak (cancelled entries wait in the queue on top of these).
+  EXPECT_GT(counts.pendingSum / static_cast<std::size_t>(mix.operations), 1000u);
+  EXPECT_GT(counts.maxPending, 3000u);
+  EXPECT_GT(counts.fired, 10000u);
+  EXPECT_GT(counts.cancelledLive, 1000u);
 }
 
 }  // namespace

@@ -1,8 +1,12 @@
-// Strict numeric command-line flags, shared by nlft-fuzz and nlft-analyze.
+// Strict command-line parsing, shared by the tools, the
+// fault_injection_campaign example and the benches: a malformed or unknown
+// argument exits 2 before any work starts, never runs as a default.
 #pragma once
 
 #include <charconv>
+#include <cstdio>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -26,6 +30,30 @@ T parseFlag(std::string_view flag, std::string_view text, T min = 0) {
                                 std::string{text} + "'");
   }
   return value;
+}
+
+/// Prints why the command line is refused and the usage line to stderr, and
+/// returns 2, the exit status for a refused command line.
+inline int refuse(std::string_view problem, std::string_view usage) {
+  std::fprintf(stderr, "%.*s\nusage: %.*s\n", static_cast<int>(problem.size()), problem.data(),
+               static_cast<int>(usage.size()), usage.data());
+  return 2;
+}
+
+/// The command line of a bench whose one flag is `--smoke`: whether it was
+/// given, or nullopt once any other argument has been refused (main then
+/// returns 2).
+inline std::optional<bool> parseSmokeFlag(int argc, char** argv, std::string_view program) {
+  bool smoke = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::string_view{argv[i]} != "--smoke") {
+      refuse(std::string{program} + ": unknown argument '" + argv[i] + "'",
+             std::string{program} + " [--smoke]");
+      return std::nullopt;
+    }
+    smoke = true;
+  }
+  return smoke;
 }
 
 }  // namespace nlft::cli
