@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "util/crc.hpp"
 #include "util/state_hash.hpp"
@@ -27,6 +28,8 @@ TdmaBus::TdmaBus(sim::Simulator& simulator, TdmaConfig config)
     : simulator_{simulator}, config_{std::move(config)} {
   if (config_.staticSchedule.empty()) throw std::invalid_argument("TdmaBus: empty schedule");
   if (config_.slotLength <= Duration{}) throw std::invalid_argument("TdmaBus: bad slot length");
+  for (const NodeId owner : config_.staticSchedule) row(owner);
+  for (const NodeId owner : config_.staticSchedule) slotRows_.push_back(rowIndex(owner));
 }
 
 Duration TdmaBus::cycleLength() const {
@@ -34,14 +37,34 @@ Duration TdmaBus::cycleLength() const {
          config_.minislotLength * static_cast<std::int64_t>(config_.dynamicMinislots);
 }
 
+std::size_t TdmaBus::rowIndex(NodeId node) const {
+  const auto it = std::lower_bound(rows_.begin(), rows_.end(), node,
+                                   [](const NodeRow& r, NodeId id) { return r.node < id; });
+  return static_cast<std::size_t>(it - rows_.begin());
+}
+
+bool TdmaBus::hasRow(std::size_t index, NodeId node) const {
+  return index < rows_.size() && rows_[index].node == node;
+}
+
+TdmaBus::NodeRow& TdmaBus::row(NodeId node) {
+  const std::size_t index = rowIndex(node);
+  if (hasRow(index, node)) return rows_[index];
+  rows_.insert(rows_.begin() + static_cast<std::ptrdiff_t>(index), NodeRow{})->node = node;
+  for (std::size_t& slotRow : slotRows_) {
+    if (slotRow >= index) ++slotRow;
+  }
+  return rows_[index];
+}
+
 void TdmaBus::attach(NodeId node, ReceiveFn receive) {
   attached_.push_back({node, std::move(receive)});
 }
 
 void TdmaBus::sendStatic(NodeId node, std::span<const std::uint32_t> payload) {
-  StaticSlot& slot = pendingStatic_[node];
-  slot.pending = true;
-  slot.payload.assign(payload.begin(), payload.end());
+  NodeRow& sender = row(node);
+  sender.pending = true;
+  sender.payload.assign(payload.begin(), payload.end());
 }
 
 void TdmaBus::sendDynamic(NodeId node, std::uint32_t priority,
@@ -54,40 +77,30 @@ void TdmaBus::sendDynamic(NodeId node, std::uint32_t priority,
   frame.payload.assign(payload.begin(), payload.end());
 }
 
-void TdmaBus::setNodeSilent(NodeId node, bool silent) { silent_[node] = silent; }
+void TdmaBus::setNodeSilent(NodeId node, bool silent) { row(node).silent = silent; }
 
 bool TdmaBus::nodeSilent(NodeId node) const {
-  const auto it = silent_.find(node);
-  return it != silent_.end() && it->second;
+  const std::size_t index = rowIndex(node);
+  return hasRow(index, node) && rows_[index].silent;
 }
 
 void TdmaBus::corruptNextFrame(NodeId node, std::vector<std::uint32_t> flipBits) {
   if (flipBits.empty()) flipBits.push_back(0);
-  corruptNext_[node] = std::move(flipBits);
-}
-
-std::vector<std::uint32_t> TdmaBus::takeCorruption(NodeId node) {
-  const auto it = corruptNext_.find(node);
-  if (it == corruptNext_.end()) return {};
-  std::vector<std::uint32_t> bits = std::move(it->second);
-  corruptNext_.erase(it);
-  return bits;
+  row(node).corruption = std::move(flipBits);
 }
 
 bool TdmaBus::injectionArmed() const {
-  for (const auto& entry : corruptNext_) {
-    if (!entry.second.empty()) return true;
-  }
-  return false;
+  return std::any_of(rows_.begin(), rows_.end(),
+                     [](const NodeRow& r) { return !r.corruption.empty(); });
 }
 
 std::uint64_t TdmaBus::stateDigest() const {
   util::StateHash digest;
-  for (const auto& [node, slot] : pendingStatic_) {
-    if (!slot.pending) continue;
-    digest.u64(node);
-    digest.u64(slot.payload.size());
-    for (const std::uint32_t word : slot.payload) digest.u64(word);
+  for (const NodeRow& r : rows_) {
+    if (!r.pending) continue;
+    digest.u64(r.node);
+    digest.u64(r.payload.size());
+    for (const std::uint32_t word : r.payload) digest.u64(word);
   }
   for (std::size_t i = 0; i < dynamicPending_; ++i) {
     const Frame& frame = dynamicFrames_[i];
@@ -96,13 +109,13 @@ std::uint64_t TdmaBus::stateDigest() const {
     digest.u64(frame.payload.size());
     for (const std::uint32_t word : frame.payload) digest.u64(word);
   }
-  for (const auto& [node, silent] : silent_) {
-    if (silent) digest.u64(node);
+  for (const NodeRow& r : rows_) {
+    if (r.silent) digest.u64(r.node);
   }
-  for (const auto& [node, bits] : corruptNext_) {
-    if (bits.empty()) continue;
-    digest.u64(node);
-    for (const std::uint32_t bit : bits) digest.u64(bit);
+  for (const NodeRow& r : rows_) {
+    if (r.corruption.empty()) continue;
+    digest.u64(r.node);
+    for (const std::uint32_t bit : r.corruption) digest.u64(bit);
   }
   return digest.finish();
 }
@@ -110,48 +123,49 @@ std::uint64_t TdmaBus::stateDigest() const {
 void TdmaBus::start() {
   if (started_) throw std::logic_error("TdmaBus: already started");
   started_ = true;
-  scheduleNextCycle();
+  startCycle();
 }
 
-void TdmaBus::scheduleNextCycle() {
-  // Schedule every slot boundary of the upcoming cycle. Frames are delivered
-  // at the END of their slot (transmission complete).
-  const SimTime cycleStart = simulator_.now();
-  for (std::uint32_t slot = 0; slot < config_.staticSchedule.size(); ++slot) {
-    const SimTime slotEnd = cycleStart + config_.slotLength * static_cast<std::int64_t>(slot + 1);
-    simulator_.scheduleAt(slotEnd, [this, slot] { runStaticSlot(slot); },
-                          sim::EventPriority::Network);
-  }
-  const SimTime staticEnd =
-      cycleStart + config_.slotLength * static_cast<std::int64_t>(config_.staticSchedule.size());
-  const SimTime cycleEnd = cycleStart + cycleLength();
-  if (config_.dynamicMinislots > 0) {
-    // Arbitration happens when the static segment closes; each winning frame
-    // is delivered at the end of its minislot.
-    simulator_.scheduleAt(staticEnd, [this] { runDynamicSegment(); },
-                          sim::EventPriority::Network);
-  }
-  simulator_.scheduleAt(cycleEnd,
-                        [this] {
-                          ++cycles_;
-                          scheduleNextCycle();
-                        },
-                        sim::EventPriority::Observer);
+void TdmaBus::startCycle() {
+  // Only the first slot boundary is scheduled now; each slot schedules the
+  // next, so the queue holds one bus boundary at a time. Frames are
+  // delivered at the END of their slot (transmission complete). The cycle
+  // end is scheduled here, at the cycle start, which fixes its order among
+  // the other Observer events at its instant.
+  scheduleSlot(0);
+  simulator_.scheduleAfter(cycleLength(),
+                           [this] {
+                             ++cycles_;
+                             startCycle();
+                           },
+                           sim::EventPriority::Observer);
+}
+
+void TdmaBus::scheduleSlot(std::uint32_t slot) {
+  simulator_.scheduleAfter(config_.slotLength, [this, slot] { runStaticSlot(slot); },
+                           sim::EventPriority::Network);
 }
 
 void TdmaBus::runStaticSlot(std::uint32_t slot) {
-  const NodeId owner = config_.staticSchedule[slot];
-  if (nodeSilent(owner)) return;
-  const auto it = pendingStatic_.find(owner);
-  if (it == pendingStatic_.end() || !it->second.pending) return;
-  it->second.pending = false;
+  if (slot + 1 < config_.staticSchedule.size()) {
+    scheduleSlot(slot + 1);
+  } else if (config_.dynamicMinislots > 0) {
+    // Arbitration happens when the static segment closes, right after the
+    // last slot's frame; each winning frame is delivered at the end of its
+    // minislot.
+    simulator_.scheduleAfter(Duration{}, [this] { runDynamicSegment(); },
+                             sim::EventPriority::Network);
+  }
+  NodeRow& owner = rows_[slotRows_[slot]];
+  if (owner.silent || !owner.pending) return;
+  owner.pending = false;
   Frame& frame = staticFrame_;
-  frame.sender = owner;
+  frame.sender = owner.node;
   frame.slot = slot;
   frame.priority = 0;
   frame.crc = 0;
-  frame.payload.swap(it->second.payload);
-  deliver(frame, takeCorruption(owner));
+  frame.payload.swap(owner.payload);
+  deliver(frame, std::exchange(owner.corruption, {}));
 }
 
 void TdmaBus::runDynamicSegment() {
@@ -178,7 +192,9 @@ void TdmaBus::runDynamicSegment() {
     if (used == inFlight_.size()) inFlight_.emplace_back();
     InFlight& winner = inFlight_[used];
     std::swap(winner.frame, frame);
-    winner.flipBits = takeCorruption(winner.frame.sender);
+    const std::size_t sender = rowIndex(winner.frame.sender);
+    winner.flipBits.clear();
+    if (hasRow(sender, winner.frame.sender)) std::swap(winner.flipBits, rows_[sender].corruption);
     ++used;
     simulator_.scheduleAfter(config_.minislotLength * static_cast<std::int64_t>(used),
                              [this, index = used - 1] {

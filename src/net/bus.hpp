@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <span>
 #include <vector>
@@ -120,12 +119,11 @@ class TdmaBus {
   [[nodiscard]] bool injectionArmed() const;
 
   /// 64-bit digest of the EVOLUTION-RELEVANT bus state: queued static
-  /// payloads, pending dynamic frames, silenced nodes and armed corruptions.
-  /// Monotone delivery counters are excluded, and so are
-  /// map entries that no longer carry state (a node un-silenced via
-  /// setNodeSilent(node, false) leaves a `false` entry behind that must not
-  /// perturb the digest). Two buses with equal digests queue and deliver the
-  /// same frames from here on.
+  /// payloads, pending dynamic frames, silenced nodes and armed corruptions,
+  /// each in ascending node-id order. Monotone delivery counters are
+  /// excluded, and so are rows that carry no such state (a node un-silenced
+  /// via setNodeSilent(node, false) must not perturb the digest). Two buses
+  /// with equal digests queue and deliver the same frames from here on.
   [[nodiscard]] std::uint64_t stateDigest() const;
 
  private:
@@ -133,11 +131,14 @@ class TdmaBus {
     NodeId node;
     ReceiveFn receive;
   };
-  /// A node's static-slot payload. Entries stay in the map once created, so
-  /// their buffers are reused; `pending` marks a payload not yet sent.
-  struct StaticSlot {
-    bool pending = false;
+  /// One node's sending state. A row stays once created, so its buffers are
+  /// reused from cycle to cycle.
+  struct NodeRow {
+    NodeId node = 0;
+    bool pending = false;  ///< `payload` holds a static frame not yet sent
+    bool silent = false;
     std::vector<std::uint32_t> payload;
+    std::vector<std::uint32_t> corruption;  ///< bits to flip in the next frame; empty = none
   };
   /// A frame that won dynamic arbitration, with the corruption it carries.
   struct InFlight {
@@ -145,21 +146,32 @@ class TdmaBus {
     std::vector<std::uint32_t> flipBits;
   };
 
+  /// Schedules the end of static slot `slot`, one slot length from now.
+  void scheduleSlot(std::uint32_t slot);
   void runStaticSlot(std::uint32_t slot);
   void runDynamicSegment();
   /// Stamps the CRC, applies `flipBits` and hands `frame` to the receivers
   /// (or the drop tap on a CRC mismatch).
   void deliver(Frame& frame, std::span<const std::uint32_t> flipBits);
-  void scheduleNextCycle();
-  /// Consumes the pending corruption for `node` (empty = none pending).
-  std::vector<std::uint32_t> takeCorruption(NodeId node);
+  /// Opens a communication cycle at the current time: schedules its first
+  /// slot boundary and its end.
+  void startCycle();
+  /// Where `node`'s row is, or would be inserted, in `rows_`.
+  [[nodiscard]] std::size_t rowIndex(NodeId node) const;
+  [[nodiscard]] bool hasRow(std::size_t index, NodeId node) const;
+  /// The row of `node`, inserted in id order if it is new.
+  NodeRow& row(NodeId node);
 
   sim::Simulator& simulator_;
   TdmaConfig config_;
   std::vector<Attached> attached_;
-  std::map<NodeId, StaticSlot> pendingStatic_;
+  /// One row per node in ascending id order; the schedule's owners have rows
+  /// from construction on.
+  std::vector<NodeRow> rows_;
+  /// Static slot index -> its owner's index in `rows_`.
+  std::vector<std::size_t> slotRows_;
   /// The frame receivers see for a static slot; its payload buffer is
-  /// swapped with the sender's slot buffer, so neither is reallocated.
+  /// swapped with the sender's row buffer, so neither is reallocated.
   Frame staticFrame_;
   /// Dynamic frames awaiting arbitration occupy the first `dynamicPending_`
   /// entries, in send order (frames kept from an earlier segment first); the
@@ -170,8 +182,6 @@ class TdmaBus {
   /// minislot k + 1. The segment ends before the next cycle's arbitration
   /// reuses the entries.
   std::vector<InFlight> inFlight_;
-  std::map<NodeId, bool> silent_;
-  std::map<NodeId, std::vector<std::uint32_t>> corruptNext_;
   DropTap dropTap_;
   std::uint64_t cycles_ = 0;
   std::uint64_t delivered_ = 0;

@@ -221,17 +221,29 @@ void RtKernel::release(std::uint32_t taskIndex) {
   Job* job = task.activeJob.get();
   job->begin(TaskId{taskIndex}, task.nextJobIndex++, now, deadline);
 
+  // A periodic job whose deadline is at or after the next release needs no
+  // deadline event: that release (scheduled above, so at D = T it runs
+  // first) aborts the job if it is still active, so the event could only
+  // ever be cancelled unfired.
   // Capturing only the job keeps the closure in std::function's inline
   // buffer. Every way a job finishes cancels this event, and a finished job
   // is recycled only after the event that finished it.
-  job->deadlineEvent_ =
-      simulator_.scheduleAt(deadline, [job] { job->onDeadline(); }, sim::EventPriority::Kernel);
+  if (task.config.period == Duration{} || task.config.relativeDeadline < task.config.period) {
+    job->deadlineEvent_ =
+        simulator_.scheduleAt(deadline, [job] { job->onDeadline(); }, sim::EventPriority::Kernel);
+  }
 
   task.handler(*job);
 }
 
 void RtKernel::releaseSporadic(TaskId task) {
   if (stopped_) return;
+  const TaskEntry& taskEntry = entry(task);
+  if (taskEntry.config.period > Duration{}) {
+    // A second release chain would double the task's releases.
+    throw std::invalid_argument("RtKernel::releaseSporadic: task '" + taskEntry.config.name +
+                                "' is periodic");
+  }
   release(task.value);
 }
 

@@ -115,7 +115,8 @@ class Job {
     errorHandler_ = std::move(handler);
   }
 
-  /// Registers a callback fired if the deadline monitor aborts the job.
+  /// Registers a callback fired if the deadline monitor, or the task's next
+  /// release, aborts the job.
   void setAbortHandler(std::function<void()> handler) { abortHandler_ = std::move(handler); }
 
  private:
@@ -125,7 +126,10 @@ class Job {
   /// Readies a fresh or recycled object for a new job.
   void begin(TaskId task, std::uint64_t index, SimTime release, SimTime deadline);
   void finish();
-  /// The deadline monitor: fires at the absolute deadline.
+  /// The deadline monitor: fires at the absolute deadline of a sporadic job,
+  /// or of a periodic job whose deadline comes before the next release. A
+  /// periodic job with D >= T gets no deadline event: the next release
+  /// aborts it instead, with the same miss count, omission and abort handler.
   void onDeadline();
 
   RtKernel& kernel_;
@@ -176,7 +180,9 @@ class RtKernel {
   /// Tasks disabled with disableTask() stay disabled.
   void restart();
 
-  /// Releases one job of a sporadic (or periodic) task right now.
+  /// Releases one job of a sporadic task right now. Ignored after stop().
+  /// Throws std::invalid_argument for a periodic task: only its own release
+  /// chain releases its jobs.
   void releaseSporadic(TaskId task);
 
   /// Routes a detected error to the task's active job (TEM reacts to it).

@@ -25,7 +25,9 @@ namespace nlft::util {
 [[nodiscard]] std::uint32_t crc32Words(std::span<const std::uint32_t> words);
 
 /// CRC-16-CCITT over an array of 32-bit words (little-endian bytes), without
-/// building the byte string.
+/// building the byte string: the same value as crc16Ccitt over those bytes,
+/// folding one word per step through four compile-time tables
+/// (slicing-by-4).
 [[nodiscard]] std::uint16_t crc16CcittWords(std::span<const std::uint32_t> words);
 
 }  // namespace nlft::util

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
 
 namespace nlft::bbw {
@@ -317,6 +318,25 @@ TEST(BbwSystem, DeterministicReplay) {
     return sim.run().stoppingDistanceM;
   };
   EXPECT_DOUBLE_EQ(distance(), distance());
+}
+
+// Queue-shape gate: the events a fault-free stop keeps queued, sampled every
+// 100 us. Each bus slot schedules the next one, and a periodic job whose
+// deadline cannot fire before its successor's release schedules no deadline
+// event, so the peak is 23. Pre-scheduling a whole bus cycle (peak 28), or a
+// deadline event per periodic job (peak 34), would exceed the bound.
+TEST(BbwSystem, GoldenStopKeepsTheEventQueueShort) {
+  BbwSystemSim sim{BbwSimConfig{}};
+  std::size_t peak = 0;
+  for (SimTime sample = SimTime::zero();;) {
+    sample = sample + Duration::microseconds(100);
+    sim.runUntil(sample);
+    peak = std::max(peak, sim.simulator().pendingEvents());
+    if (sim.simulator().now() < sample) break;  // the vehicle stopped
+  }
+  ASSERT_TRUE(sim.run().stopped);
+  RecordProperty("peak_pending_events", static_cast<int>(peak));
+  EXPECT_LE(peak, 25u) << "peak queue length over the stop";
 }
 
 }  // namespace

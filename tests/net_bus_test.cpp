@@ -3,10 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "util/crc.hpp"
 #include "util/rng.hpp"
+#include "util/state_hash.hpp"
 
 namespace nlft::net {
 namespace {
@@ -159,6 +164,151 @@ TEST_F(BusFixture, CyclesRepeatIndefinitely) {
   }
   EXPECT_EQ(received.size(), 5u);
   EXPECT_EQ(bus.cyclesCompleted(), 5u);
+}
+
+// --- Exact schedule ---------------------------------------------------------
+//
+// Three cycles of deliveries, each as (receiver, sender, payload, instant).
+// A static frame arrives at the end of its owner's slot; dynamic winners
+// arrive at the end of their minislot, in priority order, after the last
+// static slot of the same cycle.
+
+using Delivery = std::tuple<NodeId, NodeId, std::vector<std::uint32_t>, std::int64_t>;
+
+TEST_F(BusFixture, ThreeCyclesWithSilentOwnerAndDynamicOverflowAreExact) {
+  config.dynamicMinislots = 2;  // cycle = 3 x 1 ms + 2 x 250 us = 3.5 ms
+  TdmaBus bus{simulator, config};
+  attachRecorder(bus, 9);  // a listener outside the schedule hears every frame
+  bus.setNodeSilent(2, true);
+  bus.sendStatic(1, Words{10});
+  bus.sendStatic(2, Words{20});  // silent owner: stays queued
+  bus.sendStatic(3, Words{30});
+  bus.sendDynamic(1, 5, Words{100});
+  bus.sendDynamic(3, 1, Words{101});
+  bus.sendDynamic(4, 3, Words{102});  // sender outside the schedule
+  bus.sendDynamic(2, 0, Words{103});  // silent sender: discarded
+  bus.start();
+  simulator.runUntil(SimTime::fromUs(3'500));  // end of cycle 0
+  bus.sendStatic(1, Words{11});
+  bus.sendStatic(3, Words{31});
+  bus.sendDynamic(4, 0, Words{104});
+  simulator.runUntil(SimTime::fromUs(7'000));  // end of cycle 1
+  bus.setNodeSilent(2, false);
+  simulator.runUntil(SimTime::fromUs(10'500));  // end of cycle 2
+
+  const std::vector<Delivery> expected{
+      {9, 1, {10}, 1'000},  {9, 3, {30}, 3'000},  {9, 3, {101}, 3'250},
+      {9, 4, {102}, 3'500},  // the priority-5 frame overflows into cycle 1
+      {9, 1, {11}, 4'500},  {9, 3, {31}, 6'500},  {9, 4, {104}, 6'750},
+      {9, 1, {100}, 7'000}, {9, 2, {20}, 9'000},  // node 2 speaks again
+  };
+  EXPECT_EQ(received, expected);
+  EXPECT_EQ(bus.cyclesCompleted(), 3u);
+  EXPECT_EQ(bus.framesDelivered(), expected.size());
+}
+
+TEST_F(BusFixture, ThreeCyclesWithoutDynamicSegmentAreExact) {
+  config.dynamicMinislots = 0;  // cycle = 3 ms; dynamic frames never leave
+  TdmaBus bus{simulator, config};
+  attachRecorder(bus, 9);
+  bus.sendStatic(3, Words{30});
+  bus.sendDynamic(1, 0, Words{100});
+  bus.start();
+  simulator.runUntil(SimTime::fromUs(3'000));  // slot 2 ends with cycle 0
+  bus.sendStatic(1, Words{11});
+  bus.sendStatic(2, Words{21});
+  simulator.runUntil(SimTime::fromUs(6'000));
+  bus.sendStatic(3, Words{32});
+  simulator.runUntil(SimTime::fromUs(9'000));
+
+  const std::vector<Delivery> expected{
+      {9, 3, {30}, 3'000}, {9, 1, {11}, 4'000}, {9, 2, {21}, 5'000}, {9, 3, {32}, 9'000}};
+  EXPECT_EQ(received, expected);
+  EXPECT_EQ(bus.cyclesCompleted(), 3u);
+}
+
+TEST_F(BusFixture, IdleBusKeepsAtMostTwoEventsPending) {
+  // Each slot schedules the next boundary, so an idle bus holds only that
+  // boundary and the cycle end.
+  TdmaBus bus{simulator, config};
+  bus.start();
+  EXPECT_EQ(simulator.pendingEvents(), 2u);
+  while (bus.cyclesCompleted() < 3) {
+    ASSERT_TRUE(simulator.step());
+    EXPECT_LE(simulator.pendingEvents(), 2u) << "at " << simulator.now().us() << " us";
+  }
+  EXPECT_EQ(simulator.now().us(), 12'000);
+}
+
+// --- State digest -------------------------------------------------------------
+
+// The same bus operations, applied node by node in `order`: node 2, 7 and 40
+// own the slots; 5 and 90 are outside the schedule.
+void touchNodes(TdmaBus& bus, std::span<const NodeId> order) {
+  for (const NodeId node : order) {
+    bus.attach(node, [](const Frame&) {});
+    switch (node) {
+      case 2: bus.sendStatic(2, Words{21, 22}); break;
+      case 5:
+        bus.setNodeSilent(5, true);  // set and cleared: leaves no trace
+        bus.setNodeSilent(5, false);
+        bus.sendStatic(5, Words{51});  // no slot: stays queued
+        break;
+      case 7:
+        bus.setNodeSilent(7, true);
+        bus.sendStatic(7, Words{71});
+        break;
+      case 40:
+        bus.corruptNextFrame(40, {3});
+        bus.sendStatic(40, Words{401});
+        break;
+      case 90: bus.sendDynamic(90, 1, Words{901}); break;
+      default: break;
+    }
+  }
+}
+
+TEST_F(BusFixture, StateDigestIsIndependentOfNodeRegistrationOrder) {
+  config.staticSchedule = {40, 2, 7};
+  sim::Simulator otherSimulator;
+  TdmaBus ascending{simulator, config};
+  TdmaBus shuffled{otherSimulator, config};
+  const NodeId ascendingOrder[] = {2, 5, 7, 40, 90};
+  const NodeId shuffledOrder[] = {90, 40, 5, 7, 2};
+  touchNodes(ascending, ascendingOrder);
+  touchNodes(shuffled, shuffledOrder);
+
+  // The digest hashes queued static payloads, then dynamic frames in send
+  // order, then silenced nodes, then armed corruptions, in ascending ids.
+  util::StateHash expected;
+  for (const auto& [node, words] : std::vector<std::pair<NodeId, Words>>{
+           {2, {21, 22}}, {5, {51}}, {7, {71}}, {40, {401}}}) {
+    expected.u64(node);
+    expected.u64(words.size());
+    for (const std::uint32_t word : words) expected.u64(word);
+  }
+  for (const std::uint64_t value : {90, 1, 1, 901}) expected.u64(value);
+  expected.u64(7);
+  expected.u64(40);
+  expected.u64(3);
+  EXPECT_EQ(ascending.stateDigest(), expected.finish());
+  EXPECT_EQ(shuffled.stateDigest(), ascending.stateDigest());
+  EXPECT_TRUE(shuffled.injectionArmed());
+
+  // Two cycles later node 40's frame took the corruption, node 2's and node
+  // 90's frames went out, and node 7 (silent) and node 5 (no slot) still
+  // hold theirs.
+  ascending.start();
+  shuffled.start();
+  simulator.runUntil(SimTime::fromUs(8'000));
+  otherSimulator.runUntil(SimTime::fromUs(8'000));
+  EXPECT_EQ(ascending.crcRejected(), 1u);
+  EXPECT_EQ(shuffled.crcRejected(), 1u);
+  EXPECT_FALSE(shuffled.injectionArmed());
+  EXPECT_EQ(shuffled.stateDigest(), ascending.stateDigest());
+  util::StateHash after;
+  for (const std::uint64_t value : {5, 1, 51, 7, 1, 71, 7}) after.u64(value);
+  EXPECT_EQ(ascending.stateDigest(), after.finish());
 }
 
 // --- CRC-16 corruption property ---------------------------------------------

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/tem.hpp"
 
 namespace nlft::rt {
@@ -9,6 +14,8 @@ namespace {
 
 using util::Duration;
 using util::SimTime;
+
+using Aborts = std::vector<std::pair<std::uint64_t, std::int64_t>>;  // (job index, instant)
 
 struct KernelFixture : ::testing::Test {
   sim::Simulator simulator;
@@ -22,6 +29,20 @@ struct KernelFixture : ::testing::Test {
     cfg.period = period;
     cfg.wcet = wcet;
     return cfg;
+  }
+
+  /// A 10-ms task whose every job asks for 30 ms of CPU, so none finishes;
+  /// each abort-handler call appends its job's index and instant to `aborts`.
+  TaskId addOverrunningTask(Duration relativeDeadline, Aborts& aborts) {
+    TaskConfig cfg = periodicTask("t", 1, Duration::milliseconds(10), Duration::milliseconds(1));
+    cfg.relativeDeadline = relativeDeadline;
+    cfg.budget = Duration::milliseconds(50);
+    return kernel.addTask(cfg, [this, &aborts](Job& job) {
+      job.setAbortHandler([this, &aborts, index = job.index()] {
+        aborts.emplace_back(index, simulator.now().us());
+      });
+      job.runCopy(Duration::milliseconds(30), [](CopyStop) {});
+    });
   }
 };
 
@@ -197,19 +218,65 @@ TEST_F(KernelFixture, DisableTaskStopsFurtherReleases) {
 }
 
 TEST_F(KernelFixture, OverrunningJobIsAbortedAtNextRelease) {
-  // Deadline equals period; job never finishes within it.
-  TaskConfig cfg = periodicTask("t", 1, Duration::milliseconds(10), Duration::milliseconds(1));
-  cfg.budget = Duration::milliseconds(50);
-  int aborts = 0;
-  const TaskId task = kernel.addTask(cfg, [&](Job& job) {
-    job.setAbortHandler([&] { ++aborts; });
-    job.runCopy(Duration::milliseconds(30), [&](CopyStop) {});
-  });
+  // Deadline equals period; job never finishes within it. Each job is
+  // aborted once, at its successor's release.
+  Aborts aborts;
+  const TaskId task = addOverrunningTask(Duration{}, aborts);
   kernel.start();
   simulator.runUntil(SimTime::fromUs(25'000));
-  EXPECT_GE(aborts, 2);
-  EXPECT_GE(kernel.stats(task).deadlineMisses, 2u);
+  EXPECT_EQ(aborts, (Aborts{{0, 10'000}, {1, 20'000}}));
+  EXPECT_EQ(kernel.stats(task).releases, 3u);
+  EXPECT_EQ(kernel.stats(task).deadlineMisses, 2u);
+  EXPECT_EQ(kernel.stats(task).omissions, 2u);
   EXPECT_EQ(kernel.stats(task).completions, 0u);
+}
+
+TEST_F(KernelFixture, DeadlineBeyondPeriodAbortsAtNextRelease) {
+  // D > T: the successor's release comes first and aborts the job, at the
+  // release instant (10 ms), not at the deadline (15 ms).
+  Aborts aborts;
+  const TaskId task = addOverrunningTask(Duration::milliseconds(15), aborts);
+  kernel.start();
+  simulator.runUntil(SimTime::fromUs(25'000));
+  EXPECT_EQ(aborts, (Aborts{{0, 10'000}, {1, 20'000}}));
+  EXPECT_EQ(kernel.stats(task).deadlineMisses, 2u);
+  EXPECT_EQ(kernel.stats(task).omissions, 2u);
+  ASSERT_NE(kernel.activeJob(task), nullptr);
+  EXPECT_EQ(kernel.activeJob(task)->absoluteDeadline().us(), 35'000);
+}
+
+TEST_F(KernelFixture, ImplicitDeadlineJobSchedulesNoDeadlineEvent) {
+  // With D = T the next release aborts a late job, so the job has no
+  // deadline event of its own: while its copy runs, the queue holds only the
+  // next release and the copy's completion.
+  const TaskId task = kernel.addTask(
+      periodicTask("t", 1, Duration::milliseconds(10), Duration::milliseconds(2)),
+      simpleHandler(Duration::milliseconds(2), 7));
+  kernel.start();
+  simulator.runUntil(SimTime::fromUs(1'000));
+  ASSERT_NE(kernel.activeJob(task), nullptr);
+  EXPECT_TRUE(kernel.activeJob(task)->copyActive());
+  EXPECT_EQ(simulator.pendingEvents(), 2u);
+}
+
+TEST_F(KernelFixture, ReleaseSporadicRefusesPeriodicTask) {
+  // A sporadic release of a periodic task would start a second release
+  // chain (releases at 3, 13, ..., 93 ms on top of 0, 10, ..., 100 ms).
+  const TaskId task = kernel.addTask(
+      periodicTask("control", 1, Duration::milliseconds(10), Duration::milliseconds(1)),
+      simpleHandler(Duration::milliseconds(1), 1));
+  kernel.start();
+  simulator.runUntil(SimTime::fromUs(3'000));
+  try {
+    kernel.releaseSporadic(task);
+    ADD_FAILURE() << "releaseSporadic accepted a periodic task";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string{error.what()}.find("'control' is periodic"), std::string::npos)
+        << error.what();
+  }
+  simulator.runUntil(SimTime::fromUs(100'000));
+  EXPECT_EQ(kernel.stats(task).releases, 11u);
+  EXPECT_EQ(kernel.stats(task).completions, 10u);  // the 100-ms job is still running
 }
 
 TEST_F(KernelFixture, KillRunningCopyReclaimsTime) {
