@@ -17,6 +17,8 @@ namespace {
 void runScenario(const char* title, const char* caption, tem::CopyBehavior behavior) {
   sim::Simulator simulator;
   rt::Cpu cpu{simulator};
+  std::vector<rt::ExecutionSegment> trace;
+  cpu.setSegmentTap([&](const rt::ExecutionSegment& segment) { trace.push_back(segment); });
   rt::RtKernel kernel{simulator, cpu};
   tem::TemExecutor temExecutor{kernel};
 
@@ -42,7 +44,7 @@ void runScenario(const char* title, const char* caption, tem::CopyBehavior behav
   simulator.runUntil(SimTime::fromUs(11'999));
 
   std::printf("%s\n%s\n", title, caption);
-  std::printf("%s", renderGantt(cpu.trace(), Duration::microseconds(500),
+  std::printf("%s", renderGantt(trace, Duration::microseconds(500),
                                 Duration::milliseconds(12)).c_str());
   std::printf("          (one column = 0.5 ms, job period = 12 ms)\n\n");
 }

@@ -134,12 +134,16 @@ struct BbwSystemSim::Impl {
     // Wheel nodes: command sequence captured with the input snapshot, so the
     // e2e.latency sample spans pedal-read (CU) -> torque-apply (this job).
     std::uint64_t snapshotSeq = ~0ULL;
+    // The CPU's execution segments, kept only under a trace recorder.
+    std::vector<rt::ExecutionSegment> segments;
   };
 
   BbwSimConfig config;
   sim::Simulator simulator;
   net::TdmaBus bus;
   net::MembershipService membership;
+  /// This simulation's index in the simulator (the plant step acts on it).
+  const std::uint32_t component = simulator.addComponent(this);
   Vehicle vehicle;
   std::vector<Node> nodes;  // index i -> node id i+1
 
@@ -546,6 +550,17 @@ struct BbwSystemSim::Impl {
     }
   }
 
+  /// Keeps every node's CPU execution segments for emitSpans(). Set once,
+  /// with the trace recorder.
+  void tapSegments() {
+    for (Node& n : nodes) {
+      n.cpu->setSegmentTap(
+          [&segments = n.segments](const rt::ExecutionSegment& segment) {
+            segments.push_back(segment);
+          });
+    }
+  }
+
   /// Exports each node's CPU execution segments as Chrome complete spans:
   /// pid = node id, one tid per distinct task label (tid 0 is reserved for
   /// node-scope instants).
@@ -556,7 +571,7 @@ struct BbwSystemSim::Impl {
       recorder->setProcessName(n.id, (isWheel(n.id) ? "wheel-node-" : "central-unit-") +
                                          std::to_string(n.id));
       std::map<std::string, std::uint32_t, std::less<>> tids;
-      for (const rt::ExecutionSegment& segment : n.cpu->trace()) {
+      for (const rt::ExecutionSegment& segment : n.segments) {
         auto it = tids.find(segment.label);
         if (it == tids.end()) {
           const auto tid = static_cast<std::uint32_t>(tids.size() + 1);
@@ -741,21 +756,25 @@ struct BbwSystemSim::Impl {
   }
 
   void schedulePlantStep() {
-    simulator.scheduleAfter(kPlantStep, [this] {
-      vehicle.step(kPlantStep.toSeconds());
-      if (vehicle.stopped()) {
-        if (!vehicleStopped) {
-          vehicleStopped = true;
-          stopTimeS = simulator.now().toSeconds();
-          char line[64];
-          std::snprintf(line, sizeof line, "vehicle-stopped distance=%.3f", vehicle.distanceM());
-          trace(line);
-          record(0, "vehicle-stopped", "vehicle", line + sizeof("vehicle-stopped ") - 1);
-        }
-        return;  // plant settled; no more stepping needed
+    simulator.scheduleAfter(kPlantStep, sim::Event{&sim::callMember<Impl, &Impl::plantStep>,
+                                                   component, 0},
+                            sim::EventPriority::Observer);
+  }
+
+  void plantStep(std::uint64_t) {
+    vehicle.step(kPlantStep.toSeconds());
+    if (vehicle.stopped()) {
+      if (!vehicleStopped) {
+        vehicleStopped = true;
+        stopTimeS = simulator.now().toSeconds();
+        char line[64];
+        std::snprintf(line, sizeof line, "vehicle-stopped distance=%.3f", vehicle.distanceM());
+        trace(line);
+        record(0, "vehicle-stopped", "vehicle", line + sizeof("vehicle-stopped ") - 1);
       }
-      schedulePlantStep();
-    }, sim::EventPriority::Observer);
+      return;  // plant settled; no more stepping needed
+    }
+    schedulePlantStep();
   }
 };
 
@@ -790,12 +809,21 @@ void BbwSystemSim::setMetricsRegistry(obs::Registry* registry) {
 
 void BbwSystemSim::setTraceRecorder(obs::TraceRecorder* recorder) {
   impl_->recorder = recorder;
+  impl_->tapSegments();
   impl_->wireTaps();
 }
 
 const net::MembershipService& BbwSystemSim::membership() const { return impl_->membership; }
 
 net::MembershipService& BbwSystemSim::membership() { return impl_->membership; }
+
+const rt::Cpu& BbwSystemSim::cpu(net::NodeId node) const {
+  if (node < kCuA || node > kWheelNodeBase + 3) {
+    throw std::invalid_argument("BbwSystemSim::cpu: node " + std::to_string(node) +
+                                " is not a node of the stop (1..6)");
+  }
+  return *impl_->nodes[node - 1].cpu;
+}
 
 void BbwSystemSim::pressEmergencyBrake(SimTime at) {
   impl_->replayLog.emplace_back(at);

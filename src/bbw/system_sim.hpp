@@ -239,13 +239,18 @@ class BbwSystemSim {
   /// Attaches a span/trace recorder (not owned). Every system event that
   /// goes to the trace sink is mirrored as a Chrome instant event (pid =
   /// node id), and at the end of run() each node's CPU execution segments
-  /// are exported as complete spans (one tid per task). Call before run().
+  /// are exported as complete spans (one tid per task). Only a simulation
+  /// with a recorder keeps those segments. Call once, before run().
   void setTraceRecorder(obs::TraceRecorder* recorder);
 
   /// The membership service (peer views, liveness) for assertions and
   /// observer taps.
   [[nodiscard]] const net::MembershipService& membership() const;
   [[nodiscard]] net::MembershipService& membership();
+
+  /// The CPU of node 1..6 (busy time, dispatch counts) for assertions.
+  /// Throws std::invalid_argument for any other node.
+  [[nodiscard]] const rt::Cpu& cpu(net::NodeId node) const;
 
   /// Runs until the vehicle stops or the horizon elapses.
   [[nodiscard]] BbwSimResult run();

@@ -15,7 +15,6 @@ struct SingleCopyTask {
       : behavior{std::move(b)}, onError{std::move(e)} {}
 
   void run(rt::Job& job) {
-    job.setErrorHandler([this, &job](const rt::ErrorEvent&) { onError(job.taskId()); });
     resetPlan(plan);
     behavior(CopyContext{job.index(), 1}, plan);
     job.runCopy(plan.executionTime, [this, &job](rt::CopyStop stop) {
@@ -36,7 +35,10 @@ struct SingleCopyTask {
 rt::TaskId addSingleCopyTask(rt::RtKernel& kernel, rt::TaskConfig taskConfig,
                              CopyBehavior behavior, std::function<void(rt::TaskId)> onError) {
   auto task = std::make_shared<SingleCopyTask>(std::move(behavior), std::move(onError));
-  return kernel.addTask(std::move(taskConfig), [task](rt::Job& job) { task->run(job); });
+  return kernel.addTask(std::move(taskConfig), [task](rt::Job& job) { task->run(job); },
+                        [task](rt::Job& job, const rt::ErrorEvent&) {
+                          task->onError(job.taskId());
+                        });
 }
 
 }  // namespace

@@ -7,7 +7,14 @@
 namespace nlft::tem {
 
 bool DuplexArbiter::offer(std::uint64_t sequence) {
-  const auto it = std::lower_bound(settled_.begin(), settled_.end(), sequence);
+  // Sequences arrive nearly in order: a new one usually lies past every
+  // settled one, and the partner's duplicate usually equals the last one.
+  // Neither needs a search.
+  auto it = settled_.end();
+  if (!settled_.empty() && sequence <= settled_.back()) {
+    --it;
+    if (sequence < *it) it = std::lower_bound(settled_.begin(), it, sequence);
+  }
   if (it != settled_.end() && *it == sequence) {
     ++duplicatesDropped_;
     return false;

@@ -26,8 +26,20 @@ rt::TaskId TemExecutor::addCriticalTask(rt::TaskConfig taskConfig, CopyBehavior 
   auto state = std::make_unique<TaskState>();
   TaskState* raw = state.get();
   state->behavior = std::move(behavior);
+  // Errors reported while a copy runs (hardware EDM, ECC, MMU, integrity
+  // checks) terminate the copy at once — scenario (iii)/(iv). Remaining copy
+  // time is reclaimed because the CPU work item is cancelled.
+  auto onError = [raw](rt::Job& job, const rt::ErrorEvent&) {
+    raw->run.sawDetectedError = true;
+    raw->stats.edmDetectedErrors++;
+    if (job.copyActive()) job.killRunningCopy();  // its onStop(Killed) continues the recovery
+  };
+  auto onAbort = [this, raw](rt::Job&) {
+    raw->stats.omissionsAborted++;
+    if (onJobError_) onJobError_(raw->id, true);
+  };
   state->id = kernel_.addTask(std::move(taskConfig),
-                              [this, raw](rt::Job& job) { runJob(*raw, job); });
+                              [this, raw](rt::Job& job) { runJob(*raw, job); }, onError, onAbort);
   tasks_.push_back(std::move(state));
   return tasks_.back()->id;
 }
@@ -47,25 +59,6 @@ void TemExecutor::runJob(TaskState& state, rt::Job& job) {
   run.resultCount = 0;
   run.sawMismatch = false;
   run.sawDetectedError = false;
-
-  // The handlers capture only `this` and the task state, so they fit the
-  // std::function inline buffer and need no allocation per job.
-  job.setAbortHandler([this, s = &state] {
-    s->stats.omissionsAborted++;
-    if (onJobError_) onJobError_(s->id, true);
-  });
-
-  // Errors reported while a copy runs (hardware EDM, ECC, MMU, integrity
-  // checks): terminate the copy at once — scenario (iii)/(iv). Remaining
-  // copy time is reclaimed because the CPU work item is cancelled.
-  job.setErrorHandler([this, s = &state](const rt::ErrorEvent&) {
-    s->run.sawDetectedError = true;
-    s->stats.edmDetectedErrors++;
-    if (s->run.job->copyActive()) {
-      s->run.job->killRunningCopy();  // its onStop(Killed) continues the recovery
-    }
-  });
-
   startCopy(state);
 }
 

@@ -25,7 +25,7 @@ void flipFrameBit(Frame& frame, std::uint32_t bitIndex) {
 }
 
 TdmaBus::TdmaBus(sim::Simulator& simulator, TdmaConfig config)
-    : simulator_{simulator}, config_{std::move(config)} {
+    : simulator_{simulator}, component_{simulator.addComponent(this)}, config_{std::move(config)} {
   if (config_.staticSchedule.empty()) throw std::invalid_argument("TdmaBus: empty schedule");
   if (config_.slotLength <= Duration{}) throw std::invalid_argument("TdmaBus: bad slot length");
   for (const NodeId owner : config_.staticSchedule) row(owner);
@@ -60,6 +60,8 @@ TdmaBus::NodeRow& TdmaBus::row(NodeId node) {
 void TdmaBus::attach(NodeId node, ReceiveFn receive) {
   attached_.push_back({node, std::move(receive)});
 }
+
+void TdmaBus::attach(ReceiveFn receive) { attached_.push_back({std::nullopt, std::move(receive)}); }
 
 void TdmaBus::sendStatic(NodeId node, std::span<const std::uint32_t> payload) {
   NodeRow& sender = row(node);
@@ -133,27 +135,29 @@ void TdmaBus::startCycle() {
   // end is scheduled here, at the cycle start, which fixes its order among
   // the other Observer events at its instant.
   scheduleSlot(0);
-  simulator_.scheduleAfter(cycleLength(),
-                           [this] {
-                             ++cycles_;
-                             startCycle();
-                           },
+  simulator_.scheduleAfter(cycleLength(), event<&TdmaBus::endCycle>(),
                            sim::EventPriority::Observer);
 }
 
+void TdmaBus::endCycle(std::uint64_t) {
+  ++cycles_;
+  startCycle();
+}
+
 void TdmaBus::scheduleSlot(std::uint32_t slot) {
-  simulator_.scheduleAfter(config_.slotLength, [this, slot] { runStaticSlot(slot); },
+  simulator_.scheduleAfter(config_.slotLength, event<&TdmaBus::runStaticSlot>(slot),
                            sim::EventPriority::Network);
 }
 
-void TdmaBus::runStaticSlot(std::uint32_t slot) {
+void TdmaBus::runStaticSlot(std::uint64_t slotWord) {
+  const auto slot = static_cast<std::uint32_t>(slotWord);
   if (slot + 1 < config_.staticSchedule.size()) {
     scheduleSlot(slot + 1);
   } else if (config_.dynamicMinislots > 0) {
     // Arbitration happens when the static segment closes, right after the
     // last slot's frame; each winning frame is delivered at the end of its
     // minislot.
-    simulator_.scheduleAfter(Duration{}, [this] { runDynamicSegment(); },
+    simulator_.scheduleAfter(Duration{}, event<&TdmaBus::runDynamicSegment>(),
                              sim::EventPriority::Network);
   }
   NodeRow& owner = rows_[slotRows_[slot]];
@@ -168,7 +172,7 @@ void TdmaBus::runStaticSlot(std::uint32_t slot) {
   deliver(frame, std::exchange(owner.corruption, {}));
 }
 
-void TdmaBus::runDynamicSegment() {
+void TdmaBus::runDynamicSegment(std::uint64_t) {
   // Minislot arbitration: pending frames transmit in priority order; each
   // consumes one minislot. Frames beyond the segment capacity wait.
   // A stable insertion sort (ties keep send order) moves frames in place,
@@ -197,13 +201,15 @@ void TdmaBus::runDynamicSegment() {
     if (hasRow(sender, winner.frame.sender)) std::swap(winner.flipBits, rows_[sender].corruption);
     ++used;
     simulator_.scheduleAfter(config_.minislotLength * static_cast<std::int64_t>(used),
-                             [this, index = used - 1] {
-                               InFlight& delivery = inFlight_[index];
-                               deliver(delivery.frame, delivery.flipBits);
-                             },
+                             event<&TdmaBus::deliverInFlight>(used - 1),
                              sim::EventPriority::Network);
   }
   dynamicPending_ = kept;
+}
+
+void TdmaBus::deliverInFlight(std::uint64_t index) {
+  InFlight& delivery = inFlight_[index];
+  deliver(delivery.frame, delivery.flipBits);
 }
 
 void TdmaBus::deliver(Frame& frame, std::span<const std::uint32_t> flipBits) {

@@ -62,11 +62,17 @@ class TdmaBus {
   using ReceiveFn = std::function<void(const Frame&)>;
 
   TdmaBus(sim::Simulator& simulator, TdmaConfig config);
+  TdmaBus(const TdmaBus&) = delete;
+  TdmaBus& operator=(const TdmaBus&) = delete;
 
   /// Registers a receiver; every delivered frame (except the node's own) is
   /// passed to `receive`. The frame is owned by the bus and valid only
   /// during the callback; a receiver that keeps words must copy them.
+  /// Receivers are called in the order they were attached.
   void attach(NodeId node, ReceiveFn receive);
+  /// Registers a bus-wide receiver, which is passed every delivered frame,
+  /// whoever sent it (a service that receives for several nodes).
+  void attach(ReceiveFn receive);
 
   /// Copies the payload into the node's static-slot buffer for its NEXT
   /// static slot. One frame per slot; a newer message replaces a pending one
@@ -128,7 +134,7 @@ class TdmaBus {
 
  private:
   struct Attached {
-    NodeId node;
+    std::optional<NodeId> node;  ///< empty for a bus-wide receiver
     ReceiveFn receive;
   };
   /// One node's sending state. A row stays once created, so its buffers are
@@ -148,8 +154,16 @@ class TdmaBus {
 
   /// Schedules the end of static slot `slot`, one slot length from now.
   void scheduleSlot(std::uint32_t slot);
-  void runStaticSlot(std::uint32_t slot);
-  void runDynamicSegment();
+  /// Typed-event handlers; the payload is the slot or in-flight index.
+  void runStaticSlot(std::uint64_t slot);
+  void runDynamicSegment(std::uint64_t);
+  void deliverInFlight(std::uint64_t index);
+  void endCycle(std::uint64_t);
+  /// A typed event of this bus that calls `Handler`.
+  template <void (TdmaBus::*Handler)(std::uint64_t)>
+  [[nodiscard]] sim::Event event(std::uint64_t word = 0) const {
+    return sim::Event{&sim::callMember<TdmaBus, Handler>, component_, word};
+  }
   /// Stamps the CRC, applies `flipBits` and hands `frame` to the receivers
   /// (or the drop tap on a CRC mismatch).
   void deliver(Frame& frame, std::span<const std::uint32_t> flipBits);
@@ -163,6 +177,7 @@ class TdmaBus {
   NodeRow& row(NodeId node);
 
   sim::Simulator& simulator_;
+  std::uint32_t component_;  ///< this bus's index in the simulator
   TdmaConfig config_;
   std::vector<Attached> attached_;
   /// One row per node in ascending id order; the schedule's owners have rows

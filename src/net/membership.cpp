@@ -13,7 +13,7 @@ constexpr std::uint32_t kHeartbeatMagic = 0x48427631;  // "HBv1"
 
 MembershipService::MembershipService(sim::Simulator& simulator, TdmaBus& bus,
                                      MembershipConfig config)
-    : simulator_{simulator}, bus_{bus}, config_{config} {
+    : simulator_{simulator}, component_{simulator.addComponent(this)}, bus_{bus}, config_{config} {
   if (config_.reintegrationCycles == 0)
     throw std::invalid_argument("MembershipService: reintegrationCycles must be >= 1");
 }
@@ -91,25 +91,14 @@ bool MembershipService::isMember(NodeId observer, NodeId peer) const {
 void MembershipService::start() {
   if (started_) throw std::logic_error("MembershipService: already started");
   started_ = true;
-  for (std::size_t index = 0; index < ids_.size(); ++index) {
-    bus_.attach(ids_[index], [this, index](const Frame& frame) { onFrame(index, frame); });
-  }
-  onCycle();  // queue the first heartbeats
+  bus_.attach([this](const Frame& frame) { onFrame(frame); });
+  queueHeartbeats();  // nothing has been heard yet, so there is nothing to evaluate
   bus_.start();
   // Evaluate and re-queue at every cycle boundary, with a self-rescheduling
   // tick. The tick runs at Application priority, i.e. before the bus's own
   // cycle-advance event at the same instant, so cyclesCompleted() still
   // names the cycle that just ended.
-  const Duration cycle = bus_.cycleLength();
-  struct Ticker {
-    MembershipService* service;
-    Duration cycle;
-    void operator()() const {
-      service->onCycle();
-      service->simulator_.scheduleAfter(cycle, *this, sim::EventPriority::Application);
-    }
-  };
-  simulator_.scheduleAfter(cycle, Ticker{this, cycle}, sim::EventPriority::Application);
+  scheduleTick();
 }
 
 std::uint64_t MembershipService::stateDigest() const {
@@ -133,37 +122,50 @@ std::uint64_t MembershipService::stateDigest() const {
   return digest.finish();
 }
 
-void MembershipService::onCycle() {
-  // Evaluate the cycle that just ended (skipped on the very first call,
-  // where no lastHeardCycle can match the sentinel).
+void MembershipService::onCycle(std::uint64_t) {
+  evaluateCycle();
+  queueHeartbeats();
+  scheduleTick();
+}
+
+void MembershipService::scheduleTick() {
+  simulator_.scheduleAfter(bus_.cycleLength(),
+                           sim::Event{&sim::callMember<MembershipService,
+                                                       &MembershipService::onCycle>,
+                                      component_, 0},
+                           sim::EventPriority::Application);
+}
+
+void MembershipService::evaluateCycle() {
   const std::uint64_t endedCycle = bus_.cyclesCompleted();
-  if (simulator_.now() > SimTime::zero()) {
-    for (std::size_t index = 0; index < ids_.size(); ++index) {
-      NodeState& observer = nodes_[index];
-      if (!observer.alive) continue;
-      for (std::size_t peerIndex = 0; peerIndex < ids_.size(); ++peerIndex) {
-        if (peerIndex == index) continue;
-        PeerState& peer = observer.peers[peerIndex];
-        const bool heard = peer.lastHeardCycle == endedCycle;
-        if (heard) {
-          peer.consecutiveMissed = 0;
-          ++peer.consecutiveHeard;
-          if (!peer.member && peer.consecutiveHeard >= config_.reintegrationCycles) {
-            peer.member = true;
-            if (membershipTap_) membershipTap_(ids_[index], ids_[peerIndex], true);
-          }
-        } else {
-          peer.consecutiveHeard = 0;
-          ++peer.consecutiveMissed;
-          if (peer.member && peer.consecutiveMissed >= config_.missTolerance) {
-            peer.member = false;
-            if (membershipTap_) membershipTap_(ids_[index], ids_[peerIndex], false);
-          }
+  for (std::size_t index = 0; index < ids_.size(); ++index) {
+    NodeState& observer = nodes_[index];
+    if (!observer.alive) continue;
+    for (std::size_t peerIndex = 0; peerIndex < ids_.size(); ++peerIndex) {
+      if (peerIndex == index) continue;
+      PeerState& peer = observer.peers[peerIndex];
+      const bool heard = peer.lastHeardCycle == endedCycle;
+      if (heard) {
+        peer.consecutiveMissed = 0;
+        ++peer.consecutiveHeard;
+        if (!peer.member && peer.consecutiveHeard >= config_.reintegrationCycles) {
+          peer.member = true;
+          if (membershipTap_) membershipTap_(ids_[index], ids_[peerIndex], true);
+        }
+      } else {
+        peer.consecutiveHeard = 0;
+        ++peer.consecutiveMissed;
+        if (peer.member && peer.consecutiveMissed >= config_.missTolerance) {
+          peer.member = false;
+          if (membershipTap_) membershipTap_(ids_[index], ids_[peerIndex], false);
         }
       }
     }
   }
-  // Queue heartbeats (with piggybacked application data) for the new cycle.
+}
+
+void MembershipService::queueHeartbeats() {
+  // Piggybacked application data rides along each heartbeat of the new cycle.
   for (std::size_t index = 0; index < ids_.size(); ++index) {
     NodeState& state = nodes_[index];
     if (!state.alive) continue;
@@ -175,16 +177,19 @@ void MembershipService::onCycle() {
   }
 }
 
-void MembershipService::onFrame(std::size_t receiver, const Frame& frame) {
+void MembershipService::onFrame(const Frame& frame) {
   if (frame.payload.empty() || frame.payload[0] != kHeartbeatMagic) return;
-  NodeState& state = nodes_[receiver];
-  if (!state.alive) return;  // a down node hears nothing
-  const auto sender = std::find(ids_.begin(), ids_.end(), frame.sender);
-  if (sender == ids_.end() || frame.sender == ids_[receiver]) return;
-  state.peers[static_cast<std::size_t>(sender - ids_.begin())].lastHeardCycle =
-      bus_.cyclesCompleted();
-  if (appReceive_ && frame.payload.size() > 1) {
-    appReceive_(ids_[receiver], frame.sender, std::span{frame.payload}.subspan(1));
+  const auto found = std::find(ids_.begin(), ids_.end(), frame.sender);
+  if (found == ids_.end()) return;
+  const auto sender = static_cast<std::size_t>(found - ids_.begin());
+  const std::uint64_t cycle = bus_.cyclesCompleted();
+  const std::span<const std::uint32_t> appData = std::span{frame.payload}.subspan(1);
+  for (std::size_t receiver = 0; receiver < ids_.size(); ++receiver) {
+    if (receiver == sender) continue;
+    NodeState& state = nodes_[receiver];
+    if (!state.alive) continue;  // a down node hears nothing
+    state.peers[sender].lastHeardCycle = cycle;
+    if (appReceive_ && !appData.empty()) appReceive_(ids_[receiver], frame.sender, appData);
   }
 }
 

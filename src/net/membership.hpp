@@ -10,11 +10,11 @@
 // these protocol latencies plus the local reboot/diagnosis time.
 //
 // The protocol state is a dense table in ascending node-id order: one row
-// per node, and in each row one peer entry per node. A frame reaches its
-// receiver's row directly (the bus closure holds the row index) and finds
-// the sender's entry by scanning the few registered ids, so no frame does a
-// tree lookup; every walk (evaluation, taps, views, digest) visits ids in
-// ascending order, as an ordered map would.
+// per node, and in each row one peer entry per node. One bus receiver takes
+// every frame for all nodes: it finds the sender's entry once, by scanning
+// the few registered ids, and then walks the receivers' rows, so no frame
+// does a tree lookup; every walk (delivery, evaluation, taps, views, digest)
+// visits ids in ascending order, as an ordered map would.
 #pragma once
 
 #include <cstdint>
@@ -39,6 +39,8 @@ struct MembershipConfig {
 class MembershipService {
  public:
   MembershipService(sim::Simulator& simulator, TdmaBus& bus, MembershipConfig config = {});
+  MembershipService(const MembershipService&) = delete;
+  MembershipService& operator=(const MembershipService&) = delete;
 
   /// Registers a node; `alive` nodes heartbeat from the next cycle on.
   void addNode(NodeId node, bool alive = true);
@@ -72,6 +74,8 @@ class MembershipService {
   void setMembershipTap(MembershipTap tap) { membershipTap_ = std::move(tap); }
 
   /// Must be called once after all nodes are added; also starts the bus.
+  /// The first evaluation comes one bus cycle later, whenever the service
+  /// starts.
   void start();
 
   /// 64-bit digest of the full protocol state: per-node liveness, queued
@@ -97,10 +101,20 @@ class MembershipService {
 
   /// Index of `node` in `ids_`; throws std::out_of_range if not registered.
   [[nodiscard]] std::size_t indexOf(NodeId node) const;
-  void onCycle();
-  void onFrame(std::size_t receiver, const Frame& frame);
+  /// The cycle tick (a typed event): evaluates the cycle that just ended,
+  /// queues the next heartbeats and schedules the next tick.
+  void onCycle(std::uint64_t);
+  /// Schedules the next tick, one bus cycle from now.
+  void scheduleTick();
+  /// Updates every node's view of its peers from the cycle that just ended.
+  void evaluateCycle();
+  /// Queues each alive node's heartbeat (with its application data).
+  void queueHeartbeats();
+  /// Takes one delivered frame for every registered node but its sender.
+  void onFrame(const Frame& frame);
 
   sim::Simulator& simulator_;
+  std::uint32_t component_;  ///< this service's index in the simulator
   TdmaBus& bus_;
   MembershipConfig config_;
   std::vector<NodeId> ids_;       ///< registered nodes, ascending

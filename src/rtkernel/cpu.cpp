@@ -6,22 +6,24 @@
 namespace nlft::rt {
 
 Cpu::Cpu(sim::Simulator& simulator, Duration contextSwitchOverhead)
-    : simulator_{simulator}, contextSwitch_{contextSwitchOverhead} {
+    : simulator_{simulator},
+      component_{simulator.addComponent(this)},
+      contextSwitch_{contextSwitchOverhead} {
   if (contextSwitchOverhead < Duration{})
     throw std::invalid_argument("Cpu: negative context-switch overhead");
 }
 
-std::string_view Cpu::intern(std::string_view label) {
+Cpu::Label Cpu::intern(std::string_view label) {
   for (const std::string& known : labels_) {
-    if (known == label) return known;
+    if (known == label) return Label{known};
   }
-  return labels_.emplace_back(label);
+  return Label{labels_.emplace_back(label)};
 }
 
-WorkId Cpu::post(int priority, Duration work, CompletionFn onComplete, std::string_view label) {
+WorkId Cpu::post(int priority, Duration work, CompletionFn onComplete, Label label) {
   if (work < Duration{}) throw std::invalid_argument("Cpu: negative work");
   const WorkId id{nextId_++};
-  ready_.push_back(Item{id, priority, nextSeq_++, work, std::move(onComplete), intern(label)});
+  ready_.push_back(Item{id, priority, nextSeq_++, work, std::move(onComplete), label.name});
   if (running_ && priority > running_->item.priority) preemptRunning();
   dispatch();
   return id;
@@ -57,8 +59,9 @@ void Cpu::dispatch() {
       best = it;
     }
   }
-  Item item = std::move(*best);
+  Running& running = running_.emplace(Running{std::move(*best), simulator_.now(), {}});
   ready_.erase(best);
+  Item& item = running.item;
 
   // Context-switch overhead is charged on every dispatch of a different
   // item than the one that ran last (including resumption after preemption
@@ -73,13 +76,9 @@ void Cpu::dispatch() {
   // Fold the overhead into the remaining work so that preemption accounting
   // stays exact: a preempted item resumes with precisely what it has left.
   item.remaining = cost;
-
-  Running running;
-  running.item = std::move(item);
-  running.segmentStart = simulator_.now();
   running.completionEvent = simulator_.scheduleAfter(
-      cost, [this] { onCompletion(); }, sim::EventPriority::Kernel);
-  running_ = std::move(running);
+      cost, sim::Event{&sim::callMember<Cpu, &Cpu::onCompletion>, component_, 0},
+      sim::EventPriority::Kernel);
 }
 
 void Cpu::preemptRunning() {
@@ -97,12 +96,12 @@ void Cpu::preemptRunning() {
 void Cpu::closeSegment() {
   const SimTime now = simulator_.now();
   if (now > running_->segmentStart) {
-    trace_.push_back({running_->item.label, running_->segmentStart, now});
     busy_ += now - running_->segmentStart;
+    if (segmentTap_) segmentTap_({running_->item.label, running_->segmentStart, now});
   }
 }
 
-void Cpu::onCompletion() {
+void Cpu::onCompletion(std::uint64_t) {
   closeSegment();
   CompletionFn callback = std::move(running_->item.onComplete);
   running_.reset();

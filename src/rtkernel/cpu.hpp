@@ -3,12 +3,14 @@
 //
 // Work items occupy the (single) CPU for a given duration; a higher-priority
 // item preempts the running one, which resumes later with its remaining
-// time. The execution trace records every contiguous segment, which the
-// tests use to assert exact Gantt charts.
+// time. A segment tap, when set, sees every contiguous execution segment,
+// which the tests use to assert exact Gantt charts and the brake-by-wire
+// simulation exports as trace spans; without one no segment is kept.
 //
 // Labels are interned: the Cpu keeps one copy of every distinct label it
-// was given, and work items and trace segments refer to it, so neither a
-// post nor a trace segment copies a string.
+// was given, and work items and segments refer to it, so neither a post nor
+// a segment copies a string. The kernel interns each task's label once, when
+// the task is added, so its posts do no lookup.
 #pragma once
 
 #include <cstdint>
@@ -45,14 +47,28 @@ class Cpu {
  public:
   using CompletionFn = std::function<void()>;
 
+  /// A label interned by this Cpu (see intern()); it views the Cpu's copy.
+  struct Label {
+    std::string_view name;
+  };
+
   /// `contextSwitchOverhead` is charged whenever a different work item is
   /// dispatched (a simple but measurable model of kernel overhead).
   explicit Cpu(sim::Simulator& simulator, Duration contextSwitchOverhead = Duration{});
+  Cpu(const Cpu&) = delete;
+  Cpu& operator=(const Cpu&) = delete;
+
+  /// Returns the interned copy of `label`, adding it on first use.
+  [[nodiscard]] Label intern(std::string_view label);
 
   /// Enqueues `work` at `priority` (higher runs first; FIFO within equal
   /// priority). `onComplete` fires when the accumulated CPU time reaches
   /// `work`. Returns an id usable with cancel().
-  WorkId post(int priority, Duration work, CompletionFn onComplete, std::string_view label);
+  WorkId post(int priority, Duration work, CompletionFn onComplete, Label label);
+  /// The same, interning `label` first.
+  WorkId post(int priority, Duration work, CompletionFn onComplete, std::string_view label) {
+    return post(priority, work, std::move(onComplete), intern(label));
+  }
 
   /// Cancels a queued or running work item (its completion never fires).
   /// Returns false if the item already completed or is unknown.
@@ -62,7 +78,10 @@ class Cpu {
   /// Label of the running item, or empty when idle. Valid while the Cpu lives.
   [[nodiscard]] std::string_view runningLabel() const;
 
-  [[nodiscard]] const std::vector<ExecutionSegment>& trace() const { return trace_; }
+  /// Receives every execution segment as it closes; one tap per Cpu.
+  using SegmentTap = std::function<void(const ExecutionSegment&)>;
+  void setSegmentTap(SegmentTap tap) { segmentTap_ = std::move(tap); }
+
   /// Total CPU busy time accumulated so far.
   [[nodiscard]] Duration busyTime() const { return busy_; }
   [[nodiscard]] std::uint64_t preemptions() const { return preemptions_; }
@@ -83,20 +102,19 @@ class Cpu {
     sim::EventId completionEvent;
   };
 
-  /// Returns the interned copy of `label`, adding it on first use.
-  std::string_view intern(std::string_view label);
   void dispatch();
   void preemptRunning();
-  void onCompletion();
+  void onCompletion(std::uint64_t);
   void closeSegment();
 
   sim::Simulator& simulator_;
+  std::uint32_t component_;  ///< this Cpu's index in the simulator
   Duration contextSwitch_;
   std::uint64_t nextId_ = 1;
   std::uint64_t nextSeq_ = 0;
   std::vector<Item> ready_;
   std::optional<Running> running_;
-  std::vector<ExecutionSegment> trace_;
+  SegmentTap segmentTap_;
   /// Distinct labels; a deque so the views into it survive growth.
   std::deque<std::string> labels_;
   Duration busy_{};

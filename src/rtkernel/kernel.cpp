@@ -17,7 +17,8 @@ void Job::runCopy(Duration work, std::function<void(CopyStop)> onStop) {
   const Duration budget = cfg.budget > Duration{} ? cfg.budget : cfg.wcet;
   const bool overruns = budget > Duration{} && work > budget;
   const Duration granted = overruns ? budget : work;
-  copyStop_ = std::move(onStop);
+  // The completion always comes from a later event, so the stop callback
+  // can be stored once the post has succeeded.
   copyWork_ = kernel_.cpu_.post(
       cfg.priority, granted,
       [this, overruns] {
@@ -27,7 +28,8 @@ void Job::runCopy(Duration work, std::function<void(CopyStop)> onStop) {
         if (overruns) kernel_.mutableStats(task_).budgetOverruns++;
         if (stop) stop(overruns ? CopyStop::BudgetOverrun : CopyStop::Completed);
       },
-      cfg.name);
+      kernel_.tasks_[task_.value].label);
+  copyStop_ = std::move(onStop);
 }
 
 void Job::killRunningCopy() {
@@ -68,7 +70,6 @@ void Job::begin(TaskId task, std::uint64_t index, SimTime release, SimTime deadl
 
 void Job::onDeadline() {
   RtKernel::TaskEntry& task = kernel_.tasks_[task_.value];
-  if (task.activeJob.get() != this) return;  // already finished
   task.stats.deadlineMisses++;
   if (copyWork_.valid()) {
     kernel_.cpu_.cancel(copyWork_);
@@ -78,10 +79,7 @@ void Job::onDeadline() {
     if (stop) stop(CopyStop::Aborted);
   }
   if (task.activeJob.get() != this) return;  // the stop callback finished it
-  auto abortHandler = std::move(abortHandler_);
-  abortHandler_ = nullptr;
-  omit();
-  if (abortHandler) abortHandler();
+  kernel_.abortActiveJob(task);
 }
 
 void Job::finish() {
@@ -100,15 +98,20 @@ void Job::finish() {
 
 // --- RtKernel ---
 
-RtKernel::RtKernel(sim::Simulator& simulator, Cpu& cpu) : simulator_{simulator}, cpu_{cpu} {}
+RtKernel::RtKernel(sim::Simulator& simulator, Cpu& cpu)
+    : simulator_{simulator}, component_{simulator.addComponent(this)}, cpu_{cpu} {}
 
-TaskId RtKernel::addTask(TaskConfig config, JobHandler handler) {
+TaskId RtKernel::addTask(TaskConfig config, JobHandler handler, ErrorHandler onError,
+                         AbortHandler onAbort) {
   if (config.wcet < Duration{}) throw std::invalid_argument("RtKernel: negative wcet");
   if (config.relativeDeadline == Duration{}) config.relativeDeadline = config.period;
   if (config.budget == Duration{}) config.budget = config.wcet;
   TaskEntry taskEntry;
+  taskEntry.label = cpu_.intern(config.name);
   taskEntry.config = std::move(config);
   taskEntry.handler = std::move(handler);
+  taskEntry.onError = std::move(onError);
+  taskEntry.onAbort = std::move(onAbort);
   tasks_.push_back(std::move(taskEntry));
   return TaskId{static_cast<std::uint32_t>(tasks_.size() - 1)};
 }
@@ -167,34 +170,41 @@ void RtKernel::retire(std::unique_ptr<Job> job) {
   retired_.push_back(std::move(job));
   if (!retireCleanupScheduled_) {
     retireCleanupScheduled_ = true;
-    simulator_.scheduleAfter(Duration{}, [this] {
-      retireCleanupScheduled_ = false;
-      for (std::unique_ptr<Job>& retired : retired_) {
-        // Drop the handlers now: what they capture must not outlive the job.
-        retired->copyStop_ = nullptr;
-        retired->errorHandler_ = nullptr;
-        retired->abortHandler_ = nullptr;
-        freeJobs_.push_back(std::move(retired));
-      }
-      retired_.clear();
-    }, sim::EventPriority::Observer);
+    simulator_.scheduleAfter(
+        Duration{},
+        sim::Event{&sim::callMember<RtKernel, &RtKernel::recycleRetired>, component_, 0},
+        sim::EventPriority::Observer);
   }
+}
+
+void RtKernel::recycleRetired(std::uint64_t) {
+  retireCleanupScheduled_ = false;
+  for (std::unique_ptr<Job>& retired : retired_) freeJobs_.push_back(std::move(retired));
+  retired_.clear();
 }
 
 void RtKernel::scheduleNextRelease(std::uint32_t taskIndex, SimTime at) {
   tasks_[taskIndex].nextRelease = simulator_.scheduleAt(
-      at, [this, taskIndex] { release(taskIndex); }, sim::EventPriority::Kernel);
+      at, sim::Event{&sim::callMember<RtKernel, &RtKernel::release>, component_, taskIndex},
+      sim::EventPriority::Kernel);
 }
 
-void RtKernel::release(std::uint32_t taskIndex) {
+void RtKernel::abortActiveJob(TaskEntry& task) {
+  Job& job = *task.activeJob;
+  job.omit();  // retires the job; it stays alive until the cleanup event
+  if (task.onAbort) task.onAbort(job);
+}
+
+void RtKernel::release(std::uint64_t taskIndex) {
   TaskEntry& task = tasks_[taskIndex];
   task.nextRelease = sim::EventId{};
   if (stopped_ || task.disabled) return;
 
   // Schedule the next periodic release first so a handler exception cannot
   // stall the task chain.
+  const auto index = static_cast<std::uint32_t>(taskIndex);
   if (task.config.period > Duration{}) {
-    scheduleNextRelease(taskIndex, simulator_.now() + task.config.period);
+    scheduleNextRelease(index, simulator_.now() + task.config.period);
   }
 
   task.stats.releases++;
@@ -203,11 +213,7 @@ void RtKernel::release(std::uint32_t taskIndex) {
     // Previous job still active at its successor's release: count it as a
     // deadline miss and abort it (it can no longer deliver a timely result).
     task.stats.deadlineMisses++;
-    Job& previous = *task.activeJob;
-    auto abortHandler = std::move(previous.abortHandler_);
-    previous.abortHandler_ = nullptr;
-    previous.omit();
-    if (abortHandler) abortHandler();
+    abortActiveJob(task);
   }
 
   const SimTime now = simulator_.now();
@@ -219,22 +225,24 @@ void RtKernel::release(std::uint32_t taskIndex) {
     freeJobs_.pop_back();
   }
   Job* job = task.activeJob.get();
-  job->begin(TaskId{taskIndex}, task.nextJobIndex++, now, deadline);
+  job->begin(TaskId{index}, task.nextJobIndex++, now, deadline);
 
   // A periodic job whose deadline is at or after the next release needs no
   // deadline event: that release (scheduled above, so at D = T it runs
   // first) aborts the job if it is still active, so the event could only
   // ever be cancelled unfired.
-  // Capturing only the job keeps the closure in std::function's inline
-  // buffer. Every way a job finishes cancels this event, and a finished job
-  // is recycled only after the event that finished it.
+  // The event names the task: every way a job finishes cancels it, so when
+  // it fires, the task's active job is this one.
   if (task.config.period == Duration{} || task.config.relativeDeadline < task.config.period) {
-    job->deadlineEvent_ =
-        simulator_.scheduleAt(deadline, [job] { job->onDeadline(); }, sim::EventPriority::Kernel);
+    job->deadlineEvent_ = simulator_.scheduleAt(
+        deadline, sim::Event{&sim::callMember<RtKernel, &RtKernel::onDeadline>, component_, index},
+        sim::EventPriority::Kernel);
   }
 
   task.handler(*job);
 }
+
+void RtKernel::onDeadline(std::uint64_t taskIndex) { tasks_[taskIndex].activeJob->onDeadline(); }
 
 void RtKernel::releaseSporadic(TaskId task) {
   if (stopped_) return;
@@ -252,9 +260,7 @@ void RtKernel::reportTaskError(TaskId task, const ErrorEvent& event) {
   taskEntry.stats.errorsDetected++;
   emitEvent(KernelEvent::Kind::TaskError, task,
             taskEntry.activeJob ? taskEntry.activeJob->index() : 0);
-  if (taskEntry.activeJob && taskEntry.activeJob->errorHandler_) {
-    taskEntry.activeJob->errorHandler_(event);
-  }
+  if (taskEntry.activeJob && taskEntry.onError) taskEntry.onError(*taskEntry.activeJob, event);
 }
 
 void RtKernel::reportKernelError(const ErrorEvent&) {

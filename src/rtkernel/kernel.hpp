@@ -110,15 +110,6 @@ class Job {
   /// Finishes the job with an omission failure (no result delivered).
   void omit();
 
-  /// Registers a callback for errors routed to this job while it is active.
-  void setErrorHandler(std::function<void(const ErrorEvent&)> handler) {
-    errorHandler_ = std::move(handler);
-  }
-
-  /// Registers a callback fired if the deadline monitor, or the task's next
-  /// release, aborts the job.
-  void setAbortHandler(std::function<void()> handler) { abortHandler_ = std::move(handler); }
-
  private:
   friend class RtKernel;
   explicit Job(RtKernel& kernel) : kernel_{kernel} {}
@@ -138,9 +129,8 @@ class Job {
   SimTime release_;
   SimTime deadline_;
   WorkId copyWork_{};
+  /// The active copy's stop callback: set exactly while `copyWork_` is valid.
   std::function<void(CopyStop)> copyStop_;
-  std::function<void(const ErrorEvent&)> errorHandler_;
-  std::function<void()> abortHandler_;
   sim::EventId deadlineEvent_{};
   bool finished_ = false;
 };
@@ -148,14 +138,21 @@ class Job {
 class RtKernel {
  public:
   using JobHandler = std::function<void(Job&)>;
+  using ErrorHandler = std::function<void(Job&, const ErrorEvent&)>;
+  using AbortHandler = std::function<void(Job&)>;
   using ResultSink = std::function<void(const JobResult&)>;
 
   RtKernel(sim::Simulator& simulator, Cpu& cpu);
   RtKernel(const RtKernel&) = delete;
   RtKernel& operator=(const RtKernel&) = delete;
 
-  /// Registers a task; `handler` is invoked at every job release.
-  TaskId addTask(TaskConfig config, JobHandler handler);
+  /// Registers a task; `handler` is invoked at every job release. The
+  /// optional `onError` receives every error routed to the task's active
+  /// job, and `onAbort` every job that the deadline monitor, or the task's
+  /// next release, aborts (after the job's omission; the job stays valid
+  /// during the call).
+  TaskId addTask(TaskConfig config, JobHandler handler, ErrorHandler onError = {},
+                 AbortHandler onAbort = {});
 
   /// Receives every delivered job result (e.g. the network layer).
   void setResultSink(ResultSink sink) { resultSink_ = std::move(sink); }
@@ -210,7 +207,10 @@ class RtKernel {
   friend class Job;
   struct TaskEntry {
     TaskConfig config;
+    Cpu::Label label;  ///< config.name, interned by the Cpu
     JobHandler handler;
+    ErrorHandler onError;
+    AbortHandler onAbort;
     TaskStats stats;
     std::uint64_t nextJobIndex = 0;
     std::unique_ptr<Job> activeJob;
@@ -218,8 +218,13 @@ class RtKernel {
     bool disabled = false;
   };
 
-  void release(std::uint32_t taskIndex);
+  /// Typed-event handlers; `taskIndex` is the event's payload.
+  void release(std::uint64_t taskIndex);
+  void onDeadline(std::uint64_t taskIndex);
+  void recycleRetired(std::uint64_t);
   void scheduleNextRelease(std::uint32_t taskIndex, SimTime at);
+  /// Omits the active job of `task` and hands it to the abort handler.
+  void abortActiveJob(TaskEntry& task);
   TaskEntry& entry(TaskId task);
   const TaskEntry& entry(TaskId task) const;
 
@@ -231,6 +236,7 @@ class RtKernel {
   void emitEvent(KernelEvent::Kind kind, TaskId task = {}, std::uint64_t jobIndex = 0);
 
   sim::Simulator& simulator_;
+  std::uint32_t component_;  ///< this kernel's index in the simulator
   Cpu& cpu_;
   std::vector<TaskEntry> tasks_;
   ResultSink resultSink_;

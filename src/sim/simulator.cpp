@@ -4,7 +4,19 @@
 
 namespace nlft::sim {
 
-EventId Simulator::scheduleAt(SimTime at, Callback cb, EventPriority priority) {
+namespace {
+/// The simulator's own index in its component table.
+constexpr std::uint32_t kSelf = 0;
+}  // namespace
+
+Simulator::Simulator() : components_{this} {}
+
+std::uint32_t Simulator::addComponent(void* component) {
+  components_.push_back(component);
+  return static_cast<std::uint32_t>(components_.size() - 1);
+}
+
+EventId Simulator::scheduleAt(SimTime at, Event event, EventPriority priority) {
   if (at < now_) throw std::invalid_argument("Simulator: cannot schedule in the past");
   std::uint32_t slot = 0;
   if (freeSlots_.empty()) {
@@ -15,7 +27,7 @@ EventId Simulator::scheduleAt(SimTime at, Callback cb, EventPriority priority) {
     freeSlots_.pop_back();
   }
   Slot& record = slots_[slot];
-  record.callback = std::move(cb);
+  record.event = event;
   const std::uint32_t generation = ++record.generation;
   ++live_;
   const std::uint64_t order = static_cast<std::uint64_t>(priority) << 56 | nextSeq_++;
@@ -23,9 +35,38 @@ EventId Simulator::scheduleAt(SimTime at, Callback cb, EventPriority priority) {
   return EventId{std::uint64_t{generation} << 32 | slot};
 }
 
+EventId Simulator::scheduleAfter(Duration delay, Event event, EventPriority priority) {
+  if (delay < Duration{}) throw std::invalid_argument("Simulator: negative delay");
+  return scheduleAt(now_ + delay, event, priority);
+}
+
+EventId Simulator::scheduleAt(SimTime at, Callback cb, EventPriority priority) {
+  if (at < now_) throw std::invalid_argument("Simulator: cannot schedule in the past");
+  std::uint32_t index = 0;
+  if (freeClosures_.empty()) {
+    index = static_cast<std::uint32_t>(closures_.size());
+    closures_.push_back(std::move(cb));
+  } else {
+    index = freeClosures_.back();
+    freeClosures_.pop_back();
+    closures_[index] = std::move(cb);
+  }
+  return scheduleAt(at, Event{&Simulator::runClosure, kSelf, index}, priority);
+}
+
 EventId Simulator::scheduleAfter(Duration delay, Callback cb, EventPriority priority) {
   if (delay < Duration{}) throw std::invalid_argument("Simulator: negative delay");
   return scheduleAt(now_ + delay, std::move(cb), priority);
+}
+
+void Simulator::runClosure(void* simulator, std::uint64_t index) {
+  Simulator& self = *static_cast<Simulator*>(simulator);
+  // Move the closure out before running it: it may schedule closures of its
+  // own, which can grow the store.
+  Callback cb = std::move(self.closures_[index]);
+  self.closures_[index] = nullptr;
+  self.freeClosures_.push_back(static_cast<std::uint32_t>(index));
+  cb();
 }
 
 bool Simulator::cancel(EventId id) {
@@ -36,7 +77,11 @@ bool Simulator::cancel(EventId id) {
   if (generation % 2 == 0 || slot >= slots_.size() || slots_[slot].generation != generation) {
     return false;
   }
-  slots_[slot].callback = nullptr;
+  const Event& event = slots_[slot].event;
+  if (event.handler == &Simulator::runClosure) {
+    closures_[event.word] = nullptr;
+    freeClosures_.push_back(static_cast<std::uint32_t>(event.word));
+  }
   releaseSlot(slot);
   return true;
 }
@@ -63,13 +108,13 @@ void Simulator::dropStaleBack() {
 void Simulator::fireBack() {
   const Entry entry = queue_.back();
   queue_.pop_back();
-  // Free the slot before running the callback: the callback may schedule
-  // (growing the slab) or try to cancel its own, already fired, event.
-  Callback cb = std::move(slots_[entry.slot].callback);
+  // Free the slot before running the handler: it may schedule (growing the
+  // slab) or try to cancel its own, already fired, event.
+  const Event event = slots_[entry.slot].event;
   releaseSlot(entry.slot);
   now_ = entry.at;
   ++processed_;
-  cb();
+  event.handler(components_[event.component], event.word);
 }
 
 bool Simulator::step() {

@@ -1,25 +1,36 @@
 // Discrete-event simulation core.
 //
 // A single Simulator instance owns the simulated clock and an event queue.
-// Events are callbacks scheduled at absolute times; ties are broken first by
-// an explicit priority (lower value runs first) and then by insertion order,
+// Events are scheduled at absolute times; ties are broken first by an
+// explicit priority (lower value runs first) and then by insertion order,
 // which makes every run fully deterministic.
 //
 // The real-time kernel, the TDMA bus and the fault injector all share one
 // Simulator, so cross-component ordering (e.g. "fault strikes during the
 // second task copy") is exact.
 //
-// Storage is a slab: each pending callback sits in a reusable slot with a
+// An event is a small, trivially copyable record: a per-kind handler (a
+// plain function), the index of the component it acts on in this
+// simulator's component table, and one payload word. Components register
+// once (addComponent) and schedule their recurring events (CPU completions,
+// releases, bus slots, ticks) as records, so firing one is a copy and an
+// indirect call. A std::function is one more record kind: its closure sits
+// in a closure store and the record's payload names the store entry, so
+// one-off schedules and outside callers use the same queue and code path.
+// Naming components by index rather than by pointer lets a copied queue be
+// rebound to copied components.
+//
+// Storage is a slab: each pending record sits in a reusable slot with a
 // generation counter, and the queue is a vector of plain entries that name
 // their slot and generation, sorted so that the next entry to fire is at the
 // back. Popping is O(1); an insert scans from the back and shifts the
 // entries that fire before it, which stays cheap at the few dozen entries a
 // brake-by-wire stop keeps queued. Keys are unique, so the order is exactly
-// (at, priority, seq). Cancelling frees the slot at once; the entry it
-// leaves behind no longer matches the slot's generation and is skipped when
-// it reaches the back. No event is hashed, and once the slab and queue have
-// grown to the simulation's queue depth no event allocates inside the
-// simulator.
+// (at, priority, seq). Cancelling frees the slot at once (and a closure's
+// captures with it); the entry it leaves behind no longer matches the slot's
+// generation and is skipped when it reaches the back. No event is hashed,
+// and once the slab, queue and closure store have grown to the simulation's
+// queue depth no event allocates inside the simulator.
 #pragma once
 
 #include <cstdint>
@@ -54,15 +65,39 @@ enum class EventPriority : int {
   Observer = 9,
 };
 
+/// A typed event: firing it calls `handler(component, word)` with the
+/// component registered under index `component`.
+struct Event {
+  using Handler = void (*)(void* component, std::uint64_t word);
+  Handler handler = nullptr;
+  std::uint32_t component = 0;  ///< index in the simulator's component table
+  std::uint64_t word = 0;       ///< payload: a slot, task or delivery index
+};
+
+/// The handler of an event kind that calls `Method(word)` on a `C`.
+template <class C, void (C::*Method)(std::uint64_t)>
+void callMember(void* component, std::uint64_t word) {
+  (static_cast<C*>(component)->*Method)(word);
+}
+
 class Simulator {
  public:
   using Callback = std::function<void()>;
 
-  Simulator() = default;
+  Simulator();
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
   [[nodiscard]] SimTime now() const { return now_; }
+
+  /// Adds `component` to the component table and returns its index, which
+  /// typed events name it by. The component must outlive its pending events.
+  [[nodiscard]] std::uint32_t addComponent(void* component);
+
+  /// Schedules a typed event at absolute time `at` (must not be in the past).
+  EventId scheduleAt(SimTime at, Event event, EventPriority priority);
+  /// Schedules a typed event after a non-negative delay from now.
+  EventId scheduleAfter(Duration delay, Event event, EventPriority priority);
 
   /// Schedules `cb` at absolute time `at` (must not be in the past).
   EventId scheduleAt(SimTime at, Callback cb, EventPriority priority = EventPriority::Application);
@@ -70,8 +105,9 @@ class Simulator {
   EventId scheduleAfter(Duration delay, Callback cb,
                         EventPriority priority = EventPriority::Application);
 
-  /// Cancels a pending event. Returns false if it already fired or was
-  /// cancelled (safe to call either way).
+  /// Cancels a pending event; a closure's captures are destroyed at once.
+  /// Returns false if it already fired or was cancelled (safe to call
+  /// either way).
   bool cancel(EventId id);
 
   /// Runs the next event. Returns false when the queue is empty.
@@ -84,12 +120,15 @@ class Simulator {
 
   [[nodiscard]] std::size_t pendingEvents() const { return live_; }
   [[nodiscard]] std::uint64_t processedEvents() const { return processed_; }
+  /// Entries of the closure store, pending or free: it grows only to the
+  /// largest number of closures pending at once.
+  [[nodiscard]] std::size_t closureStoreSize() const { return closures_.size(); }
 
  private:
   /// A slot's generation is odd while it holds a pending event and even
   /// while it is free; it advances on every allocation and every release.
   struct Slot {
-    Callback callback;
+    Event event;
     std::uint32_t generation = 0;
   };
   struct Entry {
@@ -106,6 +145,8 @@ class Simulator {
     }
   };
 
+  /// The closure kind's handler: runs and frees closure store entry `index`.
+  static void runClosure(void* simulator, std::uint64_t index);
   [[nodiscard]] bool stale(const Entry& entry) const {
     return slots_[entry.slot].generation != entry.generation;
   }
@@ -124,6 +165,12 @@ class Simulator {
   std::vector<Entry> queue_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> freeSlots_;
+  /// Component index -> component; entry 0 is the simulator itself, which
+  /// the closure kind acts on.
+  std::vector<void*> components_;
+  /// Closures of pending closure events; free entries are empty.
+  std::vector<Callback> closures_;
+  std::vector<std::uint32_t> freeClosures_;
 };
 
 }  // namespace nlft::sim

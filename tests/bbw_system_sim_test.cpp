@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <tuple>
 
+#include "obs/trace.hpp"
+
 namespace nlft::bbw {
 namespace {
 
@@ -337,6 +339,27 @@ TEST(BbwSystem, GoldenStopKeepsTheEventQueueShort) {
   ASSERT_TRUE(sim.run().stopped);
   RecordProperty("peak_pending_events", static_cast<int>(peak));
   EXPECT_LE(peak, 25u) << "peak queue length over the stop";
+}
+
+// A stop with a trace recorder exports every CPU execution segment as a
+// "cpu" span, so each node's spans add up to exactly its CPU busy time.
+TEST(BbwSystem, CpuSpansSumToEachNodesBusyTime) {
+  obs::TraceRecorder recorder;
+  BbwSystemSim sim{BbwSimConfig{}};
+  sim.setTraceRecorder(&recorder);
+  ASSERT_TRUE(sim.run().stopped);
+  for (net::NodeId node = kCuA; node <= kWheelNodeBase + 3; ++node) {
+    SCOPED_TRACE(node);
+    std::int64_t spannedUs = 0;
+    for (const obs::TraceEvent& event : recorder.events()) {
+      if (event.phase == 'X' && event.category == "cpu" && event.pid == node) {
+        spannedUs += event.durUs;
+      }
+    }
+    EXPECT_GT(spannedUs, 0);
+    EXPECT_EQ(spannedUs, sim.cpu(node).busyTime().us());
+  }
+  EXPECT_THROW((void)sim.cpu(7), std::invalid_argument);
 }
 
 }  // namespace

@@ -229,6 +229,34 @@ TEST(MembershipSparseIds, UnorderedRegistrationMatchesAscending) {
   EXPECT_EQ(ascending.views[ascending.views.size() - 4], (std::set<NodeId>{3, 7, 19}));
 }
 
+// Regression: the first tick skipped its evaluation only when it ran at
+// t = 0, so a service started at 1 ms evaluated a cycle that had not
+// happened: every node expelled every initially-alive peer at once (six taps
+// here) and re-admitted them cycles later.
+TEST(MembershipLateStart, ServiceStartedAfterTimeZeroExpelsNobody) {
+  sim::Simulator simulator;
+  TdmaConfig config;
+  config.slotLength = Duration::milliseconds(1);
+  config.staticSchedule = {1, 2, 3};
+  TdmaBus bus{simulator, config};
+  MembershipService membership{simulator, bus};
+  std::vector<std::tuple<NodeId, NodeId, bool>> taps;
+  membership.setMembershipTap([&taps](NodeId observer, NodeId peer, bool member) {
+    taps.emplace_back(observer, peer, member);
+  });
+  for (const NodeId node : {1u, 2u, 3u}) membership.addNode(node);
+  simulator.runUntil(SimTime::fromUs(1000));
+  membership.start();
+  for (std::int64_t cycle = 0; cycle <= 4; ++cycle) {
+    simulator.runUntil(SimTime::fromUs(1000 + cycle * 3000 + 100));
+    for (const NodeId observer : {1u, 2u, 3u}) {
+      EXPECT_EQ(membership.membershipView(observer), (std::set<NodeId>{1, 2, 3}))
+          << "observer " << observer << " after " << cycle << " cycles";
+    }
+  }
+  EXPECT_TRUE(taps.empty()) << taps.size() << " membership transitions";
+}
+
 TEST_F(MembershipFixture, InvalidUsage) {
   TdmaBus bus{simulator, config};
   MembershipConfig bad;

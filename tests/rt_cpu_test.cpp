@@ -11,15 +11,17 @@ using util::SimTime;
 TEST(Cpu, RunsSingleItemToCompletion) {
   sim::Simulator simulator;
   Cpu cpu{simulator};
+  std::vector<ExecutionSegment> trace;
+  cpu.setSegmentTap([&](const ExecutionSegment& segment) { trace.push_back(segment); });
   bool done = false;
   cpu.post(1, Duration::milliseconds(5), [&] { done = true; }, "a");
   simulator.runAll();
   EXPECT_TRUE(done);
   EXPECT_EQ(simulator.now(), SimTime::fromUs(5000));
-  ASSERT_EQ(cpu.trace().size(), 1u);
-  EXPECT_EQ(cpu.trace()[0].label, "a");
-  EXPECT_EQ(cpu.trace()[0].start, SimTime::zero());
-  EXPECT_EQ(cpu.trace()[0].end, SimTime::fromUs(5000));
+  ASSERT_EQ(trace.size(), 1u);
+  EXPECT_EQ(trace[0].label, "a");
+  EXPECT_EQ(trace[0].start, SimTime::zero());
+  EXPECT_EQ(trace[0].end, SimTime::fromUs(5000));
 }
 
 TEST(Cpu, EqualPriorityIsFifo) {
@@ -36,6 +38,8 @@ TEST(Cpu, EqualPriorityIsFifo) {
 TEST(Cpu, HigherPriorityPreempts) {
   sim::Simulator simulator;
   Cpu cpu{simulator};
+  std::vector<ExecutionSegment> trace;
+  cpu.setSegmentTap([&](const ExecutionSegment& segment) { trace.push_back(segment); });
   std::vector<std::pair<std::string, std::int64_t>> completions;
   auto record = [&](const std::string& label) {
     completions.emplace_back(label, simulator.now().us());
@@ -54,13 +58,13 @@ TEST(Cpu, HigherPriorityPreempts) {
   EXPECT_EQ(cpu.preemptions(), 1u);
 
   // Trace: low [0,3), high [3,5), low [5,12).
-  ASSERT_EQ(cpu.trace().size(), 3u);
-  EXPECT_EQ(cpu.trace()[0].label, "low");
-  EXPECT_EQ(cpu.trace()[0].end.us(), 3000);
-  EXPECT_EQ(cpu.trace()[1].label, "high");
-  EXPECT_EQ(cpu.trace()[2].label, "low");
-  EXPECT_EQ(cpu.trace()[2].start.us(), 5000);
-  EXPECT_EQ(cpu.trace()[2].end.us(), 12000);
+  ASSERT_EQ(trace.size(), 3u);
+  EXPECT_EQ(trace[0].label, "low");
+  EXPECT_EQ(trace[0].end.us(), 3000);
+  EXPECT_EQ(trace[1].label, "high");
+  EXPECT_EQ(trace[2].label, "low");
+  EXPECT_EQ(trace[2].start.us(), 5000);
+  EXPECT_EQ(trace[2].end.us(), 12000);
 }
 
 TEST(Cpu, EqualPriorityDoesNotPreempt) {

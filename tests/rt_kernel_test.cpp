@@ -37,12 +37,9 @@ struct KernelFixture : ::testing::Test {
     TaskConfig cfg = periodicTask("t", 1, Duration::milliseconds(10), Duration::milliseconds(1));
     cfg.relativeDeadline = relativeDeadline;
     cfg.budget = Duration::milliseconds(50);
-    return kernel.addTask(cfg, [this, &aborts](Job& job) {
-      job.setAbortHandler([this, &aborts, index = job.index()] {
-        aborts.emplace_back(index, simulator.now().us());
-      });
-      job.runCopy(Duration::milliseconds(30), [](CopyStop) {});
-    });
+    return kernel.addTask(
+        cfg, [](Job& job) { job.runCopy(Duration::milliseconds(30), [](CopyStop) {}); }, {},
+        [this, &aborts](Job& job) { aborts.emplace_back(job.index(), simulator.now().us()); });
   }
 };
 
@@ -99,11 +96,13 @@ TEST_F(KernelFixture, DeadlineMonitorAbortsLateJob) {
   cfg.budget = Duration::milliseconds(20);  // budget does not interfere here
   bool aborted = false;
   CopyStop observed = CopyStop::Completed;
-  const TaskId task = kernel.addTask(cfg, [&](Job& job) {
-    job.setAbortHandler([&] { aborted = true; });
-    // Ask for more work than fits before the deadline.
-    job.runCopy(Duration::milliseconds(8), [&](CopyStop stop) { observed = stop; });
-  });
+  const TaskId task = kernel.addTask(
+      cfg,
+      [&](Job& job) {
+        // Ask for more work than fits before the deadline.
+        job.runCopy(Duration::milliseconds(8), [&](CopyStop stop) { observed = stop; });
+      },
+      {}, [&](Job&) { aborted = true; });
   kernel.start();
   simulator.runUntil(SimTime::fromUs(9'000));
   EXPECT_TRUE(aborted);
@@ -175,10 +174,12 @@ TEST_F(KernelFixture, PriorityOrderAcrossTasks) {
 TEST_F(KernelFixture, ErrorRoutedToActiveJob) {
   TaskConfig cfg = periodicTask("t", 1, Duration::milliseconds(10), Duration::milliseconds(4));
   std::optional<ErrorEvent::Source> seen;
-  const TaskId task = kernel.addTask(cfg, [&](Job& job) {
-    job.setErrorHandler([&](const ErrorEvent& event) { seen = event.source; });
-    job.runCopy(Duration::milliseconds(4), [&](CopyStop) { job.complete({}); });
-  });
+  const TaskId task = kernel.addTask(
+      cfg,
+      [&](Job& job) {
+        job.runCopy(Duration::milliseconds(4), [&](CopyStop) { job.complete({}); });
+      },
+      [&](Job&, const ErrorEvent& event) { seen = event.source; });
   kernel.start();
   simulator.scheduleAfter(Duration::milliseconds(1), [&] {
     kernel.reportTaskError(task, {ErrorEvent::Source::HardwareException, 3});

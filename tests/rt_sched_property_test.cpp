@@ -109,6 +109,8 @@ TEST_P(SchedulerProperty, TraceIsPhysicallyConsistent) {
   const GeneratedSet set = randomTaskSet(rng, 0.7);
   sim::Simulator simulator;
   Cpu cpu{simulator};
+  std::vector<ExecutionSegment> trace;
+  cpu.setSegmentTap([&](const ExecutionSegment& segment) { trace.push_back(segment); });
   RtKernel kernel{simulator, cpu};
   for (const TaskConfig& config : set.configs) {
     const Duration wcet = config.wcet;
@@ -122,7 +124,7 @@ TEST_P(SchedulerProperty, TraceIsPhysicallyConsistent) {
   // Segments are ordered, non-overlapping, and sum to the busy time.
   Duration summed{};
   SimTime previousEnd;
-  for (const ExecutionSegment& segment : cpu.trace()) {
+  for (const ExecutionSegment& segment : trace) {
     EXPECT_GE(segment.start, previousEnd);
     EXPECT_GT(segment.end, segment.start);
     summed += segment.end - segment.start;

@@ -61,12 +61,14 @@ TEST(Gantt, LabelsKeepFirstExecutionOrder) {
 TEST(Gantt, RendersRealSchedulerTrace) {
   sim::Simulator simulator;
   Cpu cpu{simulator};
+  std::vector<ExecutionSegment> trace;
+  cpu.setSegmentTap([&](const ExecutionSegment& segment) { trace.push_back(segment); });
   cpu.post(1, Duration::milliseconds(10), [] {}, "low");
   simulator.scheduleAfter(Duration::milliseconds(3), [&] {
     cpu.post(5, Duration::milliseconds(2), [] {}, "high");
   });
   simulator.runAll();
-  const std::string chart = renderGantt(cpu.trace(), Duration::milliseconds(1));
+  const std::string chart = renderGantt(trace, Duration::milliseconds(1));
   EXPECT_EQ(chart,
             "low  |###..#######\n"
             "high |...##.......\n");

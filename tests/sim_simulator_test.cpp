@@ -9,6 +9,7 @@
 #include <functional>
 #include <iterator>
 #include <map>
+#include <memory>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -201,24 +202,99 @@ TEST(Simulator, EventCancellingItselfGetsFalse) {
   EXPECT_EQ(simulator.processedEvents(), 2u);
 }
 
+TEST(Simulator, TypedEventsCallTheirComponentWithTheirWord) {
+  struct Recorder {
+    std::vector<std::pair<int, std::uint64_t>> calls;
+    int id = 0;
+    void onEvent(std::uint64_t word) { calls.emplace_back(id, word); }
+  };
+  Simulator simulator;
+  Recorder first{{}, 1};
+  Recorder second{{}, 2};
+  const std::uint32_t a = simulator.addComponent(&first);
+  const std::uint32_t b = simulator.addComponent(&second);
+  EXPECT_NE(a, b);
+  constexpr Event::Handler handler = &callMember<Recorder, &Recorder::onEvent>;
+  simulator.scheduleAt(SimTime::fromUs(20), Event{handler, b, 7}, EventPriority::Kernel);
+  simulator.scheduleAt(SimTime::fromUs(10), Event{handler, a, 3}, EventPriority::Kernel);
+  // A closure and a typed event at one instant keep (priority, insertion)
+  // order, whichever kind they are.
+  simulator.scheduleAt(SimTime::fromUs(20), [&] { first.calls.emplace_back(0, 0); },
+                       EventPriority::Hardware);
+  const EventId cancelled =
+      simulator.scheduleAt(SimTime::fromUs(20), Event{handler, a, 99}, EventPriority::Kernel);
+  simulator.scheduleAt(SimTime::fromUs(20), Event{handler, a, 5}, EventPriority::Kernel);
+  EXPECT_TRUE(simulator.cancel(cancelled));
+  simulator.runAll();
+  EXPECT_EQ(first.calls, (std::vector<std::pair<int, std::uint64_t>>{{1, 3}, {0, 0}, {1, 5}}));
+  EXPECT_EQ(second.calls, (std::vector<std::pair<int, std::uint64_t>>{{2, 7}}));
+  EXPECT_EQ(simulator.processedEvents(), 4u);
+}
+
+TEST(Simulator, CancellingAClosureDestroysItsCapturesAtOnce) {
+  Simulator simulator;
+  const auto captured = std::make_shared<int>(0);
+  const EventId id =
+      simulator.scheduleAfter(Duration::milliseconds(1), [captured] { ++*captured; });
+  const EventId kept =
+      simulator.scheduleAfter(Duration::milliseconds(2), [captured] { ++*captured; });
+  EXPECT_EQ(captured.use_count(), 3);
+  EXPECT_TRUE(simulator.cancel(id));
+  EXPECT_EQ(captured.use_count(), 2);  // the cancelled closure is gone, not just skipped
+  simulator.runAll();
+  EXPECT_EQ(*captured, 1);
+  EXPECT_EQ(captured.use_count(), 1);  // and a fired one is gone after it ran
+  EXPECT_FALSE(simulator.cancel(kept));
+}
+
+TEST(Simulator, ClosureStoreStaysBoundedUnderScheduleCancelChurn) {
+  // Every round tops the queue up to eight closures, cancels one of the
+  // eight newest handles (a live one, or one that already fired or was
+  // cancelled) and, every third round, fires one. Freed store entries are
+  // reused, so the store never outgrows the eight pending closures.
+  Simulator simulator;
+  util::Rng rng{20261018};
+  std::vector<EventId> handles;
+  std::size_t cancelled = 0;
+  for (int round = 0; round < 20000; ++round) {
+    while (simulator.pendingEvents() < 8) {
+      const auto delay = Duration::microseconds(static_cast<std::int64_t>(rng.uniformInt(50)));
+      handles.push_back(simulator.scheduleAfter(delay, [] {}));
+    }
+    const std::size_t back = rng.uniformInt(8);
+    cancelled += simulator.cancel(handles[handles.size() - 1 - back]) ? 1 : 0;
+    if (round % 3 == 0) simulator.step();
+  }
+  EXPECT_GT(cancelled, 10000u);
+  EXPECT_GT(simulator.processedEvents(), 5000u);
+  EXPECT_LE(simulator.closureStoreSize(), 8u);
+}
+
 // Differential tests against a reference model: an ordered map keyed by
 // (at, priority, seq), which is the documented event order. Random
-// schedule / cancel / step / runUntil operations; half of the cancels hit a
-// pending event, the rest any handle ever issued (fired, cancelled, or stale
-// after its slot was reused). After the mix, both sides drain.
+// schedule / cancel / step / runUntil operations over a mix of typed events
+// and closures; half of the cancels hit a pending event, the rest any handle
+// ever issued (fired, cancelled, or stale after its slot was reused). Some
+// events cancel an earlier-issued event (or themselves) when they fire, and
+// the model replays those cancels at the same point. After the mix, both
+// sides drain.
 struct OperationMix {
   int prefill = 0;  ///< schedules before the mix starts
   int operations = 0;
   int schedulePct = 0;
   int cancelPct = 0;
   int stepPct = 0;  ///< the remaining percent are runUntil
+  int closurePct = 50;          ///< scheduled events that are closures
+  int cancelInHandlerPct = 20;  ///< fired events that cancel an issued event
   std::function<std::int64_t(util::Rng&)> delayUs;       ///< at = now + delay
   std::function<std::int64_t(util::Rng&)> runUntilSpanUs;  ///< limit = now + span
 };
 
 struct ModelRunCounts {
   std::size_t fired = 0;
+  std::size_t closuresFired = 0;
   std::size_t cancelledLive = 0;
+  std::size_t cancelledLiveInHandler = 0;
   std::size_t pendingSum = 0;  ///< summed over the mix's operations
   std::size_t maxPending = 0;
 };
@@ -230,35 +306,83 @@ void runAgainstOrderedMapModel(std::uint64_t seed, const OperationMix& mix,
       EventPriority::FaultInjection, EventPriority::Hardware, EventPriority::Kernel,
       EventPriority::Network,        EventPriority::Application, EventPriority::Observer};
 
-  Simulator simulator;
-  util::Rng rng{seed};
-  std::vector<int> fired;  // tags in the order the simulator ran them
+  // The simulator side. The tag of an event is its index in `ids`; a typed
+  // event carries it as its word, a closure captures it.
+  struct Side {
+    Simulator simulator;
+    std::vector<EventId> ids;
+    std::vector<std::ptrdiff_t> cancelTarget;  ///< per tag: -1 or the tag it cancels
+    std::vector<bool> closure;                 ///< per tag: scheduled as a closure
+    std::vector<int> fired;                    ///< tags in the order they ran
+    std::vector<bool> handlerCancels;          ///< results of in-handler cancels
 
-  std::map<Key, std::size_t> model;  // pending events -> index into `issued`
-  std::vector<std::pair<EventId, Key>> issued;  // the tag of an event is its index
+    void fire(std::uint64_t tag) {
+      fired.push_back(static_cast<int>(tag));
+      if (const std::ptrdiff_t target = cancelTarget[tag]; target >= 0) {
+        handlerCancels.push_back(simulator.cancel(ids[static_cast<std::size_t>(target)]));
+      }
+    }
+    void onTyped(std::uint64_t tag) {
+      EXPECT_FALSE(closure[tag]);
+      fire(tag);
+    }
+  };
+  Side side;
+  const std::uint32_t component = side.simulator.addComponent(&side);
+  Simulator& simulator = side.simulator;
+  util::Rng rng{seed};
+
+  std::map<Key, std::size_t> model;  // pending events -> tag
+  std::vector<Key> keys;             // per tag
   std::vector<int> modelFired;
+  std::vector<bool> modelHandlerCancels;
   std::int64_t modelNow = 0;
   std::uint64_t modelSeq = 0;
   std::size_t checked = 0;  // fired tags already compared
 
   const auto modelFireFront = [&] {
-    modelNow = std::get<0>(model.begin()->first);
-    modelFired.push_back(static_cast<int>(model.begin()->second));
+    const auto [key, tag] = *model.begin();
+    modelNow = std::get<0>(key);
+    modelFired.push_back(static_cast<int>(tag));
     model.erase(model.begin());
+    counts.closuresFired += side.closure[tag] ? 1 : 0;
+    if (const std::ptrdiff_t target = side.cancelTarget[tag]; target >= 0) {
+      const bool live = model.erase(keys[static_cast<std::size_t>(target)]) == 1;
+      counts.cancelledLiveInHandler += live ? 1 : 0;
+      modelHandlerCancels.push_back(live);
+    }
   };
   const auto schedule = [&] {
     const std::int64_t at = modelNow + mix.delayUs(rng);
     const EventPriority priority = kPriorities[rng.uniformInt(kPriorities.size())];
-    const int tag = static_cast<int>(issued.size());
-    const EventId id = simulator.scheduleAt(SimTime::fromUs(at),
-                                            [&fired, tag] { fired.push_back(tag); }, priority);
+    const std::size_t tag = side.ids.size();
+    const bool closure = static_cast<int>(rng.uniformInt(100)) < mix.closurePct;
+    std::ptrdiff_t target = -1;
+    if (static_cast<int>(rng.uniformInt(100)) < mix.cancelInHandlerPct) {
+      // One of the 16 most recently issued events, this one included (a
+      // cancel after firing): most of them are still pending.
+      const std::size_t back = rng.uniformInt(std::min<std::size_t>(tag + 1, 16));
+      target = static_cast<std::ptrdiff_t>(tag - back);
+    }
+    side.cancelTarget.push_back(target);
+    side.closure.push_back(closure);
+    const EventId id =
+        closure ? simulator.scheduleAt(SimTime::fromUs(at), [&side, tag] { side.fire(tag); },
+                                       priority)
+                : simulator.scheduleAt(
+                      SimTime::fromUs(at),
+                      Event{&callMember<Side, &Side::onTyped>, component, tag}, priority);
     const Key key{at, static_cast<int>(priority), modelSeq++};
-    model.emplace(key, issued.size());
-    issued.emplace_back(id, key);
+    model.emplace(key, tag);
+    keys.push_back(key);
+    side.ids.push_back(id);
   };
   const auto agree = [&] {
-    ASSERT_EQ(fired.size(), modelFired.size());
-    for (; checked < fired.size(); ++checked) ASSERT_EQ(fired[checked], modelFired[checked]);
+    ASSERT_EQ(side.fired.size(), modelFired.size());
+    for (; checked < side.fired.size(); ++checked) {
+      ASSERT_EQ(side.fired[checked], modelFired[checked]);
+    }
+    ASSERT_EQ(side.handlerCancels, modelHandlerCancels);
     ASSERT_EQ(simulator.now(), SimTime::fromUs(modelNow));
     ASSERT_EQ(simulator.pendingEvents(), model.size());
     ASSERT_EQ(simulator.processedEvents(), modelFired.size());
@@ -271,16 +395,15 @@ void runAgainstOrderedMapModel(std::uint64_t seed, const OperationMix& mix,
     if (kind < mix.schedulePct) {
       schedule();
     } else if (kind < mix.schedulePct + mix.cancelPct) {
-      if (issued.empty()) continue;
+      if (side.ids.empty()) continue;
       const bool pickLive = !model.empty() && rng.uniformInt(2) == 0;
-      const std::size_t index =
+      const std::size_t tag =
           pickLive ? std::next(model.begin(), static_cast<std::ptrdiff_t>(
                                                   rng.uniformInt(model.size())))->second
-                   : rng.uniformInt(issued.size());
-      const auto& [id, key] = issued[index];
-      const bool expected = model.erase(key) == 1;
+                   : rng.uniformInt(side.ids.size());
+      const bool expected = model.erase(keys[tag]) == 1;
       counts.cancelledLive += expected;
-      ASSERT_EQ(simulator.cancel(id), expected);
+      ASSERT_EQ(simulator.cancel(side.ids[tag]), expected);
     } else if (kind < mix.schedulePct + mix.cancelPct + mix.stepPct) {
       const bool expected = !model.empty();
       if (expected) modelFireFront();
@@ -315,9 +438,12 @@ TEST(Simulator, RandomizedOperationsMatchOrderedMapModel) {
   };
   ModelRunCounts counts;
   ASSERT_NO_FATAL_FAILURE(runAgainstOrderedMapModel(20260417, mix, counts));
-  // The mix must have exercised every path.
+  // The mix must have exercised every path, for both kinds of event.
   EXPECT_GT(counts.fired, 1000u);
+  EXPECT_GT(counts.closuresFired, 500u);
+  EXPECT_GT(counts.fired - counts.closuresFired, 500u);
   EXPECT_GT(counts.cancelledLive, 1000u);
+  EXPECT_GT(counts.cancelledLiveInHandler, 50u);
 }
 
 // The same model with thousands of pending events: inserts land at both
@@ -359,6 +485,7 @@ TEST(Simulator, DeepQueueOperationsMatchOrderedMapModel) {
   EXPECT_GT(counts.maxPending, 3000u);
   EXPECT_GT(counts.fired, 10000u);
   EXPECT_GT(counts.cancelledLive, 1000u);
+  EXPECT_GT(counts.cancelledLiveInHandler, 500u);
 }
 
 }  // namespace
