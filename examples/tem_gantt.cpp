@@ -36,9 +36,9 @@ void runScenario(const char* title, const char* caption, tem::CopyBehavior behav
   filler.period = Duration::milliseconds(12);
   filler.wcet = Duration::milliseconds(5);
   filler.budget = Duration::milliseconds(5);
-  kernel.addTask(filler, [](rt::Job& job) {
-    job.runCopy(Duration::milliseconds(5), [&job](rt::CopyStop) { job.complete({}); });
-  });
+  kernel.addTask(
+      filler, [](rt::Job& job) { job.runCopy(Duration::milliseconds(5)); },
+      [](rt::Job& job, rt::CopyStop) { job.complete({}); });
 
   kernel.start();
   simulator.runUntil(SimTime::fromUs(11'999));

@@ -173,7 +173,13 @@ struct BbwSystemSim::Impl {
   std::vector<std::uint32_t> commandPayload;
   std::function<void(const std::string&)> traceSink;
   obs::Registry* metrics = nullptr;
-  // Metric names of observeEndToEnd(), built once instead of per sample.
+  // The run's e2e.latency samples, binned here with the registry's own
+  // HistogramSpec::bucket and folded into the registry once, by
+  // snapshotMetrics(): per-bucket counts, their total and the largest.
+  static constexpr obs::HistogramSpec kE2eLatencySpec{0.0, 50000.0, 50};
+  std::array<std::uint64_t, kE2eLatencySpec.buckets> e2eCounts{};
+  std::uint64_t e2eSamples = 0;
+  double e2eMaxUs = 0.0;
   const std::string e2eLatencyName{"e2e.latency"};
   const std::string e2eLatencyMaxName{"e2e.latency.max_us"};
   obs::TraceRecorder* recorder = nullptr;
@@ -257,18 +263,6 @@ struct BbwSystemSim::Impl {
         } else {
           n.emergencyTask = n.fsExecutor->addTask(emergency, emergencyBehavior);
         }
-      } else {
-        // Wheels listen for emergency frames directly on the bus (the
-        // membership service ignores non-heartbeat traffic).
-        bus.attach(id, [this, id](const net::Frame& frame) {
-          if (frame.payload.empty() || frame.payload[0] != kMsgEmergency) return;
-          if (!membership.alive(id)) return;
-          const std::size_t w = wheelIndex(id);
-          const auto fullTorque = distributeFixedPoint(256);
-          lastCommandQ8[w] = static_cast<std::uint32_t>(fullTorque[w]);
-          vehicle.setBrakeTorque(w, static_cast<double>(fullTorque[w]) / 256.0);
-          if (!emergencyAppliedAt) emergencyAppliedAt = simulator.now();
-        });
       }
 
       // A non-critical diagnostic task rides the dynamic segment.
@@ -287,8 +281,25 @@ struct BbwSystemSim::Impl {
       n.kernel->start();
     }
 
+    // Wheels listen for emergency frames directly on the bus (the
+    // membership service ignores non-heartbeat traffic).
+    bus.attach([this](const net::Frame& frame) { onEmergencyFrame(frame); });
     membership.start();
     schedulePlantStep();
+  }
+
+  /// The wheels' one bus receiver: an emergency frame applies full braking
+  /// on every live wheel but its sender, in ascending id order.
+  void onEmergencyFrame(const net::Frame& frame) {
+    if (frame.payload.empty() || frame.payload[0] != kMsgEmergency) return;
+    const auto fullTorque = distributeFixedPoint(256);
+    for (net::NodeId id = kWheelNodeBase; id < kWheelNodeBase + kWheelCount; ++id) {
+      if (id == frame.sender || !membership.alive(id)) continue;
+      const std::size_t w = wheelIndex(id);
+      lastCommandQ8[w] = static_cast<std::uint32_t>(fullTorque[w]);
+      vehicle.setBrakeTorque(w, static_cast<double>(fullTorque[w]) / 256.0);
+      if (!emergencyAppliedAt) emergencyAppliedAt = simulator.now();
+    }
   }
 
   void controlCopy(net::NodeId id, const tem::CopyContext& context, tem::CopyPlan& plan) {
@@ -411,7 +422,7 @@ struct BbwSystemSim::Impl {
     ++commandFramesDelivered;
   }
 
-  /// Records one pedal-sample -> actuator-apply latency into the metrics
+  /// Records one pedal-sample -> actuator-apply latency for the metrics
   /// registry: first apply of each command sequence per wheel, on the
   /// simulated clock (deterministic, hence golden). No-op without a registry.
   void observeEndToEnd(std::size_t wheel, std::uint64_t sequence) {
@@ -421,8 +432,9 @@ struct BbwSystemSim::Impl {
     lastMeasuredSeq[wheel] = sequence;
     const auto latencyUs =
         static_cast<double>((simulator.now() - commandSampleTime[sequence]).us());
-    metrics->observe(e2eLatencyName, obs::HistogramSpec{0.0, 50000.0, 50}, latencyUs);
-    metrics->gaugeMax(e2eLatencyMaxName, latencyUs);
+    ++e2eCounts[kE2eLatencySpec.bucket(latencyUs)];
+    ++e2eSamples;
+    e2eMaxUs = std::max(e2eMaxUs, latencyUs);  // latencies are never negative
   }
 
   void onNodeSilent(net::NodeId id, bool scheduleRestart) {
@@ -494,10 +506,20 @@ struct BbwSystemSim::Impl {
     });
   }
 
-  /// Folds the run's deterministic counters into the attached registry.
+  /// Folds the run's deterministic counters and e2e.latency samples into
+  /// the attached registry. The samples are cleared once folded, so a later
+  /// fold adds only new ones. Histograms carry no float sum and the gauge is
+  /// a max, so the registry ends bit-identical to one fed per sample.
   void snapshotMetrics() {
     if (!metrics) return;
     obs::Registry& m = *metrics;
+    if (e2eSamples > 0) {
+      m.observeCounts(e2eLatencyName, kE2eLatencySpec, e2eCounts);
+      m.gaugeMax(e2eLatencyMaxName, e2eMaxUs);
+      e2eCounts.fill(0);
+      e2eSamples = 0;
+      e2eMaxUs = 0.0;
+    }
     m.add("bus.cycles", bus.cyclesCompleted());
     m.add("bus.frames_delivered", bus.framesDelivered());
     m.add("bus.frames_dropped", bus.framesDropped());

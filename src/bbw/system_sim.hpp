@@ -232,8 +232,10 @@ class BbwSystemSim {
   /// Attaches a metrics registry (not owned; must outlive the simulation).
   /// During run() the simulation folds its deterministic counters into it:
   /// kernel scheduling (preemptions, releases, budget overruns), TEM copy
-  /// executions and vote outcomes, bus frames/CRC rejects/drops, and the
-  /// system-level failure counters. Call before run().
+  /// executions and vote outcomes, bus frames/CRC rejects/drops, the
+  /// system-level failure counters, and the `e2e.latency` histogram with its
+  /// `e2e.latency.max_us` gauge (its samples are kept in the simulation and
+  /// folded in when run() returns). Call before run().
   void setMetricsRegistry(obs::Registry* registry);
 
   /// Attaches a span/trace recorder (not owned). Every system event that

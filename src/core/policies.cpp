@@ -17,14 +17,17 @@ struct SingleCopyTask {
   void run(rt::Job& job) {
     resetPlan(plan);
     behavior(CopyContext{job.index(), 1}, plan);
-    job.runCopy(plan.executionTime, [this, &job](rt::CopyStop stop) {
-      if (stop == rt::CopyStop::Aborted) return;
-      if (stop != rt::CopyStop::Completed || plan.end == CopyPlan::End::DetectedError) {
-        onError(job.taskId());
-        return;
-      }
-      job.complete(plan.result);
-    });
+    job.runCopy(plan.executionTime);
+  }
+
+  /// The task's copy-stop handler, registered once with the kernel.
+  void onStop(rt::Job& job, rt::CopyStop stop) {
+    if (stop == rt::CopyStop::Aborted) return;
+    if (stop != rt::CopyStop::Completed || plan.end == CopyPlan::End::DetectedError) {
+      onError(job.taskId());
+      return;
+    }
+    job.complete(plan.result);
   }
 
   CopyBehavior behavior;
@@ -35,10 +38,10 @@ struct SingleCopyTask {
 rt::TaskId addSingleCopyTask(rt::RtKernel& kernel, rt::TaskConfig taskConfig,
                              CopyBehavior behavior, std::function<void(rt::TaskId)> onError) {
   auto task = std::make_shared<SingleCopyTask>(std::move(behavior), std::move(onError));
-  return kernel.addTask(std::move(taskConfig), [task](rt::Job& job) { task->run(job); },
-                        [task](rt::Job& job, const rt::ErrorEvent&) {
-                          task->onError(job.taskId());
-                        });
+  return kernel.addTask(
+      std::move(taskConfig), [task](rt::Job& job) { task->run(job); },
+      [task](rt::Job& job, rt::CopyStop stop) { task->onStop(job, stop); },
+      [task](rt::Job& job, const rt::ErrorEvent&) { task->onError(job.taskId()); });
 }
 
 }  // namespace

@@ -32,14 +32,16 @@ rt::TaskId TemExecutor::addCriticalTask(rt::TaskConfig taskConfig, CopyBehavior 
   auto onError = [raw](rt::Job& job, const rt::ErrorEvent&) {
     raw->run.sawDetectedError = true;
     raw->stats.edmDetectedErrors++;
-    if (job.copyActive()) job.killRunningCopy();  // its onStop(Killed) continues the recovery
+    if (job.copyActive()) job.killRunningCopy();  // the Killed stop continues the recovery
   };
   auto onAbort = [this, raw](rt::Job&) {
     raw->stats.omissionsAborted++;
     if (onJobError_) onJobError_(raw->id, true);
   };
-  state->id = kernel_.addTask(std::move(taskConfig),
-                              [this, raw](rt::Job& job) { runJob(*raw, job); }, onError, onAbort);
+  state->id = kernel_.addTask(
+      std::move(taskConfig), [this, raw](rt::Job& job) { runJob(*raw, job); },
+      [this, raw](rt::Job& job, rt::CopyStop stop) { onCopyStop(*raw, job, stop); }, onError,
+      onAbort);
   tasks_.push_back(std::move(state));
   return tasks_.back()->id;
 }
@@ -54,17 +56,16 @@ const TemStats& TemExecutor::stats(rt::TaskId task) const {
 void TemExecutor::runJob(TaskState& state, rt::Job& job) {
   state.stats.jobs++;
   JobRun& run = state.run;
-  run.job = &job;
   run.copiesStarted = 0;
   run.resultCount = 0;
   run.sawMismatch = false;
   run.sawDetectedError = false;
-  startCopy(state);
+  startCopy(state, job);
 }
 
-void TemExecutor::startCopy(TaskState& state) {
+void TemExecutor::startCopy(TaskState& state, rt::Job& job) {
   JobRun& run = state.run;
-  const CopyContext context{run.job->index(), ++run.copiesStarted};
+  const CopyContext context{job.index(), ++run.copiesStarted};
   if (context.copyIndex == 1) {
     state.stats.firstCopies++;
   } else if (context.copyIndex == 2) {
@@ -80,12 +81,11 @@ void TemExecutor::startCopy(TaskState& state) {
   Duration work = run.plan.executionTime;
   if (context.copyIndex >= 2) work += config_.checkOverhead;
 
-  run.job->runCopy(work, [this, s = &state](rt::CopyStop stop) { onCopyStop(*s, stop); });
+  job.runCopy(work);
 }
 
-void TemExecutor::onCopyStop(TaskState& state, rt::CopyStop stop) {
+void TemExecutor::onCopyStop(TaskState& state, rt::Job& job, rt::CopyStop stop) {
   JobRun& run = state.run;
-  rt::Job& job = *run.job;
   // complete() and omit() finish the job, so they are the last use of `run`:
   // a release they trigger may already reset it for the next job.
   auto deliver = [&](const TaskResult& result) {
@@ -162,7 +162,7 @@ void TemExecutor::onCopyStop(TaskState& state, rt::CopyStop stop) {
 
   // Need another copy (first result pending, mismatch, or detected error).
   if (anotherCopyFeasible()) {
-    startCopy(state);
+    startCopy(state, job);
   } else {
     omitNoTime();
   }

@@ -106,7 +106,6 @@ class TemExecutor {
   /// Mutable state of one job's TEM execution. The kernel runs at most one
   /// job per task, so each task keeps one instance that runJob() resets.
   struct JobRun {
-    rt::Job* job = nullptr;
     int copiesStarted = 0;
     /// The first `resultCount` entries are this job's copy results. A
     /// finished copy's result is swapped in from `plan`, so the buffers are
@@ -127,8 +126,9 @@ class TemExecutor {
   };
 
   void runJob(TaskState& state, rt::Job& job);
-  void startCopy(TaskState& state);
-  void onCopyStop(TaskState& state, rt::CopyStop stop);
+  void startCopy(TaskState& state, rt::Job& job);
+  /// The task's copy-stop handler, registered once with the kernel.
+  void onCopyStop(TaskState& state, rt::Job& job, rt::CopyStop stop);
 
   rt::RtKernel& kernel_;
   TemConfig config_;

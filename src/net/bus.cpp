@@ -28,8 +28,7 @@ TdmaBus::TdmaBus(sim::Simulator& simulator, TdmaConfig config)
     : simulator_{simulator}, component_{simulator.addComponent(this)}, config_{std::move(config)} {
   if (config_.staticSchedule.empty()) throw std::invalid_argument("TdmaBus: empty schedule");
   if (config_.slotLength <= Duration{}) throw std::invalid_argument("TdmaBus: bad slot length");
-  for (const NodeId owner : config_.staticSchedule) row(owner);
-  for (const NodeId owner : config_.staticSchedule) slotRows_.push_back(rowIndex(owner));
+  for (const NodeId owner : config_.staticSchedule) slotRows_.push_back(port(owner).row);
 }
 
 Duration TdmaBus::cycleLength() const {
@@ -37,34 +36,29 @@ Duration TdmaBus::cycleLength() const {
          config_.minislotLength * static_cast<std::int64_t>(config_.dynamicMinislots);
 }
 
-std::size_t TdmaBus::rowIndex(NodeId node) const {
-  const auto it = std::lower_bound(rows_.begin(), rows_.end(), node,
-                                   [](const NodeRow& r, NodeId id) { return r.node < id; });
-  return static_cast<std::size_t>(it - rows_.begin());
+std::size_t TdmaBus::position(NodeId node) const {
+  const auto it = std::lower_bound(byId_.begin(), byId_.end(), node,
+                                   [this](std::uint32_t r, NodeId id) { return rows_[r].node < id; });
+  return static_cast<std::size_t>(it - byId_.begin());
 }
 
-bool TdmaBus::hasRow(std::size_t index, NodeId node) const {
-  return index < rows_.size() && rows_[index].node == node;
+std::uint32_t TdmaBus::find(NodeId node) const {
+  const std::size_t at = position(node);
+  return at < byId_.size() && rows_[byId_[at]].node == node ? byId_[at] : kNoRow;
 }
 
-TdmaBus::NodeRow& TdmaBus::row(NodeId node) {
-  const std::size_t index = rowIndex(node);
-  if (hasRow(index, node)) return rows_[index];
-  rows_.insert(rows_.begin() + static_cast<std::ptrdiff_t>(index), NodeRow{})->node = node;
-  for (std::size_t& slotRow : slotRows_) {
-    if (slotRow >= index) ++slotRow;
-  }
-  return rows_[index];
+TdmaBus::Port TdmaBus::port(NodeId node) {
+  if (const std::uint32_t index = find(node); index != kNoRow) return Port{index};
+  const auto index = static_cast<std::uint32_t>(rows_.size());
+  byId_.insert(byId_.begin() + static_cast<std::ptrdiff_t>(position(node)), index);
+  rows_.emplace_back().node = node;
+  return Port{index};
 }
 
-void TdmaBus::attach(NodeId node, ReceiveFn receive) {
-  attached_.push_back({node, std::move(receive)});
-}
+void TdmaBus::attach(ReceiveFn receive) { receivers_.push_back(std::move(receive)); }
 
-void TdmaBus::attach(ReceiveFn receive) { attached_.push_back({std::nullopt, std::move(receive)}); }
-
-void TdmaBus::sendStatic(NodeId node, std::span<const std::uint32_t> payload) {
-  NodeRow& sender = row(node);
+void TdmaBus::sendStatic(Port port, std::span<const std::uint32_t> payload) {
+  NodeRow& sender = rows_[port.row];
   sender.pending = true;
   sender.payload.assign(payload.begin(), payload.end());
 }
@@ -82,8 +76,8 @@ void TdmaBus::sendDynamic(NodeId node, std::uint32_t priority,
 void TdmaBus::setNodeSilent(NodeId node, bool silent) { row(node).silent = silent; }
 
 bool TdmaBus::nodeSilent(NodeId node) const {
-  const std::size_t index = rowIndex(node);
-  return hasRow(index, node) && rows_[index].silent;
+  const std::uint32_t index = find(node);
+  return index != kNoRow && rows_[index].silent;
 }
 
 void TdmaBus::corruptNextFrame(NodeId node, std::vector<std::uint32_t> flipBits) {
@@ -98,7 +92,8 @@ bool TdmaBus::injectionArmed() const {
 
 std::uint64_t TdmaBus::stateDigest() const {
   util::StateHash digest;
-  for (const NodeRow& r : rows_) {
+  for (const std::uint32_t index : byId_) {
+    const NodeRow& r = rows_[index];
     if (!r.pending) continue;
     digest.u64(r.node);
     digest.u64(r.payload.size());
@@ -111,10 +106,11 @@ std::uint64_t TdmaBus::stateDigest() const {
     digest.u64(frame.payload.size());
     for (const std::uint32_t word : frame.payload) digest.u64(word);
   }
-  for (const NodeRow& r : rows_) {
-    if (r.silent) digest.u64(r.node);
+  for (const std::uint32_t index : byId_) {
+    if (rows_[index].silent) digest.u64(rows_[index].node);
   }
-  for (const NodeRow& r : rows_) {
+  for (const std::uint32_t index : byId_) {
+    const NodeRow& r = rows_[index];
     if (r.corruption.empty()) continue;
     digest.u64(r.node);
     for (const std::uint32_t bit : r.corruption) digest.u64(bit);
@@ -196,9 +192,10 @@ void TdmaBus::runDynamicSegment(std::uint64_t) {
     if (used == inFlight_.size()) inFlight_.emplace_back();
     InFlight& winner = inFlight_[used];
     std::swap(winner.frame, frame);
-    const std::size_t sender = rowIndex(winner.frame.sender);
     winner.flipBits.clear();
-    if (hasRow(sender, winner.frame.sender)) std::swap(winner.flipBits, rows_[sender].corruption);
+    if (const std::uint32_t sender = find(winner.frame.sender); sender != kNoRow) {
+      std::swap(winner.flipBits, rows_[sender].corruption);
+    }
     ++used;
     simulator_.scheduleAfter(config_.minislotLength * static_cast<std::int64_t>(used),
                              event<&TdmaBus::deliverInFlight>(used - 1),
@@ -230,10 +227,7 @@ void TdmaBus::deliver(Frame& frame, std::span<const std::uint32_t> flipBits) {
     return;
   }
   ++delivered_;
-  for (const Attached& attached : attached_) {
-    if (attached.node == frame.sender) continue;
-    attached.receive(frame);
-  }
+  for (const ReceiveFn& receive : receivers_) receive(frame);
 }
 
 }  // namespace nlft::net

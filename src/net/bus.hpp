@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -65,21 +64,31 @@ class TdmaBus {
   TdmaBus(const TdmaBus&) = delete;
   TdmaBus& operator=(const TdmaBus&) = delete;
 
-  /// Registers a receiver; every delivered frame (except the node's own) is
-  /// passed to `receive`. The frame is owned by the bus and valid only
+  /// Registers a bus-wide receiver, which is passed every delivered frame,
+  /// whoever sent it; a receiver that listens for one node skips that
+  /// node's own frames itself. The frame is owned by the bus and valid only
   /// during the callback; a receiver that keeps words must copy them.
   /// Receivers are called in the order they were attached.
-  void attach(NodeId node, ReceiveFn receive);
-  /// Registers a bus-wide receiver, which is passed every delivered frame,
-  /// whoever sent it (a service that receives for several nodes).
   void attach(ReceiveFn receive);
 
-  /// Copies the payload into the node's static-slot buffer for its NEXT
+  /// A node's sending row, resolved once by port(); valid while the bus
+  /// lives, since a row never moves once created.
+  struct Port {
+    std::uint32_t row = 0;
+  };
+  /// The port of `node`, creating its row on first use.
+  [[nodiscard]] Port port(NodeId node);
+
+  /// Copies the payload into the port's static-slot buffer for its NEXT
   /// static slot. One frame per slot; a newer message replaces a pending one
   /// (freshest-value semantics, as in state message protocols). The buffer
   /// is reused from cycle to cycle, so a steady payload size allocates
   /// nothing.
-  void sendStatic(NodeId node, std::span<const std::uint32_t> payload);
+  void sendStatic(Port port, std::span<const std::uint32_t> payload);
+  /// The same, looking the node's port up first.
+  void sendStatic(NodeId node, std::span<const std::uint32_t> payload) {
+    sendStatic(port(node), payload);
+  }
 
   /// Copies the payload into an event-triggered frame for the dynamic
   /// segment. Lower priority value transmits first (ties in send order).
@@ -133,10 +142,6 @@ class TdmaBus {
   [[nodiscard]] std::uint64_t stateDigest() const;
 
  private:
-  struct Attached {
-    std::optional<NodeId> node;  ///< empty for a bus-wide receiver
-    ReceiveFn receive;
-  };
   /// One node's sending state. A row stays once created, so its buffers are
   /// reused from cycle to cycle.
   struct NodeRow {
@@ -170,21 +175,28 @@ class TdmaBus {
   /// Opens a communication cycle at the current time: schedules its first
   /// slot boundary and its end.
   void startCycle();
-  /// Where `node`'s row is, or would be inserted, in `rows_`.
-  [[nodiscard]] std::size_t rowIndex(NodeId node) const;
-  [[nodiscard]] bool hasRow(std::size_t index, NodeId node) const;
-  /// The row of `node`, inserted in id order if it is new.
-  NodeRow& row(NodeId node);
+  /// Where `node`'s row index is, or would be inserted, in `byId_`.
+  [[nodiscard]] std::size_t position(NodeId node) const;
+  static constexpr std::uint32_t kNoRow = ~0u;
+  /// The index in `rows_` of `node`'s row, or kNoRow if it has none.
+  [[nodiscard]] std::uint32_t find(NodeId node) const;
+  /// The row of `node`, created if it is new.
+  NodeRow& row(NodeId node) { return rows_[port(node).row]; }
 
   sim::Simulator& simulator_;
   std::uint32_t component_;  ///< this bus's index in the simulator
   TdmaConfig config_;
-  std::vector<Attached> attached_;
-  /// One row per node in ascending id order; the schedule's owners have rows
-  /// from construction on.
+  std::vector<ReceiveFn> receivers_;
+  /// One row per node, in creation order; the schedule's owners have rows
+  /// from construction on. Rows are only appended, so an index into `rows_`
+  /// (a Port, a slot's owner) never goes stale.
   std::vector<NodeRow> rows_;
+  /// Indices into `rows_` in ascending node-id order: the one lookup by id
+  /// searches it, and every walk that must not depend on registration order
+  /// (the digest) follows it.
+  std::vector<std::uint32_t> byId_;
   /// Static slot index -> its owner's index in `rows_`.
-  std::vector<std::size_t> slotRows_;
+  std::vector<std::uint32_t> slotRows_;
   /// The frame receivers see for a static slot; its payload buffer is
   /// swapped with the sender's row buffer, so neither is reallocated.
   Frame staticFrame_;

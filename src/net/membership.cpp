@@ -91,6 +91,7 @@ bool MembershipService::isMember(NodeId observer, NodeId peer) const {
 void MembershipService::start() {
   if (started_) throw std::logic_error("MembershipService: already started");
   started_ = true;
+  for (const NodeId node : ids_) ports_.push_back(bus_.port(node));
   bus_.attach([this](const Frame& frame) { onFrame(frame); });
   queueHeartbeats();  // nothing has been heard yet, so there is nothing to evaluate
   bus_.start();
@@ -173,7 +174,7 @@ void MembershipService::queueHeartbeats() {
     heartbeat_.insert(heartbeat_.end(), state.pendingAppData.begin(),
                       state.pendingAppData.end());
     state.pendingAppData.clear();
-    bus_.sendStatic(ids_[index], heartbeat_);
+    bus_.sendStatic(ports_[index], heartbeat_);
   }
 }
 

@@ -119,6 +119,9 @@ class MembershipService {
   MembershipConfig config_;
   std::vector<NodeId> ids_;       ///< registered nodes, ascending
   std::vector<NodeState> nodes_;  ///< nodes_[i] belongs to ids_[i]
+  /// ports_[i] is ids_[i]'s bus port, resolved once at start(): the nodes
+  /// are fixed from then on, so a heartbeat does no lookup.
+  std::vector<TdmaBus::Port> ports_;
   std::vector<std::uint32_t> heartbeat_;  ///< onCycle()'s reused payload buffer
   AppReceiveFn appReceive_;
   MembershipTap membershipTap_;

@@ -1,6 +1,7 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <stdexcept>
 
@@ -59,16 +60,24 @@ void Registry::add(const std::string& name, std::uint64_t delta) {
 }
 
 void Registry::gaugeMax(const std::string& name, double value) {
+  if (std::isnan(value)) throw std::invalid_argument("Registry::gaugeMax: NaN for " + name);
   std::scoped_lock lock{mutex_};
   auto [it, inserted] = gauges_.try_emplace(name, value);
   if (!inserted) it->second = std::max(it->second, value);
 }
 
-void Registry::observe(const std::string& name, const HistogramSpec& spec, double value) {
+namespace {
+
+void checkSpec(const std::string& name, const HistogramSpec& spec) {
   if (spec.buckets == 0 || !(spec.lo < spec.hi)) {
     throw std::invalid_argument("Registry::observe: bad histogram spec for " + name);
   }
-  std::scoped_lock lock{mutex_};
+}
+
+}  // namespace
+
+Registry::HistogramState& Registry::histogramLocked(const std::string& name,
+                                                    const HistogramSpec& spec) {
   auto [it, inserted] = histograms_.try_emplace(name);
   HistogramState& state = it->second;
   if (inserted) {
@@ -79,14 +88,31 @@ void Registry::observe(const std::string& name, const HistogramSpec& spec, doubl
                                 ": registered " + describeSpec(state.spec) + " vs observed " +
                                 describeSpec(spec));
   }
-  const double clamped = std::min(std::max(value, spec.lo), spec.hi);
-  const double width = (spec.hi - spec.lo) / static_cast<double>(spec.buckets);
-  std::size_t bucket = value < spec.lo
-                           ? 0
-                           : static_cast<std::size_t>((clamped - spec.lo) / width);
-  bucket = std::min(bucket, spec.buckets - 1);
-  ++state.counts[bucket];
+  return state;
+}
+
+void Registry::observe(const std::string& name, const HistogramSpec& spec, double value) {
+  checkSpec(name, spec);
+  if (std::isnan(value)) throw std::invalid_argument("Registry::observe: NaN sample for " + name);
+  std::scoped_lock lock{mutex_};
+  HistogramState& state = histogramLocked(name, spec);
+  ++state.counts[spec.bucket(value)];
   ++state.total;
+}
+
+void Registry::observeCounts(const std::string& name, const HistogramSpec& spec,
+                             std::span<const std::uint64_t> counts) {
+  checkSpec(name, spec);
+  if (counts.size() != spec.buckets) {
+    throw std::invalid_argument("Registry::observeCounts: " + std::to_string(counts.size()) +
+                                " counts for the " + describeSpec(spec) + " histogram " + name);
+  }
+  std::scoped_lock lock{mutex_};
+  HistogramState& state = histogramLocked(name, spec);
+  for (std::size_t b = 0; b < counts.size(); ++b) {
+    state.counts[b] += counts[b];
+    state.total += counts[b];
+  }
 }
 
 std::uint64_t Registry::count(const std::string& name) const {

@@ -22,9 +22,11 @@
 // for a fixed seed, at every thread count.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -39,6 +41,18 @@ struct HistogramSpec {
   double hi = 1.0;
   std::size_t buckets = 10;
   friend bool operator==(const HistogramSpec&, const HistogramSpec&) = default;
+
+  /// The bucket `value` falls into, clamped to the first and last bucket.
+  /// Registry::observe bins with it, and so does a caller that counts
+  /// samples itself before handing them over with Registry::observeCounts.
+  /// Requires a valid spec (lo < hi, buckets > 0) and a value that is not
+  /// NaN; observe refuses both.
+  [[nodiscard]] std::size_t bucket(double value) const {
+    const double clamped = std::min(std::max(value, lo), hi);
+    const double width = (hi - lo) / static_cast<double>(buckets);
+    const std::size_t index = value < lo ? 0 : static_cast<std::size_t>((clamped - lo) / width);
+    return std::min(index, buckets - 1);
+  }
 };
 
 /// Snapshot of one histogram (returned by Registry::histogram()).
@@ -65,12 +79,21 @@ class Registry {
   void add(const std::string& name, std::uint64_t delta = 1);
 
   /// Raises the named gauge to at least `value` (peak semantics; created at
-  /// `value` on first use).
+  /// `value` on first use). A NaN value throws std::invalid_argument and
+  /// changes nothing: the max of NaN and a number would depend on the order.
   void gaugeMax(const std::string& name, double value);
 
   /// Records `value` into the named histogram. The spec is fixed on first
-  /// use; a later observe with a different spec throws std::invalid_argument.
+  /// use; a later observe with a different spec throws std::invalid_argument,
+  /// and so does a NaN value (which has no bucket), before any change.
   void observe(const std::string& name, const HistogramSpec& spec, double value);
+
+  /// Adds samples that the caller binned itself with spec.bucket(): bucket
+  /// b of the named histogram grows by counts[b], exactly as that many
+  /// observe calls would grow it. `counts` must have spec.buckets entries;
+  /// the spec rules are observe's.
+  void observeCounts(const std::string& name, const HistogramSpec& spec,
+                     std::span<const std::uint64_t> counts);
 
   [[nodiscard]] std::uint64_t count(const std::string& name) const;  ///< 0 if absent
   [[nodiscard]] double gauge(const std::string& name) const;         ///< 0.0 if absent
@@ -100,6 +123,10 @@ class Registry {
     std::vector<std::uint64_t> counts;
     std::uint64_t total = 0;
   };
+
+  /// The named histogram, created with `spec` if it is new; throws on a spec
+  /// mismatch. The caller holds `mutex_`.
+  HistogramState& histogramLocked(const std::string& name, const HistogramSpec& spec);
 
   mutable std::mutex mutex_;
   std::map<std::string, std::uint64_t> counters_;

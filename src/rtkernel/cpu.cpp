@@ -20,10 +20,10 @@ Cpu::Label Cpu::intern(std::string_view label) {
   return Label{labels_.emplace_back(label)};
 }
 
-WorkId Cpu::post(int priority, Duration work, CompletionFn onComplete, Label label) {
+WorkId Cpu::post(int priority, Duration work, sim::Event onComplete, Label label) {
   if (work < Duration{}) throw std::invalid_argument("Cpu: negative work");
   const WorkId id{nextId_++};
-  ready_.push_back(Item{id, priority, nextSeq_++, work, std::move(onComplete), label.name});
+  ready_.push_back(Item{id, priority, nextSeq_++, work, onComplete, label.name});
   if (running_ && priority > running_->item.priority) preemptRunning();
   dispatch();
   return id;
@@ -103,9 +103,9 @@ void Cpu::closeSegment() {
 
 void Cpu::onCompletion(std::uint64_t) {
   closeSegment();
-  CompletionFn callback = std::move(running_->item.onComplete);
+  const sim::Event completion = running_->item.onComplete;
   running_.reset();
-  if (callback) callback();
+  if (completion.handler) simulator_.call(completion);
   dispatch();
 }
 

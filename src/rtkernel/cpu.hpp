@@ -7,6 +7,14 @@
 // which the tests use to assert exact Gantt charts and the brake-by-wire
 // simulation exports as trace spans; without one no segment is kept.
 //
+// A work item completes through a typed simulator event (a handler, the
+// index of the component it acts on, one payload word) that the poster
+// hands over with the item, not through a closure. The Cpu calls that event
+// at once, inside its own completion event, before it dispatches the next
+// item (sim::Simulator::call), so the poster's completion is neither a
+// second event nor a std::function. The kernel's copies complete this way,
+// naming the kernel and the task.
+//
 // Labels are interned: the Cpu keeps one copy of every distinct label it
 // was given, and work items and segments refer to it, so neither a post nor
 // a segment copies a string. The kernel interns each task's label once, when
@@ -45,8 +53,6 @@ struct ExecutionSegment {
 
 class Cpu {
  public:
-  using CompletionFn = std::function<void()>;
-
   /// A label interned by this Cpu (see intern()); it views the Cpu's copy.
   struct Label {
     std::string_view name;
@@ -62,15 +68,17 @@ class Cpu {
   [[nodiscard]] Label intern(std::string_view label);
 
   /// Enqueues `work` at `priority` (higher runs first; FIFO within equal
-  /// priority). `onComplete` fires when the accumulated CPU time reaches
-  /// `work`. Returns an id usable with cancel().
-  WorkId post(int priority, Duration work, CompletionFn onComplete, Label label);
+  /// priority). When the accumulated CPU time reaches `work`, the Cpu calls
+  /// `onComplete` inside its completion event, before the next dispatch; an
+  /// event without a handler completes silently. Returns an id usable with
+  /// cancel().
+  WorkId post(int priority, Duration work, sim::Event onComplete, Label label);
   /// The same, interning `label` first.
-  WorkId post(int priority, Duration work, CompletionFn onComplete, std::string_view label) {
-    return post(priority, work, std::move(onComplete), intern(label));
+  WorkId post(int priority, Duration work, sim::Event onComplete, std::string_view label) {
+    return post(priority, work, onComplete, intern(label));
   }
 
-  /// Cancels a queued or running work item (its completion never fires).
+  /// Cancels a queued or running work item (its completion is never called).
   /// Returns false if the item already completed or is unknown.
   bool cancel(WorkId id);
 
@@ -93,7 +101,7 @@ class Cpu {
     int priority;
     std::uint64_t seq;
     Duration remaining;
-    CompletionFn onComplete;
+    sim::Event onComplete;
     std::string_view label;  ///< interned in labels_
   };
   struct Running {

@@ -10,35 +10,22 @@ const TaskConfig& Job::config() const { return kernel_.config(task_); }
 
 Duration Job::timeToDeadline() const { return deadline_ - kernel_.simulator_.now(); }
 
-void Job::runCopy(Duration work, std::function<void(CopyStop)> onStop) {
+void Job::runCopy(Duration work) {
   if (finished_) throw std::logic_error("Job::runCopy on finished job");
   if (copyWork_.valid()) throw std::logic_error("Job::runCopy while a copy is active");
-  const TaskConfig& cfg = config();
+  const RtKernel::TaskEntry& task = kernel_.tasks_[task_.value];
+  const TaskConfig& cfg = task.config;
   const Duration budget = cfg.budget > Duration{} ? cfg.budget : cfg.wcet;
-  const bool overruns = budget > Duration{} && work > budget;
-  const Duration granted = overruns ? budget : work;
-  // The completion always comes from a later event, so the stop callback
-  // can be stored once the post has succeeded.
-  copyWork_ = kernel_.cpu_.post(
-      cfg.priority, granted,
-      [this, overruns] {
-        copyWork_ = WorkId{};
-        auto stop = std::move(copyStop_);
-        copyStop_ = nullptr;
-        if (overruns) kernel_.mutableStats(task_).budgetOverruns++;
-        if (stop) stop(overruns ? CopyStop::BudgetOverrun : CopyStop::Completed);
-      },
-      kernel_.tasks_[task_.value].label);
-  copyStop_ = std::move(onStop);
+  copyOverruns_ = budget > Duration{} && work > budget;
+  const Duration granted = copyOverruns_ ? budget : work;
+  copyWork_ = kernel_.cpu_.post(cfg.priority, granted,
+                                kernel_.event<&RtKernel::onCopyCompleted>(task_.value), task.label);
 }
 
 void Job::killRunningCopy() {
   if (!copyWork_.valid()) return;
   kernel_.cpu_.cancel(copyWork_);
-  copyWork_ = WorkId{};
-  auto stop = std::move(copyStop_);
-  copyStop_ = nullptr;
-  if (stop) stop(CopyStop::Killed);
+  kernel_.endCopy(*this, CopyStop::Killed);
 }
 
 void Job::complete(std::span<const std::uint32_t> result) {
@@ -73,12 +60,9 @@ void Job::onDeadline() {
   task.stats.deadlineMisses++;
   if (copyWork_.valid()) {
     kernel_.cpu_.cancel(copyWork_);
-    copyWork_ = WorkId{};
-    auto stop = std::move(copyStop_);
-    copyStop_ = nullptr;
-    if (stop) stop(CopyStop::Aborted);
+    kernel_.endCopy(*this, CopyStop::Aborted);
   }
-  if (task.activeJob.get() != this) return;  // the stop callback finished it
+  if (task.activeJob.get() != this) return;  // the copy-stop handler finished it
   kernel_.abortActiveJob(task);
 }
 
@@ -87,7 +71,6 @@ void Job::finish() {
   if (copyWork_.valid()) {
     kernel_.cpu_.cancel(copyWork_);
     copyWork_ = WorkId{};
-    copyStop_ = nullptr;
   }
   kernel_.simulator_.cancel(deadlineEvent_);
   deadlineEvent_ = sim::EventId{};
@@ -101,8 +84,8 @@ void Job::finish() {
 RtKernel::RtKernel(sim::Simulator& simulator, Cpu& cpu)
     : simulator_{simulator}, component_{simulator.addComponent(this)}, cpu_{cpu} {}
 
-TaskId RtKernel::addTask(TaskConfig config, JobHandler handler, ErrorHandler onError,
-                         AbortHandler onAbort) {
+TaskId RtKernel::addTask(TaskConfig config, JobHandler handler, CopyStopHandler onCopyStop,
+                         ErrorHandler onError, AbortHandler onAbort) {
   if (config.wcet < Duration{}) throw std::invalid_argument("RtKernel: negative wcet");
   if (config.relativeDeadline == Duration{}) config.relativeDeadline = config.period;
   if (config.budget == Duration{}) config.budget = config.wcet;
@@ -110,6 +93,7 @@ TaskId RtKernel::addTask(TaskConfig config, JobHandler handler, ErrorHandler onE
   taskEntry.label = cpu_.intern(config.name);
   taskEntry.config = std::move(config);
   taskEntry.handler = std::move(handler);
+  taskEntry.onCopyStop = std::move(onCopyStop);
   taskEntry.onError = std::move(onError);
   taskEntry.onAbort = std::move(onAbort);
   tasks_.push_back(std::move(taskEntry));
@@ -150,7 +134,6 @@ void RtKernel::stop() {
       if (job.copyWork_.valid()) {
         cpu_.cancel(job.copyWork_);
         job.copyWork_ = WorkId{};
-        job.copyStop_ = nullptr;
       }
       simulator_.cancel(job.deadlineEvent_);
       retire(std::move(task.activeJob));
@@ -170,10 +153,8 @@ void RtKernel::retire(std::unique_ptr<Job> job) {
   retired_.push_back(std::move(job));
   if (!retireCleanupScheduled_) {
     retireCleanupScheduled_ = true;
-    simulator_.scheduleAfter(
-        Duration{},
-        sim::Event{&sim::callMember<RtKernel, &RtKernel::recycleRetired>, component_, 0},
-        sim::EventPriority::Observer);
+    simulator_.scheduleAfter(Duration{}, event<&RtKernel::recycleRetired>(),
+                             sim::EventPriority::Observer);
   }
 }
 
@@ -184,9 +165,8 @@ void RtKernel::recycleRetired(std::uint64_t) {
 }
 
 void RtKernel::scheduleNextRelease(std::uint32_t taskIndex, SimTime at) {
-  tasks_[taskIndex].nextRelease = simulator_.scheduleAt(
-      at, sim::Event{&sim::callMember<RtKernel, &RtKernel::release>, component_, taskIndex},
-      sim::EventPriority::Kernel);
+  tasks_[taskIndex].nextRelease =
+      simulator_.scheduleAt(at, event<&RtKernel::release>(taskIndex), sim::EventPriority::Kernel);
 }
 
 void RtKernel::abortActiveJob(TaskEntry& task) {
@@ -234,15 +214,29 @@ void RtKernel::release(std::uint64_t taskIndex) {
   // The event names the task: every way a job finishes cancels it, so when
   // it fires, the task's active job is this one.
   if (task.config.period == Duration{} || task.config.relativeDeadline < task.config.period) {
-    job->deadlineEvent_ = simulator_.scheduleAt(
-        deadline, sim::Event{&sim::callMember<RtKernel, &RtKernel::onDeadline>, component_, index},
-        sim::EventPriority::Kernel);
+    job->deadlineEvent_ = simulator_.scheduleAt(deadline, event<&RtKernel::onDeadline>(index),
+                                                sim::EventPriority::Kernel);
   }
 
   task.handler(*job);
 }
 
 void RtKernel::onDeadline(std::uint64_t taskIndex) { tasks_[taskIndex].activeJob->onDeadline(); }
+
+// Like the deadline event, the completion names the task: every way a job
+// finishes cancels its copy, so the task's active job is the copy's job.
+void RtKernel::onCopyCompleted(std::uint64_t taskIndex) {
+  TaskEntry& task = tasks_[taskIndex];
+  Job& job = *task.activeJob;
+  if (job.copyOverruns_) task.stats.budgetOverruns++;
+  endCopy(job, job.copyOverruns_ ? CopyStop::BudgetOverrun : CopyStop::Completed);
+}
+
+void RtKernel::endCopy(Job& job, CopyStop stop) {
+  job.copyWork_ = WorkId{};
+  const TaskEntry& task = tasks_[job.task_.value];
+  if (task.onCopyStop) task.onCopyStop(job, stop);
+}
 
 void RtKernel::releaseSporadic(TaskId task) {
   if (stopped_) return;

@@ -7,6 +7,14 @@
 // fail-silent actions. The NLFT layer (src/core) implements temporal error
 // masking on top of exactly this interface; a conventional fail-silent node
 // uses the same kernel with a different policy.
+//
+// Each task registers its handlers once, at addTask: the job handler, the
+// copy-stop handler, the error handler and the abort handler. A task copy
+// (Job::runCopy) carries no callback of its own. Its CPU work item completes
+// through a typed event that names the kernel and the task, and every stop
+// of a copy (completed, budget overrun, killed, aborted) reaches the task's
+// one copy-stop handler with the task's active job. That job is always the
+// copy's job, because every way a job finishes cancels its copy.
 #pragma once
 
 #include <cstdint>
@@ -92,14 +100,15 @@ class Job {
   [[nodiscard]] Duration timeToDeadline() const;
 
   /// Posts one task-copy execution of `work` CPU time at the task priority.
-  /// The execution-time monitor kills the copy after the task budget.
+  /// The execution-time monitor kills the copy after the task budget. How
+  /// the copy stops goes to the task's copy-stop handler (see addTask).
   /// Exactly one copy may run at a time.
-  void runCopy(Duration work, std::function<void(CopyStop)> onStop);
+  void runCopy(Duration work);
 
   /// True while a copy is queued or running on the CPU.
   [[nodiscard]] bool copyActive() const { return copyWork_.valid(); }
 
-  /// Kills the active copy; its onStop fires with CopyStop::Killed. The
+  /// Kills the active copy; the copy-stop handler sees CopyStop::Killed. The
   /// remaining CPU time is reclaimed (paper Fig. 3, scenario iii).
   void killRunningCopy();
 
@@ -129,8 +138,9 @@ class Job {
   SimTime release_;
   SimTime deadline_;
   WorkId copyWork_{};
-  /// The active copy's stop callback: set exactly while `copyWork_` is valid.
-  std::function<void(CopyStop)> copyStop_;
+  /// The active copy asked for more than the budget, so the CPU grants only
+  /// the budget and its completion is a BudgetOverrun stop.
+  bool copyOverruns_ = false;
   sim::EventId deadlineEvent_{};
   bool finished_ = false;
 };
@@ -138,6 +148,7 @@ class Job {
 class RtKernel {
  public:
   using JobHandler = std::function<void(Job&)>;
+  using CopyStopHandler = std::function<void(Job&, CopyStop)>;
   using ErrorHandler = std::function<void(Job&, const ErrorEvent&)>;
   using AbortHandler = std::function<void(Job&)>;
   using ResultSink = std::function<void(const JobResult&)>;
@@ -147,12 +158,15 @@ class RtKernel {
   RtKernel& operator=(const RtKernel&) = delete;
 
   /// Registers a task; `handler` is invoked at every job release. The
-  /// optional `onError` receives every error routed to the task's active
-  /// job, and `onAbort` every job that the deadline monitor, or the task's
-  /// next release, aborts (after the job's omission; the job stays valid
-  /// during the call).
-  TaskId addTask(TaskConfig config, JobHandler handler, ErrorHandler onError = {},
-                 AbortHandler onAbort = {});
+  /// optional `onCopyStop` receives every stop of the task's copies with
+  /// the job that ran the copy: Completed, BudgetOverrun, Killed, or
+  /// Aborted by the deadline monitor (a copy cancelled because its job
+  /// finished reaches no handler). `onError` receives every error routed to
+  /// the task's active job, and `onAbort` every job that the deadline
+  /// monitor, or the task's next release, aborts (after the job's omission;
+  /// the job stays valid during the call).
+  TaskId addTask(TaskConfig config, JobHandler handler, CopyStopHandler onCopyStop = {},
+                 ErrorHandler onError = {}, AbortHandler onAbort = {});
 
   /// Receives every delivered job result (e.g. the network layer).
   void setResultSink(ResultSink sink) { resultSink_ = std::move(sink); }
@@ -209,6 +223,7 @@ class RtKernel {
     TaskConfig config;
     Cpu::Label label;  ///< config.name, interned by the Cpu
     JobHandler handler;
+    CopyStopHandler onCopyStop;
     ErrorHandler onError;
     AbortHandler onAbort;
     TaskStats stats;
@@ -221,7 +236,17 @@ class RtKernel {
   /// Typed-event handlers; `taskIndex` is the event's payload.
   void release(std::uint64_t taskIndex);
   void onDeadline(std::uint64_t taskIndex);
+  /// The completion of the task's active copy, called by the Cpu.
+  void onCopyCompleted(std::uint64_t taskIndex);
   void recycleRetired(std::uint64_t);
+  /// A typed event of this kernel that calls `Handler`.
+  template <void (RtKernel::*Handler)(std::uint64_t)>
+  [[nodiscard]] sim::Event event(std::uint64_t word = 0) const {
+    return sim::Event{&sim::callMember<RtKernel, Handler>, component_, word};
+  }
+  /// Ends `job`'s copy (already cancelled or completed on the CPU) and hands
+  /// `stop` to its task's copy-stop handler.
+  void endCopy(Job& job, CopyStop stop);
   void scheduleNextRelease(std::uint32_t taskIndex, SimTime at);
   /// Omits the active job of `task` and hands it to the abort handler.
   void abortActiveJob(TaskEntry& task);

@@ -16,32 +16,19 @@ std::uint32_t Simulator::addComponent(void* component) {
   return static_cast<std::uint32_t>(components_.size() - 1);
 }
 
-EventId Simulator::scheduleAt(SimTime at, Event event, EventPriority priority) {
-  if (at < now_) throw std::invalid_argument("Simulator: cannot schedule in the past");
-  std::uint32_t slot = 0;
-  if (freeSlots_.empty()) {
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
-  } else {
-    slot = freeSlots_.back();
-    freeSlots_.pop_back();
-  }
-  Slot& record = slots_[slot];
-  record.event = event;
-  const std::uint32_t generation = ++record.generation;
-  ++live_;
-  const std::uint64_t order = static_cast<std::uint64_t>(priority) << 56 | nextSeq_++;
-  insert(Entry{at, order, slot, generation});
-  return EventId{std::uint64_t{generation} << 32 | slot};
+void Simulator::throwPast() {
+  throw std::invalid_argument("Simulator: cannot schedule in the past");
 }
 
-EventId Simulator::scheduleAfter(Duration delay, Event event, EventPriority priority) {
-  if (delay < Duration{}) throw std::invalid_argument("Simulator: negative delay");
-  return scheduleAt(now_ + delay, event, priority);
+void Simulator::throwNegativeDelay() { throw std::invalid_argument("Simulator: negative delay"); }
+
+std::uint32_t Simulator::addSlot() {
+  slots_.emplace_back();
+  return static_cast<std::uint32_t>(slots_.size() - 1);
 }
 
 EventId Simulator::scheduleAt(SimTime at, Callback cb, EventPriority priority) {
-  if (at < now_) throw std::invalid_argument("Simulator: cannot schedule in the past");
+  if (at < now_) throwPast();
   std::uint32_t index = 0;
   if (freeClosures_.empty()) {
     index = static_cast<std::uint32_t>(closures_.size());
@@ -55,7 +42,7 @@ EventId Simulator::scheduleAt(SimTime at, Callback cb, EventPriority priority) {
 }
 
 EventId Simulator::scheduleAfter(Duration delay, Callback cb, EventPriority priority) {
-  if (delay < Duration{}) throw std::invalid_argument("Simulator: negative delay");
+  if (delay < Duration{}) throwNegativeDelay();
   return scheduleAt(now_ + delay, std::move(cb), priority);
 }
 

@@ -14,11 +14,18 @@
 // simulator's component table, and one payload word. Components register
 // once (addComponent) and schedule their recurring events (CPU completions,
 // releases, bus slots, ticks) as records, so firing one is a copy and an
-// indirect call. A std::function is one more record kind: its closure sits
-// in a closure store and the record's payload names the store entry, so
-// one-off schedules and outside callers use the same queue and code path.
-// Naming components by index rather than by pointer lets a copied queue be
-// rebound to copied components.
+// indirect call. The typed scheduleAt/scheduleAfter are defined in this
+// header (only their throw paths and the slab's growth are out of line), so
+// a component's schedule compiles into its caller. A std::function is one more record
+// kind: its closure sits in a closure store and the record's payload names
+// the store entry, so one-off schedules and outside callers use the same
+// queue and code path. Naming components by index rather than by pointer
+// lets a copied queue be rebound to copied components.
+//
+// A record can also be called at once, inside the current event (call()):
+// that is how a component hands a typed completion to another, as a CPU
+// work item's completion reaches the kernel that posted it. A called
+// record is neither queued nor counted, so it adds no event.
 //
 // Storage is a slab: each pending record sits in a reusable slot with a
 // generation counter, and the queue is a vector of plain entries that name
@@ -95,9 +102,32 @@ class Simulator {
   [[nodiscard]] std::uint32_t addComponent(void* component);
 
   /// Schedules a typed event at absolute time `at` (must not be in the past).
-  EventId scheduleAt(SimTime at, Event event, EventPriority priority);
+  EventId scheduleAt(SimTime at, Event event, EventPriority priority) {
+    if (at < now_) throwPast();
+    std::uint32_t slot = 0;
+    if (freeSlots_.empty()) {
+      slot = addSlot();
+    } else {
+      slot = freeSlots_.back();
+      freeSlots_.pop_back();
+    }
+    Slot& record = slots_[slot];
+    record.event = event;
+    const std::uint32_t generation = ++record.generation;
+    ++live_;
+    const std::uint64_t order = static_cast<std::uint64_t>(priority) << 56 | nextSeq_++;
+    insert(Entry{at, order, slot, generation});
+    return EventId{std::uint64_t{generation} << 32 | slot};
+  }
   /// Schedules a typed event after a non-negative delay from now.
-  EventId scheduleAfter(Duration delay, Event event, EventPriority priority);
+  EventId scheduleAfter(Duration delay, Event event, EventPriority priority) {
+    if (delay < Duration{}) throwNegativeDelay();
+    return scheduleAt(now_ + delay, event, priority);
+  }
+
+  /// Calls `event` at once, inside the current event: its handler acts on
+  /// the component it names. Nothing is queued and no event is counted.
+  void call(const Event& event) { event.handler(components_[event.component], event.word); }
 
   /// Schedules `cb` at absolute time `at` (must not be in the past).
   EventId scheduleAt(SimTime at, Callback cb, EventPriority priority = EventPriority::Application);
@@ -147,6 +177,12 @@ class Simulator {
 
   /// The closure kind's handler: runs and frees closure store entry `index`.
   static void runClosure(void* simulator, std::uint64_t index);
+  /// The schedules' refusals and slab growth, out of line so that the
+  /// inline paths stay small.
+  [[noreturn]] static void throwPast();
+  [[noreturn]] static void throwNegativeDelay();
+  /// Appends a slot to the slab and returns its index.
+  std::uint32_t addSlot();
   [[nodiscard]] bool stale(const Entry& entry) const {
     return slots_[entry.slot].generation != entry.generation;
   }

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -226,6 +227,67 @@ TEST(ObsMetrics, GoldenFingerprintExcludesWallMetrics) {
   EXPECT_EQ(a.goldenFingerprint(), b.goldenFingerprint());
   EXPECT_TRUE(isNonGoldenMetric("wall.anything"));
   EXPECT_FALSE(isNonGoldenMetric("tem.jobs"));
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+/// Expects `update` to throw std::invalid_argument naming `name`.
+template <typename Update>
+void expectRefusalNaming(const std::string& name, Update update) {
+  try {
+    update();
+    ADD_FAILURE() << "NaN for " << name << " was accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string{error.what()}.find(name), std::string::npos) << error.what();
+  }
+}
+
+TEST(ObsMetrics, NaNGaugeIsRefusedBeforeAnyChange) {
+  // A NaN gauge would break the commutative max: NaN then 5 left NaN (which
+  // dumps as JSON null), 5 then NaN left 5.
+  Registry nanFirst;
+  expectRefusalNaming("queue.peak", [&] { nanFirst.gaugeMax("queue.peak", kNaN); });
+  EXPECT_EQ(fingerprint(nanFirst), fingerprint(Registry{}));  // not even created
+  nanFirst.gaugeMax("queue.peak", 5.0);
+  Registry nanLast;
+  nanLast.gaugeMax("queue.peak", 5.0);
+  expectRefusalNaming("queue.peak", [&] { nanLast.gaugeMax("queue.peak", kNaN); });
+  EXPECT_DOUBLE_EQ(nanLast.gauge("queue.peak"), 5.0);
+  EXPECT_EQ(fingerprint(nanFirst), fingerprint(nanLast));
+}
+
+TEST(ObsMetrics, NaNHistogramSampleIsRefusedBeforeAnyChange) {
+  // A NaN sample has no bucket: casting it to an index is undefined.
+  Registry registry;
+  expectRefusalNaming("stop.distance_m",
+                      [&] { registry.observe("stop.distance_m", kSpec, kNaN); });
+  EXPECT_EQ(fingerprint(registry), fingerprint(Registry{}));  // not even created
+  registry.observe("stop.distance_m", kSpec, 1.0);
+  expectRefusalNaming("stop.distance_m",
+                      [&] { registry.observe("stop.distance_m", kSpec, kNaN); });
+  EXPECT_EQ(registry.histogram("stop.distance_m").total, 1u);
+}
+
+TEST(ObsMetrics, ObserveCountsEqualsObservingEachSample) {
+  // Samples binned with the spec's own bucket() and handed over in one call
+  // leave the registry exactly as observing them one by one.
+  Rng rng{7};
+  Registry each;
+  Registry counted;
+  counted.observe("stop.distance_m", kSpec, 3.0);  // adds to an existing histogram too
+  each.observe("stop.distance_m", kSpec, 3.0);
+  std::vector<std::uint64_t> counts(kSpec.buckets, 0);
+  for (int i = 0; i < 2000; ++i) {
+    const double value = rng.uniform(-20.0, 80.0);  // many out-of-range
+    each.observe("stop.distance_m", kSpec, value);
+    ++counts[kSpec.bucket(value)];
+  }
+  counted.observeCounts("stop.distance_m", kSpec, counts);
+  EXPECT_EQ(fingerprint(counted), fingerprint(each));
+
+  counts.pop_back();
+  EXPECT_THROW(counted.observeCounts("stop.distance_m", kSpec, counts), std::invalid_argument);
+  EXPECT_EQ(fingerprint(counted), fingerprint(each));
 }
 
 }  // namespace

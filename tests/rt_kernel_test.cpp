@@ -4,6 +4,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -38,29 +39,30 @@ struct KernelFixture : ::testing::Test {
     cfg.relativeDeadline = relativeDeadline;
     cfg.budget = Duration::milliseconds(50);
     return kernel.addTask(
-        cfg, [](Job& job) { job.runCopy(Duration::milliseconds(30), [](CopyStop) {}); }, {},
+        cfg, [](Job& job) { job.runCopy(Duration::milliseconds(30)); }, {}, {},
         [this, &aborts](Job& job) { aborts.emplace_back(job.index(), simulator.now().us()); });
+  }
+
+  /// A simple task: each job runs a single copy of `work` and delivers a
+  /// constant result (or omits, if the copy did not complete).
+  TaskId addSimpleTask(TaskConfig cfg, Duration work, std::uint32_t value) {
+    return kernel.addTask(
+        std::move(cfg), [work](Job& job) { job.runCopy(work); },
+        [value](Job& job, CopyStop stop) {
+          if (stop == CopyStop::Completed) {
+            job.complete(std::array{value});
+          } else {
+            job.omit();
+          }
+        });
   }
 };
 
-// Simple handler: run a single copy and deliver a constant result.
-RtKernel::JobHandler simpleHandler(Duration work, std::uint32_t value) {
-  return [work, value](Job& job) {
-    job.runCopy(work, [&job, value](CopyStop stop) {
-      if (stop == CopyStop::Completed) {
-        job.complete(std::array{value});
-      } else {
-        job.omit();
-      }
-    });
-  };
-}
-
 TEST_F(KernelFixture, PeriodicReleasesAndResults) {
   std::vector<SimTime> deliveries;
-  const TaskId task = kernel.addTask(
+  const TaskId task = addSimpleTask(
       periodicTask("t", 1, Duration::milliseconds(10), Duration::milliseconds(2)),
-      simpleHandler(Duration::milliseconds(2), 7));
+      Duration::milliseconds(2), 7);
   kernel.setResultSink([&](const JobResult& result) {
     EXPECT_EQ(result.task, task);
     EXPECT_EQ(std::vector<std::uint32_t>(result.data.begin(), result.data.end()),
@@ -98,11 +100,9 @@ TEST_F(KernelFixture, DeadlineMonitorAbortsLateJob) {
   CopyStop observed = CopyStop::Completed;
   const TaskId task = kernel.addTask(
       cfg,
-      [&](Job& job) {
-        // Ask for more work than fits before the deadline.
-        job.runCopy(Duration::milliseconds(8), [&](CopyStop stop) { observed = stop; });
-      },
-      {}, [&](Job&) { aborted = true; });
+      // Ask for more work than fits before the deadline.
+      [](Job& job) { job.runCopy(Duration::milliseconds(8)); },
+      [&](Job&, CopyStop stop) { observed = stop; }, {}, [&](Job&) { aborted = true; });
   kernel.start();
   simulator.runUntil(SimTime::fromUs(9'000));
   EXPECT_TRUE(aborted);
@@ -116,13 +116,14 @@ TEST_F(KernelFixture, BudgetTimerKillsRunawayCopy) {
   TaskConfig cfg = periodicTask("runaway", 1, Duration::milliseconds(20), Duration::milliseconds(2));
   cfg.budget = Duration::milliseconds(3);
   CopyStop observed = CopyStop::Completed;
-  const TaskId task = kernel.addTask(cfg, [&](Job& job) {
-    // A control-flow error made the task loop: it asks for 15 ms of CPU.
-    job.runCopy(Duration::milliseconds(15), [&](CopyStop stop) {
-      observed = stop;
-      job.omit();
-    });
-  });
+  const TaskId task = kernel.addTask(
+      cfg,
+      // A control-flow error made the task loop: it asks for 15 ms of CPU.
+      [](Job& job) { job.runCopy(Duration::milliseconds(15)); },
+      [&](Job& job, CopyStop stop) {
+        observed = stop;
+        job.omit();
+      });
   kernel.start();
   simulator.runUntil(SimTime::fromUs(10'000));
   EXPECT_EQ(observed, CopyStop::BudgetOverrun);
@@ -139,7 +140,7 @@ TEST_F(KernelFixture, SporadicTaskReleasesOnDemand) {
   cfg.relativeDeadline = Duration::milliseconds(5);
   cfg.wcet = Duration::milliseconds(1);
   int completions = 0;
-  const TaskId task = kernel.addTask(cfg, simpleHandler(Duration::milliseconds(1), 1));
+  const TaskId task = addSimpleTask(cfg, Duration::milliseconds(1), 1);
   kernel.setResultSink([&](const JobResult&) { ++completions; });
   kernel.start();
   simulator.scheduleAfter(Duration::milliseconds(3), [&] { kernel.releaseSporadic(task); });
@@ -154,18 +155,18 @@ TEST_F(KernelFixture, PriorityOrderAcrossTasks) {
   std::vector<std::string> order;
   TaskConfig low = periodicTask("low", 1, Duration::milliseconds(100), Duration::milliseconds(6));
   TaskConfig high = periodicTask("high", 9, Duration::milliseconds(100), Duration::milliseconds(2));
-  kernel.addTask(low, [&](Job& job) {
-    job.runCopy(Duration::milliseconds(6), [&](CopyStop) {
-      order.push_back("low");
-      job.complete({});
-    });
-  });
-  kernel.addTask(high, [&](Job& job) {
-    job.runCopy(Duration::milliseconds(2), [&](CopyStop) {
-      order.push_back("high");
-      job.complete({});
-    });
-  });
+  kernel.addTask(
+      low, [](Job& job) { job.runCopy(Duration::milliseconds(6)); },
+      [&](Job& job, CopyStop) {
+        order.push_back("low");
+        job.complete({});
+      });
+  kernel.addTask(
+      high, [](Job& job) { job.runCopy(Duration::milliseconds(2)); },
+      [&](Job& job, CopyStop) {
+        order.push_back("high");
+        job.complete({});
+      });
   kernel.start();
   simulator.runUntil(SimTime::fromUs(50'000));
   EXPECT_EQ(order, (std::vector<std::string>{"high", "low"}));
@@ -175,10 +176,8 @@ TEST_F(KernelFixture, ErrorRoutedToActiveJob) {
   TaskConfig cfg = periodicTask("t", 1, Duration::milliseconds(10), Duration::milliseconds(4));
   std::optional<ErrorEvent::Source> seen;
   const TaskId task = kernel.addTask(
-      cfg,
-      [&](Job& job) {
-        job.runCopy(Duration::milliseconds(4), [&](CopyStop) { job.complete({}); });
-      },
+      cfg, [](Job& job) { job.runCopy(Duration::milliseconds(4)); },
+      [](Job& job, CopyStop) { job.complete({}); },
       [&](Job&, const ErrorEvent& event) { seen = event.source; });
   kernel.start();
   simulator.scheduleAfter(Duration::milliseconds(1), [&] {
@@ -193,9 +192,9 @@ TEST_F(KernelFixture, ErrorRoutedToActiveJob) {
 TEST_F(KernelFixture, KernelErrorSilencesNode) {
   bool silent = false;
   kernel.setFailSilentHook([&] { silent = true; });
-  const TaskId task = kernel.addTask(
+  const TaskId task = addSimpleTask(
       periodicTask("t", 1, Duration::milliseconds(5), Duration::milliseconds(1)),
-      simpleHandler(Duration::milliseconds(1), 1));
+      Duration::milliseconds(1), 1);
   kernel.start();
   simulator.scheduleAfter(Duration::milliseconds(7), [&] {
     kernel.reportKernelError({ErrorEvent::Source::HardwareException, 1});
@@ -209,9 +208,9 @@ TEST_F(KernelFixture, KernelErrorSilencesNode) {
 }
 
 TEST_F(KernelFixture, DisableTaskStopsFurtherReleases) {
-  const TaskId task = kernel.addTask(
+  const TaskId task = addSimpleTask(
       periodicTask("noncritical", 1, Duration::milliseconds(5), Duration::milliseconds(1)),
-      simpleHandler(Duration::milliseconds(1), 1));
+      Duration::milliseconds(1), 1);
   kernel.start();
   simulator.scheduleAfter(Duration::milliseconds(12), [&] { kernel.disableTask(task); });
   simulator.runUntil(SimTime::fromUs(40'000));
@@ -250,9 +249,9 @@ TEST_F(KernelFixture, ImplicitDeadlineJobSchedulesNoDeadlineEvent) {
   // With D = T the next release aborts a late job, so the job has no
   // deadline event of its own: while its copy runs, the queue holds only the
   // next release and the copy's completion.
-  const TaskId task = kernel.addTask(
+  const TaskId task = addSimpleTask(
       periodicTask("t", 1, Duration::milliseconds(10), Duration::milliseconds(2)),
-      simpleHandler(Duration::milliseconds(2), 7));
+      Duration::milliseconds(2), 7);
   kernel.start();
   simulator.runUntil(SimTime::fromUs(1'000));
   ASSERT_NE(kernel.activeJob(task), nullptr);
@@ -263,9 +262,9 @@ TEST_F(KernelFixture, ImplicitDeadlineJobSchedulesNoDeadlineEvent) {
 TEST_F(KernelFixture, ReleaseSporadicRefusesPeriodicTask) {
   // A sporadic release of a periodic task would start a second release
   // chain (releases at 3, 13, ..., 93 ms on top of 0, 10, ..., 100 ms).
-  const TaskId task = kernel.addTask(
+  const TaskId task = addSimpleTask(
       periodicTask("control", 1, Duration::milliseconds(10), Duration::milliseconds(1)),
-      simpleHandler(Duration::milliseconds(1), 1));
+      Duration::milliseconds(1), 1);
   kernel.start();
   simulator.runUntil(SimTime::fromUs(3'000));
   try {
@@ -283,17 +282,17 @@ TEST_F(KernelFixture, ReleaseSporadicRefusesPeriodicTask) {
 TEST_F(KernelFixture, KillRunningCopyReclaimsTime) {
   TaskConfig cfg = periodicTask("t", 1, Duration::milliseconds(20), Duration::milliseconds(10));
   std::int64_t completedAt = 0;
-  kernel.addTask(cfg, [&](Job& job) {
-    job.runCopy(Duration::milliseconds(10), [&](CopyStop stop) {
-      if (stop == CopyStop::Killed) {
-        // Restart: the new copy only needs the CPU time from now on.
-        job.runCopy(Duration::milliseconds(4), [&](CopyStop) {
-          completedAt = simulator.now().us();
-          job.complete({});
-        });
-      }
-    });
-  });
+  kernel.addTask(
+      cfg, [](Job& job) { job.runCopy(Duration::milliseconds(10)); },
+      [&](Job& job, CopyStop stop) {
+        if (stop == CopyStop::Killed) {
+          // Restart: the new copy only needs the CPU time from now on.
+          job.runCopy(Duration::milliseconds(4));
+          return;
+        }
+        completedAt = simulator.now().us();
+        job.complete({});
+      });
   kernel.start();
   simulator.scheduleAfter(Duration::milliseconds(3), [&] {
     kernel.activeJob(TaskId{0})->killRunningCopy();
@@ -306,13 +305,110 @@ TEST_F(KernelFixture, TimeToDeadlineShrinks) {
   TaskConfig cfg = periodicTask("t", 1, Duration::milliseconds(10), Duration::milliseconds(1));
   cfg.relativeDeadline = Duration::milliseconds(8);
   Duration atRelease{};
-  kernel.addTask(cfg, [&](Job& job) {
-    atRelease = job.timeToDeadline();
-    job.runCopy(Duration::milliseconds(1), [&](CopyStop) { job.complete({}); });
-  });
+  kernel.addTask(
+      cfg,
+      [&](Job& job) {
+        atRelease = job.timeToDeadline();
+        job.runCopy(Duration::milliseconds(1));
+      },
+      [](Job& job, CopyStop) { job.complete({}); });
   kernel.start();
   simulator.runUntil(SimTime::fromUs(2'000));
   EXPECT_EQ(atRelease.us(), 8000);
+}
+
+// Two tasks on one kernel, each with its own copy-stop handler. Task "b"
+// (added first, index 0) runs 4-ms copies; task "a" (index 1, released 1 ms
+// later at a higher priority) asks for 3 ms against a 2-ms budget, so its
+// first copy of each job overruns and a 1-ms second copy completes the job.
+// An error kills b's first copy in job 0, and omits job 1 while its copy
+// runs. Every stop must reach the handler of the task whose copy stopped,
+// with that task's active job, and the copy cancelled by job 1's omission
+// must reach none.
+TEST_F(KernelFixture, CopyStopsReachTheirOwnTasksHandler) {
+  using Stop = std::tuple<std::string, std::uint64_t, int, CopyStop, std::int64_t>;
+  // (task, job index, copies started, stop, instant). b's first copy is
+  // preempted by a at 1 and 11 ms and resumes at 4 and 14 ms; b's job 1 is
+  // omitted at 15 ms with its copy still running.
+  const std::vector<Stop> expected{
+      {"a", 0, 1, CopyStop::BudgetOverrun, 3'000}, {"a", 0, 2, CopyStop::Completed, 4'000},
+      {"b", 0, 1, CopyStop::Killed, 5'000},        {"b", 0, 2, CopyStop::Completed, 9'000},
+      {"a", 1, 1, CopyStop::BudgetOverrun, 13'000}, {"a", 1, 2, CopyStop::Completed, 14'000},
+  };
+  std::vector<Stop> stops;
+  int copiesA = 0;
+  int copiesB = 0;
+  TaskId a{};
+  TaskId b{};
+  // Each stop is checked as it arrives: a stop routed to the wrong task
+  // leaves the kernel in a state that later events may not survive.
+  auto record = [&](const char* name, TaskId task, int copies, Job& job, CopyStop stop) {
+    EXPECT_EQ(job.taskId(), task);
+    EXPECT_EQ(&job, kernel.activeJob(task));
+    const Stop seen{name, job.index(), copies, stop, simulator.now().us()};
+    ASSERT_LT(stops.size(), expected.size()) << "unexpected stop";
+    EXPECT_EQ(seen, expected[stops.size()]) << "stop " << stops.size();
+    stops.push_back(seen);
+  };
+
+  b = kernel.addTask(
+      periodicTask("b", 1, Duration::milliseconds(10), Duration::milliseconds(4)),
+      [&](Job& job) {
+        copiesB = 1;
+        job.runCopy(Duration::milliseconds(4));
+      },
+      [&](Job& job, CopyStop stop) {
+        record("b", b, copiesB, job, stop);
+        if (stop == CopyStop::Killed) {
+          ++copiesB;
+          job.runCopy(Duration::milliseconds(4));
+        } else {
+          job.complete({});
+        }
+      },
+      [](Job& job, const ErrorEvent&) {
+        if (job.index() == 0) {
+          job.killRunningCopy();
+        } else {
+          job.omit();  // finishes the job while its copy runs
+        }
+      });
+  TaskConfig configA = periodicTask("a", 2, Duration::milliseconds(10), Duration::milliseconds(2));
+  configA.offset = Duration::milliseconds(1);
+  a = kernel.addTask(
+      configA,
+      [&](Job& job) {
+        copiesA = 1;
+        job.runCopy(Duration::milliseconds(3));
+      },
+      [&](Job& job, CopyStop stop) {
+        record("a", a, copiesA, job, stop);
+        if (stop == CopyStop::BudgetOverrun) {
+          ++copiesA;
+          job.runCopy(Duration::milliseconds(1));
+        } else {
+          job.complete({});
+        }
+      });
+  kernel.start();
+  for (const std::int64_t ms : {5, 15}) {
+    simulator.scheduleAt(SimTime::fromUs(ms * 1000), [&] {
+      kernel.reportTaskError(b, {ErrorEvent::Source::HardwareException, 0});
+    });
+  }
+  simulator.runUntil(SimTime::fromUs(19'000));
+
+  EXPECT_EQ(stops, expected);
+  EXPECT_EQ(kernel.stats(a).budgetOverruns, 2u);
+  EXPECT_EQ(kernel.stats(a).completions, 2u);
+  EXPECT_EQ(kernel.stats(b).budgetOverruns, 0u);
+  EXPECT_EQ(kernel.stats(b).completions, 1u);
+  EXPECT_EQ(kernel.stats(b).omissions, 1u);
+  EXPECT_EQ(cpu.preemptions(), 2u);
+  // a: 3 ms per job; b: 6 ms in job 0 and 2 ms in job 1, whose cancelled
+  // copy gives its remaining time back.
+  EXPECT_EQ(cpu.busyTime().us(), 14'000);
+  EXPECT_TRUE(cpu.idle());
 }
 
 // Vote tie: all three TEM copies return pairwise-different results, so the
@@ -361,9 +457,9 @@ TEST_F(KernelFixture, TemVoteTieForcesOmissionBeforeDeadline) {
 }
 
 TEST_F(KernelFixture, StopCancelsEverything) {
-  const TaskId task = kernel.addTask(
+  const TaskId task = addSimpleTask(
       periodicTask("t", 1, Duration::milliseconds(5), Duration::milliseconds(1)),
-      simpleHandler(Duration::milliseconds(1), 1));
+      Duration::milliseconds(1), 1);
   kernel.start();
   simulator.scheduleAfter(Duration::milliseconds(11), [&] { kernel.stop(); });
   simulator.runUntil(SimTime::fromUs(60'000));

@@ -77,15 +77,14 @@ TEST_P(SchedulerProperty, SimulatedResponsesRespectRtaBound) {
   std::vector<TaskId> ids;
   for (std::size_t i = 0; i < set.configs.size(); ++i) {
     const Duration wcet = set.configs[i].wcet;
-    ids.push_back(kernel.addTask(set.configs[i], [&, i, wcet](Job& job) {
-      const SimTime release = job.releaseTime();
-      job.runCopy(wcet, [&, i, release](CopyStop stop) {
-        ASSERT_EQ(stop, CopyStop::Completed);
-        const Duration response = kernel.simulator().now() - release;
-        worstResponse[i] = std::max(worstResponse[i], response);
-        job.complete({});
-      });
-    }));
+    ids.push_back(kernel.addTask(
+        set.configs[i], [wcet](Job& job) { job.runCopy(wcet); },
+        [&, i](Job& job, CopyStop stop) {
+          ASSERT_EQ(stop, CopyStop::Completed);
+          const Duration response = kernel.simulator().now() - job.releaseTime();
+          worstResponse[i] = std::max(worstResponse[i], response);
+          job.complete({});
+        }));
   }
   kernel.start();
   simulator.runUntil(SimTime::fromUs(400'000));  // several hyperperiods
@@ -114,9 +113,9 @@ TEST_P(SchedulerProperty, TraceIsPhysicallyConsistent) {
   RtKernel kernel{simulator, cpu};
   for (const TaskConfig& config : set.configs) {
     const Duration wcet = config.wcet;
-    kernel.addTask(config, [wcet](Job& job) {
-      job.runCopy(wcet, [&job](CopyStop) { job.complete({}); });
-    });
+    kernel.addTask(
+        config, [wcet](Job& job) { job.runCopy(wcet); },
+        [](Job& job, CopyStop) { job.complete({}); });
   }
   kernel.start();
   simulator.runUntil(SimTime::fromUs(200'000));
@@ -163,15 +162,15 @@ TEST_P(SchedulerProperty, OverloadedSetMissesDeadlinesButKeepsHighestPriorityCle
   low.wcet = Duration::milliseconds(7);
   low.budget = low.wcet;
 
-  auto handler = [](Duration wcet) {
-    return [wcet](Job& job) {
-      job.runCopy(wcet, [&job](CopyStop stop) {
-        if (stop == CopyStop::Completed) job.complete({});
-      });
-    };
+  auto addTask = [&kernel](const TaskConfig& config) {
+    return kernel.addTask(
+        config, [wcet = config.wcet](Job& job) { job.runCopy(wcet); },
+        [](Job& job, CopyStop stop) {
+          if (stop == CopyStop::Completed) job.complete({});
+        });
   };
-  const TaskId highId = kernel.addTask(high, handler(high.wcet));
-  const TaskId lowId = kernel.addTask(low, handler(low.wcet));
+  const TaskId highId = addTask(high);
+  const TaskId lowId = addTask(low);
   kernel.start();
   simulator.runUntil(SimTime::fromUs(100'000));
 

@@ -63,9 +63,9 @@ TEST(Gantt, RendersRealSchedulerTrace) {
   Cpu cpu{simulator};
   std::vector<ExecutionSegment> trace;
   cpu.setSegmentTap([&](const ExecutionSegment& segment) { trace.push_back(segment); });
-  cpu.post(1, Duration::milliseconds(10), [] {}, "low");
+  cpu.post(1, Duration::milliseconds(10), sim::Event{}, "low");
   simulator.scheduleAfter(Duration::milliseconds(3), [&] {
-    cpu.post(5, Duration::milliseconds(2), [] {}, "high");
+    cpu.post(5, Duration::milliseconds(2), sim::Event{}, "high");
   });
   simulator.runAll();
   const std::string chart = renderGantt(trace, Duration::milliseconds(1));
