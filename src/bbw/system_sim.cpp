@@ -342,7 +342,6 @@ struct BbwSystemSim::Impl {
       n.detectedErrorNextCopy = false;
       plan.end = tem::CopyPlan::End::DetectedError;
       plan.executionTime = Duration::microseconds(120);
-      plan.error = {rt::ErrorEvent::Source::HardwareException, 0};
       return;
     }
 
@@ -461,9 +460,9 @@ struct BbwSystemSim::Impl {
   }
 
   /// Routes kernel, membership and bus events into the trace sink AND the
-  /// Chrome-trace recorder. Wired once, when the first observer (sink,
-  /// recorder or metrics registry) is installed — after build(), so `nodes`
-  /// is stable.
+  /// Chrome-trace recorder. Wired once, when the first of the two is
+  /// installed — after build(), so `nodes` is stable. A metrics registry
+  /// needs no taps: snapshotMetrics() reads the counters directly.
   void wireTaps() {
     if (tapsWired) return;
     tapsWired = true;
@@ -824,10 +823,7 @@ void BbwSystemSim::setTraceSink(std::function<void(const std::string&)> sink) {
   impl_->wireTaps();
 }
 
-void BbwSystemSim::setMetricsRegistry(obs::Registry* registry) {
-  impl_->metrics = registry;
-  impl_->wireTaps();
-}
+void BbwSystemSim::setMetricsRegistry(obs::Registry* registry) { impl_->metrics = registry; }
 
 void BbwSystemSim::setTraceRecorder(obs::TraceRecorder* recorder) {
   impl_->recorder = recorder;

@@ -8,7 +8,6 @@ void resetPlan(CopyPlan& plan) {
   plan.executionTime = Duration{};
   plan.end = CopyPlan::End::Result;
   plan.result.clear();
-  plan.error = rt::ErrorEvent{};
 }
 
 TemExecutor::TemExecutor(rt::RtKernel& kernel, TemConfig config)
@@ -26,11 +25,11 @@ rt::TaskId TemExecutor::addCriticalTask(rt::TaskConfig taskConfig, CopyBehavior 
   auto state = std::make_unique<TaskState>();
   TaskState* raw = state.get();
   state->behavior = std::move(behavior);
+  state->protocol = Protocol{config_.maxCopies};
   // Errors reported while a copy runs (hardware EDM, ECC, MMU, integrity
   // checks) terminate the copy at once — scenario (iii)/(iv). Remaining copy
   // time is reclaimed because the CPU work item is cancelled.
   auto onError = [raw](rt::Job& job, const rt::ErrorEvent&) {
-    raw->run.sawDetectedError = true;
     raw->stats.edmDetectedErrors++;
     if (job.copyActive()) job.killRunningCopy();  // the Killed stop continues the recovery
   };
@@ -39,7 +38,12 @@ rt::TaskId TemExecutor::addCriticalTask(rt::TaskConfig taskConfig, CopyBehavior 
     if (onJobError_) onJobError_(raw->id, true);
   };
   state->id = kernel_.addTask(
-      std::move(taskConfig), [this, raw](rt::Job& job) { runJob(*raw, job); },
+      std::move(taskConfig),
+      [this, raw](rt::Job& job) {
+        raw->stats.jobs++;
+        raw->protocol.begin();
+        startCopy(*raw, job);
+      },
       [this, raw](rt::Job& job, rt::CopyStop stop) { onCopyStop(*raw, job, stop); }, onError,
       onAbort);
   tasks_.push_back(std::move(state));
@@ -53,119 +57,61 @@ const TemStats& TemExecutor::stats(rt::TaskId task) const {
   throw std::invalid_argument("TemExecutor: unknown task");
 }
 
-void TemExecutor::runJob(TaskState& state, rt::Job& job) {
-  state.stats.jobs++;
-  JobRun& run = state.run;
-  run.copiesStarted = 0;
-  run.resultCount = 0;
-  run.sawMismatch = false;
-  run.sawDetectedError = false;
-  startCopy(state, job);
-}
-
 void TemExecutor::startCopy(TaskState& state, rt::Job& job) {
-  JobRun& run = state.run;
-  const CopyContext context{job.index(), ++run.copiesStarted};
-  if (context.copyIndex == 1) {
-    state.stats.firstCopies++;
-  } else if (context.copyIndex == 2) {
-    state.stats.secondCopies++;
-  } else {
-    state.stats.thirdCopies++;
-  }
-  resetPlan(run.plan);
-  state.behavior(context, run.plan);
+  const CopyContext context{job.index(), state.protocol.startCopy()};
+  TemStats& s = state.stats;
+  ++(context.copyIndex == 1   ? s.firstCopies
+     : context.copyIndex == 2 ? s.secondCopies
+                              : s.thirdCopies);
+  resetPlan(state.plan);
+  state.behavior(context, state.plan);
 
   // Comparison (after the second and later copies) is charged as CPU time
   // together with the copy itself.
-  Duration work = run.plan.executionTime;
+  Duration work = state.plan.executionTime;
   if (context.copyIndex >= 2) work += config_.checkOverhead;
 
   job.runCopy(work);
 }
 
 void TemExecutor::onCopyStop(TaskState& state, rt::Job& job, rt::CopyStop stop) {
-  JobRun& run = state.run;
-  // complete() and omit() finish the job, so they are the last use of `run`:
-  // a release they trigger may already reset it for the next job.
-  auto deliver = [&](const TaskResult& result) {
-    if (!run.hadError()) {
-      state.stats.deliveredCleanly++;
-    } else if (run.sawMismatch && run.resultCount >= 3) {
-      state.stats.maskedByVote++;
-    } else {
-      state.stats.maskedByReplacement++;
-    }
-    const bool hadError = run.hadError();
-    job.complete(result);  // retires the job: last action
-    if (onJobError_) onJobError_(state.id, hadError);
-  };
-  auto omitNoTime = [&] {
-    state.stats.omissionsNoTime++;
-    job.omit();
-    if (onJobError_) onJobError_(state.id, true);
-  };
-  auto omitVoteFailed = [&] {
-    state.stats.omissionsVoteFailed++;
-    job.omit();
-    if (onJobError_) onJobError_(state.id, true);
-  };
-  // Can another copy be started and still meet the deadline? The kernel
-  // checks the deadline after every error (Section 2.5); the estimate is
-  // one copy worst case plus the comparison/vote.
-  auto anotherCopyFeasible = [&] {
-    if (run.copiesStarted >= config_.maxCopies) return false;
-    const Duration estimate = job.config().wcet + config_.checkOverhead;
-    return job.timeToDeadline() >= estimate;
-  };
+  // The deadline monitor ended the copy; after this handler returns, it
+  // omits the job and calls the abort handler.
+  if (stop == rt::CopyStop::Aborted) return;
 
-  switch (stop) {
-    case rt::CopyStop::Aborted:
-      // The kernel's deadline monitor already omitted the job and invoked
-      // the abort handler; nothing more to do.
-      return;
-    case rt::CopyStop::Killed:
-      // Terminated by the error handler; fall through to recovery.
-      break;
-    case rt::CopyStop::BudgetOverrun:
-      // The execution-time monitor is itself an EDM (Table 1).
-      run.sawDetectedError = true;
-      state.stats.edmDetectedErrors++;
-      break;
-    case rt::CopyStop::Completed:
-      if (run.plan.end == CopyPlan::End::DetectedError) {
-        // The EDM fired after the copy consumed plan.executionTime.
-        run.sawDetectedError = true;
-        state.stats.edmDetectedErrors++;
-        break;  // discard: the copy produced no trustworthy result
-      }
-      if (run.resultCount == run.results.size()) run.results.emplace_back();
-      run.results[run.resultCount++].swap(run.plan.result);
-      if (run.resultCount >= 2) {
-        if (run.resultCount == 2 && !resultsMatch(run.results[0], run.results[1])) {
-          run.sawMismatch = true;
-          state.stats.comparisonMismatches++;
-        }
-        const std::span<const TaskResult> results{run.results.data(), run.resultCount};
-        if (const auto voted = majorityVote(results)) {
-          deliver(results[*voted]);
-          return;
-        }
-        // All results differ pairwise.
-        if (run.copiesStarted >= config_.maxCopies) {
-          omitVoteFailed();
-          return;
-        }
-      }
-      break;
-  }
-
-  // Need another copy (first result pending, mismatch, or detected error).
-  if (anotherCopyFeasible()) {
-    startCopy(state, job);
+  // Can another copy start and still meet the deadline? The kernel checks
+  // the deadline after every error (Section 2.5); the estimate is one copy
+  // worst case plus the comparison/vote.
+  const bool fits = job.timeToDeadline() >= job.config().wcet + config_.checkOverhead;
+  Decision decision;
+  if (stop == rt::CopyStop::Completed && state.plan.end == CopyPlan::End::Result) {
+    decision = state.protocol.onResult(state.plan.result, fits);
+    if (decision.mismatch) state.stats.comparisonMismatches++;
   } else {
-    omitNoTime();
+    // Killed: the error handler counted the EDM. BudgetOverrun: the
+    // execution-time monitor is itself an EDM (Table 1). A DetectedError
+    // plan: the EDM fired after the copy consumed plan.executionTime.
+    if (stop != rt::CopyStop::Killed) state.stats.edmDetectedErrors++;
+    decision = state.protocol.onDetectedError(fits);
   }
+
+  switch (decision.action) {
+    case Action::RunCopy: startCopy(state, job); return;
+    case Action::DeliverClean: state.stats.deliveredCleanly++; break;
+    case Action::DeliverByVote: state.stats.maskedByVote++; break;
+    case Action::DeliverByReplacement: state.stats.maskedByReplacement++; break;
+    case Action::OmitVoteFailed: state.stats.omissionsVoteFailed++; break;
+    case Action::OmitNoTime: state.stats.omissionsNoTime++; break;
+  }
+  // complete() and omit() finish the job, so they are the last use of the
+  // protocol: a release they trigger may already ready it for the next job.
+  const bool jobHadError = !decision.delivers() || state.protocol.hadError();
+  if (decision.delivers()) {
+    job.complete(state.protocol.result(decision.result));
+  } else {
+    job.omit();
+  }
+  if (onJobError_) onJobError_(state.id, jobHadError);
 }
 
 }  // namespace nlft::tem

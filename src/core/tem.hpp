@@ -1,33 +1,21 @@
-// Temporal Error Masking (TEM) — the heart of light-weight NLFT
-// (paper Section 2.5, Fig. 3).
-//
-// Every critical-task job is executed as a sequence of copies on the
-// real-time kernel:
-//
-//   (i)   Fault-free: two copies run, their results match, the result is
-//         delivered. The would-be third-copy slack is left to other tasks.
-//   (ii)  A comparison mismatch (silent data corruption) triggers a third
-//         copy and a 2-of-3 majority vote; two matching results are
-//         delivered, otherwise the job ends in an omission failure.
-//   (iii) An error detected by a hardware/software EDM terminates the
-//         affected copy immediately; a replacement copy starts at once,
-//         reclaiming the terminated copy's remaining time. The CPU context
-//         is fully restored from the task control block (EDM exceptions
-//         typically stem from PC/SP register faults).
-//   (iv)  Same as (iii) with the fault in the first copy.
-//
-// Before every extra copy the executor checks the job deadline; when the
-// remaining time cannot fit another copy plus its check, an omission
-// failure is enforced (the system level then handles it, Section 2.2).
+// Temporal Error Masking (TEM) on the real-time kernel — the heart of
+// light-weight NLFT (paper Section 2.5, Fig. 3). Every critical-task job
+// runs as a sequence of copies, and tem::Protocol (core/protocol.hpp) takes
+// every copy, vote and omission decision. An error detected by a
+// hardware/software EDM terminates the running copy at once: its remaining
+// time is reclaimed, and the next copy starts from the CPU context in the
+// task control block (EDM exceptions typically stem from PC/SP register
+// faults). Another copy fits while the job's deadline still holds one copy
+// plus its check; otherwise the job is omitted and the system level handles
+// the omission (Section 2.2).
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <vector>
 
-#include "core/result.hpp"
+#include "core/protocol.hpp"
 #include "rtkernel/kernel.hpp"
-#include "rtkernel/task.hpp"
 
 namespace nlft::tem {
 
@@ -49,7 +37,6 @@ struct CopyPlan {
   Duration executionTime{};  ///< CPU time this copy consumes
   End end = End::Result;
   TaskResult result;         ///< possibly silently corrupted
-  rt::ErrorEvent error{};    ///< when end == DetectedError
 };
 
 struct CopyContext {
@@ -80,8 +67,8 @@ struct TemStats {
   std::uint64_t maskedByReplacement = 0; ///< scenario (iii)/(iv) success
   std::uint64_t comparisonMismatches = 0;
   std::uint64_t edmDetectedErrors = 0;
-  std::uint64_t omissionsNoTime = 0;     ///< recovery abandoned: deadline too close
-  std::uint64_t omissionsVoteFailed = 0; ///< three pairwise-different results
+  std::uint64_t omissionsNoTime = 0;     ///< no further copy permitted or fits, no vote possible
+  std::uint64_t omissionsVoteFailed = 0; ///< the last permitted copy gave a result; no two agree
   std::uint64_t omissionsAborted = 0;    ///< deadline monitor aborted the job
 };
 
@@ -103,29 +90,17 @@ class TemExecutor {
   void setJobErrorCallback(JobErrorCallback callback) { onJobError_ = std::move(callback); }
 
  private:
-  /// Mutable state of one job's TEM execution. The kernel runs at most one
-  /// job per task, so each task keeps one instance that runJob() resets.
-  struct JobRun {
-    int copiesStarted = 0;
-    /// The first `resultCount` entries are this job's copy results. A
-    /// finished copy's result is swapped in from `plan`, so the buffers are
-    /// reused from job to job.
-    std::vector<TaskResult> results;
-    std::size_t resultCount = 0;
-    bool sawMismatch = false;
-    bool sawDetectedError = false;
-    CopyPlan plan;  ///< the running copy's plan
-
-    [[nodiscard]] bool hadError() const { return sawMismatch || sawDetectedError; }
-  };
+  /// The kernel runs at most one job per task, so each task keeps one
+  /// protocol, readied at each release. A finished copy's result is swapped in
+  /// from `plan`, so the buffers are reused from job to job.
   struct TaskState {
     rt::TaskId id;
     CopyBehavior behavior;
     TemStats stats;
-    JobRun run;
+    Protocol protocol;
+    CopyPlan plan;  ///< the running copy's plan
   };
 
-  void runJob(TaskState& state, rt::Job& job);
   void startCopy(TaskState& state, rt::Job& job);
   /// The task's copy-stop handler, registered once with the kernel.
   void onCopyStop(TaskState& state, rt::Job& job, rt::CopyStop stop);

@@ -5,7 +5,6 @@
 #include <optional>
 #include <stdexcept>
 
-#include "core/result.hpp"
 #include "exec/chunked_campaign.hpp"
 #include "faults/snapshot_exec.hpp"
 
@@ -130,30 +129,6 @@ ExperimentFault normalize(const FaultSpec& fault, util::Rng& rng) {
     }
   }
   return experiment;
-}
-
-void countMechanism(DetectionMechanismCounts* counts, const CopyRun& run) {
-  if (!counts) return;
-  switch (run.end) {
-    case CopyRun::End::Output:
-      return;
-    case CopyRun::End::Overrun:
-      ++counts->executionTimeMonitor;
-      return;
-    case CopyRun::End::OutputUnreadable:
-      ++counts->outputUnreadable;
-      return;
-    case CopyRun::End::Exception:
-      switch (run.exception) {
-        case hw::ExceptionKind::IllegalInstruction: ++counts->illegalInstruction; return;
-        case hw::ExceptionKind::AddressError: ++counts->addressError; return;
-        case hw::ExceptionKind::BusError: ++counts->busError; return;
-        case hw::ExceptionKind::DivideByZero: ++counts->divideByZero; return;
-        case hw::ExceptionKind::MmuViolation: ++counts->mmuViolation; return;
-        case hw::ExceptionKind::StackOverflow: ++counts->stackOverflow; return;
-        case hw::ExceptionKind::None: return;
-      }
-  }
 }
 
 /// Straight copy source: one fresh machine per experiment, every copy
@@ -313,66 +288,8 @@ class SnapshotSource {
   bool recovered_ = false;
 };
 
-/// The TEM protocol (two copies, comparison, recovery copy, vote, job
-/// budget), parametrized over where copy runs come from. The straight and
-/// snapshot sources produce byte-identical CopyRuns, so the classification
-/// is a pure function of the experiment either way.
-template <typename Source>
-TemOutcome classifyTemWith(const TaskImage& image, const CopyRun& golden,
-                           double jobBudgetFactor, DetectionMechanismCounts* mechanisms,
-                           Source& source) {
-  auto remaining =
-      static_cast<std::int64_t>(jobBudgetFactor * static_cast<double>(golden.instructions));
-
-  std::vector<tem::TaskResult> results;
-  bool edmDetected = false;
-  bool mismatchDetected = false;
-  constexpr int kMaxCopies = 3;
-
-  for (int copy = 1; copy <= kMaxCopies; ++copy) {
-    // Deadline check (Section 2.5): enough budget for another full copy?
-    if (remaining < static_cast<std::int64_t>(golden.instructions)) {
-      return TemOutcome::OmissionNoBudget;
-    }
-    const CopyRun run = source.runCopy(copy);
-    remaining -= static_cast<std::int64_t>(run.instructions);
-
-    if (run.end != CopyRun::End::Output) {
-      edmDetected = true;  // exception, overrun or unreadable output
-      countMechanism(mechanisms, run);
-    } else if (image.outputHasChecksum && !endToEndChecksumValid(run.output)) {
-      // The kernel's data-integrity check rejects the copy's result before
-      // it ever reaches the comparison (Section 2.6).
-      edmDetected = true;
-      if (mechanisms) ++mechanisms->endToEndCheck;
-    } else {
-      results.push_back(run.output);
-      if (results.size() == 2 && results[0] != results[1]) {
-        mismatchDetected = true;
-        if (mechanisms) ++mechanisms->temComparison;
-      }
-    }
-
-    if (results.size() >= 2) {
-      if (const auto voted = tem::majorityVote(results)) {
-        if (results[*voted] != golden.output) return TemOutcome::UndetectedWrongOutput;
-        if (mismatchDetected) return TemOutcome::MaskedByVote;
-        if (edmDetected) return TemOutcome::MaskedByRestart;
-        if (source.eccCorrected()) {
-          if (mechanisms) ++mechanisms->eccCorrected;
-          return TemOutcome::MaskedByEcc;
-        }
-        return TemOutcome::NotActivated;
-      }
-      if (copy == kMaxCopies) return TemOutcome::OmissionVoteFailed;
-    }
-  }
-  // Copies exhausted without two matching results (repeated EDM errors).
-  return TemOutcome::OmissionNoBudget;
-}
-
 /// The fail-silent-node check (single copy, EDM + end-to-end checksum),
-/// parametrized like classifyTemWith.
+/// parametrized over the copy source like classifyTemWith.
 template <typename Source>
 FsOutcome classifyFsWith(const TaskImage& image, const CopyRun& golden, Source& source) {
   const CopyRun run = source.runCopy(1);

@@ -2,9 +2,9 @@
 //
 // A TaskImage describes one critical task compiled for the toy ISA: program
 // text, input data, output region and entry conditions. The campaign runner
-// executes the TEM protocol at the machine level — two copies, comparison,
-// recovery copy, vote, instruction budget — with exactly one fault injected
-// per experiment, and classifies the outcome. This reproduces the
+// drives tem::Protocol at the machine level (classifyTemWith) — two copies,
+// comparison, recovery copy, vote, instruction budget — with exactly one
+// fault injected per experiment, and classifies the outcome. This reproduces the
 // methodology behind the paper's assumed P_T = 0.9, P_OM = 0.05 figures
 // (fault injection on a brake-by-wire task, reference [7]).
 #pragma once
@@ -13,6 +13,7 @@
 #include <optional>
 #include <vector>
 
+#include "core/protocol.hpp"
 #include "exec/parallel_for.hpp"
 #include "faults/fault_model.hpp"
 #include "hw/assembler.hpp"
@@ -67,14 +68,16 @@ struct CopyRun {
   std::uint64_t instructions = 0;
 };
 
-/// Classification of one TEM fault-injection experiment.
+/// Classification of one TEM fault-injection experiment. Omissions follow
+/// tem::Protocol's rule, but two disagreeing results and then a detected error
+/// in copy 3 are OmissionVoteFailed (a legacy label, until a reference re-record).
 enum class TemOutcome : std::uint8_t {
   NotActivated,     ///< fault never became an error (overwritten / latent)
   MaskedByEcc,      ///< hardware ECC corrected it; execution stayed clean
   MaskedByVote,     ///< comparison mismatch, 2-of-3 vote delivered the right result
   MaskedByRestart,  ///< EDM exception, replacement copy delivered the right result
-  OmissionVoteFailed,  ///< three pairwise-distinct results
-  OmissionNoBudget,    ///< recovery did not fit the instruction budget
+  OmissionVoteFailed,  ///< the last permitted copy gave a result; no two results agree
+  OmissionNoBudget,    ///< no further copy fits the instruction budget; no vote possible
   UndetectedWrongOutput,  ///< silent data corruption delivered (coverage gap)
 };
 
@@ -262,5 +265,75 @@ struct TracedRun {
 /// tests and benches).
 [[nodiscard]] FaultSpec sampleFault(const TaskImage& image, std::uint64_t goldenInstructions,
                                     const FaultMix& mix, util::Rng& rng);
+
+/// Counts the error-detection mechanism that ended `run`, if any.
+inline void countMechanism(DetectionMechanismCounts& counts, const CopyRun& run) {
+  if (run.end == CopyRun::End::Overrun) ++counts.executionTimeMonitor;
+  if (run.end == CopyRun::End::OutputUnreadable) ++counts.outputUnreadable;
+  if (run.end != CopyRun::End::Exception) return;
+  switch (run.exception) {
+    case hw::ExceptionKind::IllegalInstruction: ++counts.illegalInstruction; return;
+    case hw::ExceptionKind::AddressError: ++counts.addressError; return;
+    case hw::ExceptionKind::BusError: ++counts.busError; return;
+    case hw::ExceptionKind::DivideByZero: ++counts.divideByZero; return;
+    case hw::ExceptionKind::MmuViolation: ++counts.mmuViolation; return;
+    case hw::ExceptionKind::StackOverflow: ++counts.stackOverflow; return;
+    case hw::ExceptionKind::None: return;
+  }
+}
+
+/// One TEM experiment, driving tem::Protocol over the copies `source` runs
+/// (`CopyRun runCopy(int copy)`, 1-based; `bool eccCorrected()` tells whether
+/// ECC corrected an upset), so a test can script them. Another copy fits
+/// while the job's instruction budget (`jobBudgetFactor` golden copies) still
+/// holds one golden copy, checked before copy 1 too. A copy that raises an
+/// exception, overruns, leaves its output unreadable or fails the end-to-end
+/// checksum is a detected error.
+template <typename Source>
+TemOutcome classifyTemWith(const TaskImage& image, const CopyRun& golden, double jobBudgetFactor,
+                           DetectionMechanismCounts* mechanisms, Source& source) {
+  const auto copyCost = static_cast<std::int64_t>(golden.instructions);
+  auto remaining = static_cast<std::int64_t>(jobBudgetFactor * static_cast<double>(copyCost));
+  if (remaining < copyCost) return TemOutcome::OmissionNoBudget;
+
+  tem::Protocol protocol;
+  tem::Decision decision;
+  do {
+    CopyRun run = source.runCopy(protocol.startCopy());
+    remaining -= static_cast<std::int64_t>(run.instructions);
+    const bool fits = remaining >= copyCost;
+    if (run.end != CopyRun::End::Output) {
+      if (mechanisms) countMechanism(*mechanisms, run);
+      decision = protocol.onDetectedError(fits);
+    } else if (image.outputHasChecksum && !endToEndChecksumValid(run.output)) {
+      // The kernel's data-integrity check rejects the copy's result before
+      // it ever reaches the comparison (Section 2.6).
+      if (mechanisms) ++mechanisms->endToEndCheck;
+      decision = protocol.onDetectedError(fits);
+    } else {
+      decision = protocol.onResult(run.output, fits);
+      if (decision.mismatch && mechanisms) ++mechanisms->temComparison;
+    }
+  } while (decision.action == tem::Action::RunCopy);
+
+  if (decision.delivers() && protocol.result(decision.result) != golden.output) {
+    return TemOutcome::UndetectedWrongOutput;
+  }
+  switch (decision.action) {
+    case tem::Action::DeliverByVote: return TemOutcome::MaskedByVote;
+    case tem::Action::DeliverByReplacement: return TemOutcome::MaskedByRestart;
+    case tem::Action::DeliverClean:
+      if (!source.eccCorrected()) return TemOutcome::NotActivated;
+      if (mechanisms) ++mechanisms->eccCorrected;
+      return TemOutcome::MaskedByEcc;
+    case tem::Action::OmitVoteFailed: return TemOutcome::OmissionVoteFailed;
+    case tem::Action::RunCopy:
+    case tem::Action::OmitNoTime: break;
+  }
+  // Legacy label until ROADMAP item 3 re-records the references: two
+  // disagreeing results, then a detected error in copy 3.
+  const bool legacyVoteFailed = protocol.resultCount() == 2 && protocol.copiesStarted() == 3;
+  return legacyVoteFailed ? TemOutcome::OmissionVoteFailed : TemOutcome::OmissionNoBudget;
+}
 
 }  // namespace nlft::fi

@@ -1,11 +1,17 @@
 // Exhaustive enumeration of TEM behaviour: every combination of
 // {clean, corrupted, EDM-error} across the three possible copies of a job
 // (27 patterns), checked against an independently written reference model
-// of the Section 2.5 protocol. Corruptions are pairwise distinct (a second
-// fault never reproduces the first one's wrong value).
+// of the Section 2.5 protocol. Each pattern runs through both runners of
+// tem::Protocol: TemExecutor on a kernel, and the machine-level
+// fi::classifyTemWith fed by a scripted copy source. Corruptions are
+// pairwise distinct (a second fault never reproduces the first one's wrong
+// value).
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "core/tem.hpp"
+#include "faults/campaign.hpp"
 
 namespace nlft::tem {
 namespace {
@@ -33,18 +39,25 @@ struct Expected {
   std::uint32_t value = kGood;  // meaningful for delivered kinds
 };
 
+using Pattern = std::array<CopyFate, 3>;
+using Kind = Expected::Kind;
+
 /// Reference model of the TEM protocol (written against the paper's text,
-/// not against the implementation).
-Expected reference(const std::array<CopyFate, 3>& pattern) {
+/// not against the implementation). `copiesThatFit`: how many copies the
+/// job's time holds; the job is omitted for lack of time before any copy
+/// beyond them.
+Expected reference(const Pattern& pattern, int copiesThatFit = 3) {
   std::vector<std::uint32_t> results;
   bool sawMismatch = false;
   bool sawEdm = false;
   for (int copy = 1; copy <= 3; ++copy) {
+    if (copy > copiesThatFit) return {Expected::Kind::OmissionNoTime};
     const CopyFate fate = pattern[copy - 1];
     if (fate == CopyFate::EdmError) {
       // The copy produced nothing: no comparison/vote happens now. If this
-      // was the last permitted copy, the job is omitted for lack of time —
-      // a "vote failed" omission requires three actual results.
+      // was the last permitted copy, the job is omitted for lack of time:
+      // a "vote failed" omission needs the last permitted copy to produce a
+      // result, with at least two results in hand and no two agreeing.
       sawEdm = true;
       continue;
     }
@@ -68,14 +81,26 @@ Expected reference(const std::array<CopyFate, 3>& pattern) {
   return {Expected::Kind::OmissionNoTime};  // copy budget exhausted
 }
 
-class TemExhaustive : public ::testing::TestWithParam<int> {};
+Pattern patternOf(int code) {
+  return {static_cast<CopyFate>(code % 3), static_cast<CopyFate>((code / 3) % 3),
+          static_cast<CopyFate>((code / 9) % 3)};
+}
 
-TEST_P(TemExhaustive, MatchesReferenceModel) {
-  const int code = GetParam();
-  const std::array<CopyFate, 3> pattern{static_cast<CopyFate>(code % 3),
-                                        static_cast<CopyFate>((code / 3) % 3),
-                                        static_cast<CopyFate>((code / 9) % 3)};
+int codeOf(const Pattern& pattern) {
+  return static_cast<int>(pattern[0]) + 3 * static_cast<int>(pattern[1]) +
+         9 * static_cast<int>(pattern[2]);
+}
 
+struct KernelRun {
+  TemStats stats;
+  std::optional<std::uint32_t> delivered;
+};
+
+/// Runs one job of `pattern` under TemExecutor (WCET 2 ms). A copy with a
+/// result takes 2 ms of CPU time; an EDM fires after `edmTime`.
+KernelRun runOnKernel(const Pattern& pattern,
+                      Duration relativeDeadline = Duration::milliseconds(40),
+                      Duration edmTime = Duration::milliseconds(1)) {
   sim::Simulator simulator;
   rt::Cpu cpu{simulator};
   rt::RtKernel kernel{simulator, cpu};
@@ -85,26 +110,98 @@ TEST_P(TemExhaustive, MatchesReferenceModel) {
   config.name = "exhaustive";
   config.priority = 1;
   config.period = Duration::milliseconds(40);
+  config.relativeDeadline = relativeDeadline;
   config.wcet = Duration::milliseconds(2);
-  const auto behavior = [&pattern](const CopyContext& ctx, CopyPlan& plan) {
+  const auto behavior = [&pattern, edmTime](const CopyContext& ctx, CopyPlan& plan) {
     const CopyFate fate = pattern[std::min(ctx.copyIndex, 3) - 1];
     plan.executionTime = Duration::milliseconds(2);
     if (fate == CopyFate::EdmError) {
       plan.end = CopyPlan::End::DetectedError;
-      plan.executionTime = Duration::milliseconds(1);
+      plan.executionTime = edmTime;
     } else {
       plan.result = {copyValue(fate, ctx.copyIndex)};
     }
   };
   const TaskId task = tem.addCriticalTask(config, behavior);
 
-  std::optional<std::uint32_t> delivered;
-  kernel.setResultSink([&](const rt::JobResult& r) { delivered = r.data[0]; });
+  KernelRun run;
+  kernel.setResultSink([&](const rt::JobResult& r) { run.delivered = r.data[0]; });
   kernel.start();
   simulator.runUntil(SimTime::fromUs(39'000));
+  run.stats = tem.stats(task);
+  return run;
+}
+
+/// The class of the one job in `stats`; nullopt unless exactly one
+/// outcome counter reads 1.
+std::optional<Kind> kernelKind(const TemStats& stats) {
+  const std::array<std::pair<std::uint64_t, Kind>, 5> counters{{
+      {stats.deliveredCleanly, Kind::DeliveredClean},
+      {stats.maskedByVote, Kind::MaskedByVote},
+      {stats.maskedByReplacement, Kind::MaskedByReplacement},
+      {stats.omissionsVoteFailed, Kind::OmissionVoteFailed},
+      {stats.omissionsNoTime, Kind::OmissionNoTime},
+  }};
+  std::optional<Kind> kind;
+  std::uint64_t total = 0;
+  for (const auto& [count, counted] : counters) {
+    total += count;
+    if (count == 1) kind = counted;
+  }
+  return total == 1 ? kind : std::nullopt;
+}
+
+/// Every machine copy costs the golden copy's 10 instructions, so a job
+/// budget of f golden copies holds floor(f) copies.
+constexpr std::uint64_t kCopyInstructions = 10;
+
+/// Copy source of the machine runner that plays `pattern` back.
+struct ScriptedSource {
+  const Pattern& pattern;
+
+  fi::CopyRun runCopy(int copy) const {
+    fi::CopyRun run;
+    run.instructions = kCopyInstructions;
+    const CopyFate fate = pattern[copy - 1];
+    if (fate == CopyFate::EdmError) {
+      run.end = fi::CopyRun::End::Exception;
+      run.exception = hw::ExceptionKind::IllegalInstruction;
+    } else {
+      run.output = {copyValue(fate, copy)};
+    }
+    return run;
+  }
+  [[nodiscard]] bool eccCorrected() const { return false; }
+};
+
+/// The class fi::classifyTemWith gives `pattern`; nullopt for an outcome
+/// that is no protocol class (ECC masking, a delivered wrong result).
+std::optional<Kind> machineKind(const Pattern& pattern, double jobBudgetFactor = 3.5) {
+  fi::CopyRun golden;
+  golden.instructions = kCopyInstructions;
+  golden.output = {kGood};
+  ScriptedSource source{pattern};
+  switch (fi::classifyTemWith(fi::TaskImage{}, golden, jobBudgetFactor, nullptr, source)) {
+    case fi::TemOutcome::NotActivated: return Kind::DeliveredClean;
+    case fi::TemOutcome::MaskedByVote: return Kind::MaskedByVote;
+    case fi::TemOutcome::MaskedByRestart: return Kind::MaskedByReplacement;
+    case fi::TemOutcome::OmissionVoteFailed: return Kind::OmissionVoteFailed;
+    case fi::TemOutcome::OmissionNoBudget: return Kind::OmissionNoTime;
+    case fi::TemOutcome::MaskedByEcc:
+    case fi::TemOutcome::UndetectedWrongOutput: return std::nullopt;
+  }
+  return std::nullopt;
+}
+
+class TemExhaustive : public ::testing::TestWithParam<int> {};
+
+TEST_P(TemExhaustive, MatchesReferenceModel) {
+  const Pattern pattern = patternOf(GetParam());
+  const KernelRun run = runOnKernel(pattern);
+  const std::optional<std::uint32_t>& delivered = run.delivered;
 
   const Expected expected = reference(pattern);
-  const TemStats& stats = tem.stats(task);
+  const TemStats& stats = run.stats;
   switch (expected.kind) {
     case Expected::Kind::DeliveredClean:
       ASSERT_TRUE(delivered.has_value());
@@ -138,6 +235,56 @@ TEST_P(TemExhaustive, MatchesReferenceModel) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPatterns, TemExhaustive, ::testing::Range(0, 27));
+
+// Both runners against the reference model. They disagree on exactly three
+// patterns: copies 1-2 give two different results and copy 3 ends in a
+// detected error. The protocol omits these for lack of time; the machine
+// runner keeps its legacy "vote failed" label until the references are
+// re-recorded. The test fails if that set grows or shrinks.
+TEST(TemRunners, DisagreeOnlyOnTheThreeLegacyPatterns) {
+  using enum CopyFate;
+  const std::set<int> legacy{codeOf({Clean, Corrupt, EdmError}), codeOf({Corrupt, Clean, EdmError}),
+                             codeOf({Corrupt, Corrupt, EdmError})};
+  std::set<int> disagreeing;
+  for (int code = 0; code < 27; ++code) {
+    SCOPED_TRACE(::testing::Message() << "pattern " << code);
+    const Pattern pattern = patternOf(code);
+    const Kind expected = reference(pattern).kind;
+    EXPECT_EQ(kernelKind(runOnKernel(pattern).stats), expected);
+    const std::optional<Kind> machine = machineKind(pattern);
+    if (machine == expected) continue;
+    disagreeing.insert(code);
+    EXPECT_EQ(expected, Kind::OmissionNoTime);
+    EXPECT_EQ(machine, Kind::OmissionVoteFailed);
+  }
+  EXPECT_EQ(disagreeing, legacy);
+}
+
+// Another copy does not fit before copy 2 or before copy 3 (both runners),
+// or before copy 1 (only the machine runner checks its budget before copy
+// 1; TemExecutor starts copy 1 at release).
+TEST(TemRunners, AgreeWhenAnotherCopyDoesNotFit) {
+  for (const int copiesThatFit : {1, 2}) {
+    // Every kernel copy takes the 2-ms WCET, so a deadline of 3 or 5 ms
+    // holds one or two copies; a machine budget of 1.5 or 2.5 golden copies
+    // holds one or two.
+    const Duration deadline = Duration::milliseconds(2 * copiesThatFit + 1);
+    const double budgetFactor = copiesThatFit + 0.5;
+    for (int code = 0; code < 27; ++code) {
+      SCOPED_TRACE(::testing::Message() << copiesThatFit << " copies fit, pattern " << code);
+      const Pattern pattern = patternOf(code);
+      const Kind expected = reference(pattern, copiesThatFit).kind;
+      EXPECT_EQ(kernelKind(runOnKernel(pattern, deadline, Duration::milliseconds(2)).stats),
+                expected);
+      EXPECT_EQ(machineKind(pattern, budgetFactor), expected);
+    }
+  }
+  for (int code = 0; code < 27; ++code) {
+    SCOPED_TRACE(::testing::Message() << "no copy fits, pattern " << code);
+    EXPECT_EQ(reference(patternOf(code), 0).kind, Kind::OmissionNoTime);
+    EXPECT_EQ(machineKind(patternOf(code), 0.5), Kind::OmissionNoTime);
+  }
+}
 
 }  // namespace
 }  // namespace nlft::tem

@@ -29,7 +29,6 @@ CopyPlan edmErrorCopy(Duration timeUntilError) {
   CopyPlan plan;
   plan.executionTime = timeUntilError;
   plan.end = CopyPlan::End::DetectedError;
-  plan.error = {rt::ErrorEvent::Source::HardwareException, 0};
   return plan;
 }
 

@@ -33,95 +33,94 @@ for pattern in "${patterns[@]}"; do
   fi
 done
 
-# Chrome-trace re-export determinism: exporting the same recorder twice must
-# produce byte-identical JSON (tests/obs_trace_test covers it). Runs whenever
-# a built test binary is found; on a fresh checkout the check is skipped.
-for build in build build-cov build-asan build-tsan; do
-  exe="$build/tests/obs_trace_test"
-  if [ -x "$exe" ]; then
-    if "$exe" --gtest_filter='*ReExportIsByteIdentical*' >/dev/null 2>&1; then
-      echo "determinism lint: trace re-export byte-identical ($exe)"
-    else
-      echo "determinism lint: Chrome-trace re-export is not byte-identical ($exe)" >&2
-      status=1
+# The sections below run a built binary from the first build tree that has
+# it. Without one (a fresh checkout) a section prints one "skipped:" line
+# naming itself and the binary it needs.
+built() {
+  for build in build build-cov build-asan build-tsan; do
+    if [ -x "$build/$1" ]; then
+      echo "$build/$1"
+      return
     fi
-    break
-  fi
-done
+  done
+}
+
+skipped() {
+  echo "determinism lint: skipped: $1 (no $2 in build, build-cov, build-asan or build-tsan)"
+}
+
+case=$(ls tests/corpus/case-*.json 2>/dev/null | head -n 1)
+
+# Chrome-trace re-export determinism: exporting the same recorder twice must
+# produce byte-identical JSON (tests/obs_trace_test covers it).
+exe=$(built tests/obs_trace_test)
+if [ -z "$exe" ]; then
+  skipped "trace re-export" tests/obs_trace_test
+elif "$exe" --gtest_filter='*ReExportIsByteIdentical*' >/dev/null 2>&1; then
+  echo "determinism lint: trace re-export byte-identical ($exe)"
+else
+  echo "determinism lint: Chrome-trace re-export is not byte-identical ($exe)" >&2
+  status=1
+fi
 
 # Fuzzer-replay determinism: replaying a checked-in corpus case twice must
 # print byte-identical reports (the replay path exercises the simulator, the
 # oracles and the signature fingerprint end to end — any divergence means a
-# nondeterminism crept into the scenario pipeline). Skipped on a fresh
-# checkout, like the trace check above.
-for build in build build-cov build-asan build-tsan; do
-  exe="$build/tools/nlft-fuzz"
-  if [ -x "$exe" ]; then
-    case=$(ls tests/corpus/case-*.json 2>/dev/null | head -n 1)
-    if [ -n "$case" ]; then
-      a=$("$exe" --replay "$case" 2>&1)
-      rc_a=$?
-      b=$("$exe" --replay "$case" 2>&1)
-      rc_b=$?
-      if [ "$rc_a" -eq 0 ] && [ "$rc_b" -eq 0 ] && [ "$a" = "$b" ]; then
-        echo "determinism lint: nlft-fuzz --replay byte-identical ($exe)"
-      else
-        echo "determinism lint: nlft-fuzz --replay diverged or failed ($exe, $case)" >&2
-        echo "$a" >&2
-        status=1
-      fi
-    fi
-    break
-  fi
-done
-
-# Snapshot-resume determinism: replaying one checked-in corpus case via a
+# nondeterminism crept into the scenario pipeline).
+#
+# Snapshot-resume determinism: replaying the same case via a
 # checkpoint/restore split (BbwSystemSim::saveState at 900 ms, restored into
 # a fresh simulation) must reproduce the straight run's metrics fingerprint
 # byte for byte — the docs/SNAPSHOT.md equivalence contract, spot-checked
-# here on top of the full differential suite (ctest -L snapshot). Skipped on
-# a fresh checkout, like the trace check above.
-for build in build build-cov build-asan build-tsan; do
-  exe="$build/tools/nlft-fuzz"
-  if [ -x "$exe" ]; then
-    case=$(ls tests/corpus/case-*.json 2>/dev/null | head -n 1)
-    if [ -n "$case" ]; then
-      straight=$("$exe" --fingerprint "$case" 2>&1)
-      rc_a=$?
-      resumed=$("$exe" --fingerprint "$case" --resume-split 900000 2>&1)
-      rc_b=$?
-      if [ "$rc_a" -eq 0 ] && [ "$rc_b" -eq 0 ] && [ -n "$straight" ] && \
-         [ "$straight" = "$resumed" ]; then
-        echo "determinism lint: snapshot-resume replay byte-identical ($exe)"
-      else
-        echo "determinism lint: snapshot-resume replay diverged from the straight run ($exe, $case)" >&2
-        echo "  straight: $straight" >&2
-        echo "  resumed:  $resumed" >&2
-        status=1
-      fi
-    fi
-    break
+# here on top of the full differential suite (ctest -L snapshot).
+exe=$(built tools/nlft-fuzz)
+if [ -z "$exe" ]; then
+  skipped "fuzzer replay" tools/nlft-fuzz
+  skipped "snapshot-resume replay" tools/nlft-fuzz
+elif [ -n "$case" ]; then
+  a=$("$exe" --replay "$case" 2>&1)
+  rc_a=$?
+  b=$("$exe" --replay "$case" 2>&1)
+  rc_b=$?
+  if [ "$rc_a" -eq 0 ] && [ "$rc_b" -eq 0 ] && [ "$a" = "$b" ]; then
+    echo "determinism lint: nlft-fuzz --replay byte-identical ($exe)"
+  else
+    echo "determinism lint: nlft-fuzz --replay diverged or failed ($exe, $case)" >&2
+    echo "$a" >&2
+    status=1
   fi
-done
+
+  straight=$("$exe" --fingerprint "$case" 2>&1)
+  rc_a=$?
+  resumed=$("$exe" --fingerprint "$case" --resume-split 900000 2>&1)
+  rc_b=$?
+  if [ "$rc_a" -eq 0 ] && [ "$rc_b" -eq 0 ] && [ -n "$straight" ] && \
+     [ "$straight" = "$resumed" ]; then
+    echo "determinism lint: snapshot-resume replay byte-identical ($exe)"
+  else
+    echo "determinism lint: snapshot-resume replay diverged from the straight run ($exe, $case)" >&2
+    echo "  straight: $straight" >&2
+    echo "  resumed:  $resumed" >&2
+    status=1
+  fi
+fi
 
 # Static-verifier determinism: two nlft-verify --json runs over the full
 # configuration registry must produce byte-identical reports (src/verify is
-# pure analysis — any divergence means ambient state leaked in). Skipped on
-# a fresh checkout, like the trace check above.
-for build in build build-cov build-asan build-tsan; do
-  exe="$build/tools/nlft-verify"
-  if [ -x "$exe" ]; then
-    a=$("$exe" --json 2>/dev/null)
-    b=$("$exe" --json 2>/dev/null)
-    if [ -n "$a" ] && [ "$a" = "$b" ]; then
-      echo "determinism lint: nlft-verify --json byte-identical ($exe)"
-    else
-      echo "determinism lint: nlft-verify --json output is not byte-identical ($exe)" >&2
-      status=1
-    fi
-    break
+# pure analysis — any divergence means ambient state leaked in).
+exe=$(built tools/nlft-verify)
+if [ -z "$exe" ]; then
+  skipped "verifier report" tools/nlft-verify
+else
+  a=$("$exe" --json 2>/dev/null)
+  b=$("$exe" --json 2>/dev/null)
+  if [ -n "$a" ] && [ "$a" = "$b" ]; then
+    echo "determinism lint: nlft-verify --json byte-identical ($exe)"
+  else
+    echo "determinism lint: nlft-verify --json output is not byte-identical ($exe)" >&2
+    status=1
   fi
-done
+fi
 
 if [ "$status" -eq 0 ]; then
   echo "determinism lint: clean"
