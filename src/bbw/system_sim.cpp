@@ -11,6 +11,7 @@
 
 #include "bbw/control.hpp"
 #include "bbw/cu_task.hpp"
+#include "core/node.hpp"
 #include "core/replication.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -115,10 +116,9 @@ struct BbwSystemSim::Impl {
 
   struct Node {
     net::NodeId id = 0;
-    std::unique_ptr<rt::Cpu> cpu;
-    std::unique_ptr<rt::RtKernel> kernel;
-    std::unique_ptr<tem::TemExecutor> temExecutor;
-    std::unique_ptr<tem::FailSilentExecutor> fsExecutor;
+    /// The node's CPU, kernel, policy and permanent-fault monitor. Held by
+    /// pointer because the kernel's handlers hold it, and `nodes` may move.
+    std::unique_ptr<tem::NlftNode> nlft;
     rt::TaskId controlTask{};
     rt::TaskId emergencyTask{};  // CUs only
     // One-shot fault-injection flags, consumed by the next control job.
@@ -218,14 +218,16 @@ struct BbwSystemSim::Impl {
           onAppData(receiver, sender, data);
         });
 
+    const tem::NodeConfig nodeConfig{config.nodeType == NodeType::Nlft
+                                         ? tem::NodePolicy::Nlft
+                                         : tem::NodePolicy::FailSilent};
     for (net::NodeId id = kCuA; id <= kWheelNodeBase + 3; ++id) {
-      nodes.emplace_back();
-      Node& n = nodes.back();
+      Node& n = nodes.emplace_back();
       n.id = id;
-      n.cpu = std::make_unique<rt::Cpu>(simulator);
-      n.kernel = std::make_unique<rt::RtKernel>(simulator, *n.cpu);
-      n.kernel->setFailSilentHook([this, id] { onNodeSilent(id, /*scheduleRestart=*/true); });
-      n.kernel->setResultSink([this, id](const rt::JobResult& result) { onResult(id, result); });
+      n.nlft = std::make_unique<tem::NlftNode>(simulator, nodeConfig);
+      tem::NlftNode& nlft = *n.nlft;
+      nlft.setSilentHook([this, id] { onNodeSilent(id); });
+      nlft.setResultSink([this, id](const rt::JobResult& result) { onResult(id, result); });
 
       const BbwDeployment& deployment = bbwDeployment();
       rt::TaskConfig control;
@@ -233,17 +235,10 @@ struct BbwSystemSim::Impl {
       control.priority = deployment.controlPriority;
       control.period = deployment.controlPeriod;
       control.wcet = isWheel(id) ? deployment.wheelControlWcet : deployment.cuControlWcet;
-
-      auto behavior = [this, id](const tem::CopyContext& context, tem::CopyPlan& plan) {
-        controlCopy(id, context, plan);
-      };
-      if (config.nodeType == NodeType::Nlft) {
-        n.temExecutor = std::make_unique<tem::TemExecutor>(*n.kernel);
-        n.controlTask = n.temExecutor->addCriticalTask(control, behavior);
-      } else {
-        n.fsExecutor = std::make_unique<tem::FailSilentExecutor>(*n.kernel);
-        n.controlTask = n.fsExecutor->addTask(control, behavior);
-      }
+      n.controlTask = nlft.addCriticalTask(
+          control, [this, id](const tem::CopyContext& context, tem::CopyPlan& plan) {
+            controlCopy(id, context, plan);
+          });
 
       if (!isWheel(id)) {
         // Sporadic emergency-brake task (event-triggered path, Section 2.1):
@@ -254,15 +249,11 @@ struct BbwSystemSim::Impl {
         emergency.priority = deployment.emergencyPriority;
         emergency.relativeDeadline = deployment.emergencyDeadline;
         emergency.wcet = deployment.emergencyWcet;
-        auto emergencyBehavior = [](const tem::CopyContext&, tem::CopyPlan& plan) {
-          plan.executionTime = bbwDeployment().emergencyWcet;
-          plan.result.push_back(kMsgEmergency);
-        };
-        if (n.temExecutor) {
-          n.emergencyTask = n.temExecutor->addCriticalTask(emergency, emergencyBehavior);
-        } else {
-          n.emergencyTask = n.fsExecutor->addTask(emergency, emergencyBehavior);
-        }
+        n.emergencyTask =
+            nlft.addCriticalTask(emergency, [](const tem::CopyContext&, tem::CopyPlan& plan) {
+              plan.executionTime = bbwDeployment().emergencyWcet;
+              plan.result.push_back(kMsgEmergency);
+            });
       }
 
       // A non-critical diagnostic task rides the dynamic segment.
@@ -271,14 +262,14 @@ struct BbwSystemSim::Impl {
       diagnostic.priority = deployment.diagnosticPriority;
       diagnostic.period = deployment.diagnosticPeriod;
       diagnostic.wcet = deployment.diagnosticWcet;
-      tem::addNonCriticalTask(
-          *n.kernel, diagnostic, [this, id](const tem::CopyContext&, tem::CopyPlan& plan) {
+      nlft.addNonCriticalTask(
+          diagnostic, [this, id](const tem::CopyContext&, tem::CopyPlan& plan) {
             plan.executionTime = bbwDeployment().diagnosticWcet;
             plan.result.push_back(kMsgWheelStatus);
             bus.sendDynamic(id, id, std::array{kMsgWheelStatus, static_cast<std::uint32_t>(id)});
           });
 
-      n.kernel->start();
+      nlft.start();
     }
 
     // Wheels listen for emergency frames directly on the bus (the
@@ -436,7 +427,9 @@ struct BbwSystemSim::Impl {
     e2eMaxUs = std::max(e2eMaxUs, latencyUs);  // latencies are never negative
   }
 
-  void onNodeSilent(net::NodeId id, bool scheduleRestart) {
+  /// A node went silent (kernel error, fail-silent reaction or
+  /// permanent-fault suspicion); it restarts after restartTime.
+  void onNodeSilent(net::NodeId id) {
     ++failSilentEvents;
     membership.setAlive(id, false);
     trace("node-silent node=" + std::to_string(id));
@@ -449,14 +442,12 @@ struct BbwSystemSim::Impl {
       // pedal->actuator chain traversal, so it must not enter e2e.latency.
       lastCommandSeq[wheelIndex(id)] = ~0ULL;
     }
-    if (scheduleRestart) {
-      simulator.scheduleAfter(config.restartTime, [this, id] {
-        node(id).kernel->restart();
-        membership.setAlive(id, true);
-        trace("node-restarted node=" + std::to_string(id));
-        record(id, "node-restarted", "node");
-      });
-    }
+    simulator.scheduleAfter(config.restartTime, [this, id] {
+      node(id).nlft->restart();
+      membership.setAlive(id, true);
+      trace("node-restarted node=" + std::to_string(id));
+      record(id, "node-restarted", "node");
+    });
   }
 
   /// Routes kernel, membership and bus events into the trace sink AND the
@@ -469,7 +460,7 @@ struct BbwSystemSim::Impl {
     for (Node& n : nodes) {
       const net::NodeId id = n.id;
       const rt::TaskId controlTask = n.controlTask;
-      n.kernel->setEventTap([this, id, controlTask](const rt::KernelEvent& event) {
+      n.nlft->kernel().setEventTap([this, id, controlTask](const rt::KernelEvent& event) {
         switch (event.kind) {
           case rt::KernelEvent::Kind::TaskError:
             trace("task-error node=" + std::to_string(id) +
@@ -530,52 +521,43 @@ struct BbwSystemSim::Impl {
     m.add("sys.undetected_value_deliveries", undetectedValueDeliveries);
     m.add("sys.fail_silent_events", failSilentEvents);
     for (const Node& n : nodes) {
-      m.add("kernel.preemptions", n.cpu->preemptions());
-      m.add("kernel.dispatches", n.cpu->dispatches());
-      m.add("kernel.errors", n.kernel->kernelErrors());
-      const rt::TaskStats& stats = n.kernel->stats(n.controlTask);
+      tem::NlftNode& nlft = *n.nlft;
+      m.add("kernel.preemptions", nlft.cpu().preemptions());
+      m.add("kernel.dispatches", nlft.cpu().dispatches());
+      m.add("kernel.errors", nlft.kernel().kernelErrors());
+      const rt::TaskStats& stats = nlft.taskStats(n.controlTask);
       m.add("kernel.control.releases", stats.releases);
       m.add("kernel.control.completions", stats.completions);
       m.add("kernel.control.omissions", stats.omissions);
       m.add("kernel.control.deadline_misses", stats.deadlineMisses);
       m.add("kernel.control.budget_overruns", stats.budgetOverruns);
-      if (!n.temExecutor) continue;
-      tem::TemStats tem = n.temExecutor->stats(n.controlTask);
-      if (!isWheel(n.id)) {
-        const tem::TemStats& emergency = n.temExecutor->stats(n.emergencyTask);
-        tem.jobs += emergency.jobs;
-        tem.firstCopies += emergency.firstCopies;
-        tem.secondCopies += emergency.secondCopies;
-        tem.thirdCopies += emergency.thirdCopies;
-        tem.deliveredCleanly += emergency.deliveredCleanly;
-        tem.maskedByVote += emergency.maskedByVote;
-        tem.maskedByReplacement += emergency.maskedByReplacement;
-        tem.comparisonMismatches += emergency.comparisonMismatches;
-        tem.edmDetectedErrors += emergency.edmDetectedErrors;
-        tem.omissionsNoTime += emergency.omissionsNoTime;
-        tem.omissionsVoteFailed += emergency.omissionsVoteFailed;
-        tem.omissionsAborted += emergency.omissionsAborted;
-      }
-      m.add("tem.jobs", tem.jobs);
-      m.add("tem.copies.first", tem.firstCopies);
-      m.add("tem.copies.second", tem.secondCopies);
-      m.add("tem.copies.third", tem.thirdCopies);
-      m.add("tem.vote.delivered_cleanly", tem.deliveredCleanly);
-      m.add("tem.vote.masked_by_vote", tem.maskedByVote);
-      m.add("tem.vote.masked_by_replacement", tem.maskedByReplacement);
-      m.add("tem.vote.comparison_mismatches", tem.comparisonMismatches);
-      m.add("tem.edm_detected_errors", tem.edmDetectedErrors);
-      m.add("tem.omissions.no_time", tem.omissionsNoTime);
-      m.add("tem.omissions.vote_failed", tem.omissionsVoteFailed);
-      m.add("tem.omissions.aborted", tem.omissionsAborted);
+      if (nlft.policy() != tem::NodePolicy::Nlft) continue;
+      addTemStats(m, nlft.temStats(n.controlTask));
+      if (!isWheel(n.id)) addTemStats(m, nlft.temStats(n.emergencyTask));
     }
+  }
+
+  /// Adds one TEM task's statistics to the registry's tem.* counters.
+  static void addTemStats(obs::Registry& m, const tem::TemStats& tem) {
+    m.add("tem.jobs", tem.jobs);
+    m.add("tem.copies.first", tem.firstCopies);
+    m.add("tem.copies.second", tem.secondCopies);
+    m.add("tem.copies.third", tem.thirdCopies);
+    m.add("tem.vote.delivered_cleanly", tem.deliveredCleanly);
+    m.add("tem.vote.masked_by_vote", tem.maskedByVote);
+    m.add("tem.vote.masked_by_replacement", tem.maskedByReplacement);
+    m.add("tem.vote.comparison_mismatches", tem.comparisonMismatches);
+    m.add("tem.edm_detected_errors", tem.edmDetectedErrors);
+    m.add("tem.omissions.no_time", tem.omissionsNoTime);
+    m.add("tem.omissions.vote_failed", tem.omissionsVoteFailed);
+    m.add("tem.omissions.aborted", tem.omissionsAborted);
   }
 
   /// Keeps every node's CPU execution segments for emitSpans(). Set once,
   /// with the trace recorder.
   void tapSegments() {
     for (Node& n : nodes) {
-      n.cpu->setSegmentTap(
+      n.nlft->cpu().setSegmentTap(
           [&segments = n.segments](const rt::ExecutionSegment& segment) {
             segments.push_back(segment);
           });
@@ -641,10 +623,10 @@ struct BbwSystemSim::Impl {
     for (const std::uint32_t command : lastCommandQ8) digest.u64(command);
     for (const std::uint64_t seq : lastCommandSeq) digest.u64(seq);
     for (const Node& n : nodes) {
-      digest.boolean(n.kernel->stopped());
+      digest.boolean(n.nlft->silent());
       digest.boolean(membership.alive(n.id));
-      digest.u64(n.kernel->kernelErrors());
-      const rt::TaskStats& stats = n.kernel->stats(n.controlTask);
+      digest.u64(n.nlft->kernel().kernelErrors());
+      const rt::TaskStats& stats = n.nlft->taskStats(n.controlTask);
       digest.u64(stats.releases);
       digest.u64(stats.completions);
       digest.u64(stats.omissions);
@@ -673,10 +655,11 @@ struct BbwSystemSim::Impl {
     c.undetectedValueDeliveries = undetectedValueDeliveries;
     c.failSilentEvents = failSilentEvents;
     for (const Node& n : nodes) {
-      c.kernelErrors += n.kernel->kernelErrors();
-      c.cpuDispatches += n.cpu->dispatches();
-      c.cpuPreemptions += n.cpu->preemptions();
-      const rt::TaskStats& stats = n.kernel->stats(n.controlTask);
+      tem::NlftNode& nlft = *n.nlft;
+      c.kernelErrors += nlft.kernel().kernelErrors();
+      c.cpuDispatches += nlft.cpu().dispatches();
+      c.cpuPreemptions += nlft.cpu().preemptions();
+      const rt::TaskStats& stats = nlft.taskStats(n.controlTask);
       c.controlReleases += stats.releases;
       c.controlDeadlineMisses += stats.deadlineMisses;
       c.controlBudgetOverruns += stats.budgetOverruns;
@@ -686,8 +669,8 @@ struct BbwSystemSim::Impl {
       } else {
         c.cuCompletions += stats.completions;
       }
-      if (n.temExecutor) {
-        const tem::TemStats& temStats = n.temExecutor->stats(n.controlTask);
+      if (nlft.policy() == tem::NodePolicy::Nlft) {
+        const tem::TemStats& temStats = nlft.temStats(n.controlTask);
         c.errorsMaskedByTem += temStats.maskedByVote + temStats.maskedByReplacement;
       }
     }
@@ -719,7 +702,7 @@ struct BbwSystemSim::Impl {
     digest.u64(bus.stateDigest());
     for (const auto& arbiter : commandArbiter) digest.u64(arbiter.stateDigest());
     for (const Node& n : nodes) {
-      digest.boolean(n.kernel->stopped());
+      digest.boolean(n.nlft->silent());
       digest.boolean(n.corruptSecondCopy);
       digest.boolean(n.detectedErrorNextCopy);
       digest.boolean(n.omitNextResult);
@@ -766,7 +749,7 @@ struct BbwSystemSim::Impl {
       case InjectionKind::ComputationFault: n.corruptSecondCopy = true; break;
       case InjectionKind::DetectedError: n.detectedErrorNextCopy = true; break;
       case InjectionKind::KernelError:
-        n.kernel->reportKernelError({rt::ErrorEvent::Source::HardwareException, 0});
+        n.nlft->reportKernelError({rt::ErrorEvent::Source::HardwareException, 0});
         break;
       case InjectionKind::OmissionFailure: n.omitNextResult = true; break;
       case InjectionKind::ValueFailure: n.valueFailureArmed = true; break;
@@ -840,7 +823,7 @@ const rt::Cpu& BbwSystemSim::cpu(net::NodeId node) const {
     throw std::invalid_argument("BbwSystemSim::cpu: node " + std::to_string(node) +
                                 " is not a node of the stop (1..6)");
   }
-  return *impl_->nodes[node - 1].cpu;
+  return impl_->nodes[node - 1].nlft->cpu();
 }
 
 void BbwSystemSim::pressEmergencyBrake(SimTime at) {
@@ -850,9 +833,8 @@ void BbwSystemSim::pressEmergencyBrake(SimTime at) {
     impl.emergencyLatched = true;
     if (!impl.emergencyPressedAt) impl.emergencyPressedAt = impl.simulator.now();
     for (const net::NodeId cu : {kCuA, kCuB}) {
-      if (!impl.node(cu).kernel->stopped()) {
-        impl.node(cu).kernel->releaseSporadic(impl.node(cu).emergencyTask);
-      }
+      Impl::Node& n = impl.node(cu);
+      if (!n.nlft->silent()) n.nlft->kernel().releaseSporadic(n.emergencyTask);
     }
   }, sim::EventPriority::Application);
 }
@@ -884,7 +866,7 @@ BbwSimResult BbwSystemSim::run() {
     result.emergencyBrakeLatency = *impl.emergencyAppliedAt - *impl.emergencyPressedAt;
   }
   for (const auto& n : impl.nodes) {
-    if (n.kernel->stopped() || !impl.membership.alive(n.id)) {
+    if (n.nlft->silent() || !impl.membership.alive(n.id)) {
       result.nodesDownAtEnd.insert(n.id);
     }
   }

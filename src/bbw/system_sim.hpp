@@ -5,10 +5,12 @@
 //                per-wheel torque requests, broadcast each cycle;
 //   node 3..6  — simplex wheel nodes: slip control, local brake actuator.
 //
-// Every node runs the real-time kernel; critical control tasks execute under
-// TEM (NLFT nodes) or as single copies (fail-silent baseline). Faults can be
-// injected into any node mid-stop and the effect shows up directly in the
-// stopping distance — the system-level consequence of node-level fault
+// Every node is a tem::NlftNode: a CPU and real-time kernel whose critical
+// control tasks execute under TEM (NLFT nodes) or as single copies
+// (fail-silent baseline). An NLFT node also goes silent after three
+// erroneous jobs of one task in a row (permanent-fault suspicion). Faults
+// can be injected into any node mid-stop and the effect shows up directly in
+// the stopping distance — the system-level consequence of node-level fault
 // tolerance.
 #pragma once
 
@@ -23,8 +25,6 @@
 
 #include "bbw/params.hpp"
 #include "bbw/vehicle.hpp"
-#include "core/policies.hpp"
-#include "core/tem.hpp"
 #include "net/membership.hpp"
 #include "rtkernel/kernel.hpp"
 #include "sim/simulator.hpp"

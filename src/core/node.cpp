@@ -5,42 +5,34 @@
 namespace nlft::tem {
 
 NlftNode::NlftNode(sim::Simulator& simulator, NodeConfig config)
-    : config_{config},
-      cpu_{std::make_unique<rt::Cpu>(simulator, config.contextSwitchOverhead)},
-      kernel_{std::make_unique<rt::RtKernel>(simulator, *cpu_)},
-      monitor_{config.permanentFaultThreshold} {
-  kernel_->setFailSilentHook([this] {
+    : config_{config}, cpu_{simulator}, kernel_{simulator, cpu_} {
+  kernel_.setFailSilentHook([this] {
     if (silentHook_) silentHook_();
   });
   if (config_.policy == NodePolicy::Nlft) {
-    tem_ = std::make_unique<TemExecutor>(*kernel_, config_.tem);
+    tem_.emplace(kernel_);
     tem_->setJobErrorCallback(
         [this](rt::TaskId task, bool hadError) { monitor_.onJob(task, hadError); });
     // Repeated errors on consecutive jobs suggest a permanent fault: shut
     // the node down for off-line diagnosis (Section 2.5).
     monitor_.setShutdownHook([this] {
-      kernel_->reportKernelError({rt::ErrorEvent::Source::External, 0});
+      kernel_.reportKernelError({rt::ErrorEvent::Source::External, 0});
     });
-  } else {
-    failSilent_ = std::make_unique<FailSilentExecutor>(*kernel_);
   }
 }
 
 rt::TaskId NlftNode::addCriticalTask(rt::TaskConfig taskConfig, CopyBehavior behavior) {
-  if (config_.policy == NodePolicy::Nlft) {
-    return tem_->addCriticalTask(std::move(taskConfig), std::move(behavior));
-  }
-  taskConfig.criticality = rt::Criticality::Critical;
-  return failSilent_->addTask(std::move(taskConfig), std::move(behavior));
+  if (tem_) return tem_->addCriticalTask(std::move(taskConfig), std::move(behavior));
+  return addFailSilentTask(kernel_, std::move(taskConfig), std::move(behavior));
 }
 
 rt::TaskId NlftNode::addNonCriticalTask(rt::TaskConfig taskConfig, CopyBehavior behavior) {
-  return tem::addNonCriticalTask(*kernel_, std::move(taskConfig), std::move(behavior));
+  return tem::addNonCriticalTask(kernel_, std::move(taskConfig), std::move(behavior));
 }
 
-void NlftNode::start() { kernel_->start(); }
+void NlftNode::start() { kernel_.start(); }
 
-void NlftNode::restart() { kernel_->restart(); }
+void NlftNode::restart() { kernel_.restart(); }
 
 const TemStats& NlftNode::temStats(rt::TaskId task) const {
   if (!tem_) throw std::logic_error("NlftNode: temStats on a fail-silent node");

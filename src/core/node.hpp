@@ -1,10 +1,10 @@
-// NlftNode — the facade a downstream user instantiates: one computer node
-// with its CPU, real-time kernel, error-handling policy (light-weight NLFT
-// or fail-silent baseline), and permanent-fault suspicion monitor, wired
-// together per Section 2 of the paper.
+// NlftNode — one computer node with its CPU, real-time kernel,
+// error-handling policy (light-weight NLFT or fail-silent baseline), and
+// permanent-fault suspicion monitor, wired together per Section 2 of the
+// paper. Every node of the brake-by-wire system is one.
 #pragma once
 
-#include <memory>
+#include <optional>
 
 #include "core/policies.hpp"
 #include "core/tem.hpp"
@@ -15,19 +15,24 @@ namespace nlft::tem {
 
 enum class NodePolicy : std::uint8_t { Nlft, FailSilent };
 
+/// An NLFT node runs its critical tasks under TEM with the default TemConfig
+/// and suspects a permanent fault after kPermanentFaultThreshold erroneous
+/// jobs in a row; its CPU has no context-switch overhead.
 struct NodeConfig {
   NodePolicy policy = NodePolicy::Nlft;
-  TemConfig tem{};                    ///< used when policy == Nlft
-  int permanentFaultThreshold = 3;    ///< consecutive error jobs before shutdown
-  util::Duration contextSwitchOverhead{};
 };
 
 /// One computer node. Critical tasks run under TEM (NLFT policy) or as
 /// single copies that silence the node on any error (fail-silent policy);
 /// non-critical tasks are shut down individually on error either way.
+///
+/// The kernel's handlers hold the node, so it can be neither copied nor
+/// moved.
 class NlftNode {
  public:
   NlftNode(sim::Simulator& simulator, NodeConfig config = {});
+  NlftNode(const NlftNode&) = delete;
+  NlftNode& operator=(const NlftNode&) = delete;
 
   /// Registers a critical task (must be called before start()).
   rt::TaskId addCriticalTask(rt::TaskConfig taskConfig, CopyBehavior behavior);
@@ -39,25 +44,25 @@ class NlftNode {
   /// Restarts a silent node (after off-line diagnosis found a transient).
   void restart();
 
-  [[nodiscard]] bool silent() const { return kernel_->stopped(); }
+  [[nodiscard]] bool silent() const { return kernel_.stopped(); }
 
   /// Invoked whenever the node becomes silent (kernel error, fail-silent
   /// policy reaction, or permanent-fault suspicion).
   void setSilentHook(std::function<void()> hook) { silentHook_ = std::move(hook); }
 
   /// Result delivery (the node's outputs toward network/actuators).
-  void setResultSink(rt::RtKernel::ResultSink sink) { kernel_->setResultSink(std::move(sink)); }
+  void setResultSink(rt::RtKernel::ResultSink sink) { kernel_.setResultSink(std::move(sink)); }
 
   /// Error reporting entry points (EDMs, integrity checks, fault injection).
   void reportTaskError(rt::TaskId task, const rt::ErrorEvent& event) {
-    kernel_->reportTaskError(task, event);
+    kernel_.reportTaskError(task, event);
   }
-  void reportKernelError(const rt::ErrorEvent& event) { kernel_->reportKernelError(event); }
+  void reportKernelError(const rt::ErrorEvent& event) { kernel_.reportKernelError(event); }
 
-  [[nodiscard]] rt::RtKernel& kernel() { return *kernel_; }
-  [[nodiscard]] rt::Cpu& cpu() { return *cpu_; }
+  [[nodiscard]] rt::RtKernel& kernel() { return kernel_; }
+  [[nodiscard]] rt::Cpu& cpu() { return cpu_; }
   [[nodiscard]] const rt::TaskStats& taskStats(rt::TaskId task) const {
-    return kernel_->stats(task);
+    return kernel_.stats(task);
   }
   /// TEM statistics (NLFT policy only; throws for fail-silent nodes).
   [[nodiscard]] const TemStats& temStats(rt::TaskId task) const;
@@ -66,10 +71,9 @@ class NlftNode {
 
  private:
   NodeConfig config_;
-  std::unique_ptr<rt::Cpu> cpu_;
-  std::unique_ptr<rt::RtKernel> kernel_;
-  std::unique_ptr<TemExecutor> tem_;
-  std::unique_ptr<FailSilentExecutor> failSilent_;
+  rt::Cpu cpu_;
+  rt::RtKernel kernel_;
+  std::optional<TemExecutor> tem_;  ///< NLFT policy only
   PermanentFaultMonitor monitor_;
   std::function<void()> silentHook_;
 };

@@ -46,13 +46,15 @@ rt::TaskId addSingleCopyTask(rt::RtKernel& kernel, rt::TaskConfig taskConfig,
 
 }  // namespace
 
-rt::TaskId FailSilentExecutor::addTask(rt::TaskConfig taskConfig, CopyBehavior behavior) {
-  if (!behavior) throw std::invalid_argument("FailSilentExecutor: null behavior");
-  return addSingleCopyTask(kernel_, std::move(taskConfig), std::move(behavior), [this](rt::TaskId) {
-    ++failSilentEvents_;
-    // Fail-silent semantics: the node stops producing any output.
-    kernel_.reportKernelError({rt::ErrorEvent::Source::External, 0});
-  });
+rt::TaskId addFailSilentTask(rt::RtKernel& kernel, rt::TaskConfig taskConfig,
+                             CopyBehavior behavior) {
+  if (!behavior) throw std::invalid_argument("addFailSilentTask: null behavior");
+  taskConfig.criticality = rt::Criticality::Critical;
+  // Fail-silent semantics: the node stops producing any output.
+  return addSingleCopyTask(kernel, std::move(taskConfig), std::move(behavior),
+                           [&kernel](rt::TaskId) {
+                             kernel.reportKernelError({rt::ErrorEvent::Source::External, 0});
+                           });
 }
 
 rt::TaskId addNonCriticalTask(rt::RtKernel& kernel, rt::TaskConfig taskConfig,
@@ -68,21 +70,19 @@ PermanentFaultMonitor::PermanentFaultMonitor(int threshold) : threshold_{thresho
 }
 
 void PermanentFaultMonitor::onJob(rt::TaskId task, bool jobHadError) {
-  int& streak = streaks_[task.value];
   if (!jobHadError) {
-    streak = 0;
+    if (task.value < streaks_.size()) streaks_[task.value] = 0;
     return;
   }
-  ++streak;
-  if (streak >= threshold_ && !suspected_) {
+  if (task.value >= streaks_.size()) streaks_.resize(task.value + 1, 0);
+  if (++streaks_[task.value] >= threshold_ && !suspected_) {
     suspected_ = true;
     if (shutdown_) shutdown_();
   }
 }
 
 int PermanentFaultMonitor::streak(rt::TaskId task) const {
-  const auto it = streaks_.find(task.value);
-  return it == streaks_.end() ? 0 : it->second;
+  return task.value < streaks_.size() ? streaks_[task.value] : 0;
 }
 
 }  // namespace nlft::tem

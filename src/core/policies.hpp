@@ -1,8 +1,8 @@
 // Node-level error-handling policies built on the kernel and TEM:
 //
-//  * FailSilentExecutor — the conventional fail-silent node of the paper's
-//    comparison baseline: tasks run once; ANY detected error silences the
-//    whole node (kernel stop + fail-silent hook).
+//  * addFailSilentTask — a task of the conventional fail-silent node of the
+//    paper's comparison baseline: it runs once per job, and ANY detected
+//    error silences the whole node (kernel stop + fail-silent hook).
 //  * addNonCriticalTask — strategy 2 of Section 2.2: a non-critical task is
 //    shut down on error so the remaining tasks keep running.
 //  * PermanentFaultMonitor — repeated errors on consecutive jobs suggest a
@@ -11,29 +11,18 @@
 #pragma once
 
 #include <functional>
-#include <unordered_map>
+#include <vector>
 
 #include "core/tem.hpp"
 #include "rtkernel/kernel.hpp"
 
 namespace nlft::tem {
 
-/// Executes tasks on a conventional fail-silent node: no masking, stop on
-/// first detected error.
-class FailSilentExecutor {
- public:
-  explicit FailSilentExecutor(rt::RtKernel& kernel) : kernel_{kernel} {}
-
-  /// Registers a task; the same CopyBehavior type as TEM is used so the two
-  /// node types can run identical workloads.
-  rt::TaskId addTask(rt::TaskConfig taskConfig, CopyBehavior behavior);
-
-  [[nodiscard]] std::uint64_t failSilentEvents() const { return failSilentEvents_; }
-
- private:
-  rt::RtKernel& kernel_;
-  std::uint64_t failSilentEvents_ = 0;
-};
+/// Registers a critical task of a fail-silent node: executed once per
+/// release, with no masking; a detected error stops the node. It takes the
+/// same CopyBehavior as TEM, so the two node types run identical workloads.
+rt::TaskId addFailSilentTask(rt::RtKernel& kernel, rt::TaskConfig taskConfig,
+                             CopyBehavior behavior);
 
 /// Registers a non-critical task: executed once per release; a detected
 /// error shuts the task down (further releases disabled) without affecting
@@ -41,12 +30,16 @@ class FailSilentExecutor {
 rt::TaskId addNonCriticalTask(rt::RtKernel& kernel, rt::TaskConfig taskConfig,
                               CopyBehavior behavior);
 
+/// Consecutive erroneous jobs of one task after which a node is suspected of
+/// a permanent fault.
+inline constexpr int kPermanentFaultThreshold = 3;
+
 /// Watches per-task job error streaks and requests a node shutdown for
 /// off-line diagnosis when `threshold` consecutive jobs of the same task saw
 /// errors (transient faults do not repeat; permanent faults do).
 class PermanentFaultMonitor {
  public:
-  explicit PermanentFaultMonitor(int threshold = 3);
+  explicit PermanentFaultMonitor(int threshold = kPermanentFaultThreshold);
 
   /// Wire to TemExecutor::setJobErrorCallback.
   void onJob(rt::TaskId task, bool jobHadError);
@@ -61,7 +54,9 @@ class PermanentFaultMonitor {
   int threshold_;
   bool suspected_ = false;
   std::function<void()> shutdown_;
-  std::unordered_map<std::uint32_t, int> streaks_;
+  /// Indexed by TaskId::value; grown at a task's first erroneous job, so
+  /// error-free jobs never allocate.
+  std::vector<int> streaks_;
 };
 
 }  // namespace nlft::tem

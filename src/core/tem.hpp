@@ -77,9 +77,14 @@ struct TemStats {
 /// `onJobError` (optional) is told after each finished job whether the job
 /// experienced any error — the node policy uses this for permanent-fault
 /// suspicion (repeated errors => shut down for off-line diagnosis).
+///
+/// The kernel's handlers hold the executor, so it can be neither copied nor
+/// moved.
 class TemExecutor {
  public:
   TemExecutor(rt::RtKernel& kernel, TemConfig config = {});
+  TemExecutor(const TemExecutor&) = delete;
+  TemExecutor& operator=(const TemExecutor&) = delete;
 
   /// Registers `behavior` as a TEM-protected critical task.
   rt::TaskId addCriticalTask(rt::TaskConfig taskConfig, CopyBehavior behavior);

@@ -54,9 +54,13 @@ Registry& Registry::operator=(Registry&& other) noexcept {
   return *this;
 }
 
-void Registry::add(const std::string& name, std::uint64_t delta) {
+void Registry::add(std::string_view name, std::uint64_t delta) {
   std::scoped_lock lock{mutex_};
-  counters_[name] += delta;
+  if (const auto it = counters_.find(name); it != counters_.end()) {
+    it->second += delta;
+  } else {
+    counters_.emplace(name, delta);
+  }
 }
 
 void Registry::gaugeMax(const std::string& name, double value) {

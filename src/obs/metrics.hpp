@@ -28,6 +28,7 @@
 #include <mutex>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/json.hpp"
@@ -75,8 +76,9 @@ class Registry {
   Registry(Registry&& other) noexcept;
   Registry& operator=(Registry&& other) noexcept;
 
-  /// Adds `delta` to the named counter (created at 0 on first use).
-  void add(const std::string& name, std::uint64_t delta = 1);
+  /// Adds `delta` to the named counter (created at 0 on first use). Only a
+  /// new counter copies its name.
+  void add(std::string_view name, std::uint64_t delta = 1);
 
   /// Raises the named gauge to at least `value` (peak semantics; created at
   /// `value` on first use). A NaN value throws std::invalid_argument and
@@ -129,7 +131,7 @@ class Registry {
   HistogramState& histogramLocked(const std::string& name, const HistogramSpec& spec);
 
   mutable std::mutex mutex_;
-  std::map<std::string, std::uint64_t> counters_;
+  std::map<std::string, std::uint64_t, std::less<>> counters_;
   std::map<std::string, double> gauges_;
   std::map<std::string, HistogramState> histograms_;
 };

@@ -4,7 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <initializer_list>
+#include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "obs/trace.hpp"
 
@@ -18,6 +22,36 @@ BbwSimConfig baseConfig(NodeType type) {
   BbwSimConfig config;
   config.nodeType = type;
   return config;
+}
+
+/// A stop's trace lines, split into their simulated time and message.
+struct TracedStop {
+  std::vector<std::pair<std::int64_t, std::string>> lines;
+  BbwSimResult result;
+
+  /// Time of the first line that reads `message`, or -1 if none does.
+  [[nodiscard]] std::int64_t firstAt(const std::string& message) const {
+    for (const auto& [atUs, line] : lines) {
+      if (line == message) return atUs;
+    }
+    return -1;
+  }
+};
+
+/// Runs one stop with a 500-ms restart time and a detected error injected
+/// on wheel FL at each of `atUs`.
+TracedStop runWithDetectedErrors(NodeType type, std::initializer_list<std::int64_t> atUs) {
+  BbwSimConfig config = baseConfig(type);
+  config.restartTime = Duration::milliseconds(500);
+  BbwSystemSim sim{config};
+  TracedStop stop;
+  sim.setTraceSink([&stop](const std::string& line) {
+    const std::size_t space = line.find(' ');
+    stop.lines.emplace_back(std::stoll(line.substr(2, space - 2)), line.substr(space + 1));
+  });
+  for (const std::int64_t at : atUs) sim.injectDetectedError(kWheelNodeBase, SimTime::fromUs(at));
+  stop.result = sim.run();
+  return stop;
 }
 
 TEST(BbwSystem, FaultFreeStopNlft) {
@@ -103,6 +137,37 @@ TEST(BbwSystem, KernelErrorSilencesNodeOnBothNodeTypes) {
     EXPECT_TRUE(result.stopped) << static_cast<int>(type);
     EXPECT_GE(result.failSilentEvents, 1u);
   }
+}
+
+// Permanent-fault suspicion (Section 2.5): an NLFT node masks each detected
+// error, but three erroneous jobs of one task in a row shut it down for
+// off-line diagnosis, and it restarts after restartTime like any silent
+// node. Each injection lies mid-period, so it arms the next control job of
+// wheel FL (node 3): the jobs released at 305, 310 and 315 ms.
+TEST(BbwSystem, ThreeErroneousJobsInARowSilenceAnNlftNode) {
+  const TracedStop three = runWithDetectedErrors(NodeType::Nlft, {302'500, 307'500, 312'500});
+  const std::int64_t silentAt = three.firstAt("node-silent node=3");
+  EXPECT_GE(silentAt, 315'000);
+  EXPECT_LT(silentAt, 320'000);
+  EXPECT_EQ(three.firstAt("kernel-error node=3"), silentAt);
+  EXPECT_EQ(three.firstAt("node-restarted node=3"), silentAt + 500'000);
+  EXPECT_EQ(three.result.failSilentEvents, 1u);
+  EXPECT_EQ(three.result.errorsMaskedByTem, 3u);
+  EXPECT_TRUE(three.result.stopped);
+
+  // Two in a row are transients: masked, and the node stays up.
+  const TracedStop two = runWithDetectedErrors(NodeType::Nlft, {302'500, 307'500});
+  EXPECT_EQ(two.firstAt("kernel-error node=3"), -1);
+  EXPECT_EQ(two.firstAt("node-silent node=3"), -1);
+  EXPECT_EQ(two.result.failSilentEvents, 0u);
+  EXPECT_EQ(two.result.errorsMaskedByTem, 2u);
+
+  // A fail-silent node goes silent at the first error.
+  const TracedStop fs = runWithDetectedErrors(NodeType::FailSilent, {302'500, 307'500, 312'500});
+  const std::int64_t fsSilentAt = fs.firstAt("node-silent node=3");
+  EXPECT_GE(fsSilentAt, 305'000);
+  EXPECT_LT(fsSilentAt, 310'000);
+  EXPECT_EQ(fs.firstAt("kernel-error node=3"), fsSilentAt);
 }
 
 TEST(BbwSystem, CentralUnitFailoverKeepsBraking) {

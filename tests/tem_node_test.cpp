@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 namespace nlft::tem {
 namespace {
 
@@ -67,9 +69,7 @@ TEST(NlftNode, FailSilentPolicyStopsOnError) {
 
 TEST(NlftNode, PermanentFaultSuspicionSilencesNode) {
   sim::Simulator simulator;
-  NodeConfig config;
-  config.permanentFaultThreshold = 3;
-  NlftNode node{simulator, config};
+  NlftNode node{simulator};
   bool silent = false;
   node.setSilentHook([&] { silent = true; });
   // A stuck-at fault corrupts copy 2 of EVERY job: masked each time, but the
@@ -129,6 +129,16 @@ TEST(NlftNode, NonCriticalTaskShutdownDoesNotSilenceNode) {
   EXPECT_EQ(criticalResults, 6);
   EXPECT_EQ(node.taskStats(diag).completions, 1u);
   EXPECT_EQ(node.taskStats(diag).releases, 2u);
+}
+
+// The kernel's handlers hold the node and its TEM executor: a moved or copied
+// object would leave them calling into the original, or into freed memory.
+TEST(NlftNode, NodeAndTemExecutorCanNeitherMoveNorCopy) {
+  EXPECT_FALSE(std::is_move_constructible_v<NlftNode>);
+  EXPECT_FALSE(std::is_move_assignable_v<NlftNode>);
+  EXPECT_FALSE(std::is_copy_constructible_v<NlftNode>);
+  EXPECT_FALSE(std::is_move_constructible_v<TemExecutor>);
+  EXPECT_FALSE(std::is_copy_constructible_v<TemExecutor>);
 }
 
 TEST(NlftNode, ReportedTaskErrorTriggersTemRecovery) {

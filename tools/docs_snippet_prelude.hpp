@@ -42,7 +42,7 @@ namespace docctx {
 
 // §1-§2: the simulation world and a node.
 inline sim::Simulator simulator;
-inline tem::NlftNode node{simulator, {}};
+inline tem::NlftNode node{simulator};
 
 // §3-§4: a critical task, its id, and the user's control law / actuator.
 inline rt::TaskConfig task;
