@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <span>
 #include <utility>
 
 #include "util/state_hash.hpp"
@@ -28,16 +29,22 @@ std::uint64_t behaviorDigest(const hw::Machine& machine) {
   }
   // One lane per codeword, in address order. Words clear in the dirty
   // bitmap hold codeword 0, so each run of them folds in as a power of the
-  // prime: the same value as hashing every codeword, at O(words touched).
-  const std::vector<std::uint64_t>& codewords = machine.memory().rawCodewords();
-  const std::vector<std::uint64_t>& dirty = machine.memory().dirtyWords();
+  // prime: the same value as hashing every codeword. The walk visits only
+  // the bitmap words the summary marks nonzero.
+  const hw::EccMemory& memory = machine.memory();
+  const std::vector<std::uint64_t>& codewords = memory.rawCodewords();
+  const std::span<const std::uint64_t> dirty = memory.dirtyWords();
+  const std::span<const std::uint64_t> summary = memory.dirtySummary();
   std::size_t hashed = 0;  // words folded in so far
-  for (std::size_t i = 0; i < dirty.size(); ++i) {
-    for (std::uint64_t bits = dirty[i]; bits != 0; bits &= bits - 1) {
-      const std::size_t word = 64 * i + static_cast<std::size_t>(std::countr_zero(bits));
-      digest.zeros(word - hashed);
-      digest.u64(codewords[word]);
-      hashed = word + 1;
+  for (std::size_t s = 0; s < summary.size(); ++s) {
+    for (std::uint64_t blocks = summary[s]; blocks != 0; blocks &= blocks - 1) {
+      const std::size_t i = 64 * s + static_cast<std::size_t>(std::countr_zero(blocks));
+      for (std::uint64_t bits = dirty[i]; bits != 0; bits &= bits - 1) {
+        const std::size_t word = 64 * i + static_cast<std::size_t>(std::countr_zero(bits));
+        digest.zeros(word - hashed);
+        digest.u64(codewords[word]);
+        hashed = word + 1;
+      }
     }
   }
   digest.zeros(codewords.size() - hashed);

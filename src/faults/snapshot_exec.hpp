@@ -32,9 +32,10 @@ namespace nlft::fi {
 /// correctedErrors counter behind; the machine then behaves exactly like
 /// the clean one, and the classification still sees the correction because
 /// it reads the counter off the live scratch machine, not the digest.
-/// Costs O(dirty memory words), plus O(log k) multiplies per run of k
-/// clean words, which fold in as powers of the FNV prime: the value is the
-/// one a walk over every codeword gives.
+/// Visits the memory's dirty-bitmap summary, the bitmap words it marks and
+/// their dirty words, plus O(log k) multiplies per run of k clean words,
+/// which fold in as powers of the FNV prime: the value is the one a walk
+/// over every codeword gives.
 [[nodiscard]] std::uint64_t behaviorDigest(const hw::Machine& machine);
 
 /// A fast-forwardable baseline: a start-state machine plus a sweep machine

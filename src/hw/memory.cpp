@@ -12,30 +12,56 @@ static_assert(eccEncode(0) == 0);
 
 namespace {
 
-std::size_t bitmapWords(std::uint32_t wordCount) { return (wordCount + 63u) / 64u; }
+/// 64-bit words that hold `bits` bits.
+std::uint32_t wordsFor(std::uint32_t bits) { return (bits + 63u) / 64u; }
 
 }  // namespace
 
 EccMemory::EccMemory(std::uint32_t sizeBytes)
-    : wordCount_{sizeBytes / 4}, codewords_(wordCount_, 0), dirty_(bitmapWords(wordCount_), 0) {}
+    : wordCount_{sizeBytes / 4},
+      bitmapWords_{wordsFor(wordCount_)},
+      codewords_(wordCount_, 0),
+      dirty_(bitmapWords_ + wordsFor(bitmapWords_), 0) {}
+
+EccMemory::EccMemory(EccMemory&& other) noexcept : wordCount_{0}, bitmapWords_{0} {
+  *this = std::move(other);
+}
+
+EccMemory& EccMemory::operator=(EccMemory&& other) noexcept {
+  // Each exchange reads `other` before clearing it, so self-move keeps all.
+  wordCount_ = std::exchange(other.wordCount_, 0);
+  bitmapWords_ = std::exchange(other.bitmapWords_, 0);
+  codewords_ = std::exchange(other.codewords_, {});
+  dirty_ = std::exchange(other.dirty_, {});
+  correctedErrors_ = std::exchange(other.correctedErrors_, 0);
+  uncorrectableErrors_ = std::exchange(other.uncorrectableErrors_, 0);
+  return *this;
+}
 
 EccMemory& EccMemory::operator=(const EccMemory& other) {
-  // Keyed on the storage, not wordCount_: a moved-from memory keeps its
-  // word count but not its vectors.
-  if (codewords_.size() != other.codewords_.size() || dirty_.size() != other.dirty_.size()) {
+  // Every vector's size follows from the word count (a moved-from memory
+  // has none), so equal counts mean equal shapes.
+  if (wordCount_ != other.wordCount_) {
+    wordCount_ = other.wordCount_;
+    bitmapWords_ = other.bitmapWords_;
     codewords_.assign(other.codewords_.size(), 0);
     dirty_.assign(other.dirty_.size(), 0);
   }
-  wordCount_ = other.wordCount_;
-  // A word clean on both sides is 0 on both sides; every other word is
-  // copied. Self-assignment copies dirty words onto themselves.
-  for (std::size_t i = 0; i < dirty_.size(); ++i) {
-    for (std::uint64_t pending = dirty_[i] | other.dirty_[i]; pending != 0;
-         pending &= pending - 1) {
-      const std::size_t word = 64 * i + static_cast<std::size_t>(std::countr_zero(pending));
-      codewords_[word] = other.codewords_[word];
+  // A bitmap word zero on both sides covers 64 words that are 0 on both
+  // sides; in every other one, each word dirty on either side is copied.
+  // Self-assignment copies dirty words onto themselves.
+  for (std::size_t s = bitmapWords_; s < dirty_.size(); ++s) {
+    for (std::uint64_t blocks = dirty_[s] | other.dirty_[s]; blocks != 0; blocks &= blocks - 1) {
+      const std::size_t i =
+          64 * (s - bitmapWords_) + static_cast<std::size_t>(std::countr_zero(blocks));
+      for (std::uint64_t pending = dirty_[i] | other.dirty_[i]; pending != 0;
+           pending &= pending - 1) {
+        const std::size_t word = 64 * i + static_cast<std::size_t>(std::countr_zero(pending));
+        codewords_[word] = other.codewords_[word];
+      }
+      dirty_[i] = other.dirty_[i];
     }
-    dirty_[i] = other.dirty_[i];
+    dirty_[s] = other.dirty_[s];
   }
   correctedErrors_ = other.correctedErrors_;
   uncorrectableErrors_ = other.uncorrectableErrors_;
@@ -82,11 +108,12 @@ std::uint64_t EccMemory::rawCodeword(std::uint32_t wordIndex) const {
 void EccMemory::restoreRaw(std::vector<std::uint64_t> codewords, std::uint64_t correctedErrors,
                            std::uint64_t uncorrectableErrors) {
   wordCount_ = static_cast<std::uint32_t>(codewords.size());
+  bitmapWords_ = wordsFor(wordCount_);
   codewords_ = std::move(codewords);
   // One bitmap word per 64 codewords. Most blocks of a guest memory are all
   // zero, and the block's OR (which vectorizes) skips them.
-  dirty_.resize(bitmapWords(wordCount_));
-  for (std::size_t i = 0; i < dirty_.size(); ++i) {
+  dirty_.assign(bitmapWords_ + wordsFor(bitmapWords_), 0);
+  for (std::size_t i = 0; i < bitmapWords_; ++i) {
     const std::size_t first = 64 * i;
     const std::size_t last = std::min<std::size_t>(first + 64, wordCount_);
     std::uint64_t any = 0;
@@ -96,6 +123,7 @@ void EccMemory::restoreRaw(std::vector<std::uint64_t> codewords, std::uint64_t c
       bits |= static_cast<std::uint64_t>(codewords_[word] != 0) << (word - first);
     }
     dirty_[i] = bits;
+    dirty_[bitmapWords_ + i / 64] |= static_cast<std::uint64_t>(bits != 0) << (i % 64);
   }
   correctedErrors_ = correctedErrors;
   uncorrectableErrors_ = uncorrectableErrors;

@@ -2,8 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -167,10 +168,10 @@ TEST(EccMemory, RandomisedUpsetSweep) {
 }
 
 // Differential test of the dirty-word bitmap: random operation sequences on
-// three memories (two of 256 words, one of 100 words, which is not a
-// multiple of 64) against plain codeword vectors. After every operation the
-// bitmap invariant holds (a clear bit means a zero codeword), and the raw
-// codewords and error counters equal the model's.
+// a few memories against plain codeword vectors. After every operation the
+// bitmap invariant holds (a clear bit means a zero codeword), the summary
+// marks exactly the nonzero bitmap words, and the raw codewords and error
+// counters equal the model's.
 struct ModelledMemory {
   explicit ModelledMemory(std::uint32_t words) : memory{4 * words}, codewords(words, 0) {}
 
@@ -193,26 +194,35 @@ struct ModelledMemory {
 };
 
 void expectMatchesModel(const ModelledMemory& m) {
-  const std::vector<std::uint64_t>& dirty = m.memory.dirtyWords();
+  const std::span<const std::uint64_t> dirty = m.memory.dirtyWords();
+  const std::span<const std::uint64_t> summary = m.memory.dirtySummary();
   ASSERT_EQ(dirty.size(), (m.codewords.size() + 63) / 64);
-  for (std::uint32_t word = 0; word < m.memory.wordCount(); ++word) {
+  ASSERT_EQ(summary.size(), (dirty.size() + 63) / 64);
+  ASSERT_EQ(m.memory.rawCodewords(), m.codewords);
+  for (std::size_t word = 0; word < m.codewords.size(); ++word) {
     const bool isDirty = (dirty[word / 64] >> (word % 64)) & 1u;
-    ASSERT_TRUE(isDirty || m.memory.rawCodeword(word) == 0) << "clean word " << word << " is nonzero";
+    if (!isDirty && m.codewords[word] != 0) FAIL() << "clean word " << word << " is nonzero";
   }
-  // Bitmap bits past the last word stay clear.
+  for (std::size_t i = 0; i < dirty.size(); ++i) {
+    const bool marked = (summary[i / 64] >> (i % 64)) & 1u;
+    ASSERT_EQ(marked, dirty[i] != 0) << "summary bit " << i;
+  }
+  // Bits past the last word, and past the last bitmap word, stay clear.
   if (m.codewords.size() % 64 != 0) {
     ASSERT_EQ(dirty.back() >> (m.codewords.size() % 64), 0u);
   }
-  ASSERT_EQ(m.memory.rawCodewords(), m.codewords);
+  if (dirty.size() % 64 != 0) {
+    ASSERT_EQ(summary.back() >> (dirty.size() % 64), 0u);
+  }
   ASSERT_EQ(m.memory.correctedErrors(), m.corrected);
   ASSERT_EQ(m.memory.uncorrectableErrors(), m.uncorrectable);
 }
 
-TEST(EccMemory, DirtyWordBitmapMatchesPlainModel) {
-  util::Rng rng{2024};
-  std::array<ModelledMemory, 3> memories{ModelledMemory{256}, ModelledMemory{256},
-                                         ModelledMemory{100}};
-  for (int step = 0; step < 20000; ++step) {
+void runAgainstModel(const std::vector<std::uint32_t>& startSizes, std::uint64_t seed, int steps) {
+  util::Rng rng{seed};
+  std::vector<ModelledMemory> memories;
+  for (const std::uint32_t words : startSizes) memories.emplace_back(words);
+  for (int step = 0; step < steps; ++step) {
     ModelledMemory& m = memories[rng.uniformInt(memories.size())];
     const auto words = static_cast<std::uint32_t>(m.codewords.size());
     // Words cluster low, as guest programs do, so many stay clean.
@@ -249,9 +259,13 @@ TEST(EccMemory, DirtyWordBitmapMatchesPlainModel) {
         break;
       }
       case 4: {
-        // A restore may also change the size, and may carry codeword bits
+        // A restore may also change the size (to any, or back to a starting
+        // size, so large memories stay in play), and may carry codeword bits
         // above bit 38 (the blob format does not forbid them).
-        std::vector<std::uint64_t> raw(rng.bernoulli(0.5) ? words : 64 + rng.uniformInt(200), 0);
+        const std::size_t size = rng.bernoulli(0.5)   ? words
+                                 : rng.bernoulli(0.5) ? 64 + rng.uniformInt(200)
+                                                      : startSizes[rng.uniformInt(startSizes.size())];
+        std::vector<std::uint64_t> raw(size, 0);
         for (std::uint64_t& codeword : raw) {
           if (rng.bernoulli(0.1)) codeword = rng.next() >> rng.uniformInt(40);
         }
@@ -263,7 +277,7 @@ TEST(EccMemory, DirtyWordBitmapMatchesPlainModel) {
       }
       default: {
         // Copy assignment in every direction, including self-assignment and
-        // the size-changing copies between the 256- and 100-word memories.
+        // the size-changing copies between memories of different sizes.
         const ModelledMemory& source = memories[rng.uniformInt(memories.size())];
         m.memory = source.memory;
         m.codewords = source.codewords;
@@ -279,25 +293,76 @@ TEST(EccMemory, DirtyWordBitmapMatchesPlainModel) {
   }
 }
 
+TEST(EccMemory, DirtyWordBitmapMatchesPlainModel) {
+  // Small memories take many operations: two of 256 words and one of 100,
+  // which is not a multiple of 64.
+  runAgainstModel({256, 256, 100}, 2024, 20000);
+  if (HasFatalFailure()) return;
+  // Large ones reach the summary beyond its first word: two of the guest
+  // size (16 384 words, four summary words) and one of 5 000 words (two
+  // summary words, the last one partial). A scrub walks every word, so
+  // fewer steps.
+  runAgainstModel({16384, 16384, 5000}, 2025, 1500);
+}
+
 TEST(EccMemory, CopiesAndMovesKeepTheBitmap) {
   EccMemory source{1024};
   source.write(4, 7);
   source.flipBit(900, 3);
   const EccMemory copied{source};
   EXPECT_EQ(copied.rawCodewords(), source.rawCodewords());
-  EXPECT_EQ(copied.dirtyWords(), source.dirtyWords());
+  EXPECT_TRUE(std::ranges::equal(copied.dirtyWords(), source.dirtyWords()));
   EccMemory temporary{source};
   const EccMemory moved{std::move(temporary)};
   EXPECT_EQ(moved.rawCodewords(), source.rawCodewords());
-  EXPECT_EQ(moved.dirtyWords(), source.dirtyWords());
+  EXPECT_TRUE(std::ranges::equal(moved.dirtyWords(), source.dirtyWords()));
   temporary = source;  // a moved-from memory takes a copy like any other
   EXPECT_EQ(temporary.rawCodewords(), source.rawCodewords());
-  EXPECT_EQ(temporary.dirtyWords(), source.dirtyWords());
+  EXPECT_TRUE(std::ranges::equal(temporary.dirtyWords(), source.dirtyWords()));
   EXPECT_EQ(temporary.read(4).value, 7u);
   EccMemory assigned{64};
   assigned = EccMemory{source};
   EXPECT_EQ(assigned.rawCodewords(), source.rawCodewords());
-  EXPECT_EQ(assigned.dirtyWords(), source.dirtyWords());
+  EXPECT_TRUE(std::ranges::equal(assigned.dirtyWords(), source.dirtyWords()));
+}
+
+// A moved-from memory, and so a moved-from hw::Machine, is an empty memory
+// that refuses every access, not one whose word count outlives its storage.
+void expectHoldsNoWords(EccMemory& memory) {
+  EXPECT_EQ(memory.wordCount(), 0u);
+  EXPECT_TRUE(memory.rawCodewords().empty());
+  EXPECT_TRUE(memory.dirtyWords().empty());
+  EXPECT_TRUE(memory.dirtySummary().empty());
+  const MemoryReadResult read = memory.read(4);
+  EXPECT_FALSE(read.ok);
+  EXPECT_FALSE(read.corrected);
+  EXPECT_FALSE(memory.write(4, 1));
+  EXPECT_FALSE(memory.flipBit(4, 0));
+  EXPECT_EQ(memory.rawCodeword(1), 0u);
+  EXPECT_EQ(memory.scrub(), 0u);
+}
+
+TEST(EccMemory, MovedFromMemoryHoldsNoWords) {
+  EccMemory source{1024};
+  source.write(4, 7);
+  source.flipBit(900, 3);
+  const EccMemory expected{source};
+  // NOLINTBEGIN(bugprone-use-after-move): the moved-from state is the subject.
+  EccMemory constructed{std::move(source)};
+  expectHoldsNoWords(source);
+  EccMemory assigned{64};
+  assigned = std::move(constructed);
+  expectHoldsNoWords(constructed);
+  // NOLINTEND(bugprone-use-after-move)
+  EXPECT_EQ(assigned.rawCodewords(), expected.rawCodewords());
+  EXPECT_TRUE(std::ranges::equal(assigned.dirtySummary(), expected.dirtySummary()));
+  // An emptied memory takes a copy again.
+  source = assigned;
+  EXPECT_EQ(source.wordCount(), 256u);
+  EXPECT_EQ(source.read(4).value, 7u);
+  EXPECT_EQ(source.rawCodewords(), expected.rawCodewords());
+  EXPECT_TRUE(std::ranges::equal(source.dirtyWords(), expected.dirtyWords()));
+  EXPECT_TRUE(std::ranges::equal(source.dirtySummary(), expected.dirtySummary()));
 }
 
 }  // namespace

@@ -12,8 +12,9 @@
 //   - an element count larger than its section can hold is refused with a
 //     BlobError before anything is allocated for it, and so are exec-section
 //     values that step() would shift by or index with;
-//   - fi::behaviorDigest, which skips words clear in the dirty bitmap,
-//     equals a digest that hashes every codeword;
+//   - fi::behaviorDigest, which skips words clear in the dirty bitmap and
+//     bitmap words clear in its summary, equals a digest that hashes every
+//     codeword;
 //   - fi::runTracedCopy verifies the reconstructed machine against the
 //     campaign baseline snapshot and throws on drift (regression for the
 //     silent-drift hazard).
@@ -21,6 +22,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -438,14 +440,33 @@ std::uint64_t fullWalkDigest(const hw::Machine& machine) {
   return digest.finish();
 }
 
+/// The checked wheel guest run to its end after a fault in two stack-pointer
+/// bits (0x4000 -> 0xE000): its subroutine call pushes into the top quarter
+/// of memory. Only such a wild store, which campaigns make, dirties a guest
+/// word past 4 096 and so a summary word past the first.
+hw::Machine wildStoreMachine() {
+  const fi::TaskImage image = bbw::guestPrograms().at(1).makeNominalImage();
+  hw::Machine machine{image.memBytes};
+  machine.restoreState(fi::machineBaselineSnapshot(image));
+  machine.cpu().setSp(image.stackTop);
+  machine.flipRegisterBit(hw::kStackPointer, 15);
+  machine.flipRegisterBit(hw::kStackPointer, 13);
+  (void)machine.run(1000);
+  return machine;
+}
+
 TEST(SnapshotRoundtrip, BehaviorDigestEqualsFullMemoryWalk) {
-  // Random machine-level operations on two guest machines and one of 100
-  // words (not a multiple of 64): after each, on every machine, clean words
-  // hold zero and the bitmap-walking digest equals the full walk.
+  // Random machine-level operations on two guest machines, a guest machine
+  // that made wild stores into the last summary word, and one of 100 words
+  // (not a multiple of 64): after each, on every machine, clean words hold
+  // zero and the bitmap-walking digest equals the full walk.
   util::Rng rng{0xd1e57ULL};
   const fi::TaskImage image = bbw::guestPrograms().front().makeNominalImage();
   std::vector<hw::Machine> machines{randomizedMachine(image, rng), randomizedMachine(image, rng),
-                                    hw::Machine{400}};
+                                    wildStoreMachine(), hw::Machine{400}};
+  ASSERT_EQ(machines[2].memory().dirtySummary().size(), 4u);
+  ASSERT_NE(machines[2].memory().dirtySummary().back(), 0u);
+  ASSERT_EQ(fi::behaviorDigest(machines[2]), fullWalkDigest(machines[2]));
   for (int step = 0; step < 1500; ++step) {
     hw::Machine& machine = machines[rng.uniformInt(machines.size())];
     hw::EccMemory& memory = machine.memory();
@@ -474,7 +495,7 @@ TEST(SnapshotRoundtrip, BehaviorDigestEqualsFullMemoryWalk) {
         break;
     }
     for (const hw::Machine& checked : machines) {
-      const std::vector<std::uint64_t>& dirty = checked.memory().dirtyWords();
+      const std::span<const std::uint64_t> dirty = checked.memory().dirtyWords();
       for (std::uint32_t w = 0; w < checked.memory().wordCount(); ++w) {
         if (((dirty[w / 64] >> (w % 64)) & 1u) == 0) {
           ASSERT_EQ(checked.memory().rawCodeword(w), 0u) << "clean word " << w;
