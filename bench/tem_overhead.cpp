@@ -128,14 +128,13 @@ void runObsWorkload(obs::Registry* metrics) {
   rt::Cpu cpu{simulator};
   rt::RtKernel kernel{simulator, cpu};
   struct EventCounts {
-    std::uint64_t completed = 0, omitted = 0, taskErrors = 0, other = 0;
+    std::uint64_t completed = 0, omitted = 0, other = 0;
   } counts;
   if (metrics != nullptr) {
     kernel.setEventTap([&counts](const rt::KernelEvent& event) {
       switch (event.kind) {
         case rt::KernelEvent::Kind::JobCompleted: counts.completed++; break;
         case rt::KernelEvent::Kind::JobOmitted: counts.omitted++; break;
-        case rt::KernelEvent::Kind::TaskError: counts.taskErrors++; break;
         default: counts.other++; break;
       }
     });
@@ -152,7 +151,6 @@ void runObsWorkload(obs::Registry* metrics) {
   if (metrics != nullptr) {
     metrics->add("kernel.job_completed", counts.completed);
     metrics->add("kernel.job_omitted", counts.omitted);
-    metrics->add("kernel.task_error", counts.taskErrors);
     metrics->add("kernel.other", counts.other);
     const tem::TemStats& stats = temExecutor.stats(task);
     metrics->add("tem.jobs", stats.jobs);
@@ -191,7 +189,7 @@ void measureObsOverhead() {
   entry.set("events_recorded",
             obs::JsonValue::integer(static_cast<std::int64_t>(
                 metrics.count("kernel.job_completed") + metrics.count("kernel.job_omitted") +
-                metrics.count("kernel.task_error") + metrics.count("kernel.other"))));
+                metrics.count("kernel.other"))));
   obs::appendToJsonArrayFile(entry, "BENCH_obs_overhead.json");
 }
 

@@ -462,12 +462,6 @@ struct BbwSystemSim::Impl {
       const rt::TaskId controlTask = n.controlTask;
       n.nlft->kernel().setEventTap([this, id, controlTask](const rt::KernelEvent& event) {
         switch (event.kind) {
-          case rt::KernelEvent::Kind::TaskError:
-            trace("task-error node=" + std::to_string(id) +
-                  " task=" + std::to_string(event.task.value) +
-                  " job=" + std::to_string(event.jobIndex));
-            record(id, "task-error", "kernel", "job=" + std::to_string(event.jobIndex));
-            break;
           case rt::KernelEvent::Kind::KernelError:
             trace("kernel-error node=" + std::to_string(id));
             record(id, "kernel-error", "kernel");
@@ -479,7 +473,7 @@ struct BbwSystemSim::Impl {
               record(id, "job-omitted", "kernel", "job=" + std::to_string(event.jobIndex));
             }
             break;
-          default:
+          case rt::KernelEvent::Kind::JobCompleted:
             break;  // completions are too frequent to trace
         }
       });
@@ -632,8 +626,6 @@ struct BbwSystemSim::Impl {
       digest.u64(stats.omissions);
       digest.u64(stats.deadlineMisses);
       digest.u64(stats.budgetOverruns);
-      digest.u64(stats.errorsDetected);
-      digest.u64(stats.errorsMasked);
     }
     return digest.finish();
   }
@@ -748,9 +740,7 @@ struct BbwSystemSim::Impl {
     switch (injection.kind) {
       case InjectionKind::ComputationFault: n.corruptSecondCopy = true; break;
       case InjectionKind::DetectedError: n.detectedErrorNextCopy = true; break;
-      case InjectionKind::KernelError:
-        n.nlft->reportKernelError({rt::ErrorEvent::Source::HardwareException, 0});
-        break;
+      case InjectionKind::KernelError: n.nlft->reportKernelError(); break;
       case InjectionKind::OmissionFailure: n.omitNextResult = true; break;
       case InjectionKind::ValueFailure: n.valueFailureArmed = true; break;
       case InjectionKind::BusCorruption:

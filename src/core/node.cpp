@@ -15,9 +15,7 @@ NlftNode::NlftNode(sim::Simulator& simulator, NodeConfig config)
         [this](rt::TaskId task, bool hadError) { monitor_.onJob(task, hadError); });
     // Repeated errors on consecutive jobs suggest a permanent fault: shut
     // the node down for off-line diagnosis (Section 2.5).
-    monitor_.setShutdownHook([this] {
-      kernel_.reportKernelError({rt::ErrorEvent::Source::External, 0});
-    });
+    monitor_.setShutdownHook([this] { kernel_.reportKernelError(); });
   }
 }
 

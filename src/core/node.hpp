@@ -15,9 +15,9 @@ namespace nlft::tem {
 
 enum class NodePolicy : std::uint8_t { Nlft, FailSilent };
 
-/// An NLFT node runs its critical tasks under TEM with the default TemConfig
-/// and suspects a permanent fault after kPermanentFaultThreshold erroneous
-/// jobs in a row; its CPU has no context-switch overhead.
+/// An NLFT node runs its critical tasks under TEM (at most three copies per
+/// job) and suspects a permanent fault after kPermanentFaultThreshold
+/// erroneous jobs in a row.
 struct NodeConfig {
   NodePolicy policy = NodePolicy::Nlft;
 };
@@ -53,11 +53,10 @@ class NlftNode {
   /// Result delivery (the node's outputs toward network/actuators).
   void setResultSink(rt::RtKernel::ResultSink sink) { kernel_.setResultSink(std::move(sink)); }
 
-  /// Error reporting entry points (EDMs, integrity checks, fault injection).
-  void reportTaskError(rt::TaskId task, const rt::ErrorEvent& event) {
-    kernel_.reportTaskError(task, event);
-  }
-  void reportKernelError(const rt::ErrorEvent& event) { kernel_.reportKernelError(event); }
+  /// An error in the kernel itself: the node goes silent (Section 2.2). An
+  /// error inside a task copy is the copy's own plan
+  /// (CopyPlan::End::DetectedError).
+  void reportKernelError() { kernel_.reportKernelError(); }
 
   [[nodiscard]] rt::RtKernel& kernel() { return kernel_; }
   [[nodiscard]] rt::Cpu& cpu() { return cpu_; }

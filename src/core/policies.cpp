@@ -40,8 +40,7 @@ rt::TaskId addSingleCopyTask(rt::RtKernel& kernel, rt::TaskConfig taskConfig,
   auto task = std::make_shared<SingleCopyTask>(std::move(behavior), std::move(onError));
   return kernel.addTask(
       std::move(taskConfig), [task](rt::Job& job) { task->run(job); },
-      [task](rt::Job& job, rt::CopyStop stop) { task->onStop(job, stop); },
-      [task](rt::Job& job, const rt::ErrorEvent&) { task->onError(job.taskId()); });
+      [task](rt::Job& job, rt::CopyStop stop) { task->onStop(job, stop); });
 }
 
 }  // namespace
@@ -52,9 +51,7 @@ rt::TaskId addFailSilentTask(rt::RtKernel& kernel, rt::TaskConfig taskConfig,
   taskConfig.criticality = rt::Criticality::Critical;
   // Fail-silent semantics: the node stops producing any output.
   return addSingleCopyTask(kernel, std::move(taskConfig), std::move(behavior),
-                           [&kernel](rt::TaskId) {
-                             kernel.reportKernelError({rt::ErrorEvent::Source::External, 0});
-                           });
+                           [&kernel](rt::TaskId) { kernel.reportKernelError(); });
 }
 
 rt::TaskId addNonCriticalTask(rt::RtKernel& kernel, rt::TaskConfig taskConfig,

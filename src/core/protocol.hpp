@@ -42,8 +42,8 @@ struct Decision {
 /// results in allocates nothing once they have grown.
 class Protocol {
  public:
-  /// `maxCopies`: started copies per job, replacements included (paper: 3).
-  explicit Protocol(int maxCopies = 3) : maxCopies_{maxCopies} {}
+  /// Started copies per job, replacements included (paper: 3).
+  static constexpr int kMaxCopies = 3;
 
   void begin() {
     copiesStarted_ = 0;
@@ -68,7 +68,7 @@ class Protocol {
                              : Action::DeliverByReplacement,
               *voted};
     }
-    if (copiesStarted_ >= maxCopies_) return {Action::OmitVoteFailed, 0, mismatch};
+    if (copiesStarted_ >= kMaxCopies) return {Action::OmitVoteFailed, 0, mismatch};
     return {anotherCopyOrNoTime(anotherCopyFits), 0, mismatch};
   }
   /// The running copy ended in a detected error and produced no result.
@@ -84,10 +84,9 @@ class Protocol {
 
  private:
   [[nodiscard]] Action anotherCopyOrNoTime(bool anotherCopyFits) const {
-    return copiesStarted_ < maxCopies_ && anotherCopyFits ? Action::RunCopy : Action::OmitNoTime;
+    return copiesStarted_ < kMaxCopies && anotherCopyFits ? Action::RunCopy : Action::OmitNoTime;
   }
 
-  int maxCopies_;
   int copiesStarted_ = 0;
   std::vector<TaskResult> results_;  ///< the first `resultCount_` are this job's
   std::size_t resultCount_ = 0;

@@ -10,33 +10,14 @@ void resetPlan(CopyPlan& plan) {
   plan.result.clear();
 }
 
-TemExecutor::TemExecutor(rt::RtKernel& kernel, TemConfig config)
-    : kernel_{kernel}, config_{config} {
-  if (config_.maxCopies < 2) throw std::invalid_argument("TemExecutor: maxCopies must be >= 2");
-}
+TemExecutor::TemExecutor(rt::RtKernel& kernel) : kernel_{kernel} {}
 
 rt::TaskId TemExecutor::addCriticalTask(rt::TaskConfig taskConfig, CopyBehavior behavior) {
   if (!behavior) throw std::invalid_argument("TemExecutor: null behavior");
   taskConfig.criticality = rt::Criticality::Critical;
-  // The comparison/vote is charged as part of the copy's CPU work, so the
-  // execution-time-monitor budget must cover it too.
-  if (taskConfig.budget == Duration{}) taskConfig.budget = taskConfig.wcet;
-  taskConfig.budget += config_.checkOverhead;
   auto state = std::make_unique<TaskState>();
   TaskState* raw = state.get();
   state->behavior = std::move(behavior);
-  state->protocol = Protocol{config_.maxCopies};
-  // Errors reported while a copy runs (hardware EDM, ECC, MMU, integrity
-  // checks) terminate the copy at once — scenario (iii)/(iv). Remaining copy
-  // time is reclaimed because the CPU work item is cancelled.
-  auto onError = [raw](rt::Job& job, const rt::ErrorEvent&) {
-    raw->stats.edmDetectedErrors++;
-    if (job.copyActive()) job.killRunningCopy();  // the Killed stop continues the recovery
-  };
-  auto onAbort = [this, raw](rt::Job&) {
-    raw->stats.omissionsAborted++;
-    if (onJobError_) onJobError_(raw->id, true);
-  };
   state->id = kernel_.addTask(
       std::move(taskConfig),
       [this, raw](rt::Job& job) {
@@ -44,8 +25,11 @@ rt::TaskId TemExecutor::addCriticalTask(rt::TaskConfig taskConfig, CopyBehavior 
         raw->protocol.begin();
         startCopy(*raw, job);
       },
-      [this, raw](rt::Job& job, rt::CopyStop stop) { onCopyStop(*raw, job, stop); }, onError,
-      onAbort);
+      [this, raw](rt::Job& job, rt::CopyStop stop) { onCopyStop(*raw, job, stop); },
+      [this, raw](rt::Job&) {
+        raw->stats.omissionsAborted++;
+        if (onJobError_) onJobError_(raw->id, true);
+      });
   tasks_.push_back(std::move(state));
   return tasks_.back()->id;
 }
@@ -65,13 +49,7 @@ void TemExecutor::startCopy(TaskState& state, rt::Job& job) {
                               : s.thirdCopies);
   resetPlan(state.plan);
   state.behavior(context, state.plan);
-
-  // Comparison (after the second and later copies) is charged as CPU time
-  // together with the copy itself.
-  Duration work = state.plan.executionTime;
-  if (context.copyIndex >= 2) work += config_.checkOverhead;
-
-  job.runCopy(work);
+  job.runCopy(state.plan.executionTime);
 }
 
 void TemExecutor::onCopyStop(TaskState& state, rt::Job& job, rt::CopyStop stop) {
@@ -81,17 +59,17 @@ void TemExecutor::onCopyStop(TaskState& state, rt::Job& job, rt::CopyStop stop) 
 
   // Can another copy start and still meet the deadline? The kernel checks
   // the deadline after every error (Section 2.5); the estimate is one copy
-  // worst case plus the comparison/vote.
-  const bool fits = job.timeToDeadline() >= job.config().wcet + config_.checkOverhead;
+  // worst case.
+  const bool fits = job.timeToDeadline() >= job.config().wcet;
   Decision decision;
   if (stop == rt::CopyStop::Completed && state.plan.end == CopyPlan::End::Result) {
     decision = state.protocol.onResult(state.plan.result, fits);
     if (decision.mismatch) state.stats.comparisonMismatches++;
   } else {
-    // Killed: the error handler counted the EDM. BudgetOverrun: the
-    // execution-time monitor is itself an EDM (Table 1). A DetectedError
-    // plan: the EDM fired after the copy consumed plan.executionTime.
-    if (stop != rt::CopyStop::Killed) state.stats.edmDetectedErrors++;
+    // An EDM ended the copy: the execution-time monitor (BudgetOverrun;
+    // Table 1), or the one a DetectedError plan fires once the copy has
+    // consumed plan.executionTime. The copy's remaining time is reclaimed.
+    state.stats.edmDetectedErrors++;
     decision = state.protocol.onDetectedError(fits);
   }
 

@@ -2,12 +2,13 @@
 // light-weight NLFT (paper Section 2.5, Fig. 3). Every critical-task job
 // runs as a sequence of copies, and tem::Protocol (core/protocol.hpp) takes
 // every copy, vote and omission decision. An error detected by a
-// hardware/software EDM terminates the running copy at once: its remaining
-// time is reclaimed, and the next copy starts from the CPU context in the
-// task control block (EDM exceptions typically stem from PC/SP register
-// faults). Another copy fits while the job's deadline still holds one copy
-// plus its check; otherwise the job is omitted and the system level handles
-// the omission (Section 2.2).
+// hardware/software EDM terminates the running copy at once (the copy's
+// plan ends in End::DetectedError, or the execution-time monitor stops it):
+// its remaining time is reclaimed, and the next copy starts from the CPU
+// context in the task control block (EDM exceptions typically stem from
+// PC/SP register faults). Another copy fits while the job's deadline still
+// holds one worst-case copy; otherwise the job is omitted and the system
+// level handles the omission (Section 2.2).
 #pragma once
 
 #include <cstdint>
@@ -50,12 +51,6 @@ using CopyBehavior = std::function<void(const CopyContext&, CopyPlan& plan)>;
 /// Resets `plan` to the defaults, keeping the capacity of its result buffer.
 void resetPlan(CopyPlan& plan);
 
-/// TEM tuning knobs.
-struct TemConfig {
-  int maxCopies = 3;             ///< total started copies per job (paper: 3)
-  Duration checkOverhead{};      ///< CPU cost of one comparison or vote
-};
-
 /// Per-task TEM statistics, beyond the kernel's TaskStats.
 struct TemStats {
   std::uint64_t jobs = 0;
@@ -72,7 +67,9 @@ struct TemStats {
   std::uint64_t omissionsAborted = 0;    ///< deadline monitor aborted the job
 };
 
-/// Creates the kernel job handler that executes one critical task under TEM.
+/// Creates the kernel job handler that executes one critical task under TEM:
+/// at most Protocol::kMaxCopies copies per job, with the comparison and the
+/// vote charged no CPU time of their own.
 ///
 /// `onJobError` (optional) is told after each finished job whether the job
 /// experienced any error — the node policy uses this for permanent-fault
@@ -82,7 +79,7 @@ struct TemStats {
 /// moved.
 class TemExecutor {
  public:
-  TemExecutor(rt::RtKernel& kernel, TemConfig config = {});
+  explicit TemExecutor(rt::RtKernel& kernel);
   TemExecutor(const TemExecutor&) = delete;
   TemExecutor& operator=(const TemExecutor&) = delete;
 
@@ -111,7 +108,6 @@ class TemExecutor {
   void onCopyStop(TaskState& state, rt::Job& job, rt::CopyStop stop);
 
   rt::RtKernel& kernel_;
-  TemConfig config_;
   std::vector<std::unique_ptr<TaskState>> tasks_;
   JobErrorCallback onJobError_;
 };

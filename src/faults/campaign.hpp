@@ -34,16 +34,14 @@ struct TaskImage {
   std::uint32_t outputWords = 0;
   std::uint32_t memBytes = 64 * 1024;
   std::uint64_t maxInstructionsPerCopy = 100000;  ///< execution-time monitor
-  /// When true, the campaign machine enables the MMU with regions covering
-  /// text (read/execute), input (read), output and stack (read/write):
+  /// When true, the campaign machine enables the MMU with `mmuRegions`:
   /// wild stores then raise MMU violations instead of silently corrupting
   /// unrelated memory (Table 1 fault confinement).
   bool enableMmu = false;
-  /// MMU regions to install when enableMmu is set. Empty = derive the
-  /// classic four regions (text rx, input ro, output rw, stack rw) from the
-  /// image fields; non-empty = use these (typically produced by the static
-  /// analyzer, analysis::deriveMmuRegions). Region owners are overridden
-  /// with the campaign task id when installed.
+  /// MMU regions to install when enableMmu is set, typically the static
+  /// analyzer's (analysis::applyDerivedConfig). Region owners are overridden
+  /// with the campaign task id when installed. An image that enables the
+  /// MMU with no regions is refused with std::invalid_argument.
   std::vector<hw::MmuRegion> mmuRegions;
   std::uint32_t stackBytes = 4096;
   /// When true, the LAST output word is an end-to-end checksum: it must

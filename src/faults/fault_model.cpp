@@ -14,8 +14,6 @@ void inject(hw::Machine& machine, const FaultLocation& location) {
           machine.flipPcBit(fault.bit);
         } else if constexpr (std::is_same_v<T, MemoryBitFlip>) {
           machine.flipMemoryBit(fault.address, fault.bit);
-        } else if constexpr (std::is_same_v<T, StuckAtRegisterBit>) {
-          machine.addStuckAtFault({fault.reg, fault.bit, fault.stuckHigh});
         } else if constexpr (std::is_same_v<T, FetchBitFlip>) {
           machine.armFetchCorruption(fault.bit);
         }
@@ -34,9 +32,6 @@ std::string describe(const FaultLocation& location) {
           std::snprintf(buf, sizeof buf, "pc bit %d", fault.bit);
         } else if constexpr (std::is_same_v<T, MemoryBitFlip>) {
           std::snprintf(buf, sizeof buf, "mem 0x%x bit %d", fault.address, fault.bit);
-        } else if constexpr (std::is_same_v<T, StuckAtRegisterBit>) {
-          std::snprintf(buf, sizeof buf, "stuck-at r%d bit %d=%d", fault.reg, fault.bit,
-                        fault.stuckHigh ? 1 : 0);
         } else if constexpr (std::is_same_v<T, FetchBitFlip>) {
           std::snprintf(buf, sizeof buf, "fetch bit %d", fault.bit);
         }

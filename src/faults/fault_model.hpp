@@ -33,13 +33,6 @@ struct MemoryBitFlip {
   int bit = 0;
 };
 
-/// Permanent stuck-at fault on a register bit.
-struct StuckAtRegisterBit {
-  int reg = 0;
-  int bit = 0;
-  bool stuckHigh = true;
-};
-
 /// Transient upset in the instruction fetch path: the next fetched word has
 /// one bit flipped before decoding (opcode bits yield illegal-instruction
 /// exceptions; operand bits silently change the computation).
@@ -47,8 +40,7 @@ struct FetchBitFlip {
   int bit = 0;
 };
 
-using FaultLocation =
-    std::variant<RegisterBitFlip, PcBitFlip, MemoryBitFlip, StuckAtRegisterBit, FetchBitFlip>;
+using FaultLocation = std::variant<RegisterBitFlip, PcBitFlip, MemoryBitFlip, FetchBitFlip>;
 
 /// A fault occurrence: the location plus the activation instant, expressed
 /// as "after N executed instructions" of the affected run. For TEM

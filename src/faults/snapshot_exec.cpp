@@ -21,12 +21,6 @@ std::uint64_t behaviorDigest(const hw::Machine& machine) {
              (machine.halted() ? 4u : 0u));
   digest.u64(static_cast<std::uint64_t>(
       static_cast<std::int64_t>(machine.armedFetchCorruptionBit())));
-  digest.u64(machine.stuckAtFaults().size());
-  for (const hw::StuckAtFault& fault : machine.stuckAtFaults()) {
-    digest.u64(static_cast<std::uint64_t>(fault.reg));
-    digest.u64(static_cast<std::uint64_t>(fault.bit));
-    digest.u64(fault.stuckHigh ? 1 : 0);
-  }
   // One lane per codeword, in address order. Words clear in the dirty
   // bitmap hold codeword 0, so each run of them folds in as a power of the
   // prime: the same value as hashing every codeword. The walk visits only

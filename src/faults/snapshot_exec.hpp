@@ -23,15 +23,15 @@
 namespace nlft::fi {
 
 /// 64-bit digest of the BEHAVIOR-RELEVANT machine state: CPU context, raw
-/// memory codewords, halted flag, armed fetch corruption and stuck-at
-/// faults. Deliberately EXCLUDES the executed-instruction counter, the MMU
-/// violation counter and the ECC error counters — all monotone bookkeeping
-/// that never feeds back into execution — so a machine that returns to the
-/// clean fixed point after a fault digests clean again. In particular a
-/// correctable memory flip that was scrubbed on read leaves only a bumped
-/// correctedErrors counter behind; the machine then behaves exactly like
-/// the clean one, and the classification still sees the correction because
-/// it reads the counter off the live scratch machine, not the digest.
+/// memory codewords, halted flag and armed fetch corruption. Deliberately
+/// EXCLUDES the executed-instruction counter, the MMU violation counter and
+/// the ECC error counters — all monotone bookkeeping that never feeds back
+/// into execution — so a machine that returns to the clean fixed point
+/// after a fault digests clean again. In particular a correctable memory
+/// flip that was scrubbed on read leaves only a bumped correctedErrors
+/// counter behind; the machine then behaves exactly like the clean one, and
+/// the classification still sees the correction because it reads the
+/// counter off the live scratch machine, not the digest.
 /// Visits the memory's dirty-bitmap summary, the bitmap words it marks and
 /// their dirty words, plus O(log k) multiplies per run of k clean words,
 /// which fold in as powers of the FNV prime: the value is the one a walk

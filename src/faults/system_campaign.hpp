@@ -10,7 +10,7 @@
 // observed at the vehicle (masked / omission degradation / fail-silent
 // degradation / value failure / missed stop).
 //
-// Machine-level transients reuse fi::FaultModel against the bbw guest
+// Machine-level transients reuse fi::sampleFault against the bbw guest
 // programs: the sampled fault is first classified by the machine-level TEM
 // (or fail-silent) experiment, and the node-level outcome is then replayed
 // into the system simulation through the matching BbwSystemSim injection
@@ -40,7 +40,7 @@ namespace nlft::fi {
 
 /// What kind of fault one system experiment injects.
 enum class ScenarioKind : std::uint8_t {
-  MachineTransient,  ///< bit flip in one node's CPU/memory (via fi::FaultModel)
+  MachineTransient,  ///< bit flip in one node's CPU/memory (via fi::sampleFault)
   BusCorruption,     ///< 1..3 bit flips on one node's next bus frame
   NodeCrash,         ///< kernel error: node silent, restarts after mu_R
   CorrelatedBurst,   ///< simultaneous kernel errors on several nodes

@@ -66,16 +66,6 @@ bool Machine::checkedWrite(std::uint32_t address, std::uint32_t value,
   return true;
 }
 
-void Machine::applyStuckAtFaults() {
-  for (const StuckAtFault& fault : stuckAt_) {
-    const std::uint32_t mask = 1u << fault.bit;
-    if (fault.stuckHigh)
-      cpu_.regs[fault.reg] |= mask;
-    else
-      cpu_.regs[fault.reg] &= ~mask;
-  }
-}
-
 void Machine::setFlags(std::int32_t comparison) {
   cpu_.flagZero = comparison == 0;
   cpu_.flagNegative = comparison < 0;
@@ -86,8 +76,6 @@ std::optional<HwException> Machine::step() {
   std::optional<HwException> exception;
 
   if (traceSink_ != nullptr) traceSink_->push_back(cpu_.pc);
-
-  applyStuckAtFaults();
 
   // Fetch.
   std::uint32_t word = 0;
@@ -265,7 +253,6 @@ RunResult Machine::run(std::uint64_t maxInstructions) {
 void Machine::flipRegisterBit(int reg, int bit) { cpu_.regs[reg] ^= 1u << bit; }
 void Machine::flipPcBit(int bit) { cpu_.pc ^= 1u << bit; }
 void Machine::flipMemoryBit(std::uint32_t address, int bit) { memory_.flipBit(address, bit); }
-void Machine::addStuckAtFault(StuckAtFault fault) { stuckAt_.push_back(fault); }
 void Machine::armFetchCorruption(int bit) { fetchCorruptionBit_ = bit & 31; }
 
 std::vector<std::uint8_t> Machine::saveState() const {
@@ -302,12 +289,6 @@ std::vector<std::uint8_t> Machine::saveState() const {
   w.boolean(halted_);
   w.u64(executed_);
   w.i64(fetchCorruptionBit_);
-  w.u32(static_cast<std::uint32_t>(stuckAt_.size()));
-  for (const StuckAtFault& fault : stuckAt_) {
-    w.u32(static_cast<std::uint32_t>(fault.reg));
-    w.u32(static_cast<std::uint32_t>(fault.bit));
-    w.boolean(fault.stuckHigh);
-  }
   w.endSection();
 
   return w.finish();
@@ -359,26 +340,11 @@ void Machine::restoreState(std::span<const std::uint8_t> blob) {
   const bool halted = r.boolean();
   const std::uint64_t executed = r.u64();
   const std::int64_t fetchBit = r.i64();
-  // step() shifts by these values and indexes the register file with them,
-  // so a value outside the range the setters produce is refused here.
-  const auto refuseExec = [](const std::string& what, std::int64_t value) {
-    throw snap::BlobError("snapshot section 'exec': " + what + " " + std::to_string(value) +
-                          " out of range");
-  };
-  if (fetchBit < -1 || fetchBit > 31) refuseExec("fetch-corruption bit", fetchBit);
-  const std::uint32_t stuckCount = r.elementCount(2 * 4 + 1);  // reg, bit, polarity
-  std::vector<StuckAtFault> stuck;
-  stuck.reserve(stuckCount);
-  for (std::uint32_t i = 0; i < stuckCount; ++i) {
-    const std::uint32_t reg = r.u32();
-    const std::uint32_t bit = r.u32();
-    if (reg >= static_cast<std::uint32_t>(kRegisterCount)) refuseExec("stuck-at register", reg);
-    if (bit > 31) refuseExec("stuck-at bit", bit);
-    StuckAtFault fault;
-    fault.reg = static_cast<int>(reg);
-    fault.bit = static_cast<int>(bit);
-    fault.stuckHigh = r.boolean();
-    stuck.push_back(fault);
+  // step() shifts by this value, so one outside the range the setter
+  // produces is refused here.
+  if (fetchBit < -1 || fetchBit > 31) {
+    throw snap::BlobError("snapshot section 'exec': fetch-corruption bit " +
+                          std::to_string(fetchBit) + " out of range");
   }
   r.closeSection();
   r.finish();
@@ -394,7 +360,6 @@ void Machine::restoreState(std::span<const std::uint8_t> blob) {
   halted_ = halted;
   executed_ = executed;
   fetchCorruptionBit_ = static_cast<int>(fetchBit);
-  stuckAt_ = std::move(stuck);
 }
 
 }  // namespace nlft::hw

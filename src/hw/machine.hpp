@@ -2,7 +2,7 @@
 //
 // A Machine executes programs of the toy ISA deterministically. All fault
 // injection entry points are here: register/PC bit flips, memory codeword
-// flips and stuck-at faults. Execution stops at HALT, on an exception, or
+// flips and fetch-path upsets. Execution stops at HALT, on an exception, or
 // when the instruction budget is exhausted (the budget models the kernel's
 // execution-time monitor at this level).
 #pragma once
@@ -32,17 +32,9 @@ struct RunResult {
   std::uint64_t executedInstructions = 0;
 };
 
-/// A permanently wrong bit: applied to a register on every instruction, so
-/// it re-asserts even after the value is overwritten (stuck-at fault model).
-struct StuckAtFault {
-  int reg = 0;
-  int bit = 0;
-  bool stuckHigh = true;
-};
-
 /// Format version of Machine::saveState() blobs. Bump on any layout change;
 /// restoreState() refuses blobs of any other version.
-inline constexpr std::uint16_t kMachineStateVersion = 1;
+inline constexpr std::uint16_t kMachineStateVersion = 2;
 
 class Machine {
  public:
@@ -88,8 +80,6 @@ class Machine {
   void flipPcBit(int bit);
   /// Flips one codeword bit (0..38) of a memory word.
   void flipMemoryBit(std::uint32_t address, int bit);
-  /// Installs a stuck-at fault, re-asserted before every instruction.
-  void addStuckAtFault(StuckAtFault fault);
 
   /// Arms a one-shot corruption of the next instruction FETCH: the word
   /// read from memory has `bit` flipped before decoding (a transient upset
@@ -108,9 +98,9 @@ class Machine {
   /// Serializes the COMPLETE deterministic machine state — CPU context, raw
   /// memory codewords + ECC counters, MMU configuration + violation count,
   /// and execution state (halted flag, instruction counter, armed fetch
-  /// corruption, stuck-at faults) — into a versioned, sectioned, CRC-32
-  /// protected blob (see src/snap/blob.hpp and docs/SNAPSHOT.md). The trace
-  /// sink attachment is NOT part of the state.
+  /// corruption) — into a versioned, sectioned, CRC-32 protected blob (see
+  /// src/snap/blob.hpp and docs/SNAPSHOT.md). The trace sink attachment is
+  /// NOT part of the state.
   [[nodiscard]] std::vector<std::uint8_t> saveState() const;
 
   /// Restores a saveState() blob, replacing the entire machine state
@@ -120,8 +110,6 @@ class Machine {
 
   /// The pending one-shot fetch corruption bit, or -1 when none is armed.
   [[nodiscard]] int armedFetchCorruptionBit() const { return fetchCorruptionBit_; }
-  /// The installed stuck-at faults (snapshot + state-digest support).
-  [[nodiscard]] const std::vector<StuckAtFault>& stuckAtFaults() const { return stuckAt_; }
 
  private:
   [[nodiscard]] std::optional<HwException> raise(ExceptionKind kind, std::uint32_t address = 0);
@@ -129,7 +117,6 @@ class Machine {
                                  std::optional<HwException>& exception, Access access);
   [[nodiscard]] bool checkedWrite(std::uint32_t address, std::uint32_t value,
                                   std::optional<HwException>& exception);
-  void applyStuckAtFaults();
   void setFlags(std::int32_t comparison);
 
   CpuState cpu_;
@@ -137,7 +124,6 @@ class Machine {
   Mmu mmu_;
   bool halted_ = false;
   std::uint64_t executed_ = 0;
-  std::vector<StuckAtFault> stuckAt_;
   int fetchCorruptionBit_ = -1;
   std::vector<std::uint32_t>* traceSink_ = nullptr;
 };

@@ -5,13 +5,8 @@
 
 namespace nlft::rt {
 
-Cpu::Cpu(sim::Simulator& simulator, Duration contextSwitchOverhead)
-    : simulator_{simulator},
-      component_{simulator.addComponent(this)},
-      contextSwitch_{contextSwitchOverhead} {
-  if (contextSwitchOverhead < Duration{})
-    throw std::invalid_argument("Cpu: negative context-switch overhead");
-}
+Cpu::Cpu(sim::Simulator& simulator)
+    : simulator_{simulator}, component_{simulator.addComponent(this)} {}
 
 Cpu::Label Cpu::intern(std::string_view label) {
   for (const std::string& known : labels_) {
@@ -61,23 +56,10 @@ void Cpu::dispatch() {
   }
   Running& running = running_.emplace(Running{std::move(*best), simulator_.now(), {}});
   ready_.erase(best);
-  Item& item = running.item;
-
-  // Context-switch overhead is charged on every dispatch of a different
-  // item than the one that ran last (including resumption after preemption
-  // by a third party).
-  Duration cost = item.remaining;
-  if (contextSwitch_ > Duration{} && item.label != lastDispatchedLabel_) {
-    cost += contextSwitch_;
-  }
-  lastDispatchedLabel_ = item.label;
   ++dispatches_;
-
-  // Fold the overhead into the remaining work so that preemption accounting
-  // stays exact: a preempted item resumes with precisely what it has left.
-  item.remaining = cost;
   running.completionEvent = simulator_.scheduleAfter(
-      cost, sim::Event{&sim::callMember<Cpu, &Cpu::onCompletion>, component_, 0},
+      running.item.remaining,
+      sim::Event{&sim::callMember<Cpu, &Cpu::onCompletion>, component_, 0},
       sim::EventPriority::Kernel);
 }
 
@@ -87,8 +69,8 @@ void Cpu::preemptRunning() {
   closeSegment();
   Item item = std::move(running_->item);
   running_.reset();
-  // Remaining time can go slightly negative if overhead was charged; clamp.
-  item.remaining = std::max(Duration{}, item.remaining - consumed);
+  // The completion event is still pending, so the item has time left.
+  item.remaining -= consumed;
   ready_.push_back(std::move(item));
   ++preemptions_;
 }

@@ -58,9 +58,8 @@ class Cpu {
     std::string_view name;
   };
 
-  /// `contextSwitchOverhead` is charged whenever a different work item is
-  /// dispatched (a simple but measurable model of kernel overhead).
-  explicit Cpu(sim::Simulator& simulator, Duration contextSwitchOverhead = Duration{});
+  /// A dispatch costs no CPU time: a work item runs for exactly its work.
+  explicit Cpu(sim::Simulator& simulator);
   Cpu(const Cpu&) = delete;
   Cpu& operator=(const Cpu&) = delete;
 
@@ -117,7 +116,6 @@ class Cpu {
 
   sim::Simulator& simulator_;
   std::uint32_t component_;  ///< this Cpu's index in the simulator
-  Duration contextSwitch_;
   std::uint64_t nextId_ = 1;
   std::uint64_t nextSeq_ = 0;
   std::vector<Item> ready_;
@@ -128,7 +126,6 @@ class Cpu {
   Duration busy_{};
   std::uint64_t preemptions_ = 0;
   std::uint64_t dispatches_ = 0;
-  std::string_view lastDispatchedLabel_;
 };
 
 }  // namespace nlft::rt

@@ -22,12 +22,6 @@ void Job::runCopy(Duration work) {
                                 kernel_.event<&RtKernel::onCopyCompleted>(task_.value), task.label);
 }
 
-void Job::killRunningCopy() {
-  if (!copyWork_.valid()) return;
-  kernel_.cpu_.cancel(copyWork_);
-  kernel_.endCopy(*this, CopyStop::Killed);
-}
-
 void Job::complete(std::span<const std::uint32_t> result) {
   if (finished_) return;
   kernel_.mutableStats(task_).completions++;
@@ -85,7 +79,7 @@ RtKernel::RtKernel(sim::Simulator& simulator, Cpu& cpu)
     : simulator_{simulator}, component_{simulator.addComponent(this)}, cpu_{cpu} {}
 
 TaskId RtKernel::addTask(TaskConfig config, JobHandler handler, CopyStopHandler onCopyStop,
-                         ErrorHandler onError, AbortHandler onAbort) {
+                         AbortHandler onAbort) {
   if (config.wcet < Duration{}) throw std::invalid_argument("RtKernel: negative wcet");
   if (config.relativeDeadline == Duration{}) config.relativeDeadline = config.period;
   if (config.budget == Duration{}) config.budget = config.wcet;
@@ -94,7 +88,6 @@ TaskId RtKernel::addTask(TaskConfig config, JobHandler handler, CopyStopHandler 
   taskEntry.config = std::move(config);
   taskEntry.handler = std::move(handler);
   taskEntry.onCopyStop = std::move(onCopyStop);
-  taskEntry.onError = std::move(onError);
   taskEntry.onAbort = std::move(onAbort);
   tasks_.push_back(std::move(taskEntry));
   return TaskId{static_cast<std::uint32_t>(tasks_.size() - 1)};
@@ -125,7 +118,6 @@ void RtKernel::start() {
 
 void RtKernel::stop() {
   stopped_ = true;
-  emitEvent(KernelEvent::Kind::Stopped);
   for (auto& task : tasks_) {
     simulator_.cancel(task.nextRelease);
     task.nextRelease = sim::EventId{};
@@ -144,7 +136,6 @@ void RtKernel::stop() {
 void RtKernel::restart() {
   if (!stopped_) return;
   stopped_ = false;
-  emitEvent(KernelEvent::Kind::Restarted);
   start();
 }
 
@@ -249,15 +240,7 @@ void RtKernel::releaseSporadic(TaskId task) {
   release(task.value);
 }
 
-void RtKernel::reportTaskError(TaskId task, const ErrorEvent& event) {
-  TaskEntry& taskEntry = entry(task);
-  taskEntry.stats.errorsDetected++;
-  emitEvent(KernelEvent::Kind::TaskError, task,
-            taskEntry.activeJob ? taskEntry.activeJob->index() : 0);
-  if (taskEntry.activeJob && taskEntry.onError) taskEntry.onError(*taskEntry.activeJob, event);
-}
-
-void RtKernel::reportKernelError(const ErrorEvent&) {
+void RtKernel::reportKernelError() {
   ++kernelErrors_;
   emitEvent(KernelEvent::Kind::KernelError);
   // Strategy 3 (Section 2.2): errors in the kernel silence the node.

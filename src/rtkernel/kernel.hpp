@@ -2,19 +2,21 @@
 // deadline monitoring and budget enforcement on top of the preemptive
 // fixed-priority Cpu.
 //
-// The kernel itself is policy-free about error handling: it routes detected
-// errors to the active job's error handler and exposes the omission /
-// fail-silent actions. The NLFT layer (src/core) implements temporal error
-// masking on top of exactly this interface; a conventional fail-silent node
-// uses the same kernel with a different policy.
+// The kernel itself is policy-free about error handling: it reports how
+// each copy stopped and exposes the omission / fail-silent actions. The NLFT
+// layer (src/core) implements temporal error masking on top of exactly this
+// interface; a conventional fail-silent node uses the same kernel with a
+// different policy. An error an EDM detects inside a copy ends that copy as
+// the task's copy behaviour planned it (tem::CopyPlan::End::DetectedError);
+// an error in the kernel itself silences the node (reportKernelError).
 //
 // Each task registers its handlers once, at addTask: the job handler, the
-// copy-stop handler, the error handler and the abort handler. A task copy
-// (Job::runCopy) carries no callback of its own. Its CPU work item completes
-// through a typed event that names the kernel and the task, and every stop
-// of a copy (completed, budget overrun, killed, aborted) reaches the task's
-// one copy-stop handler with the task's active job. That job is always the
-// copy's job, because every way a job finishes cancels its copy.
+// copy-stop handler and the abort handler. A task copy (Job::runCopy)
+// carries no callback of its own. Its CPU work item completes through a
+// typed event that names the kernel and the task, and every stop of a copy
+// (completed, budget overrun, aborted) reaches the task's one copy-stop
+// handler with the task's active job. That job is always the copy's job,
+// because every way a job finishes cancels its copy.
 #pragma once
 
 #include <cstdint>
@@ -37,35 +39,16 @@ class RtKernel;
 enum class CopyStop : std::uint8_t {
   Completed,      ///< consumed its full CPU-time request
   BudgetOverrun,  ///< killed by the execution-time monitor
-  Killed,         ///< killed by killRunningCopy() (e.g. EDM error)
   Aborted,        ///< job aborted by the deadline monitor
 };
 
-/// An error detected while a task (or the kernel) was executing.
-struct ErrorEvent {
-  enum class Source : std::uint8_t {
-    HardwareException,  ///< CPU exception (illegal opcode, address error, ...)
-    EccUncorrectable,
-    MmuViolation,
-    DataIntegrity,      ///< duplicated-data / CRC check mismatch
-    ControlFlow,        ///< control-flow signature check failed
-    External,           ///< injected or reported by another mechanism
-  };
-  Source source = Source::External;
-  int detail = 0;  ///< e.g. hw::ExceptionKind as int
-};
-
 /// One kernel-level event, streamed to an external tap (golden-trace
-/// recording, observers). Job/task fields are valid for the job- and
-/// task-scoped kinds only.
+/// recording, observers). Job/task fields are valid for the job kinds only.
 struct KernelEvent {
   enum class Kind : std::uint8_t {
     JobCompleted,  ///< job delivered a result
     JobOmitted,    ///< job finished with an omission (no result)
-    TaskError,     ///< detected error routed to a task
-    KernelError,   ///< kernel-internal error (leads to Stopped)
-    Stopped,       ///< kernel went silent
-    Restarted,     ///< kernel came back up
+    KernelError,   ///< kernel-internal error: the kernel stops
   };
   Kind kind = Kind::JobCompleted;
   TaskId task{};
@@ -105,13 +88,6 @@ class Job {
   /// Exactly one copy may run at a time.
   void runCopy(Duration work);
 
-  /// True while a copy is queued or running on the CPU.
-  [[nodiscard]] bool copyActive() const { return copyWork_.valid(); }
-
-  /// Kills the active copy; the copy-stop handler sees CopyStop::Killed. The
-  /// remaining CPU time is reclaimed (paper Fig. 3, scenario iii).
-  void killRunningCopy();
-
   /// Delivers the job result and finishes the job. The result sink sees
   /// `result` itself; the kernel does not copy it.
   void complete(std::span<const std::uint32_t> result);
@@ -149,7 +125,6 @@ class RtKernel {
  public:
   using JobHandler = std::function<void(Job&)>;
   using CopyStopHandler = std::function<void(Job&, CopyStop)>;
-  using ErrorHandler = std::function<void(Job&, const ErrorEvent&)>;
   using AbortHandler = std::function<void(Job&)>;
   using ResultSink = std::function<void(const JobResult&)>;
 
@@ -159,20 +134,19 @@ class RtKernel {
 
   /// Registers a task; `handler` is invoked at every job release. The
   /// optional `onCopyStop` receives every stop of the task's copies with
-  /// the job that ran the copy: Completed, BudgetOverrun, Killed, or
-  /// Aborted by the deadline monitor (a copy cancelled because its job
-  /// finished reaches no handler). `onError` receives every error routed to
-  /// the task's active job, and `onAbort` every job that the deadline
-  /// monitor, or the task's next release, aborts (after the job's omission;
-  /// the job stays valid during the call).
+  /// the job that ran the copy: Completed, BudgetOverrun, or Aborted by the
+  /// deadline monitor (a copy cancelled because its job finished reaches no
+  /// handler). `onAbort` receives every job that the deadline monitor, or
+  /// the task's next release, aborts (after the job's omission; the job
+  /// stays valid during the call).
   TaskId addTask(TaskConfig config, JobHandler handler, CopyStopHandler onCopyStop = {},
-                 ErrorHandler onError = {}, AbortHandler onAbort = {});
+                 AbortHandler onAbort = {});
 
   /// Receives every delivered job result (e.g. the network layer).
   void setResultSink(ResultSink sink) { resultSink_ = std::move(sink); }
 
-  /// Streams kernel-level events (job completion/omission, detected errors,
-  /// stop/restart) to an observer; one tap per kernel.
+  /// Streams kernel-level events (job completion/omission, kernel errors) to
+  /// an observer; one tap per kernel.
   using EventTap = std::function<void(const KernelEvent&)>;
   void setEventTap(EventTap tap) { eventTap_ = std::move(tap); }
 
@@ -196,12 +170,8 @@ class RtKernel {
   /// chain releases its jobs.
   void releaseSporadic(TaskId task);
 
-  /// Routes a detected error to the task's active job (TEM reacts to it).
-  /// Errors for tasks without an active job are counted but otherwise lost.
-  void reportTaskError(TaskId task, const ErrorEvent& event);
-
   /// A kernel-internal error: the node becomes silent (strategy 3).
-  void reportKernelError(const ErrorEvent& event);
+  void reportKernelError();
 
   /// Disables further releases of a task (used to shut down non-critical
   /// tasks after an error, Section 2.2 strategy 2).
@@ -224,7 +194,6 @@ class RtKernel {
     Cpu::Label label;  ///< config.name, interned by the Cpu
     JobHandler handler;
     CopyStopHandler onCopyStop;
-    ErrorHandler onError;
     AbortHandler onAbort;
     TaskStats stats;
     std::uint64_t nextJobIndex = 0;

@@ -46,8 +46,6 @@ struct TaskStats {
   std::uint64_t omissions = 0;        ///< jobs that ended in an omission failure
   std::uint64_t deadlineMisses = 0;   ///< jobs aborted by the deadline monitor
   std::uint64_t budgetOverruns = 0;   ///< copies killed by the budget timer
-  std::uint64_t errorsDetected = 0;   ///< EDM/comparison errors observed
-  std::uint64_t errorsMasked = 0;     ///< errors masked by TEM
 };
 
 }  // namespace nlft::rt

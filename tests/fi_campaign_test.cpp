@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 namespace nlft::fi {
 namespace {
 
@@ -206,18 +209,22 @@ TEST(Inject, DescribeProducesReadableText) {
   EXPECT_EQ(describe(RegisterBitFlip{3, 17}), "reg r3 bit 17");
   EXPECT_EQ(describe(PcBitFlip{4}), "pc bit 4");
   EXPECT_EQ(describe(MemoryBitFlip{0x100, 38}), "mem 0x100 bit 38");
-  EXPECT_EQ(describe(StuckAtRegisterBit{2, 5, true}), "stuck-at r2 bit 5=1");
+  EXPECT_EQ(describe(FetchBitFlip{31}), "fetch bit 31");
 }
 
-TEST(Inject, StuckAtFaultAppliesEveryInstruction) {
-  const TaskImage image = makeImage();
-  hw::Machine machine{image.memBytes};
-  machine.loadWords(image.program.origin, image.program.words);
-  machine.loadWords(image.inputBase, image.input);
-  inject(machine, StuckAtRegisterBit{6, 2, true});  // accumulator bit stuck high
-  const CopyRun run = runCopy(machine, image, std::nullopt);
-  ASSERT_EQ(run.end, CopyRun::End::Output);
-  EXPECT_NE(run.output, (std::vector<std::uint32_t>{363, 77}));
+// MMU confinement installs the image's own regions, which the static
+// analyzer derives for every shipped image (analysis::applyDerivedConfig).
+// An image that enables the MMU without any is refused, naming the field,
+// before a machine runs.
+TEST(GoldenRun, RefusesMmuWithoutRegions) {
+  TaskImage image = makeImage();
+  image.enableMmu = true;
+  try {
+    (void)goldenRun(image);
+    FAIL() << "an MMU-enabled image without regions was accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string{error.what()}.find("mmuRegions"), std::string::npos) << error.what();
+  }
 }
 
 TEST(SampleFault, RespectsMixWeights) {

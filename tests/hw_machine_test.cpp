@@ -236,18 +236,6 @@ TEST(Machine, PcBitFlipCanRaiseIllegalInstruction) {
   EXPECT_EQ(result.exception.kind, ExceptionKind::AddressError);
 }
 
-TEST(Machine, StuckAtFaultReassertsEveryInstruction) {
-  Machine m = makeMachine(R"(
-    ldi r1, 0
-    addi r1, r1, 0
-    st r1, [r0+0x100]
-    halt
-  )");
-  m.addStuckAtFault({1, 3, true});  // r1 bit 3 stuck high
-  EXPECT_EQ(m.run(10).reason, StopReason::Halted);
-  EXPECT_EQ(m.readWords(0x100, 1)[0], 8u);
-}
-
 TEST(Machine, StackOverflowDetected) {
   Machine m = makeMachine(R"(
     loop:

@@ -43,7 +43,7 @@ bool classifyGoldenLine(const std::string& line, EventKey& key) {
     key = {"failure", word};
   } else if (word == "node-silent" || word == "node-restarted") {
     key = {"node", word};
-  } else if (word == "task-error" || word == "kernel-error" || word == "job-omitted") {
+  } else if (word == "kernel-error" || word == "job-omitted") {
     key = {"kernel", word};
   } else if (word == "membership") {
     key = {"membership", "membership-change"};

@@ -164,15 +164,6 @@ TEST(Cpu, BusyTimeExcludesIdleGaps) {
   EXPECT_EQ(cpu.busyTime().us(), 5000);
 }
 
-TEST(Cpu, ContextSwitchOverheadCharged) {
-  sim::Simulator simulator;
-  Cpu cpu{simulator, Duration::microseconds(100)};
-  Recorder recorder{simulator};
-  cpu.post(1, Duration::milliseconds(1), recorder.done("a"), "a");
-  simulator.runAll();
-  EXPECT_EQ(recorder.at, (std::vector<std::int64_t>{1100}));  // 100 us overhead + 1 ms work
-}
-
 TEST(Cpu, CompletionCanPostFollowUpWork) {
   sim::Simulator simulator;
   Cpu cpu{simulator};

@@ -39,7 +39,7 @@ struct KernelFixture : ::testing::Test {
     cfg.relativeDeadline = relativeDeadline;
     cfg.budget = Duration::milliseconds(50);
     return kernel.addTask(
-        cfg, [](Job& job) { job.runCopy(Duration::milliseconds(30)); }, {}, {},
+        cfg, [](Job& job) { job.runCopy(Duration::milliseconds(30)); }, {},
         [this, &aborts](Job& job) { aborts.emplace_back(job.index(), simulator.now().us()); });
   }
 
@@ -102,7 +102,7 @@ TEST_F(KernelFixture, DeadlineMonitorAbortsLateJob) {
       cfg,
       // Ask for more work than fits before the deadline.
       [](Job& job) { job.runCopy(Duration::milliseconds(8)); },
-      [&](Job&, CopyStop stop) { observed = stop; }, {}, [&](Job&) { aborted = true; });
+      [&](Job&, CopyStop stop) { observed = stop; }, [&](Job&) { aborted = true; });
   kernel.start();
   simulator.runUntil(SimTime::fromUs(9'000));
   EXPECT_TRUE(aborted);
@@ -172,23 +172,6 @@ TEST_F(KernelFixture, PriorityOrderAcrossTasks) {
   EXPECT_EQ(order, (std::vector<std::string>{"high", "low"}));
 }
 
-TEST_F(KernelFixture, ErrorRoutedToActiveJob) {
-  TaskConfig cfg = periodicTask("t", 1, Duration::milliseconds(10), Duration::milliseconds(4));
-  std::optional<ErrorEvent::Source> seen;
-  const TaskId task = kernel.addTask(
-      cfg, [](Job& job) { job.runCopy(Duration::milliseconds(4)); },
-      [](Job& job, CopyStop) { job.complete({}); },
-      [&](Job&, const ErrorEvent& event) { seen = event.source; });
-  kernel.start();
-  simulator.scheduleAfter(Duration::milliseconds(1), [&] {
-    kernel.reportTaskError(task, {ErrorEvent::Source::HardwareException, 3});
-  });
-  simulator.runUntil(SimTime::fromUs(8'000));
-  ASSERT_TRUE(seen.has_value());
-  EXPECT_EQ(*seen, ErrorEvent::Source::HardwareException);
-  EXPECT_EQ(kernel.stats(task).errorsDetected, 1u);
-}
-
 TEST_F(KernelFixture, KernelErrorSilencesNode) {
   bool silent = false;
   kernel.setFailSilentHook([&] { silent = true; });
@@ -196,9 +179,7 @@ TEST_F(KernelFixture, KernelErrorSilencesNode) {
       periodicTask("t", 1, Duration::milliseconds(5), Duration::milliseconds(1)),
       Duration::milliseconds(1), 1);
   kernel.start();
-  simulator.scheduleAfter(Duration::milliseconds(7), [&] {
-    kernel.reportKernelError({ErrorEvent::Source::HardwareException, 1});
-  });
+  simulator.scheduleAfter(Duration::milliseconds(7), [&] { kernel.reportKernelError(); });
   simulator.runUntil(SimTime::fromUs(50'000));
   EXPECT_TRUE(silent);
   EXPECT_TRUE(kernel.stopped());
@@ -255,7 +236,7 @@ TEST_F(KernelFixture, ImplicitDeadlineJobSchedulesNoDeadlineEvent) {
   kernel.start();
   simulator.runUntil(SimTime::fromUs(1'000));
   ASSERT_NE(kernel.activeJob(task), nullptr);
-  EXPECT_TRUE(kernel.activeJob(task)->copyActive());
+  EXPECT_EQ(cpu.runningLabel(), "t");
   EXPECT_EQ(simulator.pendingEvents(), 2u);
 }
 
@@ -279,28 +260,6 @@ TEST_F(KernelFixture, ReleaseSporadicRefusesPeriodicTask) {
   EXPECT_EQ(kernel.stats(task).completions, 10u);  // the 100-ms job is still running
 }
 
-TEST_F(KernelFixture, KillRunningCopyReclaimsTime) {
-  TaskConfig cfg = periodicTask("t", 1, Duration::milliseconds(20), Duration::milliseconds(10));
-  std::int64_t completedAt = 0;
-  kernel.addTask(
-      cfg, [](Job& job) { job.runCopy(Duration::milliseconds(10)); },
-      [&](Job& job, CopyStop stop) {
-        if (stop == CopyStop::Killed) {
-          // Restart: the new copy only needs the CPU time from now on.
-          job.runCopy(Duration::milliseconds(4));
-          return;
-        }
-        completedAt = simulator.now().us();
-        job.complete({});
-      });
-  kernel.start();
-  simulator.scheduleAfter(Duration::milliseconds(3), [&] {
-    kernel.activeJob(TaskId{0})->killRunningCopy();
-  });
-  simulator.runUntil(SimTime::fromUs(15'000));
-  EXPECT_EQ(completedAt, 7000);  // killed at 3 ms + 4 ms new copy
-}
-
 TEST_F(KernelFixture, TimeToDeadlineShrinks) {
   TaskConfig cfg = periodicTask("t", 1, Duration::milliseconds(10), Duration::milliseconds(1));
   cfg.relativeDeadline = Duration::milliseconds(8);
@@ -318,26 +277,24 @@ TEST_F(KernelFixture, TimeToDeadlineShrinks) {
 }
 
 // Two tasks on one kernel, each with its own copy-stop handler. Task "b"
-// (added first, index 0) runs 4-ms copies; task "a" (index 1, released 1 ms
-// later at a higher priority) asks for 3 ms against a 2-ms budget, so its
-// first copy of each job overruns and a 1-ms second copy completes the job.
-// An error kills b's first copy in job 0, and omits job 1 while its copy
-// runs. Every stop must reach the handler of the task whose copy stopped,
-// with that task's active job, and the copy cancelled by job 1's omission
-// must reach none.
+// (added first, index 0) runs one 4-ms copy per job; task "a" (index 1,
+// released 1 ms later at a higher priority) asks for 3 ms against a 2-ms
+// budget, so its first copy of each job overruns and a 1-ms second copy
+// completes the job. b is shut down at 15 ms, which omits its job 1 while
+// the copy runs. Every stop must reach the handler of the task whose copy
+// stopped, with that task's active job, and the copy cancelled by job 1's
+// omission must reach none.
 TEST_F(KernelFixture, CopyStopsReachTheirOwnTasksHandler) {
   using Stop = std::tuple<std::string, std::uint64_t, int, CopyStop, std::int64_t>;
-  // (task, job index, copies started, stop, instant). b's first copy is
-  // preempted by a at 1 and 11 ms and resumes at 4 and 14 ms; b's job 1 is
-  // omitted at 15 ms with its copy still running.
+  // (task, job index, copies started, stop, instant). b's copy is preempted
+  // by a at 1 and 11 ms and resumes at 4 and 14 ms.
   const std::vector<Stop> expected{
-      {"a", 0, 1, CopyStop::BudgetOverrun, 3'000}, {"a", 0, 2, CopyStop::Completed, 4'000},
-      {"b", 0, 1, CopyStop::Killed, 5'000},        {"b", 0, 2, CopyStop::Completed, 9'000},
-      {"a", 1, 1, CopyStop::BudgetOverrun, 13'000}, {"a", 1, 2, CopyStop::Completed, 14'000},
+      {"a", 0, 1, CopyStop::BudgetOverrun, 3'000},  {"a", 0, 2, CopyStop::Completed, 4'000},
+      {"b", 0, 1, CopyStop::Completed, 7'000},      {"a", 1, 1, CopyStop::BudgetOverrun, 13'000},
+      {"a", 1, 2, CopyStop::Completed, 14'000},
   };
   std::vector<Stop> stops;
   int copiesA = 0;
-  int copiesB = 0;
   TaskId a{};
   TaskId b{};
   // Each stop is checked as it arrives: a stop routed to the wrong task
@@ -353,25 +310,10 @@ TEST_F(KernelFixture, CopyStopsReachTheirOwnTasksHandler) {
 
   b = kernel.addTask(
       periodicTask("b", 1, Duration::milliseconds(10), Duration::milliseconds(4)),
-      [&](Job& job) {
-        copiesB = 1;
-        job.runCopy(Duration::milliseconds(4));
-      },
+      [](Job& job) { job.runCopy(Duration::milliseconds(4)); },
       [&](Job& job, CopyStop stop) {
-        record("b", b, copiesB, job, stop);
-        if (stop == CopyStop::Killed) {
-          ++copiesB;
-          job.runCopy(Duration::milliseconds(4));
-        } else {
-          job.complete({});
-        }
-      },
-      [](Job& job, const ErrorEvent&) {
-        if (job.index() == 0) {
-          job.killRunningCopy();
-        } else {
-          job.omit();  // finishes the job while its copy runs
-        }
+        record("b", b, 1, job, stop);
+        job.complete({});
       });
   TaskConfig configA = periodicTask("a", 2, Duration::milliseconds(10), Duration::milliseconds(2));
   configA.offset = Duration::milliseconds(1);
@@ -391,11 +333,8 @@ TEST_F(KernelFixture, CopyStopsReachTheirOwnTasksHandler) {
         }
       });
   kernel.start();
-  for (const std::int64_t ms : {5, 15}) {
-    simulator.scheduleAt(SimTime::fromUs(ms * 1000), [&] {
-      kernel.reportTaskError(b, {ErrorEvent::Source::HardwareException, 0});
-    });
-  }
+  // Finishes b's job 1 while its copy runs.
+  simulator.scheduleAt(SimTime::fromUs(15'000), [&] { kernel.disableTask(b); });
   simulator.runUntil(SimTime::fromUs(19'000));
 
   EXPECT_EQ(stops, expected);
@@ -405,9 +344,9 @@ TEST_F(KernelFixture, CopyStopsReachTheirOwnTasksHandler) {
   EXPECT_EQ(kernel.stats(b).completions, 1u);
   EXPECT_EQ(kernel.stats(b).omissions, 1u);
   EXPECT_EQ(cpu.preemptions(), 2u);
-  // a: 3 ms per job; b: 6 ms in job 0 and 2 ms in job 1, whose cancelled
+  // a: 3 ms per job; b: 4 ms in job 0 and 2 ms in job 1, whose cancelled
   // copy gives its remaining time back.
-  EXPECT_EQ(cpu.busyTime().us(), 14'000);
+  EXPECT_EQ(cpu.busyTime().us(), 12'000);
   EXPECT_TRUE(cpu.idle());
 }
 

@@ -10,8 +10,8 @@
 //     misparsed;
 //   - a blob of the wrong KIND (machine vs system) is refused;
 //   - an element count larger than its section can hold is refused with a
-//     BlobError before anything is allocated for it, and so are exec-section
-//     values that step() would shift by or index with;
+//     BlobError before anything is allocated for it, and so is an
+//     exec-section fetch-corruption bit that step() would shift by;
 //   - fi::behaviorDigest, which skips words clear in the dirty bitmap and
 //     bitmap words clear in its summary, equals a digest that hashes every
 //     codeword;
@@ -25,7 +25,6 @@
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -208,7 +207,7 @@ TEST(SnapshotRoundtrip, WrongKindIsRefused) {
 }
 
 /// The element counts a snapshot blob declares before a list.
-enum class CountSite { CpuRegisters, MemCodewords, MmuRegions, StuckAtFaults };
+enum class CountSite { CpuRegisters, MemCodewords, MmuRegions };
 
 /// A machine blob with valid section CRCs whose count at `site` claims
 /// 0xFFFFFFFF elements; every other list is empty and the section ends right
@@ -243,7 +242,6 @@ std::vector<std::uint8_t> hostileMachineBlob(CountSite site) {
   w.boolean(false);
   w.u64(0);
   w.i64(-1);
-  w.u32(site == CountSite::StuckAtFaults ? kHostile : 0);
   w.endSection();
   return w.finish();
 }
@@ -263,7 +261,6 @@ TEST(SnapshotRoundtrip, HostileElementCountsAreRefused) {
       {CountSite::CpuRegisters, "cpu"},  // BlobReader::u32Vec
       {CountSite::MemCodewords, "mem"},  // BlobReader::u64Vec
       {CountSite::MmuRegions, "mmu"},
-      {CountSite::StuckAtFaults, "exec"},
   };
   for (const auto& [site, section] : machineSites) {
     SCOPED_TRACE(section);
@@ -344,9 +341,8 @@ TEST(SnapshotRoundtrip, HostileInjectionsAreRefused) {
 }
 
 /// A CRC-valid machine blob of 256 zero words whose exec section carries
-/// `fetchBit` and one stuck-at fault on (`reg`, `bit`).
-std::vector<std::uint8_t> execValuesBlob(std::int64_t fetchBit, std::uint32_t reg,
-                                         std::uint32_t bit) {
+/// `fetchBit`.
+std::vector<std::uint8_t> execValuesBlob(std::int64_t fetchBit) {
   snap::BlobWriter w{snap::kMachineSnapshot, hw::kMachineStateVersion};
   w.beginSection("cpu");
   w.u32Vec(hw::CpuState{}.regs);
@@ -369,38 +365,24 @@ std::vector<std::uint8_t> execValuesBlob(std::int64_t fetchBit, std::uint32_t re
   w.boolean(false);
   w.u64(0);
   w.i64(fetchBit);
-  w.u32(1);
-  w.u32(reg);
-  w.u32(bit);
-  w.boolean(true);
   w.endSection();
   return w.finish();
 }
 
 TEST(SnapshotRoundtrip, HostileExecValuesAreRefused) {
-  using ExecValues = std::tuple<std::int64_t, std::uint32_t, std::uint32_t>;
-  // The extremes the setters can produce restore and execute.
-  const ExecValues extremes[] = {{-1, 0, 0}, {31, 15, 31}};
-  for (const auto& [fetchBit, reg, bit] : extremes) {
+  // The extremes the setter can produce restore and execute.
+  for (const std::int64_t fetchBit : {-1, 31}) {
     hw::Machine machine{1024};
-    machine.restoreState(execValuesBlob(fetchBit, reg, bit));
+    machine.restoreState(execValuesBlob(fetchBit));
     (void)machine.step();
   }
-  // Values step() would shift by or index with: refused before the machine
-  // changes, naming the section.
-  const ExecValues hostile[] = {
-      {40, 0, 0},          // fetch-corruption bit past the word
-      {-2, 0, 0},          // below the "none armed" marker
-      {-1, 1000000, 0},    // stuck-at register outside the register file
-      {-1, 0xFFFFFFFFu, 0},  // a negative register
-      {-1, 0, 77},         // stuck-at bit past the word
-  };
-  for (const auto& [fetchBit, reg, bit] : hostile) {
-    SCOPED_TRACE(std::to_string(fetchBit) + "/" + std::to_string(reg) + "/" + std::to_string(bit));
+  // Values step() would shift by: refused before the machine changes,
+  // naming the section.
+  for (const std::int64_t fetchBit : {40, -2}) {  // past the word; below "none armed"
+    SCOPED_TRACE(fetchBit);
     hw::Machine machine{1024};
     const std::vector<std::uint8_t> before = machine.saveState();
-    expectBlobErrorNaming([&] { machine.restoreState(execValuesBlob(fetchBit, reg, bit)); },
-                          "exec");
+    expectBlobErrorNaming([&] { machine.restoreState(execValuesBlob(fetchBit)); }, "exec");
     EXPECT_EQ(machine.saveState(), before);
   }
 }
@@ -430,12 +412,6 @@ std::uint64_t fullWalkDigest(const hw::Machine& machine) {
              (machine.halted() ? 4u : 0u));
   digest.u64(static_cast<std::uint64_t>(
       static_cast<std::int64_t>(machine.armedFetchCorruptionBit())));
-  digest.u64(machine.stuckAtFaults().size());
-  for (const hw::StuckAtFault& fault : machine.stuckAtFaults()) {
-    digest.u64(static_cast<std::uint64_t>(fault.reg));
-    digest.u64(static_cast<std::uint64_t>(fault.bit));
-    digest.u64(fault.stuckHigh ? 1 : 0);
-  }
   for (const std::uint64_t codeword : machine.memory().rawCodewords()) digest.u64(codeword);
   return digest.finish();
 }

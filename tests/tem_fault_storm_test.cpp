@@ -21,9 +21,7 @@ TEST_P(FaultStorm, DeliveredResultsAreAlwaysCorrect) {
   sim::Simulator simulator;
   rt::Cpu cpu{simulator};
   rt::RtKernel kernel{simulator, cpu};
-  TemConfig temConfig;
-  temConfig.maxCopies = 3 + static_cast<int>(rng.uniformInt(2));
-  TemExecutor tem{kernel, temConfig};
+  TemExecutor tem{kernel};
 
   // Two critical tasks; each job's correct result encodes (task, jobIndex).
   struct FaultPlan {
@@ -66,15 +64,6 @@ TEST_P(FaultStorm, DeliveredResultsAreAlwaysCorrect) {
             }
           }
         }));
-  }
-
-  // Additionally, random externally reported errors (ECC/MMU style).
-  for (int i = 0; i < 6; ++i) {
-    const auto at = SimTime::fromUs(1000 + static_cast<std::int64_t>(rng.uniformInt(120'000)));
-    const rt::TaskId victim = tasks[rng.uniformInt(2)];
-    simulator.scheduleAt(at, [&kernel, victim] {
-      kernel.reportTaskError(victim, {rt::ErrorEvent::Source::EccUncorrectable, 0});
-    }, sim::EventPriority::FaultInjection);
   }
 
   int wrongResults = 0;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <type_traits>
+#include <vector>
 
 namespace nlft::tem {
 namespace {
@@ -96,9 +97,7 @@ TEST(NlftNode, RestartAfterTransientDiagnosis) {
                          plan = good(Duration::milliseconds(1));
                        });
   node.start();
-  simulator.scheduleAfter(Duration::milliseconds(15), [&] {
-    node.reportKernelError({rt::ErrorEvent::Source::HardwareException, 0});
-  });
+  simulator.scheduleAfter(Duration::milliseconds(15), [&] { node.reportKernelError(); });
   simulator.scheduleAfter(Duration::milliseconds(35), [&] { node.restart(); });
   simulator.runUntil(SimTime::fromUs(70'000));
   EXPECT_FALSE(node.silent());
@@ -141,19 +140,31 @@ TEST(NlftNode, NodeAndTemExecutorCanNeitherMoveNorCopy) {
   EXPECT_FALSE(std::is_copy_constructible_v<TemExecutor>);
 }
 
-TEST(NlftNode, ReportedTaskErrorTriggersTemRecovery) {
+TEST(NlftNode, DetectedErrorIsMaskedByReplacement) {
   sim::Simulator simulator;
   NlftNode node{simulator};
+  std::vector<std::int64_t> deliveredAt;
+  node.setResultSink([&](const rt::JobResult& result) {
+    deliveredAt.push_back(result.deliveredAt.us());
+  });
   const rt::TaskId task = node.addCriticalTask(
       taskConfig("t", Duration::milliseconds(4), Duration::milliseconds(20)),
-      [](const CopyContext&, CopyPlan& plan) { plan = good(Duration::milliseconds(4)); });
+      [](const CopyContext& ctx, CopyPlan& plan) {
+        plan = good(Duration::milliseconds(4));
+        if (ctx.copyIndex == 1) {  // an EDM fires 1 ms into the first copy
+          plan.executionTime = Duration::milliseconds(1);
+          plan.end = CopyPlan::End::DetectedError;
+        }
+      });
   node.start();
-  simulator.scheduleAfter(Duration::milliseconds(1), [&] {
-    node.reportTaskError(task, {rt::ErrorEvent::Source::EccUncorrectable, 0});
-  });
   simulator.runUntil(SimTime::fromUs(19'000));
+  // 1 ms until the EDM, then two clean 4-ms copies: the first copy's other
+  // 3 ms were reclaimed.
+  EXPECT_EQ(deliveredAt, (std::vector<std::int64_t>{9'000}));
+  EXPECT_EQ(node.temStats(task).edmDetectedErrors, 1u);
   EXPECT_EQ(node.temStats(task).maskedByReplacement, 1u);
   EXPECT_EQ(node.taskStats(task).completions, 1u);
+  EXPECT_FALSE(node.silent());
 }
 
 }  // namespace

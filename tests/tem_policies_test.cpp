@@ -75,21 +75,6 @@ TEST_F(PolicyFixture, FailSilentNodeStopsOnFirstDetectedError) {
   EXPECT_EQ(kernel.stats(task).releases, 3u);
 }
 
-TEST_F(PolicyFixture, FailSilentNodeStopsOnReportedError) {
-  const TaskId task =
-      addFailSilentTask(kernel, config("t", Duration::milliseconds(4), Duration::milliseconds(10)),
-                        [](const CopyContext&, CopyPlan& plan) {
-                          plan = good(Duration::milliseconds(4));
-                        });
-  kernel.start();
-  simulator.scheduleAfter(Duration::milliseconds(1), [&] {
-    kernel.reportTaskError(task, {rt::ErrorEvent::Source::MmuViolation, 0});
-  });
-  simulator.runUntil(SimTime::fromUs(30'000));
-  EXPECT_TRUE(nodeSilent);
-  EXPECT_EQ(results, 0);
-}
-
 TEST_F(PolicyFixture, NonCriticalTaskShutDownOnErrorOthersContinue) {
   addFailSilentTask(
       kernel, config("critical", Duration::milliseconds(1), Duration::milliseconds(10)),
