@@ -148,8 +148,8 @@ struct BbwSimResult {
 };
 
 /// Monotone counters of a live system simulation, observable at any instant
-/// (run() reports the same quantities, finalized). The snapshot campaign
-/// engine (docs/SNAPSHOT.md "system campaigns") compares PER-INTERVAL deltas
+/// (run() reports the same quantities, finalized). The system fork engine
+/// (fi::SystemBaseline, docs/SNAPSHOT.md) compares PER-INTERVAL deltas
 /// of these against a precomputed golden timeline: equal deltas over
 /// consecutive checkpoints mean the faulted run processed the exact same
 /// event stream as the fault-free run over that interval.
@@ -257,7 +257,7 @@ class BbwSystemSim {
   /// Runs until the vehicle stops or the horizon elapses.
   [[nodiscard]] BbwSimResult run();
 
-  // --- Replay checkpoints (snapshot campaign engine, docs/SNAPSHOT.md) ---
+  // --- Replay checkpoints (system fork engine, docs/SNAPSHOT.md) ---
   //
   // A system simulation owns live kernels, executors and scheduled closures,
   // so its state is CHECKPOINTED BY REPLAY rather than serialized flat: the
@@ -303,7 +303,7 @@ class BbwSystemSim {
   /// stateFingerprint() it EXCLUDES monotone bookkeeping (processed events,
   /// delivery counters, task statistics), so a faulted simulation whose
   /// disturbance has fully healed produces the golden digest again — the
-  /// rejoin condition of the snapshot campaign engine. Counter deltas are
+  /// rejoin condition of the system fork engine. Counter deltas are
   /// compared separately via counterSnapshot().
   [[nodiscard]] std::uint64_t behaviorFingerprint() const;
 

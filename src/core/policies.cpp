@@ -48,7 +48,6 @@ rt::TaskId addSingleCopyTask(rt::RtKernel& kernel, rt::TaskConfig taskConfig,
 rt::TaskId addFailSilentTask(rt::RtKernel& kernel, rt::TaskConfig taskConfig,
                              CopyBehavior behavior) {
   if (!behavior) throw std::invalid_argument("addFailSilentTask: null behavior");
-  taskConfig.criticality = rt::Criticality::Critical;
   // Fail-silent semantics: the node stops producing any output.
   return addSingleCopyTask(kernel, std::move(taskConfig), std::move(behavior),
                            [&kernel](rt::TaskId) { kernel.reportKernelError(); });
@@ -57,7 +56,6 @@ rt::TaskId addFailSilentTask(rt::RtKernel& kernel, rt::TaskConfig taskConfig,
 rt::TaskId addNonCriticalTask(rt::RtKernel& kernel, rt::TaskConfig taskConfig,
                               CopyBehavior behavior) {
   if (!behavior) throw std::invalid_argument("addNonCriticalTask: null behavior");
-  taskConfig.criticality = rt::Criticality::NonCritical;
   return addSingleCopyTask(kernel, std::move(taskConfig), std::move(behavior),
                            [&kernel](rt::TaskId id) { kernel.disableTask(id); });
 }

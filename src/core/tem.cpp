@@ -14,7 +14,6 @@ TemExecutor::TemExecutor(rt::RtKernel& kernel) : kernel_{kernel} {}
 
 rt::TaskId TemExecutor::addCriticalTask(rt::TaskConfig taskConfig, CopyBehavior behavior) {
   if (!behavior) throw std::invalid_argument("TemExecutor: null behavior");
-  taskConfig.criticality = rt::Criticality::Critical;
   auto state = std::make_unique<TaskState>();
   TaskState* raw = state.get();
   state->behavior = std::move(behavior);

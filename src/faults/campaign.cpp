@@ -429,22 +429,29 @@ CopyRun goldenRun(const TaskImage& image) {
   return run;
 }
 
-TemOutcome runTemExperiment(const TaskImage& image, const FaultSpec& fault,
-                            double jobBudgetFactor) {
-  const CopyRun golden = goldenRun(image);
+TemOutcome runTemExperiment(const TaskImage& image, const CopyRun& golden,
+                            const FaultSpec& fault, double jobBudgetFactor) {
   util::Rng rng{0xFau};  // only used when the double-flip marker is set
   const ExperimentFault experiment = normalize(fault, rng);
   StraightSource source{image, experiment, nullptr};
   return classifyTemWith(image, golden, jobBudgetFactor, nullptr, source);
 }
 
-FsOutcome runFsExperiment(const TaskImage& image, const FaultSpec& fault) {
-  const CopyRun golden = goldenRun(image);
+TemOutcome runTemExperiment(const TaskImage& image, const FaultSpec& fault,
+                            double jobBudgetFactor) {
+  return runTemExperiment(image, goldenRun(image), fault, jobBudgetFactor);
+}
+
+FsOutcome runFsExperiment(const TaskImage& image, const CopyRun& golden, const FaultSpec& fault) {
   util::Rng rng{0xFau};
   ExperimentFault experiment = normalize(fault, rng);
   experiment.targetCopy = 1;
   StraightSource source{image, experiment, nullptr};
   return classifyFsWith(image, golden, source);
+}
+
+FsOutcome runFsExperiment(const TaskImage& image, const FaultSpec& fault) {
+  return runFsExperiment(image, goldenRun(image), fault);
 }
 
 FaultSpec sampleFault(const TaskImage& image, std::uint64_t goldenInstructions,

@@ -100,22 +100,21 @@ enum class ExecutionMode : std::uint8_t {
 };
 
 /// Deterministic counters of the snapshot/copy-on-inject engine, embedded
-/// in the campaign statistics (pure sums: merging is exact and commutative,
-/// so they are bit-identical at every thread count). `simulatedCycles` is
-/// counted in BOTH modes — the speedup bench reports the straight/snapshot
-/// cycle ratio from it. Only system campaigns use a snapshot cache; machine
-/// campaigns leave the three cache counters at zero.
+/// in the machine campaign statistics (pure sums: merging is exact and
+/// commutative, so they are bit-identical at every thread count).
+/// `simulatedCycles` is counted in BOTH modes — the speedup bench reports
+/// the straight/snapshot cycle ratio from it. No campaign uses a snapshot
+/// cache, so the three cache counters stay at zero.
 struct SnapCounters {
-  std::uint64_t simulatedCycles = 0;   ///< machine instructions (system: events) executed
+  std::uint64_t simulatedCycles = 0;   ///< machine instructions executed
   std::uint64_t snapshotHits = 0;      ///< snapshot-cache hits
   std::uint64_t snapshotMisses = 0;    ///< snapshot-cache misses
   std::uint64_t snapshotBytes = 0;     ///< bytes of snapshot blobs saved
   std::uint64_t resumePoints = 0;      ///< forks served from a snapshot
   std::uint64_t replayedCopies = 0;    ///< clean copies answered by replay
   std::uint64_t executedCopies = 0;    ///< copies actually executed
-  /// Experiments Auto ran straight: machine level, faults outside a
-  /// supported plan's fork domain; system level, simulations after a
-  /// failed support probe.
+  /// Experiments Auto ran straight: faults outside a supported plan's fork
+  /// domain.
   std::uint64_t straightFallbacks = 0;
 
   void merge(const SnapCounters& other);
@@ -248,11 +247,19 @@ struct TracedRun {
 /// Golden (fault-free) run; throws std::runtime_error if the program fails.
 [[nodiscard]] CopyRun goldenRun(const TaskImage& image);
 
-/// One TEM experiment with the given fault.
+/// One TEM experiment with the given fault, classified against `golden`
+/// (the image's goldenRun, which a caller running many experiments keeps).
+[[nodiscard]] TemOutcome runTemExperiment(const TaskImage& image, const CopyRun& golden,
+                                          const FaultSpec& fault, double jobBudgetFactor = 3.5);
+/// The same, running the golden copy first.
 [[nodiscard]] TemOutcome runTemExperiment(const TaskImage& image, const FaultSpec& fault,
                                           double jobBudgetFactor = 3.5);
 
-/// One fail-silent-node experiment with the given fault.
+/// One fail-silent-node experiment with the given fault, classified against
+/// `golden` (the image's goldenRun).
+[[nodiscard]] FsOutcome runFsExperiment(const TaskImage& image, const CopyRun& golden,
+                                        const FaultSpec& fault);
+/// The same, running the golden copy first.
 [[nodiscard]] FsOutcome runFsExperiment(const TaskImage& image, const FaultSpec& fault);
 
 /// Full campaigns with randomly sampled faults.

@@ -54,16 +54,16 @@ namespace nlft::fi {
 [[nodiscard]] std::vector<std::string> recordScenarioTraceResumed(
     const std::string& name, std::int64_t splitAtUs, const bbw::BbwSimConfig& base = {});
 
-/// Campaign-forked variant (the system-campaign differential suite,
-/// tests/system_snapshot_differential_test.cpp): a CLEAN producer — no
-/// injections, exactly like a snapshot campaign's shared golden baseline —
-/// is advanced to `forkBeforeUs` and checkpointed; the returned trace comes
-/// from a fresh simulation that attaches its trace sink, restores the clean
-/// checkpoint (the replayed prefix re-emits its lines), arms the scenario
-/// and runs to completion. This is the execution shape of every
-/// snapshot-mode campaign experiment, so the trace must be line-identical
-/// to the straight recording. `forkBeforeUs` must leave the restored clock
-/// strictly before the scenario's earliest injection (throws otherwise).
+/// Forked variant (tests/system_snapshot_differential_test.cpp): a CLEAN
+/// producer — no injections, exactly like fi::SystemBaseline's golden sweep
+/// — is advanced to `forkBeforeUs` and checkpointed; the returned trace
+/// comes from a fresh simulation that attaches its trace sink, restores the
+/// clean checkpoint (the replayed prefix re-emits its lines), arms the
+/// scenario and runs to completion. This is the execution shape of every
+/// forked experiment of the benchmark's traced re-enactment, so the trace
+/// must be line-identical to the straight recording. `forkBeforeUs` must
+/// leave the restored clock strictly before the scenario's earliest
+/// injection (throws otherwise).
 [[nodiscard]] std::vector<std::string> recordScenarioTraceForked(
     const std::string& name, std::int64_t forkBeforeUs, const bbw::BbwSimConfig& base = {});
 

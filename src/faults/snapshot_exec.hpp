@@ -71,9 +71,12 @@ class MachineBaseline {
   std::uint64_t resumePoints_ = 0;
 };
 
-// --- System-level baseline (docs/SNAPSHOT.md "system campaigns") ---
+// --- System-level baseline (docs/SNAPSHOT.md "System forks") ---
+//
+// The benchmark's traced re-enactment (perfbench/traced.cpp) forks its
+// stops from here; the system campaigns run every stop from t = 0.
 
-/// One grid point of a system-campaign golden timeline.
+/// One grid point of a system golden timeline.
 struct SystemCheckpoint {
   std::int64_t gridUs = 0;     ///< nominal grid time (a multiple of the stride)
   std::int64_t clockUs = 0;    ///< ACTUAL simulated clock after advancing to gridUs
@@ -82,13 +85,13 @@ struct SystemCheckpoint {
   std::vector<std::uint8_t> blob;   ///< replay checkpoint (saveState)
 };
 
-/// The shared golden timeline of one system campaign: ONE fault-free
+/// The shared golden timeline of one stop configuration: ONE fault-free
 /// `bbw::BbwSystemSim` fast-forwarded checkpoint grid by checkpoint grid,
 /// recording at every point the actual clock, the behavior fingerprint, the
 /// monotone counters and a replay-checkpoint blob — then run to completion
 /// for the golden result. The timeline is immutable after construction and
-/// a pure function of the configuration, so campaign chunks share one
-/// instance read-only across threads; each chunk primes its PRIVATE
+/// a pure function of the configuration, so the chunks of a forked run share
+/// one instance read-only across threads; each chunk primes its PRIVATE
 /// byte-bounded snap::SnapshotCache from it (keeping hit/miss counters a
 /// pure function of the chunk contents, hence thread-count invariant).
 ///
@@ -123,8 +126,7 @@ class SystemBaseline {
   [[nodiscard]] const bbw::BbwSimConfig& config() const { return config_; }
   [[nodiscard]] const bbw::BbwSimResult& goldenResult() const { return golden_; }
   [[nodiscard]] const bbw::BbwSystemCounters& goldenCounters() const { return finalCounters_; }
-  /// Simulated events the one golden sweep processed (charged once per
-  /// campaign to snap.simulatedCycles, in every execution mode).
+  /// Simulated events the one golden sweep processed.
   [[nodiscard]] std::uint64_t sweepEvents() const { return sweepEvents_; }
   [[nodiscard]] std::int64_t strideUs() const { return strideUs_; }
   [[nodiscard]] const std::vector<SystemCheckpoint>& checkpoints() const { return checkpoints_; }
@@ -172,8 +174,7 @@ class SystemBaseline {
 /// early checkpoint, restores it into a twin simulation built from the same
 /// config, and compares both fingerprints. The config is plain data, so this
 /// guards against FUTURE sim state the blob format does not cover yet.
-/// ExecutionMode::Auto campaigns fall back to straight execution when the
-/// probe fails.
+/// A caller must not fork stops of a config that fails the probe.
 [[nodiscard]] bool systemSnapshotSupported(const bbw::BbwSimConfig& config);
 
 }  // namespace nlft::fi

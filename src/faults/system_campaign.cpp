@@ -3,14 +3,11 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <memory>
 #include <optional>
 #include <stdexcept>
 
 #include "bbw/guest_programs.hpp"
 #include "exec/chunked_campaign.hpp"
-#include "faults/snapshot_exec.hpp"
-#include "snap/cache.hpp"
 
 namespace nlft::fi {
 
@@ -25,19 +22,19 @@ constexpr net::NodeId kNodeCount = 6;  // CU-A, CU-B, four wheel nodes
 
 [[nodiscard]] bool isWheelNode(net::NodeId id) { return id >= bbw::kWheelNodeBase; }
 
-/// Guest images and their golden costs, resolved once per campaign and
+/// Guest images and their golden copies, resolved once per campaign and
 /// shared read-only across worker threads.
 struct GuestContext {
   TaskImage wheel;
   TaskImage cu;
-  std::uint64_t wheelGoldenInstructions = 0;
-  std::uint64_t cuGoldenInstructions = 0;
+  CopyRun wheelGolden;
+  CopyRun cuGolden;
 
   [[nodiscard]] const TaskImage& imageFor(net::NodeId id) const {
     return isWheelNode(id) ? wheel : cu;
   }
-  [[nodiscard]] std::uint64_t goldenInstructionsFor(net::NodeId id) const {
-    return isWheelNode(id) ? wheelGoldenInstructions : cuGoldenInstructions;
+  [[nodiscard]] const CopyRun& goldenFor(net::NodeId id) const {
+    return isWheelNode(id) ? wheelGolden : cuGolden;
   }
 };
 
@@ -57,8 +54,8 @@ GuestContext makeGuestContext() {
   if (!haveWheel || !haveCu) {
     throw std::runtime_error("system campaign: wheel/cu guest programs missing");
   }
-  ctx.wheelGoldenInstructions = goldenRun(ctx.wheel).instructions;
-  ctx.cuGoldenInstructions = goldenRun(ctx.cu).instructions;
+  ctx.wheelGolden = goldenRun(ctx.wheel);
+  ctx.cuGolden = goldenRun(ctx.cu);
   return ctx;
 }
 
@@ -72,9 +69,10 @@ std::optional<bbw::InjectionKind> classifyMachineFault(const SystemCampaignConfi
                                                        NodeLevelCounts& counts) {
   using bbw::InjectionKind;
   const TaskImage& image = ctx.imageFor(scenario.targets.front());
+  const CopyRun& golden = ctx.goldenFor(scenario.targets.front());
   ++counts.injected;
   if (config.nodeType == bbw::NodeType::Nlft) {
-    switch (runTemExperiment(image, scenario.fault, config.jobBudgetFactor)) {
+    switch (runTemExperiment(image, golden, scenario.fault, config.jobBudgetFactor)) {
       case TemOutcome::NotActivated: ++counts.notActivated; return std::nullopt;
       case TemOutcome::MaskedByEcc: ++counts.maskedByEcc; return std::nullopt;
       case TemOutcome::MaskedByVote: ++counts.masked; return InjectionKind::ComputationFault;
@@ -86,7 +84,7 @@ std::optional<bbw::InjectionKind> classifyMachineFault(const SystemCampaignConfi
         return InjectionKind::ValueFailure;
     }
   } else {
-    switch (runFsExperiment(image, scenario.fault)) {
+    switch (runFsExperiment(image, golden, scenario.fault)) {
       case FsOutcome::NotActivated: ++counts.notActivated; return std::nullopt;
       case FsOutcome::MaskedByEcc: ++counts.maskedByEcc; return std::nullopt;
       case FsOutcome::FailSilent: ++counts.failSilent; return InjectionKind::DetectedError;
@@ -147,7 +145,7 @@ SystemScenario sampleScenarioImpl(const SystemCampaignConfig& config, util::Rng&
     case ScenarioKind::MachineTransient: {
       const net::NodeId target = firstTarget();
       scenario.targets.push_back(target);
-      scenario.fault = sampleFault(ctx.imageFor(target), ctx.goldenInstructionsFor(target),
+      scenario.fault = sampleFault(ctx.imageFor(target), ctx.goldenFor(target).instructions,
                                    config.mix, rng);
       break;
     }
@@ -183,12 +181,9 @@ SystemScenario sampleScenarioImpl(const SystemCampaignConfig& config, util::Rng&
   return scenario;
 }
 
-/// Arms the scenario's injections on a (fresh or restored) simulation: the
-/// replayed node-level outcome of a machine transient, the corrupted frame,
-/// or a kernel error on every crashed node. Legal after a restore STRICTLY
-/// before scenario.at: injection events run at
-/// EventPriority::FaultInjection, which no other event uses, so arming late
-/// is ordering-equivalent to arming at t=0.
+/// Arms the scenario's injections on a fresh simulation: the replayed
+/// node-level outcome of a machine transient, the corrupted frame, or a
+/// kernel error on every crashed node.
 void armScenario(BbwSystemSim& sim, const SystemScenario& scenario,
                  std::optional<bbw::InjectionKind> replayed) {
   using bbw::InjectionKind;
@@ -209,40 +204,10 @@ void armScenario(BbwSystemSim& sim, const SystemScenario& scenario,
   }
 }
 
-/// Per-campaign execution engine: the shared golden timeline when experiments
-/// fork, plus the golden result. Immutable after construction; shared
-/// read-only across worker threads (and across strata in the stratified
-/// campaign).
-struct SystemEngine {
-  std::unique_ptr<const SystemBaseline> baseline;  ///< null: straight execution
-  bool fellBack = false;  ///< Auto requested snapshots, the probe said no
-  BbwSimResult golden;
-  std::uint64_t goldenEvents = 0;  ///< events of the one golden run
-};
-
-SystemEngine makeSystemEngine(const SystemCampaignConfig& config) {
-  SystemEngine engine;
-  const BbwSimConfig sim = makeSimConfig(config);
-  if (config.mode == ExecutionMode::Auto && systemSnapshotSupported(sim)) {
-    engine.baseline = std::make_unique<const SystemBaseline>(sim, config.checkpointStride);
-    engine.golden = engine.baseline->goldenResult();
-    engine.goldenEvents = engine.baseline->sweepEvents();
-    return engine;
-  }
-  engine.fellBack = config.mode == ExecutionMode::Auto;
-  BbwSystemSim goldenSim{sim};
-  engine.golden = goldenSim.run();
-  engine.goldenEvents = goldenSim.counterSnapshot().eventsProcessed;
-  return engine;
-}
-
 SystemExperiment runSystemExperimentImpl(const SystemCampaignConfig& config,
                                          const SystemScenario& scenario,
                                          const BbwSimResult& golden, const GuestContext& ctx,
-                                         obs::Registry* simMetrics = nullptr,
-                                         const SystemEngine* engine = nullptr,
-                                         snap::SnapshotCache* cache = nullptr,
-                                         SnapCounters* snap = nullptr) {
+                                         obs::Registry* simMetrics = nullptr) {
   SystemExperiment experiment;
   experiment.scenario = scenario;
   if (scenario.targets.empty()) throw std::invalid_argument("system scenario without targets");
@@ -252,10 +217,10 @@ SystemExperiment runSystemExperimentImpl(const SystemCampaignConfig& config,
     replayed = classifyMachineFault(config, ctx, scenario, experiment.nodeLevel);
     if (!replayed) {
       // The fault never became an error (or ECC absorbed it): the stop is
-      // identical to the golden run, so skip the simulation — in EVERY
-      // execution mode, costing zero simulated events. The caller counts
-      // the skip (stats.skippedMasked / "campaign.skipped_masked") so the
-      // campaign reducers and the per-sim metrics stay reconcilable.
+      // identical to the golden run, so skip the simulation, costing zero
+      // simulated events. The caller counts the skip (stats.skippedMasked /
+      // "campaign.skipped_masked") so the campaign reducers and the per-sim
+      // metrics stay reconcilable.
       experiment.outcome = SystemOutcome::Masked;
       experiment.sim = golden;
       experiment.skippedMasked = true;
@@ -264,44 +229,10 @@ SystemExperiment runSystemExperimentImpl(const SystemCampaignConfig& config,
   }
 
   BbwSystemSim sim{makeSimConfig(config)};
-  // The metrics registry attaches BEFORE any restore: a replay checkpoint
-  // re-executes the clean prefix on this fresh sim, streaming exactly the
-  // metrics a straight run would, so per-sim registries stay bit-identical
-  // across execution modes.
   if (simMetrics != nullptr) sim.setMetricsRegistry(simMetrics);
-
-  const bool forking = engine != nullptr && engine->baseline != nullptr && cache != nullptr;
-  std::optional<std::size_t> restoredAt;
-  if (forking) {
-    restoredAt = engine->baseline->restoreBefore(sim, scenario.at.us(), *cache);
-    if (restoredAt && snap != nullptr) ++snap->resumePoints;
-  }
   armScenario(sim, scenario, replayed);
-
-  if (forking && simMetrics == nullptr) {
-    // Splice path: stop simulating once the faulted run provably rejoins
-    // the golden timeline. (With a metrics sink attached the run always
-    // completes — rates and histograms cannot be spliced — so metrics
-    // campaigns pay straight-execution event counts for exact registries.)
-    std::optional<BbwSimResult> spliced =
-        engine->baseline->runToRejoin(sim, scenario.at.us(), restoredAt);
-    if (spliced) {
-      experiment.sim = *spliced;
-      if (snap != nullptr) ++snap->replayedCopies;
-    } else {
-      experiment.sim = sim.run();
-      if (snap != nullptr) ++snap->executedCopies;
-    }
-  } else {
-    experiment.sim = sim.run();
-    if (snap != nullptr) {
-      ++snap->executedCopies;
-      if (engine != nullptr && engine->fellBack) ++snap->straightFallbacks;
-    }
-  }
-  if (snap != nullptr) snap->simulatedCycles += sim.counterSnapshot().eventsProcessed;
-  experiment.outcome =
-      classifyStop(golden, experiment.sim, config.maskToleranceM, config.missedStopMarginM);
+  experiment.sim = sim.run();
+  experiment.outcome = classifyStop(golden, experiment.sim);
   return experiment;
 }
 
@@ -338,9 +269,9 @@ std::uint64_t omissionCount(const BbwSimResult& result) {
   return total;
 }
 
-SystemOutcome classifyStop(const BbwSimResult& golden, const BbwSimResult& run,
-                           double maskToleranceM, double missedStopMarginM) {
-  if (!run.stopped || run.stoppingDistanceM > golden.stoppingDistanceM + missedStopMarginM) {
+SystemOutcome classifyStop(const BbwSimResult& golden, const BbwSimResult& run) {
+  if (!run.stopped ||
+      run.stoppingDistanceM > golden.stoppingDistanceM + SystemCampaignConfig::missedStopMarginM) {
     return SystemOutcome::MissedStop;
   }
   if (run.undetectedValueDeliveries > 0) return SystemOutcome::ValueFailure;
@@ -349,7 +280,8 @@ SystemOutcome classifyStop(const BbwSimResult& golden, const BbwSimResult& run,
       run.busFramesDropped > golden.busFramesDropped) {
     return SystemOutcome::OmissionDegradation;
   }
-  if (std::abs(run.stoppingDistanceM - golden.stoppingDistanceM) > maskToleranceM) {
+  if (std::abs(run.stoppingDistanceM - golden.stoppingDistanceM) >
+      SystemCampaignConfig::maskToleranceM) {
     return SystemOutcome::OmissionDegradation;
   }
   return SystemOutcome::Masked;
@@ -414,7 +346,6 @@ void SystemCampaignStats::merge(const SystemCampaignStats& other) {
   stoppingDistanceM.merge(other.stoppingDistanceM);
   stops += other.stops;
   skippedMasked += other.skippedMasked;
-  snap.merge(other.snap);
 }
 
 CoverageEstimate measuredCoverage(const SystemCampaignStats& stats) {
@@ -473,16 +404,6 @@ void addCampaignCounters(obs::Registry& m, const SystemCampaignStats& stats) {
   // by ECC): reconciles the gap between campaign.outcome.masked and the
   // per-sim registries, which only see the simulated experiments.
   m.add("campaign.skipped_masked", stats.skippedMasked);
-  // Snapshot-engine counters land under the non-golden "wall." namespace:
-  // they legitimately differ between execution modes, and the golden
-  // fingerprint must not (obs::Registry::goldenFingerprint skips "wall.").
-  m.add("wall.snap.sys.simulated_cycles", stats.snap.simulatedCycles);
-  m.add("wall.snap.sys.snapshot_hits", stats.snap.snapshotHits);
-  m.add("wall.snap.sys.snapshot_misses", stats.snap.snapshotMisses);
-  m.add("wall.snap.sys.resume_points", stats.snap.resumePoints);
-  m.add("wall.snap.sys.replayed_copies", stats.snap.replayedCopies);
-  m.add("wall.snap.sys.executed_copies", stats.snap.executedCopies);
-  m.add("wall.snap.sys.straight_fallbacks", stats.snap.straightFallbacks);
 }
 
 /// Chunk accumulator: the campaign statistics plus a chunk-local registry
@@ -504,12 +425,11 @@ struct SystemChunkStats {
 /// One sampled-and-classified experiment, folded into campaign statistics.
 /// `stratum == nullptr` samples crudely; otherwise inside the stratum.
 void runOneScenario(const SystemCampaignConfig& config, const GuestContext& ctx,
-                    const SystemEngine& engine, const StratumSpec* stratum, util::Rng& rng,
-                    SystemCampaignStats& stats, obs::Registry* simMetrics,
-                    snap::SnapshotCache* cache) {
+                    const BbwSimResult& golden, const StratumSpec* stratum, util::Rng& rng,
+                    SystemCampaignStats& stats, obs::Registry* simMetrics) {
   const SystemScenario scenario = sampleScenarioImpl(config, rng, ctx, stratum);
-  const SystemExperiment experiment = runSystemExperimentImpl(
-      config, scenario, engine.golden, ctx, simMetrics, &engine, cache, &stats.snap);
+  const SystemExperiment experiment =
+      runSystemExperimentImpl(config, scenario, golden, ctx, simMetrics);
   ++stats.outcomes[static_cast<std::size_t>(experiment.outcome)];
   ++stats.outcomesByKind[static_cast<std::size_t>(scenario.kind)]
                         [static_cast<std::size_t>(experiment.outcome)];
@@ -524,29 +444,13 @@ void runOneScenario(const SystemCampaignConfig& config, const GuestContext& ctx,
 /// stratum. Folds the per-simulation metrics into config.metrics and
 /// returns the merged statistics.
 SystemCampaignStats runSystemChunks(const SystemCampaignConfig& config, const GuestContext& ctx,
-                                    const SystemEngine& engine, const StratumSpec* stratum,
+                                    const BbwSimResult& golden, const StratumSpec* stratum,
                                     std::size_t experiments, std::uint64_t seed,
                                     const exec::ProgressFn& onProgress) {
   const auto runChunk = [&](util::Rng& rng, std::size_t count, SystemChunkStats& chunk) {
-    // A PRIVATE byte-bounded cache primed from the shared baseline (none in
-    // straight execution) makes the hit/miss/eviction counters pure
-    // functions of the chunk contents, which the chunk-order merge then
-    // keeps bit-identical at every thread count.
-    std::optional<snap::SnapshotCache> cache;
-    if (engine.baseline != nullptr) {
-      cache.emplace(config.snapshotCacheBytes);
-      engine.baseline->primeCache(*cache);
-    }
     obs::Registry* simMetrics = config.metrics != nullptr ? &chunk.sims : nullptr;
     for (std::size_t i = 0; i < count; ++i) {
-      runOneScenario(config, ctx, engine, stratum, rng, chunk.stats, simMetrics,
-                     cache ? &*cache : nullptr);
-    }
-    if (cache) {
-      SnapCounters& snap = chunk.stats.snap;
-      snap.snapshotHits += cache->hits();
-      snap.snapshotMisses += cache->misses();
-      snap.snapshotBytes += cache->insertedBytes();
+      runOneScenario(config, ctx, golden, stratum, rng, chunk.stats, simMetrics);
     }
   };
   const SystemChunkStats total =
@@ -563,13 +467,9 @@ SystemCampaignStats runSystemChunks(const SystemCampaignConfig& config, const Gu
 
 SystemCampaignStats runSystemCampaign(const SystemCampaignConfig& config) {
   const GuestContext ctx = makeGuestContext();
-  const SystemEngine engine = makeSystemEngine(config);
-  SystemCampaignStats stats = runSystemChunks(config, ctx, engine, nullptr, config.experiments,
+  const BbwSimResult golden = goldenStop(config);
+  SystemCampaignStats stats = runSystemChunks(config, ctx, golden, nullptr, config.experiments,
                                               config.seed, config.onProgress);
-  // The one golden run (snapshot sweep or straight reference) charges its
-  // events once per campaign, in every mode — the speedup bench's ratio
-  // compares total simulated work honestly.
-  stats.snap.simulatedCycles += engine.goldenEvents;
   if (config.metrics != nullptr) addCampaignCounters(*config.metrics, stats);
   return stats;
 }
@@ -654,10 +554,9 @@ SystemScenario sampleScenario(const SystemCampaignConfig& config, util::Rng& rng
 StratifiedCampaignResult runStratifiedSystemCampaign(const SystemCampaignConfig& config,
                                                      std::size_t windowBins) {
   const GuestContext ctx = makeGuestContext();
-  // ONE engine (one golden sweep, one checkpoint timeline) shared by every
-  // stratum: the baseline is a pure function of the sim configuration,
-  // which is identical across strata.
-  const SystemEngine engine = makeSystemEngine(config);
+  // ONE golden stop shared by every stratum: it is a pure function of the
+  // sim configuration, which is identical across strata.
+  const BbwSimResult golden = goldenStop(config);
   StratifiedCampaignResult result;
 
   const std::vector<StratumSpec> strata = stratifySystemCampaign(config, windowBins);
@@ -670,16 +569,13 @@ StratifiedCampaignResult runStratifiedSystemCampaign(const SystemCampaignConfig&
       // grid. Each sub-campaign keeps the usual chunk-order determinism.
       const std::uint64_t stratumSeed =
           config.seed ^ (0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(h) + 1));
-      stratumResult.stats = runSystemChunks(config, ctx, engine, &strata[h],
+      stratumResult.stats = runSystemChunks(config, ctx, golden, &strata[h],
                                             strata[h].experiments, stratumSeed, {});
     }
     result.total.merge(stratumResult.stats);
     result.strata.push_back(std::move(stratumResult));
   }
   result.experiments = result.total.experiments;
-  // The shared golden run charges its simulated events once per CAMPAIGN
-  // (the merged total), not once per stratum.
-  result.total.snap.simulatedCycles += engine.goldenEvents;
 
   if (config.metrics != nullptr) {
     addCampaignCounters(*config.metrics, result.total);

@@ -121,26 +121,22 @@ struct SystemCampaignConfig {
   double injectEarliestS = 0.2;
   double injectLatestS = 2.0;
 
-  /// Oracle thresholds relative to the fault-free golden stop: distance
-  /// deviations within maskToleranceM count as masked; beyond the golden
-  /// distance + missedStopMarginM (or no stop at all) is a missed stop.
-  double maskToleranceM = 0.5;
-  double missedStopMarginM = 20.0;
+  /// Oracle thresholds relative to the fault-free golden stop (classifyStop):
+  /// distance deviations within maskToleranceM count as masked; beyond the
+  /// golden distance + missedStopMarginM (or no stop at all) is a missed stop.
+  static constexpr double maskToleranceM = 0.5;
+  static constexpr double missedStopMarginM = 20.0;
 
   /// Simulation knobs (nodeType is overridden by the field above).
   bbw::BbwSimConfig sim{};
 
-  /// How experiments execute (docs/SNAPSHOT.md "system campaigns"). Auto
-  /// probes replay-checkpoint support once per campaign and falls back to
-  /// straight execution when checkpoints do not round-trip for this
-  /// configuration; Straight always runs every simulation from t=0.
-  /// Statistics and metrics fingerprints are bit-identical across both.
-  ExecutionMode mode = ExecutionMode::Auto;
-  /// Byte budget of each chunk's PRIVATE snapshot cache (forking campaigns
-  /// only). Chunk-private caches keep hit/miss counters thread-invariant.
-  std::size_t snapshotCacheBytes = 4u << 20;
-  /// Golden checkpoint stride (0 = one control period).
-  util::Duration checkpointStride{};
+  /// Settings of the replay-checkpoint engine (docs/SNAPSHOT.md "System
+  /// forks") that the benchmark's traced re-enactment (perfbench/traced.cpp)
+  /// reads: the byte budget of each chunk's snapshot cache and the golden
+  /// checkpoint stride (0 = one control period). The campaigns run every
+  /// stop from t = 0.
+  static constexpr std::size_t snapshotCacheBytes = 4u << 20;
+  static constexpr util::Duration checkpointStride{};
 
   exec::Parallelism parallelism{};
   exec::ProgressFn onProgress;
@@ -166,14 +162,9 @@ struct SystemCampaignStats {
   std::size_t stops = 0;  ///< experiments in which the vehicle stopped
   /// MachineTransient experiments whose fault never became an error
   /// (not-activated or ECC-masked): counted as Masked in `outcomes` with the
-  /// golden result copied in, and simulated in NO execution mode — the
+  /// golden result copied in, and never simulated — the
   /// "campaign.skipped_masked" metric reconciles against this.
   std::size_t skippedMasked = 0;
-  /// Snapshot/copy-on-inject engine counters. Stats-only by design: they
-  /// differ between execution modes, so folding them into the golden
-  /// metrics namespace would break cross-mode fingerprint equality (they
-  /// appear in run reports under "wall.snap.sys.*" instead).
-  SnapCounters snap;
 
   void merge(const SystemCampaignStats& other);
   [[nodiscard]] std::size_t outcome(SystemOutcome o) const {
@@ -214,12 +205,12 @@ struct CoverageEstimate {
 [[nodiscard]] std::uint64_t omissionCount(const bbw::BbwSimResult& result);
 
 /// The vehicle-level oracle (docs/SYSTEM_FI.md): classifies `run` against
-/// the fault-free `golden` stop. A distance deviation within maskToleranceM
-/// is masked; no stop, or one beyond the golden distance +
-/// missedStopMarginM, is a missed stop. The fuzzer's verdicts use it too.
+/// the fault-free `golden` stop. A distance deviation within
+/// SystemCampaignConfig::maskToleranceM is masked; no stop, or one beyond
+/// the golden distance + SystemCampaignConfig::missedStopMarginM, is a
+/// missed stop. The fuzzer's verdicts use it too.
 [[nodiscard]] SystemOutcome classifyStop(const bbw::BbwSimResult& golden,
-                                         const bbw::BbwSimResult& run, double maskToleranceM,
-                                         double missedStopMarginM);
+                                         const bbw::BbwSimResult& run);
 
 /// One experiment: runs the scenario against the golden stop and classifies
 /// the system-level outcome. MachineTransient scenarios also return the

@@ -17,10 +17,6 @@ using bbw::BbwSimConfig;
 using bbw::BbwSimResult;
 using bbw::BbwSystemSim;
 
-/// Vehicle-level outcome thresholds: the fi:: system campaign oracle's.
-constexpr double kMaskToleranceM = 0.5;
-constexpr double kMissedStopMarginM = 20.0;
-
 [[nodiscard]] BbwSimResult runScenarioSim(const BbwSimConfig& config,
                                           const std::vector<bbw::Injection>& events,
                                           obs::Registry* metrics = nullptr) {
@@ -58,8 +54,9 @@ constexpr double kMissedStopMarginM = 20.0;
   sig.nodeType = nodeTypeName(scenario.params.nodeType);
   sig.stopped = run.stopped;
   const double delta = std::abs(run.stoppingDistanceM - golden.stoppingDistanceM);
-  sig.distanceBucket =
-      bucketOf(delta, {kMaskToleranceM, 2.0, 5.0, kMissedStopMarginM});
+  // Bucket edges include the vehicle-level oracle's two thresholds.
+  sig.distanceBucket = bucketOf(delta, {fi::SystemCampaignConfig::maskToleranceM, 2.0, 5.0,
+                                        fi::SystemCampaignConfig::missedStopMarginM});
   const std::uint64_t runOmissions = fi::omissionCount(run);
   const std::uint64_t goldenOmissions = fi::omissionCount(golden);
   const std::uint64_t extraOmissions =
@@ -185,7 +182,7 @@ ScenarioVerdict evaluateScenario(const Scenario& scenario, const OracleConfig& c
   const std::string fingerprint = metrics.goldenFingerprint();
   verdict.stoppingDistanceM = run.stoppingDistanceM;
   verdict.e2eMaxUs = metrics.gauge("e2e.latency.max_us");
-  verdict.outcome = fi::classifyStop(golden, run, kMaskToleranceM, kMissedStopMarginM);
+  verdict.outcome = fi::classifyStop(golden, run);
   verdict.signature = makeSignature(scenario, golden, run, verdict.outcome);
 
   // diff.e2e-bound: the static verifier's sample->apply bound must dominate
@@ -223,8 +220,7 @@ ScenarioVerdict evaluateScenario(const Scenario& scenario, const OracleConfig& c
     const BbwSimResult fsGolden = cache.get(fsParams);
     if (fsGolden.stopped) {
       const BbwSimResult fsRun = runScenarioSim(fsParams, scenario.events);
-      const fi::SystemOutcome fsOutcome =
-          fi::classifyStop(fsGolden, fsRun, kMaskToleranceM, kMissedStopMarginM);
+      const fi::SystemOutcome fsOutcome = fi::classifyStop(fsGolden, fsRun);
       if (outcomeSeverity(verdict.outcome) > outcomeSeverity(fsOutcome)) {
         verdict.violations.push_back(
             {"meta.tem-monotone",

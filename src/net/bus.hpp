@@ -128,9 +128,9 @@ class TdmaBus {
   [[nodiscard]] const TdmaConfig& config() const { return config_; }
 
   /// True while any injected disturbance is still armed: a pending
-  /// corruptNextFrame that no transmission has consumed yet. The snapshot
-  /// campaign engine refuses to splice a faulted run back onto the golden
-  /// timeline until this returns false.
+  /// corruptNextFrame that no transmission has consumed yet. The system fork
+  /// engine (fi::SystemBaseline) refuses to splice a faulted run back onto
+  /// the golden timeline until this returns false.
   [[nodiscard]] bool injectionArmed() const;
 
   /// 64-bit digest of the EVOLUTION-RELEVANT bus state: queued static

@@ -3,7 +3,8 @@
 // Tasks follow the paper's read input - compute - write output loop
 // (Fig. 2). Critical tasks are executed under temporal error masking by the
 // NLFT layer (src/core); non-critical tasks run once and are simply shut
-// down when an error is detected. Priorities are fixed before run-time and
+// down when an error is detected. Which of these a task is follows from the
+// src/core call that adds it. Priorities are fixed before run-time and
 // assigned by criticality (Section 2.8).
 #pragma once
 
@@ -22,15 +23,9 @@ struct TaskId {
   friend bool operator==(TaskId, TaskId) = default;
 };
 
-enum class Criticality : std::uint8_t {
-  Critical,     ///< TEM-protected; omission enforced when recovery is impossible
-  NonCritical,  ///< best effort; shut down on error
-};
-
 /// Static task attributes. All durations are in simulated time.
 struct TaskConfig {
   std::string name;
-  Criticality criticality = Criticality::Critical;
   int priority = 0;          ///< higher value = higher priority
   Duration period{};         ///< zero for sporadic tasks
   Duration offset{};         ///< release offset of the first job

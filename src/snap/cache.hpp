@@ -1,12 +1,11 @@
 // Bounded LRU cache of snapshot blobs, keyed by simulated time.
 //
-// Campaigns fork every experiment from the nearest cached snapshot of a
-// shared fast-forwarded baseline. The cache is byte-bounded, not
-// entry-bounded, because blob sizes vary with the machine image; eviction is
-// least-recently-used. Every campaign chunk owns a PRIVATE cache instance,
-// so hit/miss counters are pure functions of the chunk contents and stay
-// bit-identical at every thread count (the snap.* golden counters rely on
-// this).
+// A forked system run (fi::SystemBaseline) restores every experiment from
+// the nearest cached checkpoint of a shared fast-forwarded baseline. The
+// cache is byte-bounded, not entry-bounded, because blob sizes vary with
+// the state they hold; eviction is least-recently-used. Every chunk owns a
+// PRIVATE cache instance, so hit/miss counters are pure functions of the
+// chunk contents and stay bit-identical at every thread count.
 #pragma once
 
 #include <cstdint>

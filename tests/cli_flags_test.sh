@@ -6,15 +6,14 @@
 # value, crashes or aborts under a sanitizer fails the check.
 #
 # Usage: cli_flags_test.sh <nlft-fuzz> <nlft-analyze> <fault_injection_campaign>
-#          <snapshot_speedup> <system_snapshot_speedup> <rare_event_speedup>
-#          <system_fi_campaign>
+#          <snapshot_speedup> <rare_event_speedup> <system_fi_campaign>
 set -u
 
 fuzz=$1
 analyze=$2
 campaign=$3
-smoke_benches=("$4" "$5" "$6")
-system_fi=$7
+smoke_benches=("$4" "$5")
+system_fi=$6
 failures=0
 
 # expect_rejected FLAG COMMAND... — COMMAND must exit 2 with "FLAG expects"

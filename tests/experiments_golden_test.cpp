@@ -1,14 +1,21 @@
 // Pins the EXPERIMENTS.md headline numbers as regression goldens: the
 // reproduction's agreement with the paper's Section 5 figures must not
 // drift silently under refactoring. Also pins the machine-level outcome
-// split of the TEM and fail-silent campaigns behind P_T, P_OM and C_D.
+// split of the TEM and fail-silent campaigns behind P_T, P_OM and C_D, and
+// the outcomes of small system campaigns.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
+#include <string>
+#include <vector>
 
 #include "bbw/guest_programs.hpp"
 #include "bbw/markov_models.hpp"
 #include "bbw/params.hpp"
+#include "faults/system_campaign.hpp"
+#include "obs/metrics.hpp"
+#include "util/state_hash.hpp"
 
 namespace nlft::bbw {
 namespace {
@@ -102,6 +109,74 @@ TEST(MachineCampaignGolden, OutcomeSplitPerGuestProgram) {
     EXPECT_EQ(outcomeFields(fi::runTemCampaign(image, config)), tem);
     EXPECT_EQ(outcomeFields(fi::runFsCampaign(image, config)), fs);
   }
+}
+
+/// The outputs a system campaign feeds the reliability models with: the
+/// experiments, the outcome histogram, the per-kind histograms, the
+/// node-level counts, the stops and the skipped (masked, unsimulated)
+/// experiments, in that order.
+std::vector<std::size_t> outcomeFields(const fi::SystemCampaignStats& s) {
+  std::vector<std::size_t> fields{s.experiments};
+  fields.insert(fields.end(), s.outcomes.begin(), s.outcomes.end());
+  for (const auto& byKind : s.outcomesByKind) {
+    fields.insert(fields.end(), byKind.begin(), byKind.end());
+  }
+  const fi::NodeLevelCounts& n = s.nodeLevel;
+  fields.insert(fields.end(), {n.injected, n.notActivated, n.maskedByEcc, n.masked, n.omission,
+                               n.failSilent, n.undetected, s.stops, s.skippedMasked});
+  return fields;
+}
+
+/// A 64-bit digest of a metrics fingerprint string.
+std::uint64_t digest(const std::string& text) {
+  util::StateHash hash;
+  for (const char c : text) hash.u64(static_cast<unsigned char>(c));
+  return hash.finish();
+}
+
+/// A small, fast system campaign: a low initial speed and a short horizon
+/// keep each closed-loop stop cheap; fixed chunking fixes the RNG streams.
+fi::SystemCampaignConfig smallSystemCampaign() {
+  fi::SystemCampaignConfig config;
+  config.experiments = 150;
+  config.seed = 33;
+  config.sim.initialSpeedMps = 15.0;
+  config.sim.horizon = util::Duration::seconds(8);
+  config.parallelism.chunkSize = 10;
+  return config;
+}
+
+// A crude campaign's outputs, and the golden fingerprint of its metrics
+// registry (per-simulation kernel, TEM and bus metrics plus the campaign.*
+// counters; "wall." metrics are not part of it). Attaching the registry
+// must not move a single output.
+TEST(SystemCampaignGolden, CrudeCampaignWithAndWithoutRegistry) {
+  const std::vector<std::size_t> golden{
+      150,                                                              // experiments
+      100, 27, 21, 2, 0,                                                // outcomes
+      100, 3, 0, 2, 0, 0, 24, 0, 0, 0, 0, 0, 14, 0, 0, 0, 0, 7, 0, 0,  // by kind
+      105, 72, 10, 18, 3, 0, 2,                                         // node level
+      150, 82};                                                         // stops, skipped
+  fi::SystemCampaignConfig config = smallSystemCampaign();
+  obs::Registry metrics;
+  config.metrics = &metrics;
+  EXPECT_EQ(outcomeFields(fi::runSystemCampaign(config)), golden);
+  EXPECT_EQ(digest(metrics.goldenFingerprint()), 0xda90070e06ae599eULL);
+  config.metrics = nullptr;
+  EXPECT_EQ(outcomeFields(fi::runSystemCampaign(config)), golden);
+}
+
+// The merged outputs of a stratified campaign over two window bins.
+TEST(SystemCampaignGolden, StratifiedCampaign) {
+  const std::vector<std::size_t> golden{
+      180,                                                               // experiments
+      128, 27, 24, 1, 0,                                                 // outcomes
+      128, 3, 0, 1, 0, 0, 24, 0, 0, 0, 0, 0, 12, 0, 0, 0, 0, 12, 0, 0,  // by kind
+      132, 90, 12, 26, 3, 0, 1,                                          // node level
+      180, 102};                                                         // stops, skipped
+  fi::SystemCampaignConfig config = smallSystemCampaign();
+  config.experiments = 180;
+  EXPECT_EQ(outcomeFields(fi::runStratifiedSystemCampaign(config, 2).total), golden);
 }
 
 }  // namespace

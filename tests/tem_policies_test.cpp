@@ -96,13 +96,6 @@ TEST_F(PolicyFixture, NonCriticalTaskShutDownOnErrorOthersContinue) {
   EXPECT_EQ(results, 6);  // 5 critical + 1 diagnostic
 }
 
-TEST_F(PolicyFixture, NonCriticalCriticalityFlagSet) {
-  const TaskId task = addNonCriticalTask(
-      kernel, config("nc", Duration::milliseconds(1), Duration::milliseconds(10)),
-      [](const CopyContext&, CopyPlan& plan) { plan = good(Duration::milliseconds(1)); });
-  EXPECT_EQ(kernel.config(task).criticality, rt::Criticality::NonCritical);
-}
-
 TEST_F(PolicyFixture, RejectsNullBehaviors) {
   EXPECT_THROW(addFailSilentTask(
                    kernel, config("t", Duration::milliseconds(1), Duration::milliseconds(10)),
