@@ -2,29 +2,35 @@
 // thread counts and record the results in BENCH_parallel_scaling.json.
 //
 // The file holds one top-level JSON array; every bench run appends its
-// entries (read-modify-write of the closing bracket), so running several
-// benches — or the same bench repeatedly — accumulates a history:
+// entries with obs::appendToJsonArrayFile, so running several benches — or
+// the same bench repeatedly — accumulates a history:
 //
 //   [
-//     {"bench": "fig14_coverage_sweep", "workload": "mc_sweep", "threads": 1,
-//      "items": 120000, "seconds": 4.21, "items_per_second": 28503.6,
-//      "speedup_vs_serial": 1.0},
+//     {
+//       "bench": "fig14_coverage_sweep",
+//       "items": 120000,
+//       "items_per_second": 28503.6,
+//       "seconds": 4.21,
+//       "speedup_vs_serial": 1,
+//       "threads": 1,
+//       "workload": "mc_sweep"
+//     },
 //     ...
 //   ]
 //
 // "speedup_vs_serial" is relative to the threads=1 timing of the SAME bench
-// invocation, so entries are self-contained.
+// invocation, so entries are self-contained. A file that is not a JSON array
+// is refused with an exception (the bench exits non-zero) and left as it was.
 #pragma once
 
-#include <algorithm>
+#include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <functional>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "obs/run_report.hpp"
 #include "util/time.hpp"
 
 namespace nlft::benchutil {
@@ -54,47 +60,22 @@ inline double timeSeconds(const std::function<void()>& fn) {
 /// baseline and 8 threads (the acceptance target), whatever the host has.
 inline std::vector<unsigned> scalingThreadCounts() { return {1u, 2u, 4u, 8u}; }
 
-inline std::string toJson(const ScalingEntry& entry) {
-  std::ostringstream out;
-  out << "  {\"bench\": \"" << entry.bench << "\", \"workload\": \"" << entry.workload
-      << "\", \"threads\": " << entry.threads << ", \"items\": " << entry.items
-      << ", \"seconds\": " << entry.seconds << ", \"items_per_second\": " << entry.itemsPerSecond
-      << ", \"speedup_vs_serial\": " << entry.speedupVsSerial << "}";
-  return out.str();
+inline obs::JsonValue toJson(const ScalingEntry& entry) {
+  obs::JsonValue json = obs::JsonValue::object();
+  json.set("bench", obs::JsonValue::string(entry.bench));
+  json.set("workload", obs::JsonValue::string(entry.workload));
+  json.set("threads", obs::JsonValue::integer(entry.threads));
+  json.set("items", obs::JsonValue::integer(static_cast<std::int64_t>(entry.items)));
+  json.set("seconds", obs::JsonValue::number(entry.seconds));
+  json.set("items_per_second", obs::JsonValue::number(entry.itemsPerSecond));
+  json.set("speedup_vs_serial", obs::JsonValue::number(entry.speedupVsSerial));
+  return json;
 }
 
 /// Appends entries to the shared report, creating the file if needed.
 inline void appendScalingEntries(const std::vector<ScalingEntry>& entries,
                                  const std::string& path = kScalingReportPath) {
-  if (entries.empty()) return;
-  std::string existing;
-  {
-    std::ifstream in{path};
-    if (in) {
-      std::ostringstream buffer;
-      buffer << in.rdbuf();
-      existing = buffer.str();
-    }
-  }
-  // Splice into the existing top-level array, if any.
-  const std::size_t closing = existing.rfind(']');
-  std::ostringstream body;
-  bool first = true;
-  if (closing != std::string::npos) {
-    std::string head = existing.substr(0, closing);
-    while (!head.empty() && (head.back() == '\n' || head.back() == ' ')) head.pop_back();
-    body << head;
-    first = head.find('{') == std::string::npos;  // previously empty array
-  } else {
-    body << "[";
-  }
-  for (const ScalingEntry& entry : entries) {
-    body << (first ? "\n" : ",\n") << toJson(entry);
-    first = false;
-  }
-  body << "\n]\n";
-  std::ofstream out{path, std::ios::trunc};
-  out << body.str();
+  for (const ScalingEntry& entry : entries) obs::appendToJsonArrayFile(toJson(entry), path);
 }
 
 /// Runs `workload(threads)` at every scaling thread count, prints a table and

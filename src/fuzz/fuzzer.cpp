@@ -11,6 +11,8 @@ namespace nlft::fuzz {
 
 namespace {
 
+/// Scenarios per round: the window in which the corpus stays frozen.
+constexpr std::size_t kBatchSize = 25;
 /// Probability of mutating a corpus entry instead of drawing a fresh random
 /// scenario, once the corpus is non-empty.
 constexpr double kMutateProbability = 0.75;
@@ -98,9 +100,8 @@ FuzzReport runFuzzer(const FuzzConfig& config) {
   FuzzReport report;
   std::set<std::pair<std::string, std::uint32_t>> violationKeys;
 
-  const std::size_t batchSize = config.batchSize == 0 ? 1 : config.batchSize;
   while (report.executed < config.budget) {
-    const std::size_t batch = std::min(batchSize, config.budget - report.executed);
+    const std::size_t batch = std::min(kBatchSize, config.budget - report.executed);
     // Frozen snapshot: workers read it concurrently, nobody writes until
     // the sequential fold below.
     const std::vector<CorpusEntry> snapshot = report.corpus.entries();

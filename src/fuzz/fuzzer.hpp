@@ -1,7 +1,7 @@
 // The coverage-guided fuzzing loop (docs/FUZZING.md).
 //
 // The search runs in ROUNDS. Within a round the corpus is FROZEN: a batch of
-// scenarios is generated (fresh random draws, or mutations of snapshot
+// 25 scenarios is generated (fresh random draws, or mutations of snapshot
 // entries once the corpus is non-empty) and executed on
 // exec::runChunkedCampaign — generation happens inside the chunk body from
 // the chunk's forked Rng against the frozen snapshot, and the per-chunk result
@@ -26,8 +26,7 @@ namespace nlft::fuzz {
 
 struct FuzzConfig {
   std::uint64_t seed = 1;
-  std::size_t budget = 200;    ///< total scenario executions
-  std::size_t batchSize = 25;  ///< scenarios per round (corpus freeze window)
+  std::size_t budget = 200;  ///< total scenario executions
   exec::Parallelism parallelism{};
   OracleConfig oracle{};  ///< resolved internally (resolveOracleConfig)
 };
@@ -55,8 +54,8 @@ struct FuzzReport {
   [[nodiscard]] obs::JsonValue toJson() const;
 };
 
-/// Runs the search. Deterministic for fixed (seed, budget, batchSize,
-/// chunkSize) at any thread count.
+/// Runs the search. Deterministic for fixed (seed, budget, chunkSize) at any
+/// thread count.
 [[nodiscard]] FuzzReport runFuzzer(const FuzzConfig& config);
 
 /// Replays one case: evaluates the scenario and reports the verdict (used by

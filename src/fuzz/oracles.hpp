@@ -16,14 +16,11 @@
 //                         (fail-silent baseline) must not yield a STRICTLY
 //                         LESS severe outcome, and must not mask more: TEM
 //                         only ever improves the outcome class;
-//   det.replay            snapshot-resume determinism: a twin of the
-//                         scenario is advanced to a mid-run split point,
-//                         checkpointed (BbwSystemSim::saveState) and restored
-//                         into a fresh simulation; the resumed run must
-//                         reproduce the straight run's metrics fingerprint
-//                         byte-for-byte, and a checkpoint the restore layer
-//                         rejects is itself a violation (the campaign layer
-//                         separately pins thread-count bit-identity).
+//   det.replay            replay determinism: a second, independent straight
+//                         run of the scenario with its own metrics registry
+//                         must reproduce the first run's metrics fingerprint
+//                         byte-for-byte (the campaign layer separately pins
+//                         thread-count bit-identity).
 //
 // Violations carry the oracle id plus the numbers that refute the property;
 // the shrinker reduces the scenario while the SAME oracle keeps failing.
@@ -33,7 +30,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -55,13 +51,6 @@ struct OracleConfig {
   /// scenario; replay determinism costs one re-run. Both default on.
   bool checkTemMonotone = true;
   bool checkReplayDeterminism = true;
-
-  /// TEST HOOK: when set, every replay checkpoint blob (the golden cache's
-  /// validation restore and the det.replay resume leg) passes through this
-  /// mutator before being restored. Tests use it to prove a deliberately
-  /// corrupted checkpoint is reported as a det.replay violation instead of
-  /// being cached or silently accepted.
-  std::function<void(std::vector<std::uint8_t>&)> corruptReplayCheckpoint;
 };
 
 /// Resolves the 0-defaults of `config` against the registered verifier
@@ -114,21 +103,10 @@ struct ScenarioVerdict {
 /// Shared fault-free reference runs, keyed by the stop's configuration.
 /// Golden results are pure functions of the configuration, so the cache
 /// only affects speed, never results; safe to share across worker threads.
-///
-/// Re-pointed at snapshot-resume (docs/SNAPSHOT.md): a cache miss runs the
-/// fault-free producer, checkpoints it (BbwSystemSim::saveState) and takes
-/// the cached result from a fresh simulation restored from that checkpoint,
-/// so every entry in the cache has survived a full save/restore round-trip.
-/// restoreState throws on a damaged blob or a diverging replay, and a
-/// throwing restore caches NOTHING — the caller reports it as a det.replay
-/// violation instead.
+/// A miss runs the fault-free stop once, straight from t = 0.
 class GoldenCache {
  public:
-  /// `mutateCheckpoint` is the OracleConfig::corruptReplayCheckpoint test
-  /// hook; leave empty outside tests.
-  [[nodiscard]] bbw::BbwSimResult get(
-      const bbw::BbwSimConfig& config,
-      const std::function<void(std::vector<std::uint8_t>&)>& mutateCheckpoint = {});
+  [[nodiscard]] bbw::BbwSimResult get(const bbw::BbwSimConfig& config);
 
  private:
   std::mutex mutex_;

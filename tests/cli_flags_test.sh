@@ -37,7 +37,6 @@ for bad in abc 1x x1 -3 +3 " 5" 5\  1.5 "" 99999999999999999999999; do
   expect_rejected --seed "$fuzz" --budget 1 --seed "$bad"
   expect_rejected --threads "$fuzz" --budget 1 --seed 1 --threads "$bad"
   expect_rejected --chunk "$fuzz" --budget 1 --seed 1 --chunk "$bad"
-  expect_rejected --resume-split "$fuzz" --fingerprint missing-case.json --resume-split "$bad"
   expect_rejected --cross-check "$analyze" --cross-check "$bad" wheel
   expect_rejected experiments "$campaign" "$bad"
   expect_rejected threads "$campaign" 1 "$bad"
@@ -48,12 +47,9 @@ expect_rejected --budget "$fuzz" --budget 0 --seed 1
 expect_rejected --cross-check "$analyze" --cross-check 0 wheel
 expect_rejected experiments "$campaign" 0
 
-# Overflow of the flag's own type: --threads is 32-bit, --resume-split a
-# signed 64-bit count of microseconds.
+# Overflow of the flag's own type: --threads is 32-bit.
 expect_rejected --threads "$fuzz" --budget 1 --seed 1 --threads 4294967296
 expect_rejected threads "$campaign" 1 4294967296
-expect_rejected --resume-split "$fuzz" --fingerprint missing-case.json \
-  --resume-split 9223372036854775808
 
 # expect_usage TEXT COMMAND... — COMMAND must exit 2 with a usage line and
 # TEXT on stderr, and print nothing on stdout: the benches print before their

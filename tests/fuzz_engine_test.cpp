@@ -3,6 +3,8 @@
 //   * the full search report is bit-identical across thread counts {1,2,8}
 //     and across repeated runs (the acceptance criterion behind
 //     `nlft-fuzz --budget N --seed S`);
+//   * the seed-1, budget-60 search report is pinned: a CRC of its JSON plus
+//     its executed, valid, corpus and per-outcome counts;
 //   * the oracles hold on the real system: a healthy search over hundreds
 //     of scenarios finds NO violations;
 //   * a deliberately weakened static bound — emulating the historical
@@ -11,10 +13,13 @@
 //     to a minimal repro of at most 5 schedule events.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
 #include <string>
 
 #include "fuzz/fuzzer.hpp"
 #include "fuzz/oracles.hpp"
+#include "util/crc.hpp"
 
 namespace nlft::fuzz {
 namespace {
@@ -23,7 +28,6 @@ FuzzConfig smallSearch() {
   FuzzConfig config;
   config.seed = 1;
   config.budget = 60;
-  config.batchSize = 20;
   return config;
 }
 
@@ -63,6 +67,27 @@ TEST(FuzzEngine, HealthySystemSurvivesTheSearchWithoutViolations) {
   EXPECT_GT(report.outcomeCounts.count("masked"), 0u);
 }
 
+TEST(FuzzEngine, SearchReportIsPinned) {
+  // What the search finds at seed 1, budget 60 and the default round size.
+  // Any change to scenario generation, mutation, the oracles, the novelty
+  // map or the simulation itself moves the CRC; the counts say where.
+  const FuzzReport report = runFuzzer(smallSearch());
+  const std::string json = report.toJson().dump();
+  EXPECT_EQ(util::crc32({reinterpret_cast<const std::uint8_t*>(json.data()), json.size()}),
+            0xb9f590eeu);
+  EXPECT_EQ(report.executed, 60u);
+  EXPECT_EQ(report.valid, 60u);
+  EXPECT_EQ(report.rounds, 3u);
+  EXPECT_EQ(report.corpus.size(), 49u);
+  EXPECT_EQ(report.outcomeCounts, (std::map<std::string, std::size_t>{
+                                      {"fail-silent-degradation", 15},
+                                      {"masked", 19},
+                                      {"omission-degradation", 18},
+                                      {"value-failure", 8},
+                                  }));
+  EXPECT_TRUE(report.violationCounts.empty());
+}
+
 TEST(FuzzEngine, RediscoversRevertedBoundAndShrinksTheRepro) {
   // Weakened verifier: 5000 us is what the holistic chain degenerates to
   // without the response-time term — below the real measured 5600 us
@@ -71,7 +96,6 @@ TEST(FuzzEngine, RediscoversRevertedBoundAndShrinksTheRepro) {
   // shrink the repro to <= 5 schedule events.
   FuzzConfig config = smallSearch();
   config.budget = 20;
-  config.batchSize = 20;
   config.oracle.e2eBoundNlftUs = 5000;
   config.oracle.e2eBoundFsUs = 5000;
   // Keep the run cheap: the metamorphic + replay oracles are exercised by

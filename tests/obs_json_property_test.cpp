@@ -14,16 +14,23 @@
 //   * malformed input is REJECTED with std::runtime_error, never parsed
 //     into something plausible;
 //   * nesting deeper than kJsonMaxDepth is rejected the same way, however
-//     deep, instead of exhausting the parser's stack.
+//     deep, instead of exhausting the parser's stack;
+//   * the run-report writers (obs/run_report.hpp) emit documents that parse
+//     back, and appendToJsonArrayFile refuses, byte for byte untouched, a
+//     history file that does not hold a JSON array.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <fstream>
 #include <limits>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "obs/json.hpp"
+#include "obs/run_report.hpp"
 #include "util/rng.hpp"
 
 namespace nlft::obs {
@@ -233,6 +240,87 @@ TEST(ObsJsonProperty, HostileNestingIsRejected) {
     // Unterminated, as a truncated file would be.
     EXPECT_THROW((void)parseJson(opening(100000, objects)), std::runtime_error);
   }
+}
+
+std::string readFile(const std::string& path) {
+  std::ifstream in{path, std::ios::binary};
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+void writeFile(const std::string& path, const std::string& content) {
+  std::ofstream{path, std::ios::binary | std::ios::trunc} << content;
+}
+
+/// A fresh path under the test's temporary directory (removed first, so a
+/// rerun starts from a missing file).
+std::string tempPath(const std::string& name) {
+  const std::string path = testing::TempDir() + "obs_run_report_" + name;
+  std::remove(path.c_str());
+  return path;
+}
+
+JsonValue entryNumbered(std::int64_t n) {
+  JsonValue entry = JsonValue::object();
+  entry.set("bench", JsonValue::string("scaling"));
+  entry.set("threads", JsonValue::integer(n));
+  return entry;
+}
+
+TEST(RunReportFile, AppendToMissingFileCreatesOneElementArray) {
+  const std::string path = tempPath("missing.json");
+  appendToJsonArrayFile(entryNumbered(1), path);
+  const JsonValue history = parseJson(readFile(path));
+  ASSERT_EQ(history.kind(), JsonValue::Kind::Array);
+  ASSERT_EQ(history.size(), 1u);
+  EXPECT_EQ(history.at(0).dump(), entryNumbered(1).dump());
+}
+
+TEST(RunReportFile, SecondAppendKeepsTheFirstEntry) {
+  const std::string path = tempPath("twice.json");
+  appendToJsonArrayFile(entryNumbered(1), path);
+  appendToJsonArrayFile(entryNumbered(2), path);
+  const JsonValue history = parseJson(readFile(path));
+  ASSERT_EQ(history.size(), 2u);
+  EXPECT_EQ(history.at(0).dump(), entryNumbered(1).dump());
+  EXPECT_EQ(history.at(1).dump(), entryNumbered(2).dump());
+}
+
+TEST(RunReportFile, AppendAfterANestedArrayAddsATopLevelElement) {
+  const std::string path = tempPath("nested.json");
+  writeFile(path, "[[1]]\n");
+  appendToJsonArrayFile(entryNumbered(2), path);
+  const JsonValue history = parseJson(readFile(path));
+  ASSERT_EQ(history.size(), 2u);
+  EXPECT_EQ(history.at(0).dump(), "[1]");
+  EXPECT_EQ(history.at(1).dump(), entryNumbered(2).dump());
+}
+
+TEST(RunReportFile, AppendRefusesAnythingButAnArrayAndLeavesItUntouched) {
+  // An object whose member is an array, and text that is not JSON at all:
+  // neither may gain an entry or be replaced by a fresh array.
+  for (const std::string& content : {std::string{"{\"a\": [1]}\n"},
+                                     std::string{"not json, no bracket\n"}}) {
+    SCOPED_TRACE(content);
+    const std::string path = tempPath("refused.json");
+    writeFile(path, content);
+    EXPECT_THROW(appendToJsonArrayFile(entryNumbered(1), path), std::runtime_error);
+    EXPECT_EQ(readFile(path), content);
+  }
+}
+
+TEST(RunReportFile, WrittenReportParsesBack) {
+  const std::string path = tempPath("report.json");
+  JsonValue report = JsonValue::object();
+  report.set("experiments", JsonValue::integer(1000));
+  report.set("coverage", JsonValue::number(0.987654321));
+  JsonValue nested = JsonValue::array();
+  nested.push(entryNumbered(3));
+  nested.push(JsonValue::string("quote \" and newline \n"));
+  report.set("rows", std::move(nested));
+  writeRunReportFile(report, path);
+  EXPECT_EQ(parseJson(readFile(path)).dump(), report.dump());
 }
 
 }  // namespace

@@ -14,9 +14,7 @@
 //     forked (Auto) execution across threads {1, 2, 8}, and the straight
 //     fallback of an image without a clean fixed point;
 //   - the MachineBaseline fork path, including out-of-order forks that
-//     restart the sweep;
-//   - the fuzzer's det.replay oracle, which must report a deliberately
-//     corrupted checkpoint restore as a violation instead of caching it.
+//     restart the sweep.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -29,7 +27,6 @@
 #include "faults/golden_trace.hpp"
 #include "faults/snapshot_exec.hpp"
 #include "fuzz/corpus.hpp"
-#include "fuzz/oracles.hpp"
 #include "hw/assembler.hpp"
 #include "obs/metrics.hpp"
 #include "util/rng.hpp"
@@ -266,36 +263,6 @@ TEST(SnapshotDifferential, ImageWithoutCleanFixedPointRunsStraight) {
     EXPECT_TRUE(sameFsOutcomes(fsStraight, fs));
     EXPECT_TRUE(sameSnapCounters(fsStraight.snap, fs.snap));
   }
-}
-
-TEST(SnapshotDifferential, CorruptedCheckpointRestoreIsAViolationNotACacheEntry) {
-  fuzz::Scenario scenario;
-  scenario.events.push_back(
-      {bbw::InjectionKind::ComputationFault, bbw::kWheelNodeBase,
-       util::SimTime::fromUs(500'000), {}});
-
-  fuzz::OracleConfig corrupting = fuzz::resolveOracleConfig({});
-  corrupting.checkTemMonotone = false;
-  corrupting.corruptReplayCheckpoint = [](std::vector<std::uint8_t>& blob) {
-    blob[blob.size() / 2] ^= 0x20;
-  };
-
-  fuzz::GoldenCache cache;
-  const fuzz::ScenarioVerdict corrupted =
-      fuzz::evaluateScenario(scenario, corrupting, &cache);
-  bool reported = false;
-  for (const fuzz::OracleViolation& violation : corrupted.violations) {
-    if (violation.oracle == "det.replay") reported = true;
-  }
-  EXPECT_TRUE(reported) << "corrupted restore did not raise det.replay";
-
-  // Same cache, corruption off: a clean verdict with no violations — the
-  // corrupted restore cached NOTHING.
-  fuzz::OracleConfig clean = corrupting;
-  clean.corruptReplayCheckpoint = nullptr;
-  const fuzz::ScenarioVerdict verdict = fuzz::evaluateScenario(scenario, clean, &cache);
-  EXPECT_TRUE(verdict.valid);
-  EXPECT_TRUE(verdict.violations.empty());
 }
 
 }  // namespace

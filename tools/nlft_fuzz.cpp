@@ -14,12 +14,9 @@
 //   nlft-fuzz --replay case.json --shrink
 //       shrink the replayed case against its first violated oracle and
 //       print the minimized scenario.
-//   nlft-fuzz --fingerprint case.json [--resume-split US]
-//       print the case's metrics fingerprint from one straight run — or,
-//       with --resume-split, from a run checkpointed at US microseconds and
-//       resumed in a fresh simulation via BbwSystemSim::saveState/
-//       restoreState (docs/SNAPSHOT.md). tools/determinism_lint.sh
-//       byte-compares the two outputs.
+//   nlft-fuzz --fingerprint case.json
+//       print the case's metrics fingerprint from one straight run;
+//       tools/determinism_lint.sh byte-compares two processes' output.
 //
 // Exit status: 0 clean, 1 oracle violation / replay mismatch, 2 usage.
 #include <cstdint>
@@ -42,38 +39,20 @@ int usage() {
   std::fputs(
       "usage: nlft-fuzz [--budget N] [--seed S] [--threads T] [--chunk C] [--out DIR]\n"
       "       nlft-fuzz --replay case.json [...] [--shrink]\n"
-      "       nlft-fuzz --fingerprint case.json [--resume-split US]\n"
-      "  N >= 1; S, T, C, US >= 0, in decimal digits; T = 0: all cores, C = 0: auto\n",
+      "       nlft-fuzz --fingerprint case.json\n"
+      "  N >= 1; S, T, C >= 0, in decimal digits; T = 0: all cores, C = 0: auto\n",
       stderr);
   return 2;
 }
 
-/// Straight or snapshot-resumed execution of one corpus case, reduced to
-/// its metrics fingerprint. The resumed variant attaches the metrics
-/// registry BEFORE restoreState so the replayed prefix streams the same
-/// live samples as the straight run.
-int fingerprint(const std::string& file, std::int64_t resumeSplitUs) {
+/// One straight run of a corpus case, reduced to its metrics fingerprint.
+int fingerprint(const std::string& file) {
   const fuzz::Scenario scenario = fuzz::loadCorpusEntry(file).scenario;
-  const auto arm = [&scenario](bbw::BbwSystemSim& sim) {
-    for (const bbw::Injection& event : scenario.events) sim.inject(event);
-  };
-
   obs::Registry metrics;
-  if (resumeSplitUs < 0) {
-    bbw::BbwSystemSim sim{scenario.params};
-    sim.setMetricsRegistry(&metrics);
-    arm(sim);
-    (void)sim.run();
-  } else {
-    bbw::BbwSystemSim producer{scenario.params};
-    arm(producer);
-    producer.runUntil(util::SimTime::fromUs(resumeSplitUs));
-    const std::vector<std::uint8_t> checkpoint = producer.saveState();
-    bbw::BbwSystemSim resumed{scenario.params};
-    resumed.setMetricsRegistry(&metrics);
-    resumed.restoreState(checkpoint);
-    (void)resumed.run();
-  }
+  bbw::BbwSystemSim sim{scenario.params};
+  sim.setMetricsRegistry(&metrics);
+  for (const bbw::Injection& event : scenario.events) sim.inject(event);
+  (void)sim.run();
   std::fprintf(stdout, "%s\n", metrics.goldenFingerprint().c_str());
   return 0;
 }
@@ -120,9 +99,11 @@ int replay(const std::vector<std::string>& files, bool shrink, const fuzz::FuzzC
     allGood = allGood && good;
 
     if (shrink && !verdict.violations.empty()) {
+      fuzz::GoldenCache goldenCache;
       const fuzz::ShrinkResult minimized = fuzz::shrinkScenario(
-          entry.scenario, fuzz::violatesOracle(verdict.violations.front().oracle,
-                                               fuzz::resolveOracleConfig(config.oracle)));
+          entry.scenario,
+          fuzz::violatesOracle(verdict.violations.front().oracle,
+                               fuzz::resolveOracleConfig(config.oracle), &goldenCache));
       obs::JsonValue s = obs::JsonValue::object();
       s.set("oracle", obs::JsonValue::string(verdict.violations.front().oracle));
       s.set("scenario", fuzz::scenarioToJson(minimized.scenario));
@@ -141,7 +122,6 @@ int run(int argc, char** argv) {
   std::vector<std::string> replayFiles;
   std::string outDir;
   std::string fingerprintFile;
-  std::int64_t resumeSplitUs = -1;
   bool shrink = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -179,10 +159,6 @@ int run(int argc, char** argv) {
       const char* v = value();
       if (v == nullptr) return usage();
       fingerprintFile = v;
-    } else if (arg == "--resume-split") {
-      const char* v = value();
-      if (v == nullptr) return usage();
-      resumeSplitUs = cli::parseFlag<std::int64_t>(arg, v);
     } else if (arg.rfind("--", 0) == 0) {
       return usage();
     } else if (!replayFiles.empty()) {
@@ -192,7 +168,7 @@ int run(int argc, char** argv) {
     }
   }
 
-  if (!fingerprintFile.empty()) return fingerprint(fingerprintFile, resumeSplitUs);
+  if (!fingerprintFile.empty()) return fingerprint(fingerprintFile);
   if (!replayFiles.empty()) return replay(replayFiles, shrink, config);
 
   const fuzz::FuzzReport report = fuzz::runFuzzer(config);
